@@ -3,7 +3,7 @@
 Usage, from the repository root::
 
     python3 perfbench/run.py --workload steady_commit --seed 1 \\
-        --seconds 40 --trace 0
+        --seconds 60 --trace 0
 
 Each *round* builds the workload's workspace from the seed in a fresh
 server process (``perfbench/server.py``, the shipped ``repro serve``
@@ -11,11 +11,11 @@ defaults), drives a fixed number of closed-loop runs over two sockets,
 SIGKILLs the server, restarts it through ``reopen`` / ``recover()`` /
 ``audit()``, checks that every acked checkin is present exactly once and
 serves the prepared cells it kept in reserve.  After one unreported
-warm-up round, a run makes as many rounds as fit into ``--seconds`` at
-the workload's nominal round length (at least one); every round is the
-same program,
-so the reported figures are medians over rounds, and latency
-percentiles pool the rounds' samples.
+warm-up round at the workload's smoke size, a run makes as many rounds
+as fit into ``--seconds`` (at least one).  Every round is the same
+program, so each figure is taken per round and the run reports its
+median over the rounds: a slow stretch of the machine that covers a
+minority of the rounds does not move it.
 
 ``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` alternates
 untraced and traced rounds and prints the per-layer metrics of the
@@ -51,7 +51,7 @@ from client import (  # noqa: E402
 )
 from tracer import summarize  # noqa: E402
 from workloads import (  # noqa: E402
-    SMOKE, VIEWS_OF, WORKLOADS, Shape, make_plan,
+    SMOKE, VIEWS_OF, WORKLOADS, make_plan,
 )
 
 #: seconds a server gets to print READY (the churn set-up takes ~7 s)
@@ -63,15 +63,13 @@ PROBE_OPENS = 60
 END_TO_END = {
     "checkins_per_s": "1/s",
     "checkin_p50_ms": "ms",
-    "checkin_p90_ms": "ms",
     "session_open_p50_ms": "ms",
-    "session_open_p90_ms": "ms",
     "restart_s": "s",
     "setup_s": "s",
     "bytes_written_per_checkin": "B",
     "server_cpu_ms_per_checkin": "ms",
     "server_rss_mb": "MB",
-    "failed_ratio": "1",
+    "ok_ratio": "1",
 }
 
 PER_LAYER = {
@@ -421,24 +419,23 @@ def percentile(values: List[float], pct: float) -> float:
 
 
 def end_to_end(rounds: List[Round], tally: Tally) -> Dict[str, float]:
-    # percentiles pool the rounds' samples: a stall of the machine delays
-    # every run in flight at once, and within one round those few runs
-    # alone would be 5% of the samples
-    latencies = [v for r in rounds for v in r.latencies_ms]
-    opens = [v for r in rounds for v in r.opens_ms]
-    med = statistics.median
+    # the percentiles too are per round, then the median over rounds: a
+    # slow stretch of the machine shifts every sample of the rounds it
+    # covers, so pooling the samples would let one slow round move them
+    def each(figure) -> float:
+        return statistics.median(figure(r) for r in rounds)
+
     return {
-        "checkins_per_s": med(r.acked / r.wall_s for r in rounds),
-        "checkin_p50_ms": percentile(latencies, 50),
-        "checkin_p90_ms": percentile(latencies, 90),
-        "session_open_p50_ms": percentile(opens, 50),
-        "session_open_p90_ms": percentile(opens, 90),
-        "restart_s": med(r.restart_s for r in rounds),
-        "setup_s": med(r.setup_s for r in rounds),
-        "bytes_written_per_checkin": med(r.wchar / r.acked for r in rounds),
-        "server_cpu_ms_per_checkin": med(r.cpu_ms / r.acked for r in rounds),
-        "server_rss_mb": med(r.rss_mb for r in rounds),
-        "failed_ratio": tally.failed / tally.attempted,
+        "checkins_per_s": each(lambda r: r.acked / r.wall_s),
+        "checkin_p50_ms": each(lambda r: percentile(r.latencies_ms, 50)),
+        "session_open_p50_ms": each(lambda r: percentile(r.opens_ms, 50)),
+        "restart_s": each(lambda r: r.restart_s),
+        "setup_s": each(lambda r: r.setup_s),
+        "bytes_written_per_checkin": each(lambda r: r.wchar / r.acked),
+        "server_cpu_ms_per_checkin": each(lambda r: r.cpu_ms / r.acked),
+        "server_rss_mb": each(lambda r: r.rss_mb),
+        # acked share of every op, so it never reads 0
+        "ok_ratio": 1.0 - tally.failed / tally.attempted,
     }
 
 
@@ -569,20 +566,21 @@ def warm_bytecode(root: pathlib.Path) -> None:
     )
 
 
-def round_count(shape: Shape, seconds: float, trace: bool) -> int:
-    """Rounds that fill *seconds* at the shape's nominal round length.
-
-    Fixed by the arguments, not by the clock, so a slow machine runs the
-    same program for longer instead of a shorter one.  A traced run
-    needs at least one untraced and one traced round.
-    """
-    return max(2 if trace else 1, int(seconds // shape.round_s))
-
-
 async def run_rounds(
-    root: pathlib.Path, work: pathlib.Path, plan: Dict[str, Any],
-    rounds: int, trace: bool, tally: Tally,
+    root: pathlib.Path, work: pathlib.Path, warm_plan: Dict[str, Any],
+    plan: Dict[str, Any], seconds: float, trace: bool, tally: Tally,
 ) -> Tuple[Round, List[Round]]:
+    """The warm-up round, then as many rounds as fit into *seconds*.
+
+    Every round is the same program on a fresh workspace, so the number
+    of rounds changes how many samples the medians take, never what one
+    round measures.  Another round starts only while one of the median
+    length so far still fits, so a slow machine makes fewer rounds, not
+    a longer run.  A traced run makes at least one untraced and one
+    traced round.
+    """
+    warm_path = work / "warm_plan.json"
+    warm_path.write_text(json.dumps(warm_plan))
     plan_path = work / "plan.json"
     plan_path.write_text(json.dumps(plan))
     # SIGTERM cancels the run, so every server it started is still reaped
@@ -590,16 +588,23 @@ async def run_rounds(
         signal.SIGTERM, asyncio.current_task().cancel
     )
     settle(work)
-    # an unreported first round: the first server of a run starts with
-    # cold caches and was measured up to 30% slower than the rounds after
-    # it; its checks still count
-    warm_up = await run_round(root, work, plan, plan_path, False, Tally())
-    # with --trace 1 the rounds alternate untraced, traced, ...
-    measured = [
-        await run_round(root, work, plan, plan_path,
-                        trace and index % 2 == 1, tally)
-        for index in range(rounds)
-    ]
+    # an unreported first round at the smoke size: the first server of a
+    # run starts with cold caches and was measured up to 30% slower than
+    # the rounds after it; its checks still count
+    warm_up = await run_round(root, work, warm_plan, warm_path, False,
+                              Tally())
+    measured: List[Round] = []
+    lengths: List[float] = []
+    started = time.monotonic()
+    while (len(measured) < (2 if trace else 1) or time.monotonic()
+           - started + statistics.median(lengths) <= seconds):
+        began = time.monotonic()
+        # with --trace 1 the rounds alternate untraced, traced, ...
+        measured.append(await run_round(
+            root, work, plan, plan_path, trace and len(measured) % 2 == 1,
+            tally,
+        ))
+        lengths.append(time.monotonic() - began)
     return warm_up, measured
 
 
@@ -625,15 +630,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     shape = (SMOKE if args.smoke else WORKLOADS)[args.workload]
     plan = make_plan(shape, args.seed)
+    warm_plan = make_plan(SMOKE[args.workload], args.seed)
     work = root / ".perfbench_work" / str(os.getpid())
     work.mkdir(parents=True, exist_ok=True)
     tally = Tally()
     try:
         warm_bytecode(root)
         warm_up, rounds = asyncio.run(run_rounds(
-            root, work, plan,
-            round_count(shape, args.seconds, bool(args.trace)),
-            bool(args.trace), tally,
+            root, work, warm_plan, plan, args.seconds, bool(args.trace),
+            tally,
         ))
     except (BenchmarkError, OSError, subprocess.SubprocessError,
             asyncio.TimeoutError, asyncio.CancelledError) as exc:
@@ -652,8 +657,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{r.acked} acked in {r.wall_s:.2f}s "
             f"({r.acked / r.wall_s:.2f}/s), "
             f"p50 {percentile(r.latencies_ms, 50):.1f}ms, "
+            f"p90 {percentile(r.latencies_ms, 90):.1f}ms, "
             f"cpu {r.cpu_ms / r.acked:.2f}ms/run, "
-            f"{len(r.opens_ms)} opens p50 {percentile(r.opens_ms, 50):.1f}ms, "
+            f"{len(r.opens_ms)} opens p50 {percentile(r.opens_ms, 50):.2f}ms, "
             f"setup {r.setup_s:.2f}s, restart {r.restart_s:.2f}s",
             file=sys.stderr,
         )

@@ -45,9 +45,6 @@ class Shape:
     runs_per_session: int
     #: runs a connection keeps in flight
     in_flight: int
-    #: nominal seconds one round takes on a 2-core machine; a run makes
-    #: ``--seconds // round_s`` rounds
-    round_s: float
 
 
 WORKLOADS: Dict[str, Shape] = {
@@ -59,7 +56,7 @@ WORKLOADS: Dict[str, Shape] = {
             "grow deep, so the whole-library .meta rewrite grows."
         ),
         teams=2, designers_per_team=1, cells=100, runs_per_session=0,
-        in_flight=8, round_s=10.0,
+        in_flight=8,
     ),
     "session_churn": Shape(
         name="session_churn",
@@ -69,7 +66,7 @@ WORKLOADS: Dict[str, Shape] = {
             "O(database) lookups show and .meta rewrite cost does not."
         ),
         teams=64, designers_per_team=4, cells=0, runs_per_session=2,
-        in_flight=1, round_s=55.0,
+        in_flight=1,
     ),
     "design_cycle": Shape(
         name="design_cycle",
@@ -79,7 +76,7 @@ WORKLOADS: Dict[str, Shape] = {
             "window wait on every request."
         ),
         teams=2, designers_per_team=1, cells=35, runs_per_session=0,
-        in_flight=1, round_s=10.0,
+        in_flight=1,
     ),
 }
 
