@@ -1,10 +1,10 @@
-"""E36f — killing the read-path tax: cache, views, clones, striped locks.
+"""E36f — killing the read-path tax: cache, striped locks, reflinks, memo.
 
 Section 3.6 charges the hybrid framework for moving design data "to and
 from the database via the UNIX file system" even for read-only access.
 Earlier PRs removed redundant *writes* (CoW staging, delta harvest);
 this experiment measures what is left — the read path itself — and what
-the zero-copy work buys back:
+the read-path work buys back:
 
 1. **cold vs warm materialization** — a verified read pays
    reconstruction plus a SHA-256; a warm read is served from the
@@ -16,12 +16,12 @@ the zero-copy work buys back:
    cannot exhibit it); the deterministic lane-model makespan carries
    the claim everywhere: concurrent readers cost max(reader) instead
    of sum(readers);
-3. **checkout cloning** — a working-file checkout clones the base
-   version in-kernel (reflink where the filesystem supports it,
-   ``copy_file_range`` otherwise) instead of read()/write() through
-   Python.  Bytes are identical on every rung; on a reflinking
-   filesystem the clone must be >= 2x faster and is charged
-   metadata-only in simulated time;
+3. **checkout reflinks** — on a filesystem that can reflink, a
+   working-file checkout shares the base version's extents instead of
+   copying them with read()/write() through Python; there the reflink
+   must be >= 2x faster and is charged metadata-only in simulated time.
+   Everywhere else checkouts take the copy path, and only that path is
+   timed;
 4. **query-engine memo** — repeated traversals of an unchanged design
    hierarchy answer from the epoch-guarded memo.
 
@@ -192,28 +192,27 @@ def run_scaling_arm() -> Tuple[List[List[str]], Dict[str, float]]:
     return rows, metrics
 
 
-# -- experiment 3: checkout cloning -------------------------------------------
+# -- experiment 3: checkout reflinks ------------------------------------------
 
 
 class _CopyOnlyCheckouts(CheckoutManager):
-    """The pre-PR working-file path: read()/write() through Python."""
+    """The working-file path without reflink: read()/write() via Python."""
 
-    def _clone_working_file(self, base, working_path):
-        return None
+    def _reflink_working_file(self, base, working_path):
+        return False
 
 
 def run_checkout_arm() -> Dict[str, float]:
     root = pathlib.Path(tempfile.mkdtemp())
     try:
-        caps = probe_capabilities(root)
+        reflink = probe_capabilities(root).reflink
         results: Dict[str, float] = {
-            "reflink_capable": 1.0 if caps.reflink else 0.0,
-            "clone_capable": 1.0 if (caps.reflink or caps.copy_range) else 0.0,
+            "reflink_capable": 1.0 if reflink else 0.0,
         }
-        for label, manager_cls in (
-            ("clone", CheckoutManager),
-            ("copy", _CopyOnlyCheckouts),
-        ):
+        arms = [("copy", _CopyOnlyCheckouts)]
+        if reflink:
+            arms.insert(0, ("reflink", CheckoutManager))
+        for label, manager_cls in arms:
             clock = SimClock()
             library = Library(
                 f"lib_{label}", root / label / "libs", clock=clock
@@ -234,7 +233,7 @@ def run_checkout_arm() -> Dict[str, float]:
             results[f"{label}_sim_ms"] = clock.elapsed_by_category().get(
                 "native_io", 0.0
             )
-            # byte identity on whatever rung ran
+            # byte identity on whichever path ran
             ticket = manager.checkout("alice", library, "alu", "schematic")
             assert ticket.working_path.read_bytes() == _payload(1)
             manager.cancel(ticket, library)
@@ -294,7 +293,7 @@ def run_bench() -> Tuple[str, Dict[str, float]]:
 
     report = (
         "E36f (Section 3.6) — the read path: cache, striped locks, "
-        "zero-copy clones\n\n"
+        "reflinks, memo\n\n"
         f"1. cold vs warm verified materialization "
         f"({N_PAYLOADS} x {PAYLOAD_BYTES >> 10} KiB payloads)\n\n"
     )
@@ -331,32 +330,37 @@ def run_bench() -> Tuple[str, Dict[str, float]]:
         f"(readers) — {lane_scaling:.0f}x at {threads} threads.  "
         "Wall-clock\nscaling needs real cores and is asserted only "
         "where cpu_count >= 4.\n\n"
-        "3. working-file checkout: in-kernel clone vs read()/write() "
-        f"copy ({CHECKOUT_ROUNDS} rounds,\n   "
-        f"{PAYLOAD_BYTES >> 10} KiB base version; filesystem: "
-        f"reflink={'yes' if checkout['reflink_capable'] else 'no'}, "
-        f"clone={'yes' if checkout['clone_capable'] else 'no'})\n\n"
     )
-    report += format_table(
-        ["checkout path", "wall ms/checkout", "simulated native-io ms"],
-        [
+    if checkout["reflink_capable"]:
+        report += (
+            "3. working-file checkout: reflink vs read()/write() copy "
+            f"({CHECKOUT_ROUNDS} rounds,\n   "
+            f"{PAYLOAD_BYTES >> 10} KiB base version)\n\n"
+        )
+        report += format_table(
+            ["checkout path", "wall ms/checkout", "simulated native-io ms"],
             [
-                "clone (reflink/copy_range)",
-                f"{checkout['clone_wall_ms']:.3f}",
-                f"{checkout['clone_sim_ms']:,.1f}",
+                [
+                    arm,
+                    f"{checkout[f'{arm}_wall_ms']:.3f}",
+                    f"{checkout[f'{arm}_sim_ms']:,.1f}",
+                ]
+                for arm in ("reflink", "copy")
             ],
-            [
-                "copy (pre-PR)",
-                f"{checkout['copy_wall_ms']:.3f}",
-                f"{checkout['copy_sim_ms']:,.1f}",
-            ],
-        ],
-    )
+        )
+        report += (
+            "\n\nbytes are identical on both paths; the reflink is "
+            "charged metadata-only in\nsimulated time.\n\n"
+        )
+    else:
+        report += (
+            "3. working-file checkout: this filesystem cannot reflink, so "
+            "checkouts take\n   the copy path: "
+            f"{checkout['copy_wall_ms']:.3f} ms per "
+            f"{PAYLOAD_BYTES >> 10} KiB checkout "
+            f"({CHECKOUT_ROUNDS} rounds).\n\n"
+        )
     report += (
-        "\n\nbytes are identical on every rung; only the cost differs.  "
-        "True reflink is\ncharged metadata-only in simulated time; a "
-        "copy_file_range clone still moves\nbytes in-kernel and is "
-        "charged like the copy it is.\n\n"
         f"4. query-engine memo over an unchanged {TREE_FANOUT}-ary "
         f"hierarchy ({memo['nodes']:.0f} cells)\n\n"
     )
@@ -376,7 +380,6 @@ def run_bench() -> Tuple[str, Dict[str, float]]:
     metrics = {
         "cache_speedup": cache["speedup"],
         "lane_scaling": lane_scaling,
-        "clone_wall_ms": checkout["clone_wall_ms"],
         "copy_wall_ms": checkout["copy_wall_ms"],
         "reflink_capable": checkout["reflink_capable"],
         "memo_speedup": memo["cold_ms"] / max(memo["warm_ms"], 1e-9),
@@ -405,12 +408,13 @@ def run_bench() -> Tuple[str, Dict[str, float]]:
     # (3) reflink checkouts must beat the copy path 2x where supported
     if checkout["reflink_capable"]:
         assert (
-            checkout["clone_wall_ms"] * 2.0 <= checkout["copy_wall_ms"]
+            checkout["reflink_wall_ms"] * 2.0 <= checkout["copy_wall_ms"]
         ), (
-            f"reflink checkout {checkout['clone_wall_ms']:.3f} ms not 2x "
+            f"reflink checkout {checkout['reflink_wall_ms']:.3f} ms not 2x "
             f"faster than copy {checkout['copy_wall_ms']:.3f} ms"
         )
-        assert checkout["clone_sim_ms"] < checkout["copy_sim_ms"]
+        assert checkout["reflink_sim_ms"] < checkout["copy_sim_ms"]
+        assert checkout["reflink_cloned"] == CHECKOUT_ROUNDS + 1
     # (4) the memo answers repeated traversals faster than walking
     assert memo["hits"] >= 10.0
     assert metrics["memo_speedup"] > 1.0
@@ -462,8 +466,7 @@ def main(argv=None) -> int:
     print(
         f"OK: warm reads {metrics['cache_speedup']:.0f}x cold, lane-model "
         f"reader scaling {metrics['lane_scaling']:.0f}x, memo "
-        f"{metrics['memo_speedup']:.0f}x, checkout clone "
-        f"{metrics['clone_wall_ms']:.3f} ms vs copy "
+        f"{metrics['memo_speedup']:.0f}x, copy-path checkout "
         f"{metrics['copy_wall_ms']:.3f} ms"
     )
     return 0

@@ -78,7 +78,7 @@ class HybridFramework:
         Byte budget of the shared materialization cache serving verified
         payload and version reads.  ``None`` (default) consults the
         ``REPRO_READ_CACHE_BYTES`` environment knob and falls back to
-        64 MiB; ``0`` disables the cache (zero-copy views stay on).
+        64 MiB; ``0`` disables the cache.
     """
 
     PERSISTENCE_MODES = ("snapshot", "wal")
@@ -182,7 +182,7 @@ class HybridFramework:
         return DEFAULT_BUDGET_BYTES
 
     def _wire_read_path(self, read_cache_bytes: Optional[int]) -> None:
-        """Attach the shared read cache and enable zero-copy views.
+        """Attach the shared read cache to both frameworks.
 
         One digest-keyed :class:`MaterializationCache` serves both
         frameworks — blob materializations and FMCAD version reads
@@ -196,7 +196,6 @@ class HybridFramework:
         )
         if self.read_cache is not None:
             self.jcf.db.attach_read_cache(self.read_cache)
-        self.jcf.db.enable_payload_views(self.root / "jcf" / "blob_views")
         self.fmcad.read_cache = self.read_cache
 
     # -- environment setup --------------------------------------------------------
@@ -533,8 +532,7 @@ class HybridFramework:
         return stats
 
     def read_path_stats(self) -> Dict[str, Any]:
-        """Read-path effectiveness: cache, memo, views, in-kernel clones."""
-        blob_stats = self.jcf.db.blob_stats()
+        """Read-path effectiveness: cache, memo, reflink clones."""
         report: Dict[str, Any] = {
             "query_memo": self.jcf.query.memo_stats(),
             "staging_reflinks": (
@@ -547,9 +545,6 @@ class HybridFramework:
                 library.cache_reads
                 for library in self.fmcad._libraries.values()
             ),
-            "views_mapped": blob_stats["views_mapped"],
-            "view_hits": blob_stats["view_hits"],
-            "view_fallbacks": blob_stats["view_fallbacks"],
         }
         if self.read_cache is not None:
             report["cache"] = self.read_cache.stats()

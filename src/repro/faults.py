@@ -132,9 +132,8 @@ FAULT_POINTS: Tuple[str, ...] = (
 #: counts the same — but corrupt rules are only valid at these points.
 CORRUPTION_POINTS: Tuple[str, ...] = (
     "blobs.payload",          # bytes entering the content-addressed store
-    "blobs.mmap",             # blob bytes spilled to a mmap view file
     "staging.file",           # payload written to a staging file
-    "staging.reflink",        # staged bytes landed via a reflink/range clone
+    "staging.reflink",        # staged bytes landed via a reflink clone
     "fmcad.version_file",     # design file written on checkin
     "fmcad.meta",             # serialized .meta about to land on disk
     "oms.snapshot",           # serialized OMS snapshot bytes

@@ -22,11 +22,7 @@ from repro.errors import CheckoutError, LockedError
 from repro.faults import fault_point
 from repro.fmcad.library import Library
 from repro.fmcad.objects import CellView, CellViewVersion
-from repro.oms.zerocopy import (
-    METHOD_REFLINK,
-    clone_file,
-    probe_capabilities,
-)
+from repro.oms.zerocopy import probe_capabilities, reflink_file
 
 
 @dataclasses.dataclass
@@ -71,8 +67,8 @@ class CheckoutManager:
         self.granted_checkouts = 0
         #: leftover working files revalidated by digest instead of re-copied
         self.validated_working_files = 0
-        #: working files materialised by cloning the version file
-        #: in-kernel (reflink / copy_file_range) instead of a userspace copy
+        #: working files materialised by reflinking the version file
+        #: instead of copying its bytes
         self.cloned_working_files = 0
 
     def set_checkin_guard(
@@ -134,22 +130,15 @@ class CheckoutManager:
             ):
                 library.clock.charge_native_io(0, files=1)
                 self.validated_working_files += 1
+            elif self._reflink_working_file(base, working_path):
+                # extents shared copy-on-write: no bytes moved, the
+                # private inode appears for a metadata-sized cost
+                library.clock.charge_native_io(0, files=1)
+                self.cloned_working_files += 1
             else:
-                method = self._clone_working_file(base, working_path)
-                if method == METHOD_REFLINK:
-                    # extents shared copy-on-write: no bytes moved, the
-                    # private inode appears for a metadata-sized cost
-                    library.clock.charge_native_io(0, files=1)
-                    self.cloned_working_files += 1
-                elif method is not None:
-                    # in-kernel block copy — physically the same traffic
-                    # as the old userspace copy, so the charge matches
-                    library.clock.charge_native_io(base.size, files=1)
-                    self.cloned_working_files += 1
-                else:
-                    data = base.read_data()
-                    working_path.write_bytes(data)
-                    library.clock.charge_native_io(len(data), files=1)
+                data = base.read_data()
+                working_path.write_bytes(data)
+                library.clock.charge_native_io(len(data), files=1)
         else:
             working_path.write_bytes(b"")
             library.clock.charge_native_io(0, files=1)
@@ -218,27 +207,25 @@ class CheckoutManager:
 
     # -- internals ------------------------------------------------------------------
 
-    def _clone_working_file(
+    def _reflink_working_file(
         self, base: CellViewVersion, working_path: pathlib.Path
-    ) -> Optional[str]:
-        """Clone the base version file onto the working path in-kernel.
+    ) -> bool:
+        """Reflink the base version file onto the working path.
 
-        Returns the clone method, or ``None`` when the caller should
-        fall back to the read+write copy — the version file is missing,
-        or the filesystem offers neither reflink nor ``copy_file_range``
-        (a plain userspace clone would be the fallback's job anyway).
-        The working file always lands on a private inode, so tool edits
-        can never reach back into the library's version file.
+        Returns ``False`` when the caller should fall back to the
+        read+write copy — the version file is missing or the filesystem
+        cannot reflink.  The working file always lands on a private
+        inode, so tool edits can never reach back into the library's
+        version file.
         """
         if not base.path.exists():
-            return None
-        caps = probe_capabilities(self.workdir)
-        if not (caps.reflink or caps.copy_range):
-            return None
+            return False
+        if not probe_capabilities(self.workdir).reflink:
+            return False
         try:
-            return clone_file(base.path, working_path, caps)
+            return reflink_file(base.path, working_path)
         except OSError:  # pragma: no cover - clone refused mid-flight
-            return None
+            return False
 
     def _require_open(self, ticket: CheckoutTicket) -> None:
         if not ticket.open:

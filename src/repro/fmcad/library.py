@@ -105,9 +105,14 @@ class Library:
         describes the directory's contents, so a framework restart
         recovers cells, cellviews and versions from it.  Versions written
         but never flushed are invisible after reopening — faithfully: the
-        metadata was the designer's responsibility.
+        metadata was the designer's responsibility.  Cells come back
+        even without a version: ``create_cell`` made their directory,
+        and every non-dot directory under the library is a cell.
         """
         library = cls(name, root, clock=clock)
+        for entry in sorted(library.directory.iterdir()):
+            if entry.is_dir() and not entry.name.startswith("."):
+                library.create_cell(entry.name)
         records, tick = library.metafile.read()
         for record in sorted(
             records, key=lambda r: (r.cell, r.view, r.version)

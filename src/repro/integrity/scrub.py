@@ -384,8 +384,8 @@ class Scrubber:
         same corpse forever.
         """
         if finding.area == "blob":
-            # the store's quarantine drops any cached bytes / live mmap
-            # view for the digest itself
+            # the store's quarantine drops any cached bytes for the
+            # digest itself
             digest = finding.location.split(":", 1)[1]
             self.jcf.db.quarantine_payload(digest)
         else:

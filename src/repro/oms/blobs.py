@@ -33,20 +33,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import mmap
-import os
-import pathlib
 import threading
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import IntegrityError, OMSError, QuarantinedError
 from repro.faults import corruption_point, fault_point
 from repro.oms.locks import DigestLockTable
-from repro.oms.zerocopy import (
-    FsCapabilities,
-    digest_view,
-    probe_capabilities,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.oms.readcache import MaterializationCache
@@ -143,37 +135,6 @@ class _Entry:
         return len(self.data)
 
 
-class _MappedView:
-    """One live mmap over a blob's spill file, shared by its borrowers."""
-
-    __slots__ = ("mapping", "path")
-
-    def __init__(self, mapping: mmap.mmap, path: pathlib.Path) -> None:
-        self.mapping = mapping
-        self.path = path
-
-    def memoryview(self) -> memoryview:
-        return memoryview(self.mapping)
-
-    def close(self) -> bool:
-        """Unmap and unlink; False when exported views pin the mapping.
-
-        Python cannot revoke a handed-out ``memoryview``; when borrowers
-        still hold one the mapping stays alive (they keep reading the
-        bytes they were lent) but the spill file is unlinked either way,
-        so no *new* reader can reach it.
-        """
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
-        try:
-            self.mapping.close()
-        except BufferError:
-            return False
-        return True
-
-
 class BlobStore:
     """Digest-keyed, refcounted, delta-capable payload table."""
 
@@ -207,50 +168,11 @@ class BlobStore:
         #: shared materialization cache (attach_cache); digest-keyed,
         #: verified bytes only
         self._cache: Optional["MaterializationCache"] = None
-        #: digest -> live mmap view over a spill file (enable_views)
-        self._views: Dict[str, _MappedView] = {}
-        #: mappings invalidation could not close because borrowers still
-        #: hold memoryviews — kept so the interpreter never unmaps pages
-        #: under a live buffer
-        self._pinned_views: List[_MappedView] = []
-        self._view_root: Optional[pathlib.Path] = None
-        self._view_caps: Optional[FsCapabilities] = None
-        #: open_view outcomes: mmap-backed, served-from-live-map, heap copy
-        self.views_mapped = 0
-        self.view_hits = 0
-        self.view_fallbacks = 0
-
     # -- read-path attachments ----------------------------------------------
 
     def attach_cache(self, cache: Optional["MaterializationCache"]) -> None:
         """Serve verified materializations from (and into) *cache*."""
         self._cache = cache
-
-    def enable_views(
-        self,
-        root: pathlib.Path,
-        capabilities: Optional[FsCapabilities] = None,
-    ) -> FsCapabilities:
-        """Allow mmap-backed views, spilling base-resident blobs to *root*.
-
-        Stale spill files from a previous process are swept — a view
-        file is only ever trusted for the lifetime of the mapping that
-        verified it.  Returns the probed (or given) capabilities; when
-        the filesystem cannot mmap, ``open_view`` silently degrades to
-        heap-backed views and the store behaves exactly as before.
-        """
-        root = pathlib.Path(root)
-        root.mkdir(parents=True, exist_ok=True)
-        for stale in root.glob("*.view"):
-            try:
-                stale.unlink()
-            except FileNotFoundError:  # pragma: no cover - sweep race
-                pass
-        caps = capabilities or probe_capabilities(root)
-        with self._lock:
-            self._view_root = root
-            self._view_caps = caps
-        return caps
 
     # -- storing -------------------------------------------------------------
 
@@ -411,104 +333,6 @@ class BlobStore:
                 location=f"blob:{digest}",
             )
 
-    def open_view(
-        self, digest: str, verify: Optional[bool] = None
-    ) -> memoryview:
-        """A read-only :class:`memoryview` of the payload, zero-copy when
-        possible.
-
-        Base-resident (non-delta) blobs are spilled once to a view file
-        under the root given to :meth:`enable_views`, mmap'd read-only,
-        verified chunk-wise against the content address, and every later
-        view of the digest is a window over the same mapping — no heap
-        copy, no re-hash.  Delta entries, empty payloads, or stores
-        without mmap support degrade to a heap-backed view over
-        :meth:`materialize` (byte-identical, just not zero-copy).
-
-        A handed-out view is a loan of *verified-at-map-time* bytes:
-        quarantine/repair close the mapping for future readers but
-        cannot revoke views already exported.
-        """
-        if verify is None:
-            verify = self.verify_reads
-        with self._digest_locks.reading(digest):
-            with self._lock:
-                target = self._require(digest)
-                self._refuse_quarantined(digest, target)
-                view = self._views.get(digest)
-                if view is not None:
-                    self.view_hits += 1
-                    return view.memoryview()
-                root = self._view_root
-                caps = self._view_caps
-                mappable = (
-                    root is not None
-                    and caps is not None
-                    and caps.mmap
-                    and not target.is_delta
-                    and target.size > 0
-                )
-                data = target.data if mappable else None
-            if not mappable:
-                self.view_fallbacks += 1
-                return memoryview(self._materialize_held(digest, verify))
-            return self._map_view(digest, target.size, data, root, verify)
-
-    def _map_view(
-        self,
-        digest: str,
-        size: int,
-        data: bytes,
-        root: pathlib.Path,
-        verify: bool,
-    ) -> memoryview:
-        """Spill, map, verify, and register a view (stripe read held)."""
-        # per-thread spill name: two readers racing on one digest each
-        # build a private file; the loser discards its own below
-        path = root / f"{digest}.{threading.get_ident()}.view"
-        path.write_bytes(corruption_point("blobs.mmap", data))
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            mapping = mmap.mmap(fd, 0, prot=mmap.PROT_READ)
-        finally:
-            os.close(fd)
-        view = _MappedView(mapping, path)
-        if verify:
-            actual = digest_view(mapping)
-            if actual != digest:
-                length = len(mapping)
-                if length < size:
-                    problem = CLASS_TRUNCATION
-                elif length > size:
-                    problem = CLASS_TORN_WRITE
-                else:
-                    problem = CLASS_BIT_ROT
-                view.close()
-                raise IntegrityError(
-                    f"blob {digest[:12]}: mmap view bytes fail verification "
-                    f"({problem}; {length} bytes, recorded size {size})",
-                    location=f"blob:{digest}",
-                    classification=problem,
-                )
-        loser: Optional[_MappedView] = None
-        with self._lock:
-            existing = self._views.get(digest)
-            if existing is not None:
-                self.view_hits += 1
-                result = existing.memoryview()
-                loser = view
-            else:
-                self._views[digest] = view
-                self.views_mapped += 1
-                if verify:
-                    entry = self._entries.get(digest)
-                    if entry is not None:
-                        entry.verified = True
-                result = view.memoryview()
-        if loser is not None:
-            loser.close()
-        return result
-
     def _reconstruct(self, digest: str) -> bytes:
         """Chain walk + delta application; no quarantine or hash checks.
 
@@ -584,7 +408,6 @@ class BlobStore:
 
     def _free(self, digest: str, entry: _Entry) -> None:
         del self._entries[digest]
-        self._drop_view(digest)  # reclaim the spill file, if any
         if entry.is_delta:
             self.decref(entry.base_digest)  # may cascade up the chain
 
@@ -642,7 +465,7 @@ class BlobStore:
                 classification=CLASS_BIT_ROT,
             )
         # the digest's write stripe excludes every in-flight read: no
-        # reader can observe the entry mid-swap or map a view of the
+        # reader can observe the entry mid-swap or cache the
         # pre-repair bytes after we invalidate
         with self._digest_locks.writing(digest):
             with self._lock:
@@ -665,10 +488,10 @@ class BlobStore:
     def quarantine(self, digest: str) -> None:
         """Mark an unrepairable entry: reads raise, scrub skips it.
 
-        Takes the digest's write stripe and drops any cached bytes or
-        live view, so a reader that raced us either finished before the
-        quarantine or will see :class:`QuarantinedError` — never a cache
-        hit on known-bad bytes.
+        Takes the digest's write stripe and drops any cached bytes, so a
+        reader that raced us either finished before the quarantine or
+        will see :class:`QuarantinedError` — never a cache hit on
+        known-bad bytes.
         """
         with self._digest_locks.writing(digest):
             with self._lock:
@@ -676,17 +499,9 @@ class BlobStore:
                 self._invalidate_digest(digest)
 
     def _invalidate_digest(self, digest: str) -> None:
-        """Drop cache entry + view for *digest* (table lock held)."""
+        """Drop the cached bytes of *digest* (table lock held)."""
         if self._cache is not None:
             self._cache.invalidate(digest)
-        self._drop_view(digest)
-
-    def _drop_view(self, digest: str) -> None:
-        view = self._views.pop(digest, None)
-        if view is not None and not view.close():
-            # borrowers still hold memoryviews; park the mapping so the
-            # pages stay valid for them (file is already unlinked)
-            self._pinned_views.append(view)
 
     def quarantined_digests(self) -> List[str]:
         with self._lock:
@@ -713,9 +528,6 @@ class BlobStore:
                 "max_chain_depth": max(
                     (e.depth for e in self._entries.values()), default=0
                 ),
-                "views_mapped": self.views_mapped,
-                "view_hits": self.view_hits,
-                "view_fallbacks": self.view_fallbacks,
             }
 
     def reference_audit(self, external: Dict[str, int]) -> List[str]:
@@ -802,10 +614,6 @@ class PayloadHandle:
 
     def materialize(self) -> bytes:
         return self.store.materialize(self.digest)
-
-    def open_view(self) -> memoryview:
-        """Zero-copy (where possible) read-only view of the payload."""
-        return self.store.open_view(self.digest)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<PayloadHandle {self.digest[:12]}>"

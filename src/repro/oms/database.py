@@ -151,17 +151,6 @@ class OMSDatabase:
         self._read_cache = cache
         self._blobs.attach_cache(cache)
 
-    def enable_payload_views(self, root):
-        """Allow zero-copy mmap views of payloads, spilled under *root*.
-
-        Returns the probed filesystem capabilities for the view root.
-        """
-        return self._blobs.enable_views(root)
-
-    def open_payload_view(self, digest: str) -> memoryview:
-        """Read-only (zero-copy where possible) view of a payload."""
-        return self._blobs.open_view(digest)
-
     def _bump_epoch(self) -> None:
         self.mutation_epoch += 1
 

@@ -147,8 +147,8 @@ class DigestLockTable:
     (striped) :class:`RWLock`: readers of any digest proceed together,
     while repair/quarantine of a digest takes its write lock and is
     therefore mutually exclusive with every in-flight read of that
-    digest — a reader can never observe a half-repaired entry or keep a
-    view of bytes that were just quarantined.
+    digest — a reader can never observe a half-repaired entry or cache
+    bytes that were just quarantined.
 
     Stripes bound memory: digests hash onto a fixed array of locks, so
     two digests may share a stripe (spurious contention, never a

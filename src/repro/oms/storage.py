@@ -37,11 +37,7 @@ from repro.oms.blobs import (
     digest_bytes,
 )
 from repro.oms.database import OMSDatabase
-from repro.oms.zerocopy import (
-    METHOD_REFLINK,
-    clone_file,
-    probe_capabilities,
-)
+from repro.oms.zerocopy import probe_capabilities, reflink_file
 
 #: classification for a staged file whose record exists but whose bytes
 #: vanished — repair is trivial (drop the record; the next export rewrites)
@@ -107,15 +103,11 @@ class StagingArea:
         self.export_hits = 0
         #: copies avoided by hard-linking another staged file's bytes
         self.export_links = 0
-        #: writable exports satisfied by cloning a peer staged file
-        #: in-kernel (reflink or copy_file_range) — no payload bytes
-        #: ever entered user space
+        #: writable exports satisfied by reflinking a peer staged file —
+        #: no payload bytes copied at all
         self.export_reflinks = 0
         #: database writes avoided because the tool left the file unchanged
         self.import_hits = 0
-        # warm the filesystem capability probe (cached per root; env
-        # overrides are re-read on every later lookup)
-        probe_capabilities(self.root)
         self._lock = threading.RLock()
         #: stale ``.partial``/``.tmp`` files swept away at startup
         self.swept_temps: List[pathlib.Path] = self._sweep_stale_temps()
@@ -147,7 +139,6 @@ class StagingArea:
         """
         path = self._claim_path(oid, filename)
         stat = self._payload_stat(oid)
-        clone_method = None
         if self._export_is_hit(path, stat, writable):
             self._db.clock.charge_metadata_op()
             self.export_hits += 1
@@ -158,23 +149,12 @@ class StagingArea:
             fault_point("staging.write")
             self._db.clock.charge_metadata_op()
             self.export_links += 1
-        elif writable and (
-            clone_method := self._clone_from_peer(path, stat)
-        ) is not None:
+        elif writable and self._reflink_from_peer(path, stat):
             # writable exports need a private inode, so they cannot
-            # hard-link — but they can *clone* a peer's bytes in-kernel:
-            # reflink shares extents copy-on-write (O(1)), and
-            # copy_file_range moves blocks without the bytes ever
-            # entering user space
+            # hard-link — but a reflink shares the peer's extents
+            # copy-on-write (O(1)) on a private inode
             fault_point("staging.write")
-            if clone_method == METHOD_REFLINK:
-                self._db.clock.charge_metadata_op()
-            else:
-                # still a physical copy, just a cheap one — charged like
-                # the copy it is so accounting stays honest
-                self._db.clock.charge_copy(stat.size, files=1)
-                self.bytes_exported += stat.size
-                self.files_exported += 1
+            self._db.clock.charge_metadata_op()
             self.export_reflinks += 1
         else:
             payload = self._db.get(oid).payload or b""
@@ -221,15 +201,8 @@ class StagingArea:
             elif not writable and self._link_from_peer(path, stat):
                 fault_point("staging.write")
                 self.export_links += 1
-            elif writable and (
-                clone_method := self._clone_from_peer(path, stat)
-            ) is not None:
+            elif writable and self._reflink_from_peer(path, stat):
                 fault_point("staging.write")
-                if clone_method != METHOD_REFLINK:
-                    miss_bytes += stat.size
-                    misses += 1
-                    self.bytes_exported += stat.size
-                    self.files_exported += 1
                 self.export_reflinks += 1
             else:
                 payload = self._db.get(oid).payload or b""
@@ -623,38 +596,35 @@ class StagingArea:
             return False
         return True
 
-    def _clone_from_peer(
-        self, path: pathlib.Path, stat: BlobStat
-    ) -> Optional[str]:
-        """Clone a peer staged file's bytes onto a private inode at *path*.
+    def _reflink_from_peer(self, path: pathlib.Path, stat: BlobStat) -> bool:
+        """Reflink a peer staged file's bytes onto a private inode at *path*.
 
         The writable-export sibling of :meth:`_link_from_peer`: the same
         advisory digest index and the same re-hash guard, but instead of
-        aliasing the peer's inode the bytes are cloned in-kernel
-        (reflink where the filesystem supports it, ``copy_file_range``
-        otherwise), so the caller gets a file it can edit in place
-        without bleeding into the peer.  Returns the clone method, or
-        ``None`` when the caller should fall back to the databased
-        write — no usable peer, stale index, or a filesystem that offers
-        nothing better than a userspace copy.
+        aliasing the peer's inode the extents are shared copy-on-write,
+        so the caller gets a file it can edit in place without bleeding
+        into the peer.  Returns ``False`` (caller writes the payload)
+        when there is no usable peer, the index went stale, or the
+        filesystem cannot reflink.
         """
         if not self.copy_on_write or stat.digest == EMPTY_DIGEST:
-            return None
-        caps = probe_capabilities(self.root)
-        if not (caps.reflink or caps.copy_range):
-            return None
+            return False
         source = self._by_digest.get(stat.digest)
         if source is None or source == path or not source.exists():
-            return None
+            return False
+        # probed only once a peer exists: most exports never get here
+        if not probe_capabilities(self.root).reflink:
+            return False
         if digest_bytes(source.read_bytes()) != stat.digest:
             # the index went stale (in-place rewrite); drop the entry so
             # later exports stop probing it
             del self._by_digest[stat.digest]
-            return None
+            return False
         try:
-            method = clone_file(source, path, caps)
+            if not reflink_file(source, path):
+                return False
         except OSError:  # pragma: no cover - clone refused mid-flight
-            return None
+            return False
         if active_plan() is not None:
             # model damage landing on the cloned bytes at rest; the
             # destination is a private inode, so rewriting it can never
@@ -662,7 +632,7 @@ class StagingArea:
             self._write_breaking_links(
                 path, corruption_point("staging.reflink", path.read_bytes())
             )
-        return method
+        return True
 
     def _write_breaking_links(self, path: pathlib.Path, data: bytes) -> None:
         """Write *data* to *path* without mutating hard-link peers.

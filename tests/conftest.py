@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.clock import SimClock
@@ -9,7 +11,7 @@ from repro.core.coupling import HybridFramework
 from repro.fmcad.framework import FMCADFramework
 from repro.jcf.flows import standard_encapsulation_flow
 from repro.jcf.framework import JCFFramework
-from repro.oms import durable
+from repro.oms import durable, zerocopy
 from repro.oms.database import OMSDatabase
 from repro.oms.schema import AttributeDef, Schema
 
@@ -28,6 +30,28 @@ def _relaxed_durability():
     durable.set_default_durability(durable.DURABILITY_RELAXED)
     yield
     durable.set_default_durability(previous)
+
+
+def _copying_reflink(src_fd: int, dst_fd: int) -> bool:
+    """Stand-in for FICLONE: copy the source's bytes onto *dst_fd*."""
+    size = os.fstat(src_fd).st_size
+    os.write(dst_fd, os.pread(src_fd, size, 0))
+    return True
+
+
+@pytest.fixture
+def fake_reflink(monkeypatch):
+    """Make every filesystem "reflink-capable" for the test's duration.
+
+    On filesystems without FICLONE (ext4) the reflink branches of
+    staging exports and FMCAD checkouts would silently take their
+    write-path fallback; the stand-in copies the bytes instead, so those
+    branches, their accounting and their corruption point still run.
+    The probe cache is swapped out so no real-primitive probe result
+    leaks in or out.
+    """
+    monkeypatch.setattr(zerocopy, "reflink_supported", _copying_reflink)
+    monkeypatch.setattr(zerocopy, "_probed", {})
 
 
 @pytest.fixture

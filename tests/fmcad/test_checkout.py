@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import CheckoutError, LockedError
+from repro.errors import CheckoutError, FMCADError, LockedError
 from repro.fmcad.checkout import CheckoutManager
 from repro.fmcad.library import Library
 
@@ -103,6 +103,34 @@ class TestCancel:
         manager.cancel(ticket, library)
         with pytest.raises(CheckoutError):
             manager.checkin(ticket, library, b"x")
+
+
+@pytest.mark.usefixtures("fake_reflink")
+class TestReflinkCheckout:
+    def test_working_file_is_a_private_reflink(
+        self, manager, library, clock
+    ):
+        cellview = library.cellview("alu", "schematic")
+        version_path = cellview.default_version.path
+        native_before = clock.elapsed_by_category().get("native_io", 0.0)
+        ticket = manager.checkout("alice", library, "alu", "schematic")
+        assert manager.stats()["cloned_working_files"] == 1
+        assert ticket.working_path.read_bytes() == b"base version"
+        assert (
+            ticket.working_path.stat().st_ino != version_path.stat().st_ino
+        )
+        # charged as one metadata-sized native access, no bytes
+        charged = clock.elapsed_by_category()["native_io"] - native_before
+        assert charged == pytest.approx(clock.cost_model.native_file_ms)
+        with open(ticket.working_path, "r+b") as handle:
+            handle.write(b"EDITED")
+        assert version_path.read_bytes() == b"base version"
+
+    def test_missing_version_file_is_not_cloned(self, manager, library):
+        library.cellview("alu", "schematic").default_version.path.unlink()
+        with pytest.raises(FMCADError):
+            manager.checkout("alice", library, "alu", "schematic")
+        assert manager.stats()["cloned_working_files"] == 0
 
 
 class TestAccounting:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import LibraryError
+from repro.fmcad.checkout import CheckoutManager
 from repro.fmcad.library import Library
 
 
@@ -204,6 +205,19 @@ class TestReopenFromDisk:
         orphans = reopened.orphaned_files()
         assert len(orphans) == 1
         assert orphans[0].read_bytes() == b"never flushed"
+
+    def test_open_recovers_cells_without_versions(self, tmp_path, clock):
+        library = self.make_flushed_library(tmp_path, clock)
+        library.create_cell("spare")
+        library.flush_meta("alice")  # records only alu's versions
+        reopened = Library.open("persist", tmp_path / "libs", clock=clock)
+        assert [c.name for c in reopened.cells()] == ["alu", "spare"]
+        cellview = reopened.create_cellview("spare", "schematic")
+        ticket = CheckoutManager(tmp_path / "work").checkout(
+            "alice", reopened, "spare", "schematic"
+        )
+        assert ticket.base_version is None
+        assert cellview.locked_by == "alice"
 
     def test_open_empty_directory(self, tmp_path, clock):
         Library("fresh", tmp_path / "libs", clock=clock)

@@ -143,3 +143,40 @@ class TestReopen:
         library2 = again.fmcad.library("lib")
         assert len(library2.cellview("buf2", "schematic").versions) == 1
         assert library2.orphaned_files()  # the file is still on disk
+    def test_prepared_cell_without_versions_runs_after_restart(
+        self, tmp_path
+    ):
+        """A cell whose .meta has no record yet still reopens.
+
+        ``.meta`` only records versions; a prepared cell that never got
+        one used to vanish on reopen, so its first post-restart run
+        failed with "library has no cell".
+        """
+        root = tmp_path / "site3"
+        hybrid = HybridFramework(root)
+        hybrid.jcf.resources.define_user("admin", "alice")
+        hybrid.jcf.resources.define_team("admin", "team")
+        hybrid.jcf.resources.add_member("admin", "alice", "team")
+        hybrid.setup_standard_flow()
+        library = hybrid.fmcad.create_library("lib")
+        library.create_cell("used")
+        library.create_cell("spare")
+        project = hybrid.adopt_library("alice", library, "p")
+        hybrid.jcf.resources.assign_team_to_project("admin", "team",
+                                                    project.oid)
+        for cell in ("used", "spare"):
+            hybrid.prepare_cell("alice", project, cell, team_name="team")
+        # flushes .meta with records for "used" only
+        hybrid.run_schematic_entry(
+            "alice", project, library, "used", inverter_chain_editor(2)
+        )
+        hybrid.save_state()
+
+        reopened = HybridFramework.reopen(root)
+        result = reopened.run_schematic_entry(
+            "alice", reopened.jcf.project("p"),
+            reopened.fmcad.library("lib"), "spare",
+            inverter_chain_editor(2),
+        )
+        assert result.success
+        assert reopened.guard.audit().clean

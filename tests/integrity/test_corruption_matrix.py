@@ -183,71 +183,20 @@ class TestStagingFilePoint:
         assert staged.path.read_bytes() == PAYLOAD
 
 
-# -- blobs.mmap ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize("mode", CORRUPTION_MODES)
-class TestBlobMmapPoint:
-    """Damage landing in the spill file behind a mmap view.
-
-    ``open_view`` verifies the mapping chunk-wise against the content
-    address before handing out the first byte, so a damaged spill file
-    raises a typed :class:`IntegrityError` — a view can never lend
-    garbage.  When mmap is unavailable (the fallback-matrix CI job sets
-    ``REPRO_DISABLE_MMAP=1``) the point is never traversed and the heap
-    fallback serves pristine bytes instead.
-    """
-
-    def test_view_verification_catches_spill_damage(self, db, tmp_path, mode):
-        caps = db.enable_payload_views(tmp_path / "views")
-        obj = db.create("Thing", {"name": "x"}, payload=PAYLOAD)
-        digest = db.payload_digest_of(obj.oid)
-        with inject(FaultPlan.corrupt("blobs.mmap", mode=mode, seed=7)) as plan:
-            if not caps.mmap:
-                # degraded rung: no spill file, so nothing to corrupt —
-                # the fallback must still serve pristine bytes
-                assert bytes(db.open_payload_view(digest)) == PAYLOAD
-                assert not plan.corruption_fired
-                return
-            with pytest.raises(IntegrityError) as exc_info:
-                db.open_payload_view(digest)
-        assert plan.corruption_fired
-        assert exc_info.value.location == f"blob:{digest}"
-        assert exc_info.value.classification in (
-            "bit-rot", "truncation", "torn-write"
-        )
-        # the stored entry itself is undamaged: the verified heap read
-        # still serves, and a fresh view maps cleanly
-        assert db.materialize_payload(digest, verify=True) == PAYLOAD
-        assert bytes(db.open_payload_view(digest)) == PAYLOAD
-
-    def test_no_spill_file_survives_a_refused_view(self, db, tmp_path, mode):
-        caps = db.enable_payload_views(tmp_path / "views")
-        if not caps.mmap:
-            pytest.skip("mmap unavailable: no spill files at all")
-        obj = db.create("Thing", {"name": "x"}, payload=PAYLOAD)
-        digest = db.payload_digest_of(obj.oid)
-        with inject(FaultPlan.corrupt("blobs.mmap", mode=mode, seed=7)):
-            with pytest.raises(IntegrityError):
-                db.open_payload_view(digest)
-        # the damaged spill file was discarded, not left for a later
-        # reader to re-map
-        assert list((tmp_path / "views").glob("*.view")) == []
-
-
 # -- staging.reflink ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("mode", CORRUPTION_MODES)
+@pytest.mark.usefixtures("fake_reflink")
 class TestStagingReflinkPoint:
-    """Damage landing on bytes staged via an in-kernel clone.
+    """Damage landing on bytes staged via a reflink clone.
 
-    A writable export that cloned a peer's bytes (reflink or
-    ``copy_file_range``) is covered by the same verify/repair contract
-    as a plainly written one: ``verify_staged`` classifies the damage
-    and ``repair_staged`` restores the bytes from the verified OMS
-    payload.  Without a cloning-capable filesystem the rung is never
-    taken and the plain write path serves pristine bytes.
+    A writable export that reflinked a peer's bytes is covered by the
+    same verify/repair contract as a plainly written one:
+    ``verify_staged`` classifies the damage and ``repair_staged``
+    restores the bytes from the verified OMS payload.  A copying
+    stand-in for FICLONE makes the reflink branch run on every
+    filesystem.
     """
 
     def _staging(self, db, tmp_path):
@@ -263,11 +212,7 @@ class TestStagingReflinkPoint:
             FaultPlan.corrupt("staging.reflink", mode=mode, seed=19)
         ) as plan:
             staged = staging.export_object(target.oid, writable=True)
-        if staging.export_reflinks == 0:
-            # no clone support under this root: the plain write rung ran
-            assert not plan.corruption_fired
-            assert staged.path.read_bytes() == PAYLOAD
-            return
+        assert staging.export_reflinks == 1
         assert plan.corruption_fired
         findings = staging.verify_staged()
         assert [(f[0], f[1]) for f in findings] == [(target.oid, staged.path)]
@@ -287,9 +232,7 @@ class TestStagingReflinkPoint:
             FaultPlan.corrupt("staging.reflink", mode=mode, seed=19)
         ) as plan:
             staging.export_object(target.oid, writable=True)
-        if not plan.corruption_fired:
-            assert staging.read_staged(target.oid) == PAYLOAD
-            return
+        assert plan.corruption_fired
         with pytest.raises(IntegrityError):
             staging.read_staged(target.oid)
 

@@ -1,23 +1,25 @@
-"""The blob read path: views, cache, striped locks, and concurrency.
+"""The blob read path: cache, striped locks, reflinks, and concurrency.
 
-Covers the three legs of the read-path work:
+Covers the legs of the read-path work:
 
-* **zero-copy views** — ``open_view`` returns mmap-backed memoryviews
-  for base-resident blobs, byte-identical to ``materialize`` on every
-  degradation rung (delta entries, empty payloads, mmap disabled);
 * **the materialization cache** — verified-bytes-only, digest-keyed,
   byte-budgeted LRU, invalidated by repair and quarantine (a cached
   read of a quarantined digest raises, never serves);
 * **per-digest locking** — readers of other digests make progress while
   a large intern encodes, and while ``read_staged`` hangs on a slow
-  file; repair/quarantine exclude in-flight readers of their digest.
+  file; repair/quarantine exclude in-flight readers of their digest;
+* **reflink clones** — writable staging exports of a same-digest peer
+  and FMCAD checkouts share extents on a private inode where the
+  filesystem can reflink (a copying stand-in plays that filesystem
+  here), and write the bytes themselves where it cannot.
 """
 
 import threading
 
 import pytest
 
-from repro.errors import IntegrityError, OMSError, QuarantinedError
+from repro.errors import QuarantinedError
+from repro.oms import zerocopy
 from repro.oms.blobs import BlobStore, digest_bytes
 from repro.oms.locks import DigestLockTable
 from repro.oms.query import QueryEngine
@@ -31,23 +33,6 @@ PAYLOAD = b"cellview bytes: " + bytes(range(256)) * 16
 @pytest.fixture
 def store():
     return BlobStore()
-
-
-@pytest.fixture
-def viewing_store(tmp_path):
-    """A store with mmap views enabled under a tmp root."""
-    store = BlobStore()
-    caps = store.enable_views(tmp_path / "views")
-    store.test_caps = caps
-    return store
-
-
-def _require_mmap(store):
-    """Skip mmap-specific assertions where views degrade to heap copies
-    (the fallback-matrix CI job sets ``REPRO_DISABLE_MMAP=1``; the
-    degraded behaviour itself is covered by the fallback tests)."""
-    if not store.test_caps.mmap:
-        pytest.skip("mmap views unavailable under this configuration")
 
 
 # -- striped digest locks -----------------------------------------------------
@@ -204,115 +189,6 @@ class TestCachedMaterialize:
         assert d1 in cache and d2 in cache
 
 
-# -- zero-copy views ----------------------------------------------------------
-
-
-class TestOpenView:
-    def test_view_bytes_match_materialize(self, viewing_store):
-        _require_mmap(viewing_store)
-        digest = viewing_store.intern(PAYLOAD)
-        view = viewing_store.open_view(digest)
-        assert bytes(view) == viewing_store.materialize(digest) == PAYLOAD
-        assert viewing_store.views_mapped == 1
-
-    def test_second_view_shares_the_mapping(self, viewing_store):
-        _require_mmap(viewing_store)
-        digest = viewing_store.intern(PAYLOAD)
-        viewing_store.open_view(digest)
-        viewing_store.open_view(digest)
-        assert viewing_store.views_mapped == 1
-        assert viewing_store.view_hits == 1
-
-    def test_view_marks_entry_verified(self, viewing_store):
-        digest = viewing_store.intern(PAYLOAD)
-        viewing_store.open_view(digest)
-        # the chunked map-time hash counts as the one verification
-        viewing_store.materialize(digest)
-        assert viewing_store.verification_hits >= 1
-
-    def test_delta_entry_falls_back_to_heap(self, viewing_store):
-        base = viewing_store.intern(PAYLOAD)
-        edited = PAYLOAD[:100] + b"EDIT" + PAYLOAD[100:]
-        digest = viewing_store.intern(edited, base_digest=base)
-        assert viewing_store.describe(digest)["is_delta"] == 1
-        view = viewing_store.open_view(digest)
-        assert bytes(view) == edited
-        assert viewing_store.view_fallbacks == 1
-        assert viewing_store.views_mapped == 0
-
-    def test_empty_payload_falls_back(self, viewing_store):
-        digest = viewing_store.intern(b"")
-        assert bytes(viewing_store.open_view(digest)) == b""
-        assert viewing_store.view_fallbacks == 1
-
-    def test_store_without_views_enabled_falls_back(self, store):
-        digest = store.intern(PAYLOAD)
-        assert bytes(store.open_view(digest)) == PAYLOAD
-        assert store.view_fallbacks == 1
-        assert store.views_mapped == 0
-
-    def test_mmap_disabled_by_env_falls_back(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_MMAP", "1")
-        store = BlobStore()
-        caps = store.enable_views(tmp_path / "views")
-        assert not caps.mmap
-        digest = store.intern(PAYLOAD)
-        assert bytes(store.open_view(digest)) == PAYLOAD
-        assert store.views_mapped == 0
-        assert store.view_fallbacks == 1
-
-    def test_quarantine_refuses_view(self, viewing_store):
-        digest = viewing_store.intern(PAYLOAD)
-        viewing_store.open_view(digest)
-        viewing_store.quarantine(digest)
-        with pytest.raises(QuarantinedError):
-            viewing_store.open_view(digest)
-
-    def test_repair_drops_the_view_for_future_readers(self, viewing_store):
-        _require_mmap(viewing_store)
-        digest = viewing_store.intern(PAYLOAD)
-        old_view = viewing_store.open_view(digest)
-        viewing_store.repair(digest, PAYLOAD)
-        # the loaned-out view stays readable (pages pinned) ...
-        assert bytes(old_view) == PAYLOAD
-        # ... but the next reader maps afresh from the repaired bytes
-        new_view = viewing_store.open_view(digest)
-        assert bytes(new_view) == PAYLOAD
-        assert viewing_store.views_mapped == 2
-
-    def test_release_of_last_reference_reclaims_spill_file(
-        self, tmp_path
-    ):
-        store = BlobStore()
-        root = tmp_path / "views"
-        if not store.enable_views(root).mmap:
-            pytest.skip("mmap views unavailable under this configuration")
-        digest = store.intern(PAYLOAD)
-        store.open_view(digest)
-        assert list(root.glob("*.view"))
-        assert store.release(digest) == PAYLOAD
-        assert not store.contains(digest)
-        assert not list(root.glob("*.view"))
-
-    def test_enable_views_sweeps_stale_spill_files(self, tmp_path):
-        root = tmp_path / "views"
-        root.mkdir()
-        stale = root / "deadbeef.1.view"
-        stale.write_bytes(b"from a previous process")
-        BlobStore().enable_views(root)
-        assert not stale.exists()
-
-    def test_unknown_digest_raises(self, viewing_store):
-        with pytest.raises(OMSError):
-            viewing_store.open_view("0" * 64)
-
-    def test_handle_open_view(self, db, tmp_path):
-        db.enable_payload_views(tmp_path / "views")
-        obj = db.create("Thing", {"name": "x"}, payload=PAYLOAD)
-        view = db.open_payload_view(db.payload_digest_of(obj.oid))
-        assert bytes(view) == PAYLOAD
-
-
 # -- concurrency: readers make progress ---------------------------------------
 
 
@@ -359,7 +235,6 @@ class TestReadersProgressDuringIntern:
 
             def read():
                 assert store.materialize(resident) == PAYLOAD
-                assert bytes(store.open_view(resident)) == PAYLOAD
                 done.set()
 
             reader = threading.Thread(target=read)
@@ -519,24 +394,88 @@ class TestCapabilityProbe:
         # the scratch files are cleaned up
         assert not list(root.iterdir())
 
-    def test_env_override_applies_to_cached_probe(
-        self, tmp_path, monkeypatch
-    ):
-        root = tmp_path / "probe"
-        probe_capabilities(root)  # prime the cache
-        monkeypatch.setenv("REPRO_DISABLE_MMAP", "1")
-        monkeypatch.setenv("REPRO_DISABLE_REFLINK", "1")
-        caps = probe_capabilities(root)
-        assert not caps.mmap
-        assert not caps.reflink
-
     def test_describe(self):
-        assert (
-            FsCapabilities(
-                reflink=False, copy_range=False, mmap=False
-            ).describe()
-            == "copy-only"
+        assert FsCapabilities(reflink=False).describe() == "copy-only"
+        assert FsCapabilities(reflink=True).describe() == "reflink"
+
+    def test_staging_area_does_not_probe_until_a_peer_exists(
+        self, db, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(zerocopy, "_probed", {})
+        root = tmp_path / "stage"
+        staging = StagingArea(db, root)
+        first = db.create("Thing", {"name": "a"}, payload=PAYLOAD)
+        other = db.create("Thing", {"name": "b"}, payload=b"unrelated")
+        staging.export_object(first.oid)
+        staging.export_object(other.oid)
+        # construction and peerless exports never touched the probe
+        assert zerocopy._probed == {}
+        twin = db.create("Thing", {"name": "c"}, payload=PAYLOAD)
+        staging.export_object(twin.oid)
+        assert str(root.resolve()) in zerocopy._probed
+
+
+# -- reflink clones -----------------------------------------------------------
+
+
+def _staged_pair(db, tmp_path):
+    """A staging area holding a writable export, plus a same-digest twin."""
+    staging = StagingArea(db, tmp_path / "stage")
+    peer = db.create("Thing", {"name": "peer"}, payload=PAYLOAD)
+    twin = db.create("Thing", {"name": "twin"}, payload=PAYLOAD)
+    return staging, staging.export_object(peer.oid), twin
+
+
+@pytest.mark.usefixtures("fake_reflink")
+class TestReflinkExports:
+    def test_writable_export_reflinks_a_same_digest_peer(self, db, tmp_path):
+        staging, peer, twin = _staged_pair(db, tmp_path)
+        copies_before = db.clock.elapsed_by_category().get("copy", 0.0)
+        staged = staging.export_object(twin.oid, writable=True)
+        accounting = staging.accounting()
+        assert accounting["export_reflinks"] == 1
+        # only the peer's export copied payload bytes
+        assert accounting["files_exported"] == 1
+        assert accounting["bytes_exported"] == len(PAYLOAD)
+        assert db.clock.elapsed_by_category().get("copy", 0.0) == (
+            copies_before
         )
-        assert "mmap" in FsCapabilities(
-            reflink=False, copy_range=True, mmap=True
-        ).describe()
+        assert staged.path.read_bytes() == PAYLOAD
+        assert staged.path.stat().st_ino != peer.path.stat().st_ino
+        assert staging.read_staged(twin.oid) == PAYLOAD
+
+    def test_batched_export_reflinks_without_a_copy_charge(
+        self, db, tmp_path
+    ):
+        staging, _, twin = _staged_pair(db, tmp_path)
+        copies_before = db.clock.elapsed_by_category().get("copy", 0.0)
+        [staged] = staging.export_objects([twin.oid], writable=True)
+        assert staging.accounting()["export_reflinks"] == 1
+        assert db.clock.elapsed_by_category().get("copy", 0.0) == (
+            copies_before
+        )
+        assert staged.path.read_bytes() == PAYLOAD
+
+    def test_stale_peer_is_not_cloned(self, db, tmp_path):
+        staging, peer, twin = _staged_pair(db, tmp_path)
+        peer.path.write_bytes(b"rewritten in place by a tool")
+        staged = staging.export_object(twin.oid, writable=True)
+        assert staging.accounting()["export_reflinks"] == 0
+        assert staged.path.read_bytes() == PAYLOAD
+
+
+class TestExportsWithoutReflink:
+    def test_writable_export_writes_when_reflink_is_refused(
+        self, db, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(zerocopy, "_probed", {})
+        monkeypatch.setattr(
+            zerocopy, "reflink_supported", lambda src_fd, dst_fd: False
+        )
+        staging, peer, twin = _staged_pair(db, tmp_path)
+        staged = staging.export_object(twin.oid, writable=True)
+        accounting = staging.accounting()
+        assert accounting["export_reflinks"] == 0
+        assert accounting["files_exported"] == 2
+        assert staged.path.read_bytes() == PAYLOAD
+        assert staged.path.stat().st_ino != peer.path.stat().st_ino

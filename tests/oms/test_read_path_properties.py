@@ -1,140 +1,100 @@
-"""Property tests: every read-path rung returns byte-identical payloads.
+"""Property tests: the read-path shortcuts never change a byte.
 
-The zero-copy work (mmap views, reflink/range clones, the
-materialization cache) buys performance only — the public contract is
-that every rung of every degradation ladder yields exactly the bytes the
-digest names:
+Reflink clones and the materialization cache buy performance only — the
+public contract is that they yield exactly the bytes the digest names:
 
-* ``open_view`` == ``materialize`` for random payloads and delta
-  chains, with mmap enabled and disabled;
-* ``clone_file`` lands identical bytes whichever method the capability
-  mask lets it use, always on a private inode;
+* ``reflink_file`` either lands identical bytes on a private inode or
+  leaves no destination at all, and never writes through a previous
+  destination's hard-link peers — with the filesystem's own FICLONE and
+  with a copying stand-in;
 * a cached store and an uncached store serve identical bytes through
   arbitrary intern/read interleavings.
 """
 
+import os
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.oms.blobs import BlobStore
 from repro.oms.readcache import MaterializationCache
-from repro.oms.zerocopy import (
-    METHOD_COPY,
-    METHOD_COPY_RANGE,
-    METHOD_REFLINK,
-    FsCapabilities,
-    clone_file,
-    probe_capabilities,
+from repro.oms.zerocopy import reflink_file
+
+
+@pytest.fixture(params=["real", "fake"])
+def primitive(request):
+    """Run once with the filesystem's own FICLONE, once with a stand-in."""
+    if request.param == "fake":
+        request.getfixturevalue("fake_reflink")
+
+
+#: the primitive is patched once per test, not per example
+_per_test_patch = settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 
-# version chains: each payload may be interned against the previous one
-_chains = st.lists(
-    st.binary(min_size=0, max_size=2048), min_size=1, max_size=6
-)
 
-
-def _intern_chain(store, payloads):
-    digests = []
-    base = None
-    for payload in payloads:
-        digest = store.intern(payload, base_digest=base)
-        digests.append(digest)
-        base = digest
-    return digests
-
-
-class TestViewEqualsMaterialize:
-    @settings(max_examples=40, deadline=None)
-    @given(payloads=_chains)
-    def test_mmap_views_are_byte_identical(self, tmp_path_factory, payloads):
-        store = BlobStore()
-        store.enable_views(
-            tmp_path_factory.mktemp("views") / "spill"
-        )
-        digests = _intern_chain(store, payloads)
-        for digest, payload in zip(digests, payloads):
-            assert bytes(store.open_view(digest)) == payload
-            assert store.materialize(digest) == payload
-            # a second view of the same digest is still identical
-            assert bytes(store.open_view(digest)) == payload
-
-    @settings(max_examples=40, deadline=None)
-    @given(payloads=_chains)
-    def test_heap_fallback_is_byte_identical(self, payloads):
-        # no enable_views: every open_view takes the degraded rung
-        store = BlobStore()
-        digests = _intern_chain(store, payloads)
-        for digest, payload in zip(digests, payloads):
-            assert bytes(store.open_view(digest)) == payload
-        assert store.views_mapped == 0
-
-    @settings(max_examples=40, deadline=None)
-    @given(payloads=_chains)
-    def test_mmap_disabled_capabilities_are_byte_identical(
-        self, tmp_path_factory, payloads
-    ):
-        store = BlobStore()
-        store.enable_views(
-            tmp_path_factory.mktemp("views") / "spill",
-            capabilities=FsCapabilities(
-                reflink=False, copy_range=False, mmap=False
-            ),
-        )
-        digests = _intern_chain(store, payloads)
-        for digest, payload in zip(digests, payloads):
-            assert bytes(store.open_view(digest)) == payload
-        assert store.views_mapped == 0
-
-
-class TestCloneLadder:
-    #: capability masks forcing each rung of the clone ladder; reflink
-    #: quietly degrades to the next rung on filesystems without FICLONE
-    MASKS = [
-        FsCapabilities(reflink=True, copy_range=True, mmap=False),
-        FsCapabilities(reflink=False, copy_range=True, mmap=False),
-        FsCapabilities(reflink=False, copy_range=False, mmap=False),
-    ]
-
-    @settings(max_examples=30, deadline=None)
+class TestReflinkFile:
+    @_per_test_patch
     @given(data=st.binary(min_size=0, max_size=1 << 16))
-    def test_every_rung_lands_identical_bytes(self, tmp_path_factory, data):
+    def test_identical_private_clone_or_nothing(
+        self, tmp_path_factory, primitive, data
+    ):
         root = tmp_path_factory.mktemp("clone")
         src = root / "src.dat"
+        dst = root / "dst.dat"
         src.write_bytes(data)
-        for index, caps in enumerate(self.MASKS):
-            dst = root / f"dst{index}.dat"
-            method = clone_file(src, dst, caps)
-            assert method in (
-                METHOD_REFLINK, METHOD_COPY_RANGE, METHOD_COPY
-            )
+        if reflink_file(src, dst):
             assert dst.read_bytes() == data
-            # always a private inode: editing the clone in place must
-            # never bleed into the source
             assert dst.stat().st_ino != src.stat().st_ino
+        else:
+            assert not dst.exists()
 
-    def test_clone_overwrites_previous_destination(self, tmp_path):
-        src = tmp_path / "src.dat"
-        dst = tmp_path / "dst.dat"
-        src.write_bytes(b"fresh bytes")
-        dst.write_bytes(b"stale bytes from an earlier export")
-        clone_file(src, dst, probe_capabilities(tmp_path))
-        assert dst.read_bytes() == b"fresh bytes"
+    @_per_test_patch
+    @given(
+        data=st.binary(max_size=4096), previous=st.binary(max_size=4096)
+    )
+    def test_old_destination_is_unlinked(
+        self, tmp_path_factory, primitive, data, previous
+    ):
+        root = tmp_path_factory.mktemp("clone")
+        src = root / "src.dat"
+        dst = root / "dst.dat"
+        peer = root / "peer.dat"
+        src.write_bytes(data)
+        dst.write_bytes(previous)
+        os.link(dst, peer)
+        cloned = reflink_file(src, dst)
+        # the hard-link peer of the old destination keeps its bytes
+        assert peer.read_bytes() == previous
+        assert peer.stat().st_nlink == 1
+        assert dst.exists() == cloned
+        if cloned:
+            assert dst.read_bytes() == data
 
-    def test_editing_a_clone_leaves_the_source_alone(self, tmp_path):
-        src = tmp_path / "src.dat"
-        dst = tmp_path / "dst.dat"
-        src.write_bytes(b"shared payload")
-        clone_file(src, dst, probe_capabilities(tmp_path))
+    @_per_test_patch
+    @given(data=st.binary(min_size=1, max_size=4096))
+    def test_editing_clone_spares_source(
+        self, tmp_path_factory, primitive, data
+    ):
+        root = tmp_path_factory.mktemp("clone")
+        src = root / "src.dat"
+        dst = root / "dst.dat"
+        src.write_bytes(data)
+        if not reflink_file(src, dst):
+            return  # refused: nothing landed, so nothing to edit
         with open(dst, "r+b") as handle:
             handle.write(b"EDITED")
-        assert src.read_bytes() == b"shared payload"
+        assert src.read_bytes() == data
 
 
 # interleavings of (intern chain-index, read chain-index) operations
 _ops = st.lists(
     st.tuples(
-        st.sampled_from(["intern", "read", "view"]),
+        st.sampled_from(["intern", "read"]),
         st.integers(min_value=0, max_value=4),
     ),
     max_size=25,
@@ -163,18 +123,11 @@ class TestCacheTransparency:
                 assert a == b
                 digests[index] = a
             elif index in digests:
-                if kind == "read":
-                    assert (
-                        cached.materialize(digests[index])
-                        == plain.materialize(digests[index])
-                        == payload
-                    )
-                else:
-                    assert (
-                        bytes(cached.open_view(digests[index]))
-                        == bytes(plain.open_view(digests[index]))
-                        == payload
-                    )
+                assert (
+                    cached.materialize(digests[index])
+                    == plain.materialize(digests[index])
+                    == payload
+                )
         # invariants hold on both sides whatever the interleaving did
         cached.check()
         plain.check()
