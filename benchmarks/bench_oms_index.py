@@ -1,12 +1,19 @@
-"""OMS link-index microbenchmark — naive O(E) scan vs adjacency index.
+"""OMS index microbenchmarks — naive scans vs the kernel's indexes.
 
-The seed kernel answered ``targets()``/``sources()`` by scanning every
-``(source, target)`` pair of the relation, so each metadata query on the
-JCF desktop hot path cost O(E).  The adjacency-indexed
+Links: the seed kernel answered ``targets()``/``sources()`` by scanning
+every ``(source, target)`` pair of the relation, so each metadata query
+on the JCF desktop hot path cost O(E).  The adjacency-indexed
 :class:`~repro.oms.links.LinkStore` answers the same queries in
-O(degree).  This benchmark builds relations of 10k–100k links, probes
+O(degree).  This benchmark builds relations of 10k–100k links and probes
 random sources with both implementations (the naive scan reproduces the
-seed code on the very same data) and persists the observed speedup to
+seed code on the very same data).
+
+Lookups: the seed ``select()`` sorted every object of the database on
+each call, so a name lookup (``find_user``, ``find_cell``) cost
+O(N log N) in the database size.  The kernel now walks one per-type
+extent, and ``by_name()`` answers from the name index in O(result).
+Databases of 10³–10⁵ objects (half of them the probed type) are probed
+with all three.  Both reports go to
 ``benchmarks/results/oms_index_microbench.txt``.
 
 Run standalone (``python benchmarks/bench_oms_index.py [--smoke]``) or
@@ -38,6 +45,15 @@ SIZES = [10_000, 100_000]
 SMOKE_SIZES = [1_000, 5_000]
 FANOUT = 10
 PROBES = 200
+#: database sizes (objects) of the lookup experiment
+LOOKUP_SIZES = [1_000, 10_000, 100_000]
+SMOKE_LOOKUP_SIZES = [1_000, 10_000]
+#: indexed lookups are ~µs, so they take many probes; the naive scan few
+LOOKUP_PROBES = 2_000
+NAIVE_PROBES = 5
+#: by_name may grow at most this much from the smallest to the largest
+#: database (flat up to timer and cache noise)
+FLAT_BOUND = 3.0
 
 RESULTS_PATH = (
     pathlib.Path(__file__).parent / "results" / "oms_index_microbench.txt"
@@ -150,6 +166,108 @@ def run_microbench(
     return header + "\n".join(rows) + footer, speedups
 
 
+def build_lookup_db(n_objects: int) -> Tuple[OMSDatabase, List[str]]:
+    """*n_objects* objects: half named Cells, half unnamed Nets."""
+    schema = Schema("lookup")
+    schema.define_entity(
+        "Cell", [AttributeDef("name", "str", required=True)]
+    )
+    schema.define_entity("Net", [AttributeDef("width", "int", default=1)])
+    db = OMSDatabase(schema)
+    names = []
+    for i in range(n_objects // 2):
+        names.append(f"cell{i}")
+        db.create("Cell", {"name": names[-1]})
+        db.create("Net")
+    return db, names
+
+
+def naive_select(db: OMSDatabase, type_name: str, predicate) -> List[OMSObject]:
+    """The seed implementation: sort the whole database, then filter."""
+    return [
+        obj
+        for oid, obj in sorted(
+            db._objects.items(), key=lambda kv: sort_key(kv[0])
+        )
+        if obj.type_name == type_name and predicate(obj)
+    ]
+
+
+def run_lookup_bench(
+    sizes: List[int], seed: int = 7
+) -> Tuple[str, Dict[int, Dict[str, float]]]:
+    """Time one Cell name lookup three ways at every database size."""
+    rows = []
+    timings: Dict[int, Dict[str, float]] = {}
+    for n_objects in sizes:
+        db, names = build_lookup_db(n_objects)
+        rng = random.Random(seed)
+        probes = [rng.choice(names) for _ in range(LOOKUP_PROBES)]
+
+        def named(name):
+            return lambda o: o.get("name") == name
+
+        # correctness guard: all three paths answer identically
+        for name in probes[:3]:
+            expected = naive_select(db, "Cell", named(name))
+            assert db.select("Cell", named(name)) == expected
+            assert db.by_name("Cell", name) == expected
+        naive_us = _time_per_op(
+            lambda name: naive_select(db, "Cell", named(name)),
+            probes[:NAIVE_PROBES],
+        )
+        # the extent walk is O(N): scale its probe count down with N so
+        # every size takes about the same time
+        extent_probes = probes[: max(NAIVE_PROBES, LOOKUP_PROBES * 1_000
+                                     // n_objects)]
+        extent_us = _time_per_op(
+            lambda name: db.select("Cell", named(name)), extent_probes
+        )
+        by_name_us = _time_per_op(
+            lambda name: db.by_name("Cell", name), probes
+        )
+        timings[n_objects] = {
+            "naive": naive_us, "extent": extent_us, "by_name": by_name_us,
+        }
+        rows.append(
+            f"{n_objects:>8,}  {naive_us:>17.1f}  {extent_us:>18.1f}  "
+            f"{by_name_us:>13.2f}  {naive_us / by_name_us:>15.0f}x"
+        )
+    header = (
+        "OMS lookup microbenchmark — name lookup of one Cell\n"
+        "half of the objects are Cells, half unnamed Nets; wall-clock "
+        "µs/op\n"
+        "\n"
+        f"{'objects':>8}  {'naive select (µs)':>17}  "
+        f"{'extent select (µs)':>18}  {'by_name (µs)':>13}  "
+        f"{'by_name speedup':>16}\n"
+    )
+    footer = (
+        "\nreading: the seed select sorts the whole database (O(N log N)),\n"
+        "the extent select walks only the Cells (O(N/2)), and by_name\n"
+        "stays flat — the lookup cost no longer depends on design size."
+    )
+    return header + "\n".join(rows) + footer, timings
+
+
+def check_lookup_shape(timings: Dict[int, Dict[str, float]]) -> List[str]:
+    """Shape failures: by_name must stay flat and beat the naive scan."""
+    small, large = min(timings), max(timings)
+    failures = []
+    growth = timings[large]["by_name"] / timings[small]["by_name"]
+    if growth > FLAT_BOUND:
+        failures.append(
+            f"by_name grew {growth:.1f}x from {small:,} to {large:,} "
+            f"objects (bound {FLAT_BOUND}x)"
+        )
+    if timings[large]["naive"] < 10 * timings[large]["by_name"]:
+        failures.append(
+            f"by_name only {timings[large]['naive'] / timings[large]['by_name']:.1f}x "
+            f"faster than the naive scan at {large:,} objects"
+        )
+    return failures
+
+
 class TestOMSIndexBench:
     def test_index_vs_naive_scan(self, benchmark, report_writer):
         report, speedups = run_microbench(SIZES)
@@ -160,6 +278,15 @@ class TestOMSIndexBench:
             f"indexed targets() only {speedups[max(SIZES)]:.1f}x faster "
             f"than the naive scan at {max(SIZES):,} links"
         )
+
+    def test_lookup_vs_naive_select(self, benchmark, report_writer):
+        link_report, _ = run_microbench(SIZES)
+        lookup_report, timings = run_lookup_bench(LOOKUP_SIZES)
+        report_writer("oms_index_microbench",
+                      link_report + "\n\n" + lookup_report)
+        db, names = build_lookup_db(LOOKUP_SIZES[0])
+        benchmark(db.by_name, "Cell", names[0])
+        assert check_lookup_shape(timings) == []
 
 
 def main(argv=None) -> int:
@@ -172,21 +299,30 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sizes = SMOKE_SIZES if args.smoke else SIZES
     report, speedups = run_microbench(sizes)
-    print(report)
+    lookup_report, timings = run_lookup_bench(
+        SMOKE_LOOKUP_SIZES if args.smoke else LOOKUP_SIZES
+    )
+    print(report + "\n\n" + lookup_report)
     top = max(sizes)
     threshold = 3.0 if args.smoke else 10.0
     if not args.smoke:
         RESULTS_PATH.parent.mkdir(exist_ok=True)
-        RESULTS_PATH.write_text(report + "\n", encoding="utf-8")
-        print(f"\nwrote {RESULTS_PATH}")
-    if speedups[top] < threshold:
-        print(
-            f"FAIL: speedup {speedups[top]:.1f}x at {top:,} links "
-            f"(threshold {threshold}x)",
-            file=sys.stderr,
+        RESULTS_PATH.write_text(
+            report + "\n\n" + lookup_report + "\n", encoding="utf-8"
         )
+        print(f"\nwrote {RESULTS_PATH}")
+    failures = check_lookup_shape(timings)
+    if speedups[top] < threshold:
+        failures.append(
+            f"speedup {speedups[top]:.1f}x at {top:,} links "
+            f"(threshold {threshold}x)"
+        )
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if failures:
         return 1
-    print(f"OK: {speedups[top]:.1f}x speedup at {top:,} links")
+    print(f"OK: {speedups[top]:.1f}x speedup at {top:,} links; by_name "
+          f"flat from {min(timings):,} to {max(timings):,} objects")
     return 0
 
 

@@ -44,16 +44,13 @@ class JCFDesktop:
     def create_project(self, user: str, name: str) -> JCFProject:
         """Create a project (one dialog)."""
         self._interact(user)
-        existing = self._db.select(
-            "Project", lambda o: o.get("name") == name
-        )
-        if existing:
+        if self._db.by_name("Project", name):
             raise ProjectError(f"duplicate project {name!r}")
         obj = self._db.create("Project", {"name": name})
         return JCFProject(self._db, obj)
 
     def find_project(self, name: str) -> Optional[JCFProject]:
-        found = self._db.select("Project", lambda o: o.get("name") == name)
+        found = self._db.by_name("Project", name)
         return JCFProject(self._db, found[0]) if found else None
 
     def create_cell(

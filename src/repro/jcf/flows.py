@@ -215,13 +215,13 @@ class FlowRegistry:
                 act_obj = self._db.create("Activity", {"name": activity.name})
                 self._db.link("flow_has_activity", flow_obj.oid, act_obj.oid)
                 activity_oids[activity.name] = act_obj.oid
-                tool = self._find_or_create("Tool", activity.tool_name)
+                tool = self._db.find_or_create("Tool", activity.tool_name)
                 self._db.link("activity_uses_tool", act_obj.oid, tool.oid)
                 for needs in activity.needs:
-                    vt = self._find_or_create("ViewType", needs)
+                    vt = self._db.find_or_create("ViewType", needs)
                     self._db.link("activity_needs", act_obj.oid, vt.oid)
                 for creates in activity.creates:
-                    vt = self._find_or_create("ViewType", creates)
+                    vt = self._db.find_or_create("ViewType", creates)
                     self._db.link("activity_creates", act_obj.oid, vt.oid)
             for activity in flow_def.activities:
                 for pred in activity.predecessors:
@@ -234,12 +234,6 @@ class FlowRegistry:
         self._notify(flow_def.name)
         return flow_obj
 
-    def _find_or_create(self, type_name: str, name: str) -> OMSObject:
-        found = self._db.select(type_name, lambda o: o.get("name") == name)
-        if found:
-            return found[0]
-        return self._db.create(type_name, {"name": name})
-
     # -- lookup -------------------------------------------------------------
 
     def definition(self, name: str) -> FlowDef:
@@ -249,7 +243,7 @@ class FlowRegistry:
             raise FlowError(f"no registered flow {name!r}") from None
 
     def flow_object(self, name: str) -> OMSObject:
-        found = self._db.select("Flow", lambda o: o.get("name") == name)
+        found = self._db.by_name("Flow", name)
         if not found:
             raise FlowError(f"no registered flow {name!r}")
         return found[0]

@@ -23,10 +23,7 @@ from repro.oms.objects import OMSObject
 
 def find_or_create_viewtype(db: OMSDatabase, name: str) -> OMSObject:
     """Return the ViewType object named *name*, creating it if needed."""
-    found = db.select("ViewType", lambda o: o.get("name") == name)
-    if found:
-        return found[0]
-    return db.create("ViewType", {"name": name})
+    return db.find_or_create("ViewType", name)
 
 
 class _Wrapper:
@@ -72,7 +69,7 @@ class JCFProject(_Wrapper):
         return JCFCell(self._db, obj)
 
     def find_cell(self, name: str) -> Optional["JCFCell"]:
-        for obj in self._db.select("Cell", lambda o: o.get("name") == name):
+        for obj in self._db.by_name("Cell", name):
             owners = self._db.target_oids("cell_in_project", obj.oid)
             if owners and owners[0] == self.oid:
                 return JCFCell(self._db, obj)

@@ -44,7 +44,7 @@ class ResourceManager:
         return self._db.create("User", {"name": name, "full_name": full_name})
 
     def find_user(self, name: str) -> Optional[OMSObject]:
-        found = self._db.select("User", lambda o: o.get("name") == name)
+        found = self._db.by_name("User", name)
         return found[0] if found else None
 
     def user(self, name: str) -> OMSObject:
@@ -66,7 +66,7 @@ class ResourceManager:
         return self._db.create("Team", {"name": name})
 
     def find_team(self, name: str) -> Optional[OMSObject]:
-        found = self._db.select("Team", lambda o: o.get("name") == name)
+        found = self._db.by_name("Team", name)
         return found[0] if found else None
 
     def team(self, name: str) -> OMSObject:

@@ -22,6 +22,7 @@ from typing import List, Optional
 
 from repro.errors import FlowError
 from repro.faults import fault_point
+from repro.ids import sort_key
 from repro.jcf.model import (
     EVENT_DISPATCHED,
     EVENT_PENDING,
@@ -83,9 +84,7 @@ class TriggerRegistry:
         return obj
 
     def find(self, name: str) -> Optional[OMSObject]:
-        found = self._db.select(
-            "FlowTrigger", lambda o: o.get("name") == name
-        )
+        found = self._db.by_name("FlowTrigger", name)
         return found[0] if found else None
 
     def triggers(self) -> List[OMSObject]:
@@ -168,11 +167,15 @@ class TriggerRegistry:
     # -- dispatch -------------------------------------------------------------
 
     def _project_of_cell(self, cell_name: str) -> Optional[JCFProject]:
-        for obj in self._db.select("Project"):
-            project = JCFProject(self._db, obj)
-            if project.find_cell(cell_name) is not None:
-                return project
-        return None
+        # the lowest-id project owning a cell of that name
+        owners = [
+            oid
+            for cell in self._db.by_name("Cell", cell_name)
+            for oid in self._db.target_oids("cell_in_project", cell.oid)
+        ]
+        if not owners:
+            return None
+        return JCFProject(self._db, self._db.get(min(owners, key=sort_key)))
 
     def _duplicate_instance(
         self, orchestrator, flow_name: str, cell: str, script: str

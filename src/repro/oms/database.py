@@ -12,6 +12,7 @@ from repro.errors import (
     ClosedInterfaceError,
     OMSError,
     RelationshipError,
+    SchemaError,
     TransactionError,
     UnknownObjectError,
 )
@@ -94,6 +95,18 @@ class OMSDatabase:
         self.clock = clock or SimClock()
         self._allocator = allocator or IdAllocator()
         self._objects: Dict[str, OMSObject] = {}
+        #: per-type extents (type name -> {oid: object}) in id order, and
+        #: the name index ((type name, name) -> {oid: object}) of every
+        #: entity with a ``str`` name attribute; like the link store they
+        #: are mutated ONLY via _insert_object/_remove_object/_set_value
+        self._extents: Dict[str, Dict[str, OMSObject]] = {}
+        self._names: Dict[Tuple[str, str], Dict[str, OMSObject]] = {}
+        #: types whose extent took an out-of-order insert (an undone
+        #: delete, a WAL replay of interleaved transactions); re-sorted
+        #: by the next ordered walk
+        self._unsorted: Set[str] = set()
+        #: type name -> whether it is name-indexed (see _name_indexed)
+        self._named_types: Dict[str, bool] = {}
         #: content-addressed payload table; every stored payload is
         #: interned here, so identical design data is held exactly once
         self._blobs = BlobStore()
@@ -369,12 +382,13 @@ class OMSDatabase:
         oid = self._allocator.allocate(type_name)
         handle = self._intern_payload(payload, payload_delta_base)
         obj = OMSObject(oid, entity, complete, handle)
-        self._objects[oid] = obj
+        self._insert_object(obj)
         self._bump_epoch()
         self.clock.charge_metadata_op()
 
         def undo() -> None:
-            self._objects.pop(oid, None)
+            if self._objects.get(oid) is obj:
+                self._remove_object(obj)
             if handle is not None:
                 # the object is gone for good, so a plain decref suffices
                 self._blobs.decref(handle.digest)
@@ -393,6 +407,62 @@ class OMSDatabase:
             "delta_base": payload_delta_base,
         })
         return obj
+
+    # Every object enters or leaves the store through these primitives,
+    # so the id map, the type extents and the name index cannot drift
+    # apart: create/delete, their undo closures, set_attr("name"), WAL
+    # replay and snapshot restore all call them.
+
+    def _insert_object(self, obj: OMSObject) -> None:
+        oid, type_name = obj.oid, obj.type_name
+        self._objects[oid] = obj
+        extent = self._extents.setdefault(type_name, {})
+        # the allocator is monotone per kind, so live creates append in
+        # id order; anything else marks the extent for a re-sort
+        if extent and sort_key(oid) < sort_key(next(reversed(extent))):
+            self._unsorted.add(type_name)
+        extent[oid] = obj
+        if self._name_indexed(type_name):
+            self._names.setdefault(
+                (type_name, obj._values["name"]), {}
+            )[oid] = obj
+
+    def _remove_object(self, obj: OMSObject) -> None:
+        oid, type_name = obj.oid, obj.type_name
+        del self._objects[oid]
+        del self._extents[type_name][oid]
+        if self._name_indexed(type_name):
+            self._unindex_name(type_name, obj._values["name"], oid)
+
+    def _unindex_name(self, type_name: str, name: str, oid: str) -> None:
+        key = (type_name, name)
+        bucket = self._names[key]
+        del bucket[oid]
+        if not bucket:
+            del self._names[key]
+
+    def _set_value(self, obj: OMSObject, name: str, value: Any) -> Any:
+        """Set one attribute, re-keying the name index; returns the old value."""
+        previous = obj._set(name, value)
+        type_name = obj.type_name
+        if (
+            name == "name"
+            and self._name_indexed(type_name)
+            and self._objects.get(obj.oid) is obj
+        ):
+            self._unindex_name(type_name, previous, obj.oid)
+            self._names.setdefault((type_name, value), {})[obj.oid] = obj
+        return previous
+
+    def _name_indexed(self, type_name: str) -> bool:
+        """True when *type_name* has a ``str`` ``name`` attribute."""
+        indexed = self._named_types.get(type_name)
+        if indexed is None:
+            indexed = self._named_types[type_name] = any(
+                attr.name == "name" and attr.type_name == "str"
+                for attr in self.schema.entity(type_name).attributes
+            )
+        return indexed
 
     def get(self, oid: str) -> OMSObject:
         """Return the live object with id *oid*."""
@@ -415,7 +485,7 @@ class OMSDatabase:
         """
         obj = self.get(oid)
         removed_links = self._link_index.remove_touching(oid)
-        del self._objects[oid]
+        self._remove_object(obj)
         obj._deleted = True
         handle = obj.payload_handle
         freed = self._drop_payload_ref(handle.digest) if handle else None
@@ -428,7 +498,7 @@ class OMSDatabase:
                     self._blobs.intern(freed)
                 else:
                     self._blobs.incref(handle.digest)
-            self._objects[oid] = obj
+            self._insert_object(obj)
             obj._deleted = False
             for rel_name, pair in removed_links:
                 self._link_add(rel_name, *pair)
@@ -440,10 +510,10 @@ class OMSDatabase:
     def set_attr(self, oid: str, name: str, value: Any) -> None:
         """Schema-checked attribute update."""
         obj = self.get(oid)
-        previous = obj._set(name, value)
+        previous = self._set_value(obj, name, value)
         self._bump_epoch()
         self.clock.charge_metadata_op()
-        self._journal(lambda: obj._set(name, previous))
+        self._journal(lambda: self._set_value(obj, name, previous))
         self._wal_log({"op": "set_attr", "oid": oid, "name": name,
                        "value": value})
 
@@ -766,19 +836,98 @@ class OMSDatabase:
         type_name: str,
         predicate: Optional[Callable[[OMSObject], bool]] = None,
     ) -> List[OMSObject]:
-        """All live objects of *type_name*, optionally filtered, id-ordered."""
-        self.schema.entity(type_name)  # raises on unknown type
-        matches = [
-            obj
-            for oid, obj in sorted(
-                self._objects.items(), key=lambda kv: sort_key(kv[0])
-            )
-            if obj.type_name == type_name and (predicate is None or predicate(obj))
-        ]
-        return matches
+        """All live objects of *type_name*, optionally filtered, id-ordered.
 
+        Walks only that type's extent: O(extent), not O(database).
+        """
+        self.schema.entity(type_name)  # raises on unknown type
+        extent = self._extents.get(type_name, {})
+        if type_name in self._unsorted:
+            ordered = sorted(extent.items(), key=lambda kv: sort_key(kv[0]))
+            extent.clear()
+            extent.update(ordered)
+            self._unsorted.discard(type_name)
+        # a copy, so a predicate that mutates the store cannot upset the walk
+        objects = list(extent.values())
+        if predicate is None:
+            return objects
+        return [obj for obj in objects if predicate(obj)]
+
+    @_synchronized
     def count(self, type_name: str) -> int:
-        return len(self.select(type_name))
+        """Number of live objects of *type_name*, O(1)."""
+        self.schema.entity(type_name)  # raises on unknown type
+        return len(self._extents.get(type_name, ()))
+
+    @_synchronized
+    def by_name(self, type_name: str, name: str) -> List[OMSObject]:
+        """Live objects of *type_name* whose ``name`` is *name*, id-ordered.
+
+        Answered from the name index in O(result); *type_name* must have
+        a ``str`` ``name`` attribute.
+        """
+        if not self._name_indexed(type_name):
+            raise SchemaError(
+                f"entity {type_name!r} has no str 'name' attribute to index"
+            )
+        bucket = self._names.get((type_name, name))
+        if not bucket:
+            return []
+        if len(bucket) == 1:  # names are usually unique: skip the sort
+            return list(bucket.values())
+        return [bucket[oid] for oid in sorted(bucket, key=sort_key)]
+
+    @_synchronized
+    def find_or_create(self, type_name: str, name: str) -> OMSObject:
+        """The first object of *type_name* named *name*, created if absent.
+
+        Probe and create happen under one hold of the store mutex, so
+        racing callers cannot both miss and create a duplicate.
+        """
+        found = self.by_name(type_name, name)
+        if found:
+            return found[0]
+        return self.create(type_name, {"name": name})
+
+    @_synchronized
+    def check_indexes(self) -> List[str]:
+        """Cross-check the extents and the name index against a full scan.
+
+        Returns a list of problems (empty when consistent) — the
+        property-test hook mirroring ``LinkStore.check_integrity``.
+        """
+        problems: List[str] = []
+        by_type: Dict[str, Dict[str, OMSObject]] = {}
+        names: Dict[Tuple[str, str], Set[str]] = {}
+        for oid in sorted(self._objects, key=sort_key):
+            obj = self._objects[oid]
+            if obj.deleted:
+                problems.append(f"deleted object {oid} is stored")
+            by_type.setdefault(obj.type_name, {})[oid] = obj
+            if self._name_indexed(obj.type_name):
+                names.setdefault(
+                    (obj.type_name, obj._values["name"]), set()
+                ).add(oid)
+        for type_name in set(by_type) | set(self._extents):
+            expected = by_type.get(type_name, {})
+            extent = self._extents.get(type_name, {})
+            if set(extent) != set(expected):
+                problems.append(f"extent {type_name} != scan")
+            elif any(extent[oid] is not expected[oid] for oid in expected):
+                problems.append(f"extent {type_name} holds stale objects")
+            elif (type_name not in self._unsorted
+                  and list(extent) != list(expected)):
+                problems.append(f"extent {type_name} is out of id order")
+        indexed = {key: set(bucket) for key, bucket in self._names.items()}
+        if indexed != names:
+            problems.append("name index != scan")
+        elif any(
+            obj is not self._objects[oid]
+            for bucket in self._names.values()
+            for oid, obj in bucket.items()
+        ):
+            problems.append("name index holds stale objects")
+        return problems
 
     # -- closed interface (Section 2.1 / Section 3.6 ablation) -------------------
 
@@ -803,14 +952,16 @@ class OMSDatabase:
     @_synchronized
     def stats(self) -> Dict[str, Any]:
         """Counts by entity type and total payload bytes (for experiments)."""
-        by_type: Dict[str, int] = {}
-        payload_bytes = 0
-        for obj in self._objects.values():
-            by_type[obj.type_name] = by_type.get(obj.type_name, 0) + 1
-            payload_bytes += obj.payload_size
+        payload_bytes = sum(
+            obj.payload_size for obj in self._objects.values()
+        )
         return {
             "objects": len(self._objects),
-            "by_type": by_type,
+            "by_type": {
+                type_name: len(extent)
+                for type_name, extent in self._extents.items()
+                if extent
+            },
             "links": {
                 name: self._link_index.count(name)
                 for name in self._link_index.relation_names()

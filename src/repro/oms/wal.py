@@ -652,7 +652,7 @@ class WriteAheadLog:
             })
             obj = OMSObject(oid, entity, values)
             database._attach_payload(obj, self._payload_for(op, cache))
-            database._objects[oid] = obj
+            database._insert_object(obj)
             database._allocator.observe(oid)
             return True
         if kind == "delete":

@@ -194,3 +194,17 @@ class TestDispatch:
         spawned = hybrid.triggers.dispatch(hybrid.flows_orchestrator)
         assert len(spawned) == 1
         assert len(hybrid.flows_orchestrator.instances()) == 1
+
+
+class TestProjectOfCell:
+    def test_resolves_the_owning_project(self, env):
+        hybrid, project, library = env
+        assert hybrid.triggers._project_of_cell("inv2") == project
+        assert hybrid.triggers._project_of_cell("ghost") is None
+
+    def test_shared_cell_name_resolves_to_the_lowest_id_project(self, env):
+        hybrid, project, library = env
+        later = hybrid.jcf.desktop.create_project("alice", "chipB")
+        later.create_cell("nand2")
+        project.create_cell("nand2")  # newer cell, older project
+        assert hybrid.triggers._project_of_cell("nand2") == project

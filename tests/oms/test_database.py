@@ -160,6 +160,92 @@ class TestSelect:
             db.create("Thing", {"name": str(i)})
         assert db.count("Thing") == 3
 
+    def test_count_unknown_type_raises(self, db):
+        with pytest.raises(SchemaError):
+            db.count("Ghost")
+
+    def test_undone_delete_keeps_id_order(self, db):
+        """Re-inserting a deleted object on rollback is an out-of-order
+        insert into its extent; select must still answer in id order."""
+        things = [db.create("Thing", {"name": str(i)}) for i in range(4)]
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                db.delete(things[1].oid)
+                raise RuntimeError("boom")
+        assert db.select("Thing") == things
+        assert db.check_indexes() == []
+
+
+class TestNameIndex:
+    def test_by_name_is_id_ordered(self, db):
+        a = db.create("Thing", {"name": "dup"})
+        db.create("Thing", {"name": "other"})
+        b = db.create("Thing", {"name": "dup"})
+        db.delete(a.oid)
+        c = db.create("Thing", {"name": "dup"})
+        assert db.by_name("Thing", "dup") == [b, c]
+        assert db.by_name("Thing", "missing") == []
+
+    def test_by_name_requires_a_str_name_attribute(self, db):
+        with pytest.raises(SchemaError):
+            db.by_name("Box", "x")
+
+    def test_rename_moves_the_object(self, db):
+        obj = db.create("Thing", {"name": "old"})
+        db.set_attr(obj.oid, "name", "new")
+        assert db.by_name("Thing", "old") == []
+        assert db.by_name("Thing", "new") == [obj]
+
+    def test_rename_rollback_restores_the_index(self, db):
+        obj = db.create("Thing", {"name": "old"})
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                db.set_attr(obj.oid, "name", "new")
+                db.delete(obj.oid)
+                raise RuntimeError("boom")
+        assert db.by_name("Thing", "old") == [obj]
+        assert db.by_name("Thing", "new") == []
+        assert db.check_indexes() == []
+
+    def test_find_or_create(self, db):
+        first = db.find_or_create("Thing", "t")
+        assert db.find_or_create("Thing", "t") is first
+        assert db.count("Thing") == 1
+
+    def test_wal_replay_of_interleaved_transactions(self, simple_schema,
+                                                    tmp_path):
+        """Transactions commit in a different order than they allocated
+        ids, so replay inserts out of id order; the extent and the name
+        index must come out as from the live database."""
+        import threading
+
+        from repro.oms.snapshot import dump_snapshot
+        from repro.oms.wal import WriteAheadLog
+
+        wal = WriteAheadLog(tmp_path / "wal")
+        live, _ = wal.recover(simple_schema)
+        live.attach_wal(wal)
+        created, release = threading.Event(), threading.Event()
+
+        def slow_transaction():
+            with live.transaction():
+                live.create("Thing", {"name": "early"})
+                created.set()
+                release.wait(5)
+
+        worker = threading.Thread(target=slow_transaction)
+        worker.start()
+        created.wait(5)
+        live.create("Thing", {"name": "late"})  # commits first
+        release.set()
+        worker.join()
+        recovered, _ = WriteAheadLog(tmp_path / "wal").recover(simple_schema)
+        assert recovered.check_indexes() == []
+        assert [o.get("name") for o in recovered.select("Thing")] == [
+            "early", "late"
+        ]
+        assert dump_snapshot(recovered) == dump_snapshot(live)
+
 
 class TestTransactions:
     def test_commit_keeps_changes(self, db):
@@ -243,3 +329,9 @@ class TestStats:
         assert stats["by_type"] == {"Thing": 2, "Box": 1}
         assert stats["links"]["linked"] == 1
         assert stats["payload_bytes"] == 5
+
+    def test_stats_omit_emptied_types(self, db):
+        box = db.create("Box", {"label": "x"})
+        db.create("Thing", {"name": "a"})
+        db.delete(box.oid)
+        assert db.stats()["by_type"] == {"Thing": 1}
