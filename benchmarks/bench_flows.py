@@ -56,7 +56,7 @@ RESULTS_PATH = (
 
 def build_environment(root: pathlib.Path, teams: int, cells_per_team: int):
     """A hybrid with *teams* teams, each owning its own prepared cells."""
-    hybrid = HybridFramework(root, persistence="wal")
+    hybrid = HybridFramework(root)
     resources = hybrid.jcf.resources
     library = hybrid.fmcad.create_library("chiplib")
     cells: List[Tuple[str, str, str]] = []  # (cell, user, team)

@@ -78,7 +78,7 @@ def run_scaling(
     tails: Dict[int, Dict[str, float]] = {}
     for shards in shard_counts:
         root = _fresh_root()
-        hybrid, plans = build_scenario(root, spec, persistence="wal")
+        hybrid, plans = build_scenario(root, spec)
         engine = ServeEngine(
             hybrid, shards=shards, max_batch=MAX_BATCH, window_ms=WINDOW_MS
         )
@@ -119,7 +119,7 @@ def run_overload(
     admitted tail must stay bounded."""
     shards = 4
     root = _fresh_root()
-    hybrid, plans = build_scenario(root, spec, persistence="wal")
+    hybrid, plans = build_scenario(root, spec)
     # arrivals land 1ms apart, so the whole population is offered over
     # total_runs ms; size each shard's bucket (burst + refill over that
     # horizon) for half its fair share, making offered:sustainable 2:1
@@ -178,11 +178,11 @@ def run_overload(
 
 def run_identity(spec: ScenarioSpec) -> Tuple[List[List[str]], bool]:
     """Same requests, same root path, workers=1 vs workers=4: the final
-    OMS snapshot must not differ by a byte."""
+    WAL checkpoint must not differ by a byte."""
     root = _fresh_root()
     digests: List[bytes] = []
     for workers in (1, 4):
-        hybrid, plans = build_scenario(root, spec, persistence="snapshot")
+        hybrid, plans = build_scenario(root, spec)
         engine = ServeEngine(
             hybrid, shards=4, max_batch=MAX_BATCH, window_ms=WINDOW_MS,
             workers=workers,

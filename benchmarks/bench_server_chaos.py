@@ -149,7 +149,7 @@ def _drive_with_fenced_shard(
 def run_availability(spec: ScenarioSpec):
     # baseline arm: same population, same shape, no chaos
     root = _fresh_root()
-    hybrid, plans = build_scenario(root, spec, persistence="wal")
+    hybrid, plans = build_scenario(root, spec)
     engine = ServeEngine(
         hybrid, shards=SHARDS, max_batch=MAX_BATCH, window_ms=WINDOW_MS
     )
@@ -160,7 +160,7 @@ def run_availability(spec: ScenarioSpec):
 
     # chaos arm
     root = _fresh_root()
-    hybrid, plans = build_scenario(root, spec, persistence="wal")
+    hybrid, plans = build_scenario(root, spec)
     tallies, fenced, healthy_ok = _drive_with_fenced_shard(
         hybrid, plans, spec
     )
@@ -240,7 +240,7 @@ def run_soak(spec: ScenarioSpec, seeds: List[int]):
               "double_commits": 0}
     for seed in seeds:
         root = _fresh_root()
-        hybrid, plans = build_scenario(root, spec, persistence="wal")
+        hybrid, plans = build_scenario(root, spec)
         before = snapshot_cell_versions(hybrid, plans)
 
         async def exercise():

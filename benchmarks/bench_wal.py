@@ -118,7 +118,7 @@ def run_persistence_cost(
                 wal.stats()["bytes_appended"] - before_bytes
             ) / CHECKINS
 
-            # snapshot mode: the same checkin is durable only after a
+            # baseline: the same checkin is durable only after a
             # whole-database rewrite (what the seed's save_state did)
             snapshot_path = root / "snapshot.json"
             samples = []

@@ -287,27 +287,10 @@ class ConsistencyGuard:
         self._audit_reservations(report)
         self._audit_staging(report)
         self._audit_blobs(report)
-        self._audit_wal(report)
         self._audit_leases(report)
         self._audit_integrity(report)
         self._audit_flow_instances(report)
         return report
-
-    def _audit_wal(self, report: AuditReport) -> None:
-        """Verify the write-ahead log and its checkpoints, when attached.
-
-        A healthy (or freshly recovered) WAL is silent; a torn tail the
-        recovery sweep has not yet dropped, a checkpoint that fails its
-        embedded checksum, or a payload sidecar that no longer proves
-        its digest all surface here as ``wal-integrity`` findings.
-        """
-        wal = getattr(self.jcf.db, "wal", None)
-        if wal is None:
-            return
-        for location, classification in wal.verify():
-            report.findings.append(AuditFinding(
-                "wal-integrity", f"{location}: {classification}"
-            ))
 
     def _audit_leases(self, report: AuditReport) -> None:
         """Flag expired checkout leases nobody reclaimed, when attached.
@@ -485,13 +468,17 @@ class ConsistencyGuard:
         covered by the dedicated sweeps above, and known-quarantined
         losses were already surfaced by the recovery pass that
         quarantined them — re-reporting forever would make a recovered
-        store permanently un-auditable.
+        store permanently un-auditable.  Damage to the write-ahead log
+        (a torn tail recovery has not dropped yet, a checkpoint failing
+        its checksum, a payload sidecar no longer proving its digest)
+        is reported as ``wal-integrity``.
         """
         for finding in Scrubber(self.jcf, self.fmcad).scrub().findings:
             if finding.actionable:
-                report.findings.append(
-                    AuditFinding("integrity", str(finding))
+                category = (
+                    "wal-integrity" if finding.area == "wal" else "integrity"
                 )
+                report.findings.append(AuditFinding(category, str(finding)))
 
     # -- the FMCAD baseline (what the slave notices by itself) ----------------------
 

@@ -13,7 +13,6 @@ import pathlib
 from typing import Any, Dict, Optional
 
 from repro.clock import SimClock
-from repro.errors import SnapshotIntegrityError
 from repro.core.consistency import ConsistencyGuard
 from repro.core.desktop import CombinedDesktop
 from repro.core.encapsulation import (
@@ -34,9 +33,7 @@ from repro.jcf.flows import FlowDef, standard_encapsulation_flow
 from repro.jcf.triggers import TriggerRegistry
 from repro.jcf.framework import JCFFramework
 from repro.jcf.project import JCFCellVersion, JCFProject
-from repro.oms import durable
 from repro.oms.readcache import DEFAULT_BUDGET_BYTES, MaterializationCache
-from repro.oms.snapshot import verify_snapshot_bytes
 from repro.oms.wal import WriteAheadLog
 
 #: the WAL directory lives inside the JCF subtree, next to staging
@@ -49,7 +46,8 @@ class HybridFramework:
     Parameters
     ----------
     root:
-        Directory under which both frameworks keep their file trees.
+        Directory under which both frameworks keep their file trees; a
+        workspace already there is recovered, as :meth:`reopen` does.
     clock:
         Shared :class:`~repro.clock.SimClock`; a fresh one by default.
     jcf3_strict:
@@ -66,10 +64,9 @@ class HybridFramework:
         Permit CompOf references to cells of other projects (the Section
         3.1 future work); JCF 3.0 forbids them.
     persistence:
-        ``"snapshot"`` (the paper-faithful whole-graph save the seed
-        reproduced) or ``"wal"`` (write-ahead log + periodic compaction;
-        commit durability cost is O(change set) — the ROADMAP item 2
-        engineering fix).
+        Only ``"wal"`` is accepted: every commit is durable in the
+        write-ahead log under ``<root>/jcf/wal`` and :meth:`save_state`
+        compacts it.  The keyword remains for existing callers.
     durability:
         ``"full"`` (fsync files and directories on every durable write),
         ``"relaxed"`` (same write sequence, fsyncs skipped) or ``None``
@@ -81,8 +78,6 @@ class HybridFramework:
         64 MiB; ``0`` disables the cache.
     """
 
-    PERSISTENCE_MODES = ("snapshot", "wal")
-
     def __init__(
         self,
         root: pathlib.Path,
@@ -92,34 +87,34 @@ class HybridFramework:
         enable_hierarchy_procedural_interface: bool = False,
         allow_cross_project_sharing: bool = False,
         administrator: str = "admin",
-        persistence: str = "snapshot",
+        persistence: str = "wal",
         durability: Optional[str] = None,
         read_cache_bytes: Optional[int] = None,
     ) -> None:
-        if persistence not in self.PERSISTENCE_MODES:
+        if persistence != "wal":
             raise ValueError(
-                f"persistence must be one of {self.PERSISTENCE_MODES}: "
-                f"{persistence!r}"
+                f"persistence must be 'wal' (the write-ahead log is the "
+                f"only persistence mode): {persistence!r}"
             )
         self.root = pathlib.Path(root)
         self.clock = clock or SimClock()
-        self.persistence = persistence
         self.durability = durability
-        wal = None
-        if persistence == "wal":
-            wal = WriteAheadLog(
-                self.root / "jcf" / WAL_DIR_NAME, durability_mode=durability
-            )
         self.jcf = JCFFramework(
             self.root / "jcf",
             clock=self.clock,
             administrator=administrator,
             enable_procedural_interface=enable_procedural_interface,
             allow_cross_project_sharing=allow_cross_project_sharing,
-            wal=wal,
+            wal=WriteAheadLog(
+                self.root / "jcf" / WAL_DIR_NAME, durability_mode=durability
+            ),
         )
         self.fmcad = FMCADFramework(self.root / "fmcad", clock=self.clock)
+        # wire the read path before opening any library so each one
+        # picks up the shared cache
         self._wire_read_path(read_cache_bytes)
+        for library_name in self.fmcad.known_library_names():
+            self.fmcad.open_library(library_name)
         self.mapper = DataModelMapper(self.jcf, self.fmcad)
         self.hierarchy = HierarchyManager(
             self.jcf.desktop,
@@ -143,6 +138,10 @@ class HybridFramework:
         self.intents = IntentJournal(self.jcf.db)
         self.recovery = CouplingRecovery(self.jcf, self.fmcad)
         self._wire_flow_orchestration()
+        # staged files from a previous process are a durable CoW cache:
+        # re-adopt the ones that still match a live payload, leave true
+        # crash leavings for recover() to reclaim
+        self.jcf.staging.adopt_existing()
 
     def _wire_flow_orchestration(self) -> None:
         """Stand up durable flows, triggers and the fair queue.
@@ -322,102 +321,19 @@ class HybridFramework:
 
     # -- persistence ----------------------------------------------------------------------
 
-    SNAPSHOT_NAME = "jcf_snapshot.json"
-    PREV_SNAPSHOT_NAME = "jcf_snapshot.json.prev"
-
     def save_state(self) -> pathlib.Path:
-        """Persist everything needed to reopen this environment.
+        """Checkpoint the write-ahead log; returns the checkpoint path.
 
-        FMCAD state already lives on disk (libraries, version files,
-        ``.meta``, property sidecars); the JCF/OMS state goes through the
-        configured persistence mode.  Open ``.meta`` flushes are the
-        caller's responsibility, exactly as they were the designer's.
-
-        In ``"wal"`` mode this is a checkpoint: the log is compacted
-        into ``wal/checkpoint.json`` and truncated, with the previous
-        checkpoint retained until the new one re-verifies from disk
-        (see :meth:`repro.oms.wal.WriteAheadLog.checkpoint`).
-
-        In ``"snapshot"`` mode the whole graph is serialised, verified
-        **before** publication, durably written, and the previous
-        snapshot is kept as ``jcf_snapshot.json.prev`` — the old state
-        file is never destroyed by an unverified successor, and
-        :meth:`reopen` falls back to it when the current file is
-        damaged at rest.
+        Every commit is already durable in the log, so this only bounds
+        restart replay: the log is compacted into ``wal/checkpoint.json``
+        and truncated, the previous checkpoint retained until the new one
+        re-verifies from disk (see
+        :meth:`repro.oms.wal.WriteAheadLog.checkpoint`).  FMCAD state
+        lives on disk already (libraries, version files, ``.meta``,
+        property sidecars); open ``.meta`` flushes are the caller's
+        responsibility, exactly as they were the designer's.
         """
-        if self.persistence == "wal":
-            return self.jcf.checkpoint()
-        path = self.root / self.SNAPSHOT_NAME
-        data = self.jcf.save_snapshot()
-        problem = verify_snapshot_bytes(data)
-        if problem is not None:
-            # a snapshot that cannot prove itself must not replace the
-            # previous good state file
-            raise SnapshotIntegrityError(
-                f"save_state aborted: fresh snapshot fails verification "
-                f"({problem})",
-                location=str(path),
-                classification=problem,
-            )
-        # durable temp write + atomic rename, previous snapshot demoted
-        # to .prev (not deleted) until its successor has proven itself
-        tmp = path.with_name(path.name + ".tmp")
-        durable.write_bytes(tmp, data, mode=self.durability)
-        if path.exists():
-            durable.replace(
-                path, self.root / self.PREV_SNAPSHOT_NAME,
-                mode=self.durability,
-            )
-        durable.replace(tmp, path, mode=self.durability)
-        problem = verify_snapshot_bytes(path.read_bytes())
-        if problem is not None:  # pragma: no cover - needs hostile fs
-            raise SnapshotIntegrityError(
-                f"save_state readback failed verification ({problem}); "
-                f"previous state retained as {self.PREV_SNAPSHOT_NAME}",
-                location=str(path),
-                classification=problem,
-            )
-        return path
-
-    @classmethod
-    def _load_snapshot_bytes(cls, root: pathlib.Path) -> bytes:
-        """Read the state snapshot, falling back to the retained ``.prev``.
-
-        The current file wins when it verifies; at-rest damage (or a
-        crash window that left only the demoted previous snapshot)
-        falls back.  Both missing is a hard error; both damaged raises
-        the current file's failure rather than silently starting empty.
-        """
-        current = root / cls.SNAPSHOT_NAME
-        previous = root / cls.PREV_SNAPSHOT_NAME
-        if not current.exists() and not previous.exists():
-            raise FileNotFoundError(
-                f"no saved state at {current}; call save_state() "
-                "before reopening"
-            )
-        if current.exists():
-            data = current.read_bytes()
-            if verify_snapshot_bytes(data) is None:
-                return data
-            if previous.exists():
-                fallback = previous.read_bytes()
-                if verify_snapshot_bytes(fallback) is None:
-                    return fallback
-            raise SnapshotIntegrityError(
-                f"state snapshot {current} fails verification "
-                f"({verify_snapshot_bytes(data)}) and no verified "
-                f"previous snapshot exists",
-                location=str(current),
-                classification=verify_snapshot_bytes(data) or "bit-rot",
-            )
-        data = previous.read_bytes()
-        if verify_snapshot_bytes(data) is not None:
-            raise SnapshotIntegrityError(
-                f"only snapshot on disk ({previous}) fails verification",
-                location=str(previous),
-                classification=verify_snapshot_bytes(data) or "bit-rot",
-            )
-        return data
+        return self.jcf.checkpoint()
 
     @classmethod
     def reopen(
@@ -430,69 +346,27 @@ class HybridFramework:
         durability: Optional[str] = None,
         read_cache_bytes: Optional[int] = None,
     ) -> "HybridFramework":
-        """Restart a hybrid environment previously saved with
-        :meth:`save_state`: restore the JCF state (auto-detecting WAL
-        versus snapshot persistence), reopen every on-disk FMCAD
-        library from its ``.meta``, rehydrate flows."""
+        """Restart a hybrid environment from its on-disk state: recover
+        the JCF state from the write-ahead log, reopen every FMCAD
+        library from its ``.meta``, rehydrate flows.  Raises
+        :class:`FileNotFoundError` when *root* holds no WAL."""
         root = pathlib.Path(root)
         wal_root = root / "jcf" / WAL_DIR_NAME
-        instance = cls.__new__(cls)
-        instance.root = root
-        instance.clock = clock or SimClock()
-        instance.durability = durability
-        if WriteAheadLog.present_at(wal_root):
-            instance.persistence = "wal"
-            instance.jcf = JCFFramework(
-                root / "jcf",
-                clock=instance.clock,
-                administrator=administrator,
-                wal=WriteAheadLog(wal_root, durability_mode=durability),
+        if not WriteAheadLog.present_at(wal_root):
+            raise FileNotFoundError(
+                f"no saved state at {wal_root}: not a hybrid workspace"
             )
-        else:
-            instance.persistence = "snapshot"
-            instance.jcf = JCFFramework(
-                root / "jcf",
-                clock=instance.clock,
-                administrator=administrator,
-                snapshot=cls._load_snapshot_bytes(root),
-            )
-        instance.fmcad = FMCADFramework(
-            root / "fmcad", clock=instance.clock
-        )
-        # wire the read path before opening any library so each one
-        # picks up the shared cache
-        instance._wire_read_path(read_cache_bytes)
-        for library_name in instance.fmcad.known_library_names():
-            instance.fmcad.open_library(library_name)
-        instance.mapper = DataModelMapper(instance.jcf, instance.fmcad)
-        instance.hierarchy = HierarchyManager(
-            instance.jcf.desktop,
+        return cls(
+            root,
+            clock=clock,
             jcf3_strict=jcf3_strict,
-            procedural_interface=enable_hierarchy_procedural_interface,
+            enable_hierarchy_procedural_interface=(
+                enable_hierarchy_procedural_interface
+            ),
+            administrator=administrator,
+            durability=durability,
+            read_cache_bytes=read_cache_bytes,
         )
-        instance.guard = ConsistencyGuard(
-            instance.jcf, instance.fmcad, instance.mapper,
-            instance.hierarchy,
-        )
-        instance.guard.install_itc_interceptor()
-        instance.desktop = CombinedDesktop(instance.clock)
-        instance.schematic_entry = SchematicEntryWrapper(
-            instance.jcf, instance.fmcad, instance.mapper, instance.guard
-        )
-        instance.digital_simulation = DigitalSimulatorWrapper(
-            instance.jcf, instance.fmcad, instance.mapper, instance.guard
-        )
-        instance.layout_entry = LayoutEntryWrapper(
-            instance.jcf, instance.fmcad, instance.mapper, instance.guard
-        )
-        instance.intents = IntentJournal(instance.jcf.db)
-        instance.recovery = CouplingRecovery(instance.jcf, instance.fmcad)
-        instance._wire_flow_orchestration()
-        # staged files from the previous process are a durable CoW cache:
-        # re-adopt the ones that still match a live payload, leave true
-        # crash leavings for recover() to reclaim
-        instance.jcf.staging.adopt_existing()
-        return instance
 
     # -- crash recovery ---------------------------------------------------------------------
 
@@ -519,7 +393,6 @@ class HybridFramework:
             "fmcad": self.fmcad.stats(),
             "mapping_coverage": self.mapper.coverage(),
             "hierarchy_rejections": self.hierarchy.rejections,
-            "persistence": self.persistence,
             "flows": self.flows_orchestrator.stats(),
             "harvest": {
                 "delta_hits": sum(w.harvest_delta_hits for w in wrappers),
@@ -527,8 +400,7 @@ class HybridFramework:
             },
             "read_path": self.read_path_stats(),
         }
-        if self.jcf.wal is not None:
-            stats["wal"] = self.jcf.wal.stats()
+        stats["wal"] = self.jcf.wal.stats()
         return stats
 
     def read_path_stats(self) -> Dict[str, Any]:

@@ -65,7 +65,9 @@ class DataModelMapper:
     def __init__(self, jcf: JCFFramework, fmcad: FMCADFramework) -> None:
         self.jcf = jcf
         self.fmcad = fmcad
-        self.records: List[MappingRecord] = []
+        #: every correspondence, in the order first recorded (a dict
+        #: used as an ordered set: membership is O(1))
+        self.records: Dict[MappingRecord, None] = {}
 
     # -- the static table ---------------------------------------------------
 
@@ -226,9 +228,9 @@ class DataModelMapper:
     def _record(
         self, jcf_kind: str, jcf_oid: str, fmcad_kind: str, fmcad_name: str
     ) -> None:
-        record = MappingRecord(jcf_kind, jcf_oid, fmcad_kind, fmcad_name)
-        if record not in self.records:
-            self.records.append(record)
+        self.records.setdefault(
+            MappingRecord(jcf_kind, jcf_oid, fmcad_kind, fmcad_name)
+        )
 
     def records_of_kind(self, jcf_kind: str) -> List[MappingRecord]:
         return [r for r in self.records if r.jcf_kind == jcf_kind]

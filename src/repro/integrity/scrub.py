@@ -2,8 +2,9 @@
 
 The scrubber walks every at-rest representation the coupling owns —
 OMS blobs (including delta chains), staged files, FMCAD version files,
-``.meta`` files, the persisted snapshot — re-verifies each against its
-recorded checksum, and classifies what it finds:
+``.meta`` files, the write-ahead log (checkpoints, logs, payload
+sidecars) — re-verifies each against its recorded checksum, and
+classifies what it finds:
 
 * **bit-rot** — same size, wrong bytes (a flipped bit at rest);
 * **truncation** — shorter than recorded (an interrupted write);
@@ -14,7 +15,8 @@ recorded checksum, and classifies what it finds:
 In repair mode it heals findings from *verified* peers: the coupling
 mirrors every payload on both sides of the master/slave split (OMS blob
 <-> FMCAD version file, plus staged copies), so a damaged copy is
-re-written from a sibling that first re-proves its own content address.
+re-written from a sibling that first re-proves its own content address;
+damaged WAL files are healed by a fresh checkpoint of the live database.
 Repair iterates to a fixpoint — healing a delta base heals every delta
 stacked on it — and whatever still fails afterwards is **quarantined**:
 blobs are flagged so reads raise :class:`QuarantinedError`, files are
@@ -40,14 +42,9 @@ from repro.fmcad.framework import FMCADFramework
 from repro.fmcad.library import Library
 from repro.fmcad.objects import CellViewVersion
 from repro.jcf.framework import JCFFramework
-from repro.oms.snapshot import verify_snapshot_bytes
 
 #: author recorded on ``.meta`` flushes performed by the scrubber
 SCRUB_USER = "scrubber"
-
-#: the persisted hybrid snapshot (HybridFramework.SNAPSHOT_NAME; kept as
-#: a literal here so the scrubber does not import the coupling layer)
-_SNAPSHOT_NAME = "jcf_snapshot.json"
 
 #: finding actions
 DETECTED = "detected"          # damage found, not (yet) handled
@@ -60,7 +57,7 @@ NOTED = "noted"                # informational (orphans); never actionable
 class ScrubFinding:
     """One damaged (or noteworthy) artifact the scrubber saw."""
 
-    area: str            # blob | staging | fmcad-version | meta | snapshot | *-orphan
+    area: str            # blob | staging | fmcad-version | meta | wal | *-orphan
     location: str        # stable key: blob:<digest> or an absolute path
     classification: str  # bit-rot | truncation | torn-write | missing | orphan
     action: str = DETECTED
@@ -135,7 +132,6 @@ class Scrubber:
         jcf: JCFFramework,
         fmcad: FMCADFramework,
         quarantine_dir: Optional[pathlib.Path] = None,
-        snapshot_path: Optional[pathlib.Path] = None,
         user: str = SCRUB_USER,
     ) -> None:
         self.jcf = jcf
@@ -144,10 +140,6 @@ class Scrubber:
         root = self.jcf.root.parent
         self.quarantine_dir = pathlib.Path(
             quarantine_dir if quarantine_dir is not None else root / "quarantine"
-        )
-        self.snapshot_path = pathlib.Path(
-            snapshot_path if snapshot_path is not None
-            else root / _SNAPSHOT_NAME
         )
         self._manifest_path = self.quarantine_dir / "MANIFEST"
         #: location -> classification for everything already quarantined;
@@ -182,14 +174,22 @@ class Scrubber:
                 outcome[finding.location] = finding
             if not progress:
                 for finding in actionable:
+                    if finding.area == "wal":
+                        # never moved away: without its checkpoint,
+                        # recovery would replay a log that does not reach
+                        # back to an empty database and silently lose
+                        # state; it stays in place and stays reported
+                        continue
                     self._quarantine_one(finding)
                     finding.action = QUARANTINED
                     outcome[finding.location] = finding
-        # closing verification: anything still actionable here survived
-        # MAX_ROUNDS of repair — surface it rather than claim success
-        for finding in self._collect():
-            if finding.actionable:
-                outcome[finding.location] = finding
+        else:
+            # closing verification, needed only when no round came back
+            # clean: anything still actionable survived MAX_ROUNDS of
+            # repair — surface it rather than claim success
+            for finding in self._collect():
+                if finding.actionable:
+                    outcome[finding.location] = finding
         findings = sorted(
             outcome.values(), key=lambda f: (f.area, f.location)
         )
@@ -258,16 +258,9 @@ class Scrubber:
                 ScrubFinding("meta", meta_path, classification, detail=name)
             )
 
-        if self.snapshot_path.exists():
-            classification = verify_snapshot_bytes(
-                self.snapshot_path.read_bytes()
-            )
-            if classification is not None:
-                findings.append(
-                    ScrubFinding(
-                        "snapshot", str(self.snapshot_path), classification
-                    )
-                )
+        if self.jcf.wal is not None:
+            for location, classification in self.jcf.wal.verify():
+                findings.append(ScrubFinding("wal", location, classification))
 
         return [f for f in findings if f.location not in self._manifest]
 
@@ -328,15 +321,16 @@ class Scrubber:
             if not library.flush_meta(self.user):
                 return False  # writer lock contended
             return library.metafile.verify() is None
-        if finding.area == "snapshot":
-            # the live database is the repair source: re-dump it through
-            # the same atomic path save_state uses
-            tmp = self.snapshot_path.with_name(self.snapshot_path.name + ".tmp")
-            tmp.write_bytes(self.jcf.save_snapshot())
-            tmp.replace(self.snapshot_path)
-            return (
-                verify_snapshot_bytes(self.snapshot_path.read_bytes()) is None
-            )
+        if finding.area == "wal":
+            # the live database is the repair source: a checkpoint
+            # rewrites the checkpoint durably and verified, and retires
+            # the logs and sidecars it folds in
+            wal = self.jcf.wal
+            try:
+                wal.checkpoint(self.jcf.db)
+            except (IntegrityError, OMSError):
+                return False
+            return finding.location not in dict(wal.verify())
         return False
 
     def _peer_bytes(

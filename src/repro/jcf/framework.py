@@ -42,18 +42,12 @@ class JCFFramework:
         administrator: str = "admin",
         enable_procedural_interface: bool = False,
         allow_cross_project_sharing: bool = False,
-        snapshot: Optional[bytes] = None,
         wal: Optional["WriteAheadLog"] = None,
     ) -> None:
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.clock = clock or SimClock()
         self.schema = build_jcf_schema()
-        if snapshot is not None and wal is not None:
-            raise ValueError(
-                "pass either snapshot= or wal=, not both: a WAL directory "
-                "carries its own checkpoint"
-            )
         self.wal = wal
         self.wal_recovery = None
         if wal is not None:
@@ -71,16 +65,8 @@ class JCFFramework:
                 },
             )
             self.db.attach_wal(wal)
-        elif snapshot is not None:
-            from repro.oms.snapshot import restore_snapshot
-
-            self.db = restore_snapshot(
-                self.schema,
-                snapshot,
-                clock=self.clock,
-                enable_procedural_interface=enable_procedural_interface,
-            )
         else:
+            # in-memory framework: nothing survives the process
             self.db = OMSDatabase(
                 self.schema,
                 clock=self.clock,
@@ -99,9 +85,7 @@ class JCFFramework:
         self.versioning = VersioningService(self.db)
         self._default_staging = StagingArea(self.db, self.root / "staging")
         self._staging_local = threading.local()
-        if snapshot is not None or (
-            self.wal_recovery is not None and not self.wal_recovery.fresh
-        ):
+        if self.wal_recovery is not None and not self.wal_recovery.fresh:
             self.flows.rehydrate()
 
     # -- staging ---------------------------------------------------------------
@@ -156,17 +140,17 @@ class JCFFramework:
     # -- persistence ---------------------------------------------------------
 
     def save_snapshot(self) -> bytes:
-        """Serialise the whole metadata+design-data state (OMS snapshot)."""
+        """Serialise the whole metadata+design-data state (OMS snapshot,
+        the format of a WAL checkpoint)."""
         from repro.oms.snapshot import dump_snapshot
 
         return dump_snapshot(self.db)
 
     def checkpoint(self) -> pathlib.Path:
-        """Compact the attached WAL (WAL persistence mode only)."""
+        """Compact the attached WAL."""
         if self.wal is None:
             raise ValueError(
-                "checkpoint(): this framework has no attached WAL; "
-                "snapshot-mode persistence goes through save_snapshot()"
+                "checkpoint(): this in-memory framework has no attached WAL"
             )
         return self.wal.checkpoint(self.db)
 

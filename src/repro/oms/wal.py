@@ -74,6 +74,9 @@ PREV_CHECKPOINT_NAME = "checkpoint.json.prev"
 CHECKPOINT_TMP_NAME = "checkpoint.json.tmp"
 BLOB_DIR_NAME = "blobs"
 
+#: what precedes a record's digest on its line (``sha256`` sorts last)
+_DIGEST_MARKER = b', "sha256": "'
+
 #: ops that reference an object that must already exist; replay skips
 #: (and counts) them when it does not — the tolerant half of idempotency
 _NEEDS_OBJECT = ("set_attr", "set_payload")
@@ -171,7 +174,7 @@ class WriteAheadLog:
 
     @classmethod
     def present_at(cls, root: Union[str, pathlib.Path]) -> bool:
-        """Does *root* look like a WAL directory? (reopen auto-detect)"""
+        """Does *root* look like a WAL directory? (what reopen requires)"""
         root = pathlib.Path(root)
         return any(
             (root / name).exists()
@@ -198,17 +201,24 @@ class WriteAheadLog:
             json.dumps(canonical, sort_keys=True).encode("utf-8")
         ).hexdigest()
 
-    @classmethod
-    def _decode_line(cls, line: bytes) -> Optional[Dict[str, Any]]:
-        """Parse and verify one record line; ``None`` when damaged."""
+    @staticmethod
+    def _decode_line(line: bytes) -> Optional[Dict[str, Any]]:
+        """Parse and verify one record line; ``None`` when damaged.
+
+        Records are written with sorted keys, so ``sha256`` is the last
+        key and the bytes before it are the canonical body its digest
+        covers: the digest is checked on the raw line, without
+        re-serialising the record.
+        """
+        body, marker, tail = line.rpartition(_DIGEST_MARKER)
+        digest = hashlib.sha256(body + b"}").hexdigest().encode("ascii")
+        if not marker or tail != digest + b'"}':
+            return None
         try:
             record = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             return None
         if not isinstance(record, dict) or record.get("format") != FORMAT:
-            return None
-        recorded = record.get("sha256")
-        if recorded is None or cls._record_digest(record) != recorded:
             return None
         if not isinstance(record.get("ops"), list):
             return None

@@ -111,7 +111,6 @@ class ReplayReport:
 def build_scenario(
     root: pathlib.Path,
     spec: ScenarioSpec,
-    persistence: str = "snapshot",
 ) -> Tuple[Any, List[SessionPlan]]:
     """Build a fresh multi-team environment for *spec*.
 
@@ -122,7 +121,7 @@ def build_scenario(
     """
     from repro.core.coupling import HybridFramework
 
-    hybrid = HybridFramework(root, persistence=persistence)
+    hybrid = HybridFramework(root)
     resources = hybrid.jcf.resources
     hybrid.setup_standard_flow()
     plans: List[SessionPlan] = []
@@ -480,7 +479,7 @@ async def _smoke(args) -> int:
         cleanup = pathlib.Path(tempfile.mkdtemp(prefix="repro-loadgen-"))
         root = cleanup / "env"
     try:
-        hybrid, plans = build_scenario(root, spec, persistence=args.persistence)
+        hybrid, plans = build_scenario(root, spec)
         server = DesignServer(
             hybrid,
             shards=args.shards,
@@ -542,9 +541,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--queue-depth", type=int, default=256)
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--max-concurrent", type=int, default=32)
-    parser.add_argument(
-        "--persistence", choices=("snapshot", "wal"), default="wal"
-    )
     parser.add_argument(
         "--root", default=None,
         help="workspace directory (default: a throwaway tempdir)",

@@ -27,6 +27,15 @@ class TestConstruction:
         )
         ablated.jcf.db.procedural_interface()  # must not raise
 
+    def test_write_ahead_log_always_attached(self, hybrid):
+        assert hybrid.jcf.db.wal is hybrid.jcf.wal is not None
+        assert hybrid.save_state() == hybrid.jcf.wal.checkpoint_path
+
+    def test_only_wal_persistence_accepted(self, tmp_path):
+        HybridFramework(tmp_path / "w", persistence="wal")
+        with pytest.raises(ValueError):
+            HybridFramework(tmp_path / "s", persistence="snapshot")
+
 
 class TestAdoptLibrary:
     def test_adopt_maps_and_submits(self, hybrid):

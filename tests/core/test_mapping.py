@@ -5,6 +5,7 @@ import pytest
 from repro.core.mapping import (
     TABLE1_MAPPING,
     DataModelMapper,
+    MappingRecord,
     WORKING_VARIANT,
 )
 from repro.errors import MappingError
@@ -99,6 +100,33 @@ class TestImport:
         assert coverage["CellVersion"] == 2
         assert coverage["DesignObject"] == 2
         assert coverage["DesignObjectVersion"] == 4
+
+    def test_record_membership_does_not_scan(self, hybrid, monkeypatch):
+        """Recording a correspondence costs O(1), not O(records)."""
+        budget = 8
+        comparisons = []
+        original_eq = MappingRecord.__eq__
+
+        def counting_eq(record, other):
+            comparisons.append(record)
+            if len(comparisons) > budget:  # fail fast on a linear scan
+                raise AssertionError("MappingRecord compared per record")
+            return original_eq(record, other)
+
+        monkeypatch.setattr(MappingRecord, "__eq__", counting_eq)
+        mapper = hybrid.mapper
+        before = len(mapper.records)
+        for i in range(5000):
+            mapper._record("CellVersion", f"oid{i}", "Cell", f"cell{i}")
+        mapper._record("CellVersion", "oid4999", "Cell", "cell4999")
+        assert len(mapper.records) == before + 5000
+        assert len(comparisons) <= budget
+        monkeypatch.undo()
+        # insertion order is kept for the per-kind listings
+        assert [r.jcf_oid for r in mapper.records_of_kind("CellVersion")][
+            -3:
+        ] == ["oid4997", "oid4998", "oid4999"]
+        assert mapper.coverage()["CellVersion"] >= 5000
 
     def test_jcf_oid_lookup(self, hybrid, library):
         project = hybrid.mapper.import_library(library, "alice")

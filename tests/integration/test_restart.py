@@ -180,3 +180,26 @@ class TestReopen:
         )
         assert result.success
         assert reopened.guard.audit().clean
+
+
+class TestLibraryDefault:
+    def test_commits_after_last_save_survive_a_crash(self, tmp_path):
+        """The default environment loses no commit to a crash.
+
+        Every commit is durable in the write-ahead log the moment it
+        returns; ``save_state()`` only compacts.  A commit made after
+        the last save must therefore survive an instance that is
+        dropped without saving.
+        """
+        root = tmp_path / "site4"
+        hybrid = HybridFramework(root)
+        hybrid.jcf.resources.define_user("admin", "before_save")
+        hybrid.save_state()
+        hybrid.jcf.resources.define_user("admin", "after_save")
+        del hybrid  # the "crash": no save, no close
+
+        reopened = HybridFramework.reopen(root)
+        reopened.recover()
+        users = {user.get("name") for user in reopened.jcf.resources.users()}
+        assert {"before_save", "after_save"} <= users
+        assert reopened.audit().clean

@@ -73,9 +73,9 @@ def checksummed_files(root: pathlib.Path):
     if libs.is_dir():
         candidates.extend(libs.rglob("*.dat"))
         candidates.extend(libs.rglob(".meta"))
-    snapshot = root / "jcf_snapshot.json"
-    if snapshot.exists():
-        candidates.append(snapshot)
+    checkpoint = root / "jcf" / "wal" / "checkpoint.json"
+    if checkpoint.exists():
+        candidates.append(checkpoint)
     return sorted(set(candidates))
 
 
@@ -91,7 +91,7 @@ def test_injected_corruption_reaches_scrub_fixpoint(seed):
         with inject(plan):
             try:
                 run_workload(hybrid, project, library)
-                hybrid.save_state()  # covers the oms.snapshot point
+                hybrid.save_state()  # checkpoints cover oms.snapshot
             except ReproError:
                 pass  # a verified read may kill the run mid-protocol
 

@@ -15,7 +15,13 @@ import random
 import pytest
 
 from repro.cli import main
-from repro.errors import FMCADError, IntegrityError, QuarantinedError
+from repro.core.coupling import HybridFramework
+from repro.errors import (
+    FMCADError,
+    IntegrityError,
+    QuarantinedError,
+    WALIntegrityError,
+)
 from repro.faults import FaultPlan, MODE_ZERO, damage_bytes, inject
 from repro.fmcad.framework import FMCADFramework
 from repro.integrity import Scrubber
@@ -128,22 +134,40 @@ class TestDetectAndRepair:
         assert report.ok
         assert library.metafile.verify() is None
 
-    def test_snapshot_repaired_from_live_database(self, adopted_cell):
+    def test_wal_checkpoint_repaired_from_live_database(self, adopted_cell):
         hybrid, project, library, _ = adopted_cell
         run_flow(hybrid, project, library)
-        hybrid.save_state()
-        snapshot = hybrid.root / hybrid.SNAPSHOT_NAME
-        snapshot.write_bytes(damaged_copy(snapshot.read_bytes()))
+        checkpoint = hybrid.save_state()
+        live = hybrid.jcf.save_snapshot()
+        checkpoint.write_bytes(damaged_copy(checkpoint.read_bytes()))
 
         scrubber = Scrubber(hybrid.jcf, hybrid.fmcad)
-        assert any(
-            f.area == "snapshot" for f in scrubber.scrub().findings
-        )
+        report = scrubber.scrub()
+        assert not report.ok
+        assert [(f.area, f.location) for f in report.findings] == [
+            ("wal", str(checkpoint))
+        ]
         report = scrubber.scrub(repair=True)
         assert report.ok
-        from repro.oms.snapshot import verify_snapshot_bytes
+        assert [f.action for f in report.findings] == ["repaired"]
+        assert hybrid.jcf.wal.verify() == []
+        assert checkpoint.read_bytes() == live
+        # the healed checkpoint is what a restart recovers from
+        reopened = HybridFramework.reopen(hybrid.root)
+        assert reopened.jcf.save_snapshot() == live
 
-        assert verify_snapshot_bytes(snapshot.read_bytes()) is None
+    def test_torn_wal_log_repaired_from_live_database(self, adopted_cell):
+        hybrid, project, library, _ = adopted_cell
+        run_flow(hybrid, project, library)
+        with open(hybrid.jcf.wal.log_path, "ab") as handle:
+            handle.write(b'{"torn":')
+
+        scrubber = Scrubber(hybrid.jcf, hybrid.fmcad)
+        assert [
+            (f.area, f.classification) for f in scrubber.scrub().findings
+        ] == [("wal", "torn-tail")]
+        assert scrubber.scrub(repair=True).ok
+        assert hybrid.jcf.wal.verify() == []
 
 
 class TestQuarantine:
@@ -236,6 +260,32 @@ class TestQuarantine:
         assert digest not in hybrid.read_cache
         with pytest.raises(FMCADError):
             library.read_version(cellview)
+
+    def test_unhealable_wal_checkpoint_stays_in_place(
+        self, adopted_cell, monkeypatch
+    ):
+        """Moving a checkpoint away would let recovery replay a log that
+        does not reach back to an empty database: it stays reported."""
+        hybrid, project, library, _ = adopted_cell
+        run_flow(hybrid, project, library)
+        checkpoint = hybrid.save_state()
+        checkpoint.write_bytes(damaged_copy(checkpoint.read_bytes()))
+
+        def failing_checkpoint(database):
+            raise WALIntegrityError("disk refuses", classification="bit-rot")
+
+        monkeypatch.setattr(hybrid.jcf.wal, "checkpoint", failing_checkpoint)
+        scrubber = Scrubber(hybrid.jcf, hybrid.fmcad)
+        report = scrubber.scrub(repair=True)
+        assert not report.ok
+        assert [(f.area, f.action) for f in report.findings] == [
+            ("wal", "detected")
+        ]
+        assert checkpoint.exists()
+        assert scrubber.quarantined() == {}
+        assert any(
+            f.category == "wal-integrity" for f in hybrid.audit().findings
+        )
 
     def test_closed_library_with_ruined_meta_is_quarantined(self, jcf, tmp_path):
         fmcad = FMCADFramework(tmp_path / "fmcad")

@@ -191,6 +191,29 @@ class TestDamage:
         assert wal2.verify() == []
         assert wal2.repair() == []
 
+    def test_reserialised_record_is_damage(self, simple_schema, tmp_path):
+        """The digest covers the bytes written, not just their meaning."""
+        root = tmp_path / "wal"
+        wal, db, _ = open_wal(simple_schema, root)
+        db.create("Thing", {"name": "a"})
+        record = json.loads((root / LOG_NAME).read_bytes())
+        (root / LOG_NAME).write_bytes(
+            json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+            + b"\n"
+        )
+        assert WriteAheadLog(root).verify() == [
+            (str(root / LOG_NAME), "torn-tail")
+        ]
+
+    def test_digest_marker_inside_a_value_replays(
+        self, simple_schema, tmp_path
+    ):
+        root = tmp_path / "wal"
+        wal, db, _ = open_wal(simple_schema, root)
+        db.create("Thing", {"name": 'x, "sha256": "y"}'})
+        assert WriteAheadLog(root).verify() == []
+        assert reopened_dump(simple_schema, root) == dump_snapshot(db)
+
     def test_mid_file_damage_raises(self, simple_schema, tmp_path):
         root = tmp_path / "wal"
         wal, db, _ = open_wal(simple_schema, root)
