@@ -1,4 +1,4 @@
-"""E36f — killing the read-path tax: cache, striped locks, reflinks, memo.
+"""E36f — killing the read-path tax: cache, shared-lock reads, reflinks, memo.
 
 Section 3.6 charges the hybrid framework for moving design data "to and
 from the database via the UNIX file system" even for read-only access.
@@ -9,9 +9,9 @@ the read-path work buys back:
 1. **cold vs warm materialization** — a verified read pays
    reconstruction plus a SHA-256; a warm read is served from the
    digest-keyed materialization cache.  Warm must be >= 5x cold;
-2. **reader scaling under striped locks** — N threads reading N
-   different payloads progress together under per-digest stripes where
-   a store-wide mutex serialises them.  Wall-clock scaling is reported
+2. **reader scaling under the shared digest lock** — N threads reading
+   N different payloads progress together holding the store's
+   reader/writer lock shared, where a store-wide mutex serialises them.  Wall-clock scaling is reported
    (and asserted only on machines with >= 4 cores — a 1-CPU runner
    cannot exhibit it); the deterministic lane-model makespan carries
    the claim everywhere: concurrent readers cost max(reader) instead
@@ -112,7 +112,7 @@ def run_cache_arm() -> Dict[str, float]:
     }
 
 
-# -- experiment 2: reader scaling under striped digest locks ------------------
+# -- experiment 2: reader scaling under the shared digest lock ----------------
 
 
 class _GlobalLockStore(BlobStore):
@@ -154,15 +154,15 @@ def run_scaling_arm() -> Tuple[List[List[str]], Dict[str, float]]:
     rows = []
     metrics: Dict[str, float] = {}
     for threads in THREAD_COUNTS:
-        striped_store, digests = _filled_store(cache=False)
-        striped_ms = _timed_readers(striped_store, digests, threads)
+        shared_store, digests = _filled_store(cache=False)
+        shared_ms = _timed_readers(shared_store, digests, threads)
         global_store, digests = _filled_store(
             cache=False, store=_GlobalLockStore()
         )
         global_ms = _timed_readers(global_store, digests, threads)
 
         # deterministic lane model of the same workload: each reader is
-        # a lane charging native I/O for its reads; striped locks let
+        # a lane charging native I/O for its reads; a shared lock lets
         # lanes overlap (makespan = slowest lane) where a store-wide
         # lock serialises every reconstruction (makespan = sum)
         clock = SimClock()
@@ -178,13 +178,13 @@ def run_scaling_arm() -> Tuple[List[List[str]], Dict[str, float]]:
             serialized.charge_native_io(PAYLOAD_BYTES, files=1)
         serial_makespan = serialized.now_ms
 
-        metrics[f"wall_striped_{threads}"] = striped_ms
+        metrics[f"wall_shared_{threads}"] = shared_ms
         metrics[f"wall_global_{threads}"] = global_ms
-        metrics[f"lane_striped_{threads}"] = lane_makespan
+        metrics[f"lane_shared_{threads}"] = lane_makespan
         metrics[f"lane_serial_{threads}"] = serial_makespan
         rows.append([
             str(threads),
-            f"{striped_ms:,.1f}",
+            f"{shared_ms:,.1f}",
             f"{global_ms:,.1f}",
             f"{lane_makespan:,.1f}",
             f"{serial_makespan:,.1f}",
@@ -292,7 +292,7 @@ def run_bench() -> Tuple[str, Dict[str, float]]:
     memo = run_memo_arm()
 
     report = (
-        "E36f (Section 3.6) — the read path: cache, striped locks, "
+        "E36f (Section 3.6) — the read path: cache, shared-lock reads, "
         "reflinks, memo\n\n"
         f"1. cold vs warm verified materialization "
         f"({N_PAYLOADS} x {PAYLOAD_BYTES >> 10} KiB payloads)\n\n"
@@ -312,7 +312,7 @@ def run_bench() -> Tuple[str, Dict[str, float]]:
     report += format_table(
         [
             "threads",
-            "striped wall ms",
+            "shared-lock wall ms",
             "global-lock wall ms",
             "lane makespan ms",
             "serialized ms",
@@ -322,11 +322,11 @@ def run_bench() -> Tuple[str, Dict[str, float]]:
     threads = THREAD_COUNTS[-1]
     lane_scaling = (
         scaling[f"lane_serial_{threads}"]
-        / scaling[f"lane_striped_{threads}"]
+        / scaling[f"lane_shared_{threads}"]
     )
     report += (
-        "\n\nthe lane model is the deterministic claim: per-digest "
-        "stripes let N readers\ncost max(reader) instead of sum"
+        "\n\nthe lane model is the deterministic claim: a shared "
+        "read lock lets N readers\ncost max(reader) instead of sum"
         f"(readers) — {lane_scaling:.0f}x at {threads} threads.  "
         "Wall-clock\nscaling needs real cores and is asserted only "
         "where cpu_count >= 4.\n\n"
@@ -390,16 +390,16 @@ def run_bench() -> Tuple[str, Dict[str, float]]:
     assert cache["speedup"] >= 5.0, (
         f"cache speedup only {cache['speedup']:.1f}x"
     )
-    # (2) striped readers: the deterministic lane-model claim holds
+    # (2) shared-lock readers: the deterministic lane-model claim holds
     # everywhere; the wall-clock claim needs actual cores
     assert lane_scaling >= 3.0, (
         f"lane-model scaling only {lane_scaling:.1f}x at {threads} threads"
     )
     cores = os.cpu_count() or 1
     if cores >= 4:
-        wall_throughput_1 = 1000.0 / scaling["wall_striped_1"]
+        wall_throughput_1 = 1000.0 / scaling["wall_shared_1"]
         wall_throughput_n = (
-            threads * 1000.0 / scaling[f"wall_striped_{threads}"]
+            threads * 1000.0 / scaling[f"wall_shared_{threads}"]
         )
         assert wall_throughput_n >= 3.0 * wall_throughput_1, (
             f"{threads}-thread wall throughput only "

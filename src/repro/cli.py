@@ -169,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shards", type=int, default=2,
-        help="independent library shards (lock manager + commit scope each)",
+        help="independent library shards (batch queue + commit scope each)",
     )
     serve.add_argument(
         "--max-batch", type=int, default=16,

@@ -32,8 +32,8 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import threading
-from collections import Counter, deque
-from typing import Deque, Dict, List, Optional, Tuple
+from collections import Counter
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,12 +69,6 @@ class CostModel:
     #: group-commit benchmark sets it non-zero to show that a wave of N
     #: runs pays this once, not N times.
     commit_flush_ms: float = 0.0
-
-
-#: default ring-buffer capacity for per-charge event records.  Category
-#: totals and the running clock are exact regardless; only the itemised
-#: event trail is bounded.
-DEFAULT_MAX_EVENTS = 65536
 
 
 class Lane:
@@ -182,20 +176,10 @@ class SimClock:
     clock (see the module docstring for the makespan accounting model).
     """
 
-    def __init__(
-        self,
-        cost_model: Optional[CostModel] = None,
-        record_events: bool = True,
-        max_events: Optional[int] = DEFAULT_MAX_EVENTS,
-    ) -> None:
+    def __init__(self, cost_model: Optional[CostModel] = None) -> None:
         self.cost_model = cost_model or CostModel()
-        #: set False to skip per-charge event records entirely (accounting
-        #: totals are always kept)
-        self.record_events = record_events
         self._now_ms: float = 0.0
         self._by_category: Counter = Counter()
-        self._events: Deque[Tuple[float, str, float]] = deque(maxlen=max_events)
-        self._events_seen = 0
         self._lock = threading.RLock()
         self._binding = _LaneBinding()
 
@@ -218,28 +202,6 @@ class SimClock:
         """Total charged milliseconds per category (summed across lanes)."""
         with self._lock:
             return dict(self._by_category)
-
-    @property
-    def events(self) -> List[Tuple[float, str, float]]:
-        """Chronological ``(timestamp_ms, category, charged_ms)`` records.
-
-        Bounded: only the most recent ``max_events`` are retained.  Use
-        :meth:`events_dropped` to see how many older records were evicted;
-        accounting totals are unaffected by eviction.
-        """
-        with self._lock:
-            return list(self._events)
-
-    @property
-    def events_recorded(self) -> int:
-        """Total number of events ever recorded (including evicted ones)."""
-        return self._events_seen
-
-    @property
-    def events_dropped(self) -> int:
-        """Events evicted from the bounded ring buffer."""
-        with self._lock:
-            return self._events_seen - len(self._events)
 
     # -- lanes -------------------------------------------------------------
 
@@ -313,9 +275,6 @@ class SimClock:
                 self._now_ms += milliseconds
                 timestamp = self._now_ms
             self._by_category[category] += milliseconds
-            if self.record_events:
-                self._events.append((timestamp, category, milliseconds))
-                self._events_seen += 1
             return timestamp
 
     def charge_metadata_op(self, count: int = 1) -> float:
@@ -379,8 +338,6 @@ class SimClock:
         with self._lock:
             self._now_ms = 0.0
             self._by_category.clear()
-            self._events.clear()
-            self._events_seen = 0
 
 
 class _LaneContext:

@@ -8,7 +8,6 @@ language, ITC).  See ``examples/quickstart.py`` for a guided tour.
 
 from __future__ import annotations
 
-import os
 import pathlib
 from typing import Any, Dict, Optional
 
@@ -33,7 +32,7 @@ from repro.jcf.flows import FlowDef, standard_encapsulation_flow
 from repro.jcf.triggers import TriggerRegistry
 from repro.jcf.framework import JCFFramework
 from repro.jcf.project import JCFCellVersion, JCFProject
-from repro.oms.readcache import DEFAULT_BUDGET_BYTES, MaterializationCache
+from repro.oms.readcache import MaterializationCache
 from repro.oms.wal import WriteAheadLog
 
 #: the WAL directory lives inside the JCF subtree, next to staging
@@ -71,11 +70,6 @@ class HybridFramework:
         ``"full"`` (fsync files and directories on every durable write),
         ``"relaxed"`` (same write sequence, fsyncs skipped) or ``None``
         to follow the process default (see :mod:`repro.oms.durable`).
-    read_cache_bytes:
-        Byte budget of the shared materialization cache serving verified
-        payload and version reads.  ``None`` (default) consults the
-        ``REPRO_READ_CACHE_BYTES`` environment knob and falls back to
-        64 MiB; ``0`` disables the cache.
     """
 
     def __init__(
@@ -89,7 +83,6 @@ class HybridFramework:
         administrator: str = "admin",
         persistence: str = "wal",
         durability: Optional[str] = None,
-        read_cache_bytes: Optional[int] = None,
     ) -> None:
         if persistence != "wal":
             raise ValueError(
@@ -112,7 +105,7 @@ class HybridFramework:
         self.fmcad = FMCADFramework(self.root / "fmcad", clock=self.clock)
         # wire the read path before opening any library so each one
         # picks up the shared cache
-        self._wire_read_path(read_cache_bytes)
+        self._wire_read_path()
         for library_name in self.fmcad.known_library_names():
             self.fmcad.open_library(library_name)
         self.mapper = DataModelMapper(self.jcf, self.fmcad)
@@ -168,19 +161,7 @@ class HybridFramework:
 
     # -- read path ----------------------------------------------------------------
 
-    @staticmethod
-    def _resolve_cache_budget(read_cache_bytes: Optional[int]) -> int:
-        if read_cache_bytes is not None:
-            return read_cache_bytes
-        env = os.environ.get("REPRO_READ_CACHE_BYTES", "")
-        if env:
-            try:
-                return int(env)
-            except ValueError:
-                pass
-        return DEFAULT_BUDGET_BYTES
-
-    def _wire_read_path(self, read_cache_bytes: Optional[int]) -> None:
+    def _wire_read_path(self) -> None:
         """Attach the shared read cache to both frameworks.
 
         One digest-keyed :class:`MaterializationCache` serves both
@@ -189,12 +170,8 @@ class HybridFramework:
         hit everywhere.  Must run before any FMCAD library is opened so
         every library picks the cache up.
         """
-        budget = self._resolve_cache_budget(read_cache_bytes)
-        self.read_cache = (
-            MaterializationCache(budget) if budget > 0 else None
-        )
-        if self.read_cache is not None:
-            self.jcf.db.attach_read_cache(self.read_cache)
+        self.read_cache = MaterializationCache()
+        self.jcf.db.attach_read_cache(self.read_cache)
         self.fmcad.read_cache = self.read_cache
 
     # -- environment setup --------------------------------------------------------
@@ -344,7 +321,6 @@ class HybridFramework:
         enable_hierarchy_procedural_interface: bool = False,
         administrator: str = "admin",
         durability: Optional[str] = None,
-        read_cache_bytes: Optional[int] = None,
     ) -> "HybridFramework":
         """Restart a hybrid environment from its on-disk state: recover
         the JCF state from the write-ahead log, reopen every FMCAD
@@ -365,7 +341,6 @@ class HybridFramework:
             ),
             administrator=administrator,
             durability=durability,
-            read_cache_bytes=read_cache_bytes,
         )
 
     # -- crash recovery ---------------------------------------------------------------------
@@ -405,7 +380,7 @@ class HybridFramework:
 
     def read_path_stats(self) -> Dict[str, Any]:
         """Read-path effectiveness: cache, memo, reflink clones."""
-        report: Dict[str, Any] = {
+        return {
             "query_memo": self.jcf.query.memo_stats(),
             "staging_reflinks": (
                 self.jcf.staging.accounting()["export_reflinks"]
@@ -417,7 +392,5 @@ class HybridFramework:
                 library.cache_reads
                 for library in self.fmcad._libraries.values()
             ),
+            "cache": self.read_cache.stats(),
         }
-        if self.read_cache is not None:
-            report["cache"] = self.read_cache.stats()
-        return report

@@ -161,9 +161,9 @@ class BlobStore:
         #: Held only for table lookups/mutations — reconstruction,
         #: hashing and encoding all run outside it (see _digest_locks).
         self._lock = threading.RLock()
-        #: per-digest striped read/write locks: N readers of N digests
-        #: proceed concurrently; repair/quarantine of a digest excludes
-        #: its readers.  Always acquired OUTSIDE self._lock.
+        #: the read path's reader/writer lock: N readers of N digests
+        #: proceed concurrently; repair/quarantine excludes every
+        #: reader.  Always acquired OUTSIDE self._lock.
         self._digest_locks = DigestLockTable()
         #: shared materialization cache (attach_cache); digest-keyed,
         #: verified bytes only
@@ -292,7 +292,7 @@ class BlobStore:
             return self._materialize_held(digest, verify)
 
     def _materialize_held(self, digest: str, verify: bool) -> bytes:
-        """Materialize while the caller holds the digest's stripe read."""
+        """Materialize while the caller holds the digest lock shared."""
         with self._lock:
             target = self._require(digest)
             self._refuse_quarantined(digest, target)
@@ -394,7 +394,7 @@ class BlobStore:
             if entry.refcount > 1:
                 entry.refcount -= 1
                 return None
-        # last reference: the verified read takes the digest's stripe,
+        # last reference: the verified read takes the digest lock,
         # so it must run outside the table lock; re-check after
         data = self.materialize(digest)
         with self._lock:
@@ -464,7 +464,7 @@ class BlobStore:
                 location=f"blob:{digest}",
                 classification=CLASS_BIT_ROT,
             )
-        # the digest's write stripe excludes every in-flight read: no
+        # the exclusive digest lock excludes every in-flight read: no
         # reader can observe the entry mid-swap or cache the
         # pre-repair bytes after we invalidate
         with self._digest_locks.writing(digest):
@@ -488,7 +488,7 @@ class BlobStore:
     def quarantine(self, digest: str) -> None:
         """Mark an unrepairable entry: reads raise, scrub skips it.
 
-        Takes the digest's write stripe and drops any cached bytes, so a
+        Takes the digest lock exclusively and drops any cached bytes, so a
         reader that raced us either finished before the quarantine or
         will see :class:`QuarantinedError` — never a cache hit on
         known-bad bytes.

@@ -19,7 +19,7 @@ from repro.errors import (
 from repro.ids import IdAllocator, sort_key
 from repro.oms.blobs import BlobStat, BlobStore, PayloadHandle
 from repro.oms.links import LinkStore
-from repro.oms.locks import LockManager, ShardedLockManager
+from repro.oms.locks import LockManager
 from repro.oms.objects import OMSObject
 from repro.oms.schema import RelationshipDef, Schema
 from repro.oms.transactions import GroupCommit, Transaction
@@ -166,19 +166,6 @@ class OMSDatabase:
 
     def _bump_epoch(self) -> None:
         self.mutation_epoch += 1
-
-    def shard_locks(self, shard_of, shards: int) -> ShardedLockManager:
-        """Swap the run-level lock manager for a sharded router.
-
-        *shard_of* maps a lock key to a shard id in ``0..shards-1`` (the
-        design server passes its consistent-hash map).  The router keeps
-        the :class:`LockManager` interface, so the scheduler and the
-        stats paths are oblivious.  Counters of the replaced manager are
-        discarded — install the router before serving traffic.
-        """
-        router = ShardedLockManager(shard_of, shards)
-        self.locks = router
-        return router
 
     # -- write-ahead log -------------------------------------------------------
 

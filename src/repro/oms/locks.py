@@ -27,18 +27,8 @@ wave's deterministic commit ordering.
 from __future__ import annotations
 
 import threading
-import zlib
 from contextlib import contextmanager
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import LockContentionError
 from repro.ids import sort_key
@@ -139,59 +129,40 @@ class RWLock:
 
 
 class DigestLockTable:
-    """Striped per-digest read/write locks for the blob read path.
+    """The blob read path's reader/writer lock.
 
     The blob store's internal mutex makes each primitive atomic, but it
-    also *serialises* them — N readers reconstructing N different
-    payloads queue behind one lock.  This table hands each digest a
-    (striped) :class:`RWLock`: readers of any digest proceed together,
-    while repair/quarantine of a digest takes its write lock and is
-    therefore mutually exclusive with every in-flight read of that
-    digest — a reader can never observe a half-repaired entry or cache
-    bytes that were just quarantined.
+    also *serialises* them — N readers reconstructing N payloads would
+    queue behind one lock.  This table holds one :class:`RWLock` per
+    store instead: readers of any digest hold it together, while
+    repair/quarantine takes it exclusively and is therefore mutually
+    exclusive with every in-flight read — a reader can never observe a
+    half-repaired entry or cache bytes that were just quarantined.
 
-    Stripes bound memory: digests hash onto a fixed array of locks, so
-    two digests may share a stripe (spurious contention, never a
-    correctness issue).  Lock-ordering discipline for users: a stripe
-    lock is always acquired OUTSIDE the store mutex, never while
-    holding it.
+    Lock-ordering discipline for users: this lock is always acquired
+    OUTSIDE the store mutex, never while holding it.
     """
 
-    DEFAULT_STRIPES = 64
-
-    def __init__(self, stripes: int = DEFAULT_STRIPES) -> None:
-        if stripes < 1:
-            raise ValueError(f"need at least one stripe: {stripes!r}")
-        self._stripes: Tuple[RWLock, ...] = tuple(
-            RWLock(f"digest-stripe-{index}") for index in range(stripes)
-        )
-
-    def stripe_for(self, digest: str) -> RWLock:
-        index = zlib.crc32(digest.encode("ascii")) % len(self._stripes)
-        return self._stripes[index]
+    def __init__(self) -> None:
+        self._lock = RWLock("blob-digests")
 
     @contextmanager
     def reading(self, digest: str) -> Iterator[RWLock]:
-        """Shared hold on *digest* for the duration of the block."""
-        lock = self.stripe_for(digest)
-        lock.acquire_read()
+        """Shared hold covering a read of *digest*."""
+        self._lock.acquire_read()
         try:
-            yield lock
+            yield self._lock
         finally:
-            lock.release_read()
+            self._lock.release_read()
 
     @contextmanager
     def writing(self, digest: str) -> Iterator[RWLock]:
-        """Exclusive hold on *digest* (repair/quarantine/invalidate)."""
-        lock = self.stripe_for(digest)
-        lock.acquire_write()
+        """Exclusive hold for repair/quarantine of *digest*."""
+        self._lock.acquire_write()
         try:
-            yield lock
+            yield self._lock
         finally:
-            lock.release_write()
-
-    def __len__(self) -> int:
-        return len(self._stripes)
+            self._lock.release_write()
 
 
 class Acquisition:
@@ -312,154 +283,3 @@ class LockManager:
                 "acquisitions": self.acquisitions,
                 "contentions": self.contentions,
             }
-
-
-class CompositeAcquisition:
-    """Locks granted across several shard managers; strict LIFO release."""
-
-    def __init__(self, parts: List[Acquisition]) -> None:
-        #: per-shard acquisitions in ascending shard order
-        self._parts = parts
-        self._released = False
-
-    @property
-    def keys(self) -> List[Tuple[str, str]]:
-        return [pair for part in self._parts for pair in part.keys]
-
-    def release(self) -> None:
-        if self._released:
-            return
-        self._released = True
-        for part in reversed(self._parts):
-            part.release()
-
-    def __enter__(self) -> "CompositeAcquisition":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release()
-
-
-class ShardedLockManager:
-    """Routes each lock key to an independent per-shard :class:`LockManager`.
-
-    The design-server seam: with one global ``LockManager`` every team's
-    acquisitions serialise through one bookkeeping mutex and one lock
-    namespace.  A ``ShardedLockManager`` gives each shard (assigned by a
-    caller-provided ``shard_of(key)`` function — in practice the server's
-    consistent-hash map over library names) its own manager, so teams on
-    different shards never touch each other's lock tables.
-
-    Deadlock freedom is preserved by a two-level total order: shards are
-    acquired in ascending shard id (the "ordered two-shard path" for the
-    rare cross-shard request), and keys within a shard in the usual
-    :func:`repro.ids.sort_key` order.  Every acquirer uses the same
-    order, so no cycle of waiters can form even across shards.
-
-    The facade keeps :class:`LockManager`'s interface (``acquire``,
-    ``acquiring``, ``lock_for``, ``stats``) so ``OMSDatabase.locks`` can
-    be swapped without touching the scheduler.
-    """
-
-    def __init__(
-        self,
-        shard_of: Callable[[str], int],
-        shards: int,
-    ) -> None:
-        if shards < 1:
-            raise ValueError(f"need at least one shard: {shards!r}")
-        self.shard_of = shard_of
-        self._managers: Tuple[LockManager, ...] = tuple(
-            LockManager() for _ in range(shards)
-        )
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._managers)
-
-    def manager(self, shard_id: int) -> LockManager:
-        """The underlying per-shard manager (tests, stats drill-down)."""
-        return self._managers[shard_id]
-
-    def _route(self, key: str) -> int:
-        shard = self.shard_of(key)
-        if not 0 <= shard < len(self._managers):
-            raise ValueError(
-                f"shard_of({key!r}) = {shard!r} outside 0..{len(self._managers) - 1}"
-            )
-        return shard
-
-    def lock_for(self, key: str) -> RWLock:
-        return self._managers[self._route(key)].lock_for(key)
-
-    def acquire(
-        self,
-        read: Iterable[str] = (),
-        write: Iterable[str] = (),
-        blocking: bool = True,
-        timeout: Optional[float] = None,
-    ) -> CompositeAcquisition:
-        """Acquire keys shard by shard in ascending shard id.
-
-        Within each shard the per-shard manager applies its own
-        ``sort_key`` order.  On refusal, shards already granted are
-        released in reverse before the error propagates — exactly the
-        all-or-nothing contract of :meth:`LockManager.acquire`.
-        """
-        write_keys = set(write)
-        modes: Dict[str, str] = {key: "read" for key in read}
-        modes.update({key: "write" for key in write_keys})
-        by_shard: Dict[int, Dict[str, List[str]]] = {}
-        for key, mode in modes.items():
-            bucket = by_shard.setdefault(
-                self._route(key), {"read": [], "write": []}
-            )
-            bucket[mode].append(key)
-        parts: List[Acquisition] = []
-        try:
-            for shard_id in sorted(by_shard):
-                bucket = by_shard[shard_id]
-                parts.append(
-                    self._managers[shard_id].acquire(
-                        read=bucket["read"],
-                        write=bucket["write"],
-                        blocking=blocking,
-                        timeout=timeout,
-                    )
-                )
-        except LockContentionError:
-            for part in reversed(parts):
-                part.release()
-            raise
-        return CompositeAcquisition(parts)
-
-    @contextmanager
-    def acquiring(
-        self,
-        read: Iterable[str] = (),
-        write: Iterable[str] = (),
-        blocking: bool = True,
-        timeout: Optional[float] = None,
-    ) -> Iterator[CompositeAcquisition]:
-        """``with``-style :meth:`acquire`."""
-        acquisition = self.acquire(
-            read=read, write=write, blocking=blocking, timeout=timeout
-        )
-        try:
-            yield acquisition
-        finally:
-            acquisition.release()
-
-    def stats(self) -> Dict[str, object]:
-        """Aggregate totals plus a per-shard breakdown under ``"shards"``."""
-        per_shard = {
-            shard_id: manager.stats()
-            for shard_id, manager in enumerate(self._managers)
-        }
-        totals = {
-            "locks": sum(s["locks"] for s in per_shard.values()),
-            "acquisitions": sum(s["acquisitions"] for s in per_shard.values()),
-            "contentions": sum(s["contentions"] for s in per_shard.values()),
-        }
-        totals["shards"] = per_shard
-        return totals

@@ -26,8 +26,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional
 
-#: default budget wired by HybridFramework (overridable per instance
-#: and via the REPRO_READ_CACHE_BYTES env knob)
+#: default byte budget (the one HybridFramework wires)
 DEFAULT_BUDGET_BYTES = 64 * 1024 * 1024
 
 

@@ -180,9 +180,6 @@ class ServeEngine:
         #: in threaded mode) — the asyncio front end resolves waiters
         self.on_batch_complete = None
         self.shard_map = ShardMap(shards)
-        # the refactor seam: swap the database's global lock manager for
-        # per-shard managers routed by the same map that places batches
-        self.db.shard_locks(self.shard_map.shard_of_key, shards)
         #: simulated instant the serving timeline starts; every shard
         #: lane opens here so lane ends are comparable
         self.epoch_ms = self.clock.now_ms

@@ -2,8 +2,11 @@
 
 Sharding is **per library**: the unit of team collaboration in the
 coupled framework is the FMCAD library a team works in, so routing by
-library name puts each team's whole lock namespace, commit coalescing
-and batch execution on one shard — independent teams never contend.
+library name puts each team's commit coalescing and batch execution on
+one shard — independent teams never share a queue.  Run-level locks are
+not sharded: every shard acquires through the database's one
+:class:`~repro.oms.locks.LockManager`, whose global ``sort_key`` order
+keeps acquisitions deadlock-free across libraries and so across shards.
 
 Consistent hashing (a ring of virtual nodes per shard) keeps the map
 stable under resizing: growing from N to N+1 shards moves roughly
@@ -27,7 +30,7 @@ def _point(token: str) -> int:
 
 
 class ShardMap:
-    """Maps library names (and lock keys) to shard ids ``0..shards-1``."""
+    """Maps library names to shard ids ``0..shards-1``."""
 
     #: virtual nodes per shard; enough to keep the split within a few
     #: percent of even for realistic library counts
@@ -62,20 +65,6 @@ class ShardMap:
         if index == len(self._ring_points):
             index = 0
         return self._ring_shards[index]
-
-    def shard_of_key(self, lock_key: str) -> int:
-        """Route a lock-manager key.
-
-        The scheduler's run-level keys are ``cell/<library>/<cell>``;
-        those route by their library segment so a library's whole lock
-        namespace lives on one shard.  Any other key shape routes by its
-        full text — deterministic, if arbitrary.
-        """
-        if lock_key.startswith("cell/"):
-            parts = lock_key.split("/", 2)
-            if len(parts) == 3:
-                return self.shard_of_library(parts[1])
-        return self.shard_of_library(lock_key)
 
     def spread(self, library_names: Iterable[str]) -> Dict[int, int]:
         """How many of *library_names* land on each shard (diagnostics)."""

@@ -1,20 +1,22 @@
-"""The blob read path: cache, striped locks, reflinks, and concurrency.
+"""The blob read path: cache, the digest lock, reflinks, and concurrency.
 
 Covers the legs of the read-path work:
 
 * **the materialization cache** — verified-bytes-only, digest-keyed,
   byte-budgeted LRU, invalidated by repair and quarantine (a cached
   read of a quarantined digest raises, never serves);
-* **per-digest locking** — readers of other digests make progress while
-  a large intern encodes, and while ``read_staged`` hangs on a slow
-  file; repair/quarantine exclude in-flight readers of their digest;
+* **the digest lock** — readers share it, so readers of other digests
+  make progress while a large intern encodes, and while ``read_staged``
+  hangs on a slow file; repair/quarantine exclude in-flight readers;
 * **reflink clones** — writable staging exports of a same-digest peer
   and FMCAD checkouts share extents on a private inode where the
   filesystem can reflink (a copying stand-in plays that filesystem
   here), and write the bytes themselves where it cannot.
 """
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -35,15 +37,10 @@ def store():
     return BlobStore()
 
 
-# -- striped digest locks -----------------------------------------------------
+# -- the digest lock ----------------------------------------------------------
 
 
 class TestDigestLockTable:
-    def test_stripe_is_stable(self):
-        table = DigestLockTable()
-        digest = digest_bytes(b"x")
-        assert table.stripe_for(digest) is table.stripe_for(digest)
-
     def test_reading_is_shared(self):
         table = DigestLockTable()
         digest = digest_bytes(b"x")
@@ -67,18 +64,20 @@ class TestDigestLockTable:
         assert entered.wait(2.0)
         thread.join()
 
-    def test_different_digests_usually_different_stripes(self):
+    def test_readers_of_other_digests_share_across_threads(self):
         table = DigestLockTable()
-        stripes = {
-            table.stripe_for(digest_bytes(bytes([i])))
-            for i in range(64)
-        }
-        # crc32 striping must actually spread digests out
-        assert len(stripes) > 32
+        entered = threading.Event()
 
-    def test_rejects_zero_stripes(self):
-        with pytest.raises(ValueError):
-            DigestLockTable(stripes=0)
+        def reader():
+            with table.reading(digest_bytes(b"y")):
+                entered.set()
+
+        with table.reading(digest_bytes(b"x")):
+            thread = threading.Thread(target=reader)
+            thread.start()
+            assert entered.wait(2.0)
+        thread.join(10.0)
+        assert not thread.is_alive()
 
 
 # -- the materialization cache ------------------------------------------------
@@ -177,6 +176,60 @@ class TestCachedMaterialize:
         verifications = store.verifications
         assert store.materialize(digest) == PAYLOAD
         assert store.verifications == verifications + 1
+
+    def test_quarantine_racing_readers_leaves_nothing_cached(self, store):
+        """Quarantine excludes in-flight readers: once it returns, no
+        reader that passed the quarantine check before it can put the
+        digest's bytes back into the cache."""
+
+        class _YieldingCache(MaterializationCache):
+            # widen the gap between a reader's quarantine check and its
+            # cache lookup, where an unexcluded quarantine would land
+            def get(self, digest):
+                time.sleep(0.0001)
+                return super().get(digest)
+
+        cache = _YieldingCache()
+        store.attach_cache(cache)
+        payloads = {store.intern(PAYLOAD + bytes([i])): PAYLOAD + bytes([i])
+                    for i in range(24)}
+        digests = list(payloads)
+        stop = threading.Event()
+        wrong = []
+
+        def read(offset):
+            index = offset
+            while not stop.is_set():
+                digest = digests[index % len(digests)]
+                try:
+                    if store.materialize(digest) != payloads[digest]:
+                        wrong.append(digest)
+                except QuarantinedError:
+                    pass
+                index += 1
+                # leave gaps so the quarantining writer gets its turn
+                time.sleep(0.0002)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [
+            threading.Thread(target=read, args=(offset,))
+            for offset in range(6)
+        ]
+        try:
+            for reader in readers:
+                reader.start()
+            for digest in digests:
+                time.sleep(0.002)
+                store.quarantine(digest)
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(10.0)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert wrong == []
+        assert [digest for digest in digests if digest in cache] == []
 
     def test_cache_shared_across_digests_within_budget(self, store):
         cache = MaterializationCache(budget_bytes=len(PAYLOAD) + 16)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import shutil
+import threading
 
 import pytest
 
-from repro.errors import ServerOverloadError, SessionError
+from repro.errors import LockContentionError, ServerOverloadError, SessionError
+from repro.oms.locks import LockManager
 from repro.server.engine import ServeEngine
 from repro.workloads.loadgen import (
     ScenarioSpec,
@@ -214,3 +216,43 @@ class TestDrain:
         engine.close()
         assert report.ok == SPEC.total_runs
         assert hybrid.audit().clean
+
+
+class TestRunLocks:
+    """Every served run acquires through the database's one lock manager."""
+
+    def test_lock_taken_before_engine_still_excludes(self, scenario):
+        hybrid, plans = scenario
+        key = f"cell/{plans[0].library}/{plans[0].cells[0]}"
+        held = hybrid.jcf.db.locks.acquire(write=(key,))
+        ServeEngine(hybrid, shards=2)
+        refused = []
+
+        def contend():
+            try:
+                hybrid.jcf.db.locks.acquire(write=(key,), blocking=False)
+            except LockContentionError:
+                refused.append(key)
+
+        thread = threading.Thread(target=contend)
+        thread.start()
+        thread.join(10.0)
+        held.release()
+        assert not thread.is_alive()
+        assert refused == [key]
+
+    def test_threaded_replay_counts_on_the_database_manager(self, scenario):
+        hybrid, plans = scenario
+        manager = hybrid.jcf.db.locks
+        assert type(manager) is LockManager
+        before = manager.stats()["acquisitions"]
+        engine = ServeEngine(
+            hybrid, shards=2, max_batch=3, window_ms=50.0, concurrent=True
+        )
+        report = replay_engine(engine, plans, SPEC)
+        engine.close()
+        assert report.ok == SPEC.total_runs
+        assert hybrid.jcf.db.locks is manager
+        locks = engine.stats()["locks"]
+        assert locks["acquisitions"] - before == SPEC.total_runs
+        assert locks["contentions"] == 0

@@ -1,13 +1,9 @@
-"""Consistent-hash shard map and the sharded lock router."""
+"""Consistent-hash shard map."""
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
-from repro.errors import LockContentionError
-from repro.oms.locks import ShardedLockManager
 from repro.server.shards import ShardMap
 
 
@@ -42,109 +38,8 @@ class TestShardMap:
         # modulo hashing would move ~80%)
         assert moved < len(names) // 2
 
-    def test_lock_keys_route_by_library_segment(self):
-        shard_map = ShardMap(8)
-        for lib in ("alpha", "beta", "gamma"):
-            expected = shard_map.shard_of_library(lib)
-            for cell in ("c0", "c1"):
-                assert shard_map.shard_of_key(f"cell/{lib}/{cell}") == expected
-
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             ShardMap(0)
         with pytest.raises(ValueError):
             ShardMap(2, replicas=0)
-
-
-class TestShardedLockManager:
-    def _manager(self, shards=2):
-        shard_map = ShardMap(shards)
-        return ShardedLockManager(shard_map.shard_of_key, shards), shard_map
-
-    def test_keeps_lock_manager_interface(self):
-        manager, _ = self._manager()
-        with manager.acquiring(write=("cell/libA/c0",)):
-            pass
-        stats = manager.stats()
-        assert stats["acquisitions"] == 1
-        assert set(stats["shards"]) == {0, 1}
-
-    def test_routes_keys_to_their_shard_manager(self):
-        manager, shard_map = self._manager(4)
-        key = "cell/libX/c0"
-        shard = shard_map.shard_of_key(key)
-        with manager.acquiring(write=(key,)):
-            pass
-        assert manager.manager(shard).stats()["acquisitions"] == 1
-        for other in range(4):
-            if other != shard:
-                assert manager.manager(other).stats()["acquisitions"] == 0
-
-    def test_cross_shard_acquisition_spans_both(self):
-        """The ordered two-shard path: one call, both shard managers."""
-        shard_map = ShardMap(2)
-        # find two libraries on different shards
-        libs = [f"lib{i}" for i in range(20)]
-        by_shard = {}
-        for lib in libs:
-            by_shard.setdefault(shard_map.shard_of_library(lib), lib)
-        assert set(by_shard) == {0, 1}
-        manager = ShardedLockManager(shard_map.shard_of_key, 2)
-        keys = tuple(f"cell/{lib}/c0" for lib in by_shard.values())
-        with manager.acquiring(write=keys) as acquisition:
-            assert len(acquisition.keys) == 2
-        assert manager.manager(0).stats()["acquisitions"] == 1
-        assert manager.manager(1).stats()["acquisitions"] == 1
-
-    def test_contention_counted_on_owning_shard(self):
-        manager, shard_map = self._manager()
-        key = "cell/libY/c0"
-        shard = shard_map.shard_of_key(key)
-        holder = manager.acquire(write=(key,))
-        taken = threading.Event()
-
-        def contend():
-            with pytest.raises(LockContentionError):
-                manager.acquire(write=(key,), blocking=False)
-            taken.set()
-
-        thread = threading.Thread(target=contend)
-        thread.start()
-        thread.join()
-        assert taken.is_set()
-        holder.release()
-        assert manager.manager(shard).stats()["contentions"] == 1
-
-    def test_failed_cross_shard_releases_earlier_shards(self):
-        shard_map = ShardMap(2)
-        libs = {}
-        for i in range(20):
-            libs.setdefault(shard_map.shard_of_library(f"lib{i}"), f"lib{i}")
-        key0 = f"cell/{libs[0]}/c0"
-        key1 = f"cell/{libs[1]}/c0"
-        manager = ShardedLockManager(shard_map.shard_of_key, 2)
-        blocker_result = {}
-
-        def hold_and_block():
-            # hold the shard-1 key so a cross-shard acquire fails late
-            held = manager.acquire(write=(key1,))
-            blocker_result["held"] = held
-
-        hold_and_block()
-
-        def try_both():
-            with pytest.raises(LockContentionError):
-                manager.acquire(write=(key0, key1), blocking=False)
-
-        thread = threading.Thread(target=try_both)
-        thread.start()
-        thread.join()
-        blocker_result["held"].release()
-        # shard 0 was rolled back: its key is immediately acquirable
-        with manager.acquiring(write=(key0,), blocking=False):
-            pass
-
-    def test_shard_of_out_of_range_rejected(self):
-        manager = ShardedLockManager(lambda key: 99, 2)
-        with pytest.raises(ValueError):
-            manager.acquire(write=("anything",))

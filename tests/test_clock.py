@@ -26,13 +26,6 @@ class TestCharging:
         clock.charge("a", 3.0)
         assert clock.elapsed_by_category() == {"a": 4.0, "b": 2.0}
 
-    def test_events_are_chronological(self):
-        clock = SimClock()
-        clock.charge("a", 1.0)
-        clock.charge("b", 2.0)
-        times = [t for t, _, _ in clock.events]
-        assert times == sorted(times)
-
 
 class TestCostHelpers:
     def test_metadata_op_uses_model_rate(self):
@@ -79,41 +72,6 @@ class TestReset:
         clock.reset()
         assert clock.now_ms == 0.0
         assert clock.elapsed_by_category() == {}
-        assert clock.events == []
-
-class TestBoundedEvents:
-    def test_ring_buffer_truncates_but_totals_survive(self):
-        clock = SimClock(max_events=10)
-        for _ in range(25):
-            clock.charge("a", 1.0)
-        assert len(clock.events) == 10
-        assert clock.events_recorded == 25
-        assert clock.events_dropped == 15
-        # accounting is unaffected by eviction
-        assert clock.now_ms == 25.0
-        assert clock.elapsed_by_category() == {"a": 25.0}
-
-    def test_recording_can_be_disabled(self):
-        clock = SimClock(record_events=False)
-        clock.charge("a", 5.0)
-        assert clock.events == []
-        assert clock.events_recorded == 0
-        assert clock.now_ms == 5.0
-
-    def test_kept_events_are_the_most_recent(self):
-        clock = SimClock(max_events=3)
-        for i in range(6):
-            clock.charge(f"c{i}", 1.0)
-        assert [c for _, c, _ in clock.events] == ["c3", "c4", "c5"]
-
-    def test_reset_zeroes_event_counters(self):
-        clock = SimClock(max_events=4)
-        for _ in range(9):
-            clock.charge("a", 1.0)
-        clock.reset()
-        assert clock.events == []
-        assert clock.events_recorded == 0
-        assert clock.events_dropped == 0
 
 
 class TestLanes:
