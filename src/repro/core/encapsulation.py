@@ -30,6 +30,7 @@ from repro.core.recovery import IntentJournal
 from repro.errors import (
     EncapsulationError,
     FlowOrderError,
+    MetaFileError,
     SchematicError,
 )
 from repro.faults import CrashFault, fault_point, with_retries
@@ -51,6 +52,19 @@ from repro.tools.schematic.editor import SchematicEditor
 from repro.tools.schematic.model import Schematic
 from repro.tools.schematic.netlist import netlist_schematic
 from repro.tools.simulator.testbench import Testbench
+
+
+def publish_meta(library: Library, user: str) -> None:
+    """Flush *library*'s ``.meta``; a held writer lock is an error here.
+
+    Coupled checkins are durable only once ``.meta`` names them, and the
+    WAL record that follows must never log versions it does not name.
+    """
+    if not library.flush_meta(user):
+        raise MetaFileError(
+            f"library {library.name!r}: .meta writer lock is held by "
+            f"{library.metafile.writer!r}; {user!r} cannot publish"
+        )
 
 
 @dataclasses.dataclass
@@ -183,10 +197,11 @@ class _ToolWrapper:
         owns the surrounding OMS transaction and places the ``jcf_oid``
         cross-tags after it commits; each FMCAD version checked in is
         appended to *completed* so the caller can compensate them if the
-        transaction aborts.  A failed checkin or import cancels the
-        checkout ticket (and undoes a half-landed version) instead of
-        leaking it — unless the failure is a simulated crash, which
-        cleans up nothing by definition.
+        transaction aborts.  The library's ``.meta`` is left to the
+        caller, which writes it once per run or per wave.  A failed
+        checkin or import cancels the checkout ticket (and undoes a
+        half-landed version) instead of leaking it — unless the failure
+        is a simulated crash, which cleans up nothing by definition.
         """
         viewtype = viewtype or self.VIEWTYPE
         cell = library.cell(cell_name)
@@ -214,7 +229,6 @@ class _ToolWrapper:
                     library.drop_version(cellview, latest.number)
                 self.fmcad.checkouts.cancel(ticket, library)
             raise
-        library.flush_meta(user)
         fault_point("harvest.before_import")
         dobj = self._ensure_design_object(
             variant, f"{cell_name}/{viewtype}", viewtype
@@ -245,12 +259,20 @@ class _ToolWrapper:
     def _compensate_checkins(
         self, user: str, library: Library, cell_name: str, completed: list
     ) -> None:
-        """Undo FMCAD checkins whose OMS transaction rolled back."""
+        """Undo FMCAD checkins whose OMS transaction rolled back.
+
+        ``.meta`` is rewritten only when it already names a dropped
+        version: a run whose flush never happened has nothing to retract.
+        """
+        named = any(
+            library.meta_names(fmcad_version)
+            for _, fmcad_version in completed
+        )
         for viewtype, fmcad_version in reversed(completed):
             cellview = library.cellview(cell_name, viewtype)
             library.drop_version(cellview, fmcad_version.number)
-        if completed:
-            library.flush_meta(user)
+        if named:
+            publish_meta(library, user)
 
     def _cancel_dangling_tickets(
         self, library: Library, cell_name: str
@@ -409,6 +431,12 @@ class _ToolWrapper:
                                 self._pass_hierarchy_to_jcf(
                                     project, cell_name, primary
                                 )
+                            # one .meta per run, after its version files
+                            # and before its WAL record; a scheduled run
+                            # leaves it to its wave, which writes it once
+                            # for all the wave's runs
+                            if not isinstance(gate, gates.RunGate):
+                                publish_meta(library, user)
                     except CrashFault:
                         raise  # a dead process compensates nothing
                     except Exception:

@@ -26,6 +26,23 @@ no/dead tag and no matching OMS payload     roll back: drop the FMCAD
                                             committed)
 ==========================================  ================================
 
+Two more rows cover a scheduled wave, which writes each touched
+library's ``.meta`` once after all its runs and then appends one WAL
+record for the whole wave — its intents included.  A crash inside the
+wave therefore leaves no pending intent to settle:
+
+==========================================  ================================
+crash point in the wave                     action
+==========================================  ================================
+after the version files, before ``.meta``   reclaim: version files and
+                                            ``.props`` sidecars no record
+                                            names are deleted
+after ``.meta``, before the WAL record      roll back: ``.meta`` names
+                                            versions whose ``jcf_oid`` tag
+                                            no replayed OMS object backs;
+                                            drop them newest-first
+==========================================  ================================
+
 Around that core decision, recovery also cancels dangling checkout
 tickets, closes leaked tool sessions, fails executions left ``running``,
 releases orphaned workspace reservations, reclaims unrecorded staging
@@ -44,7 +61,12 @@ import dataclasses
 import shutil
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import CouplingError, FMCADError, LibraryError
+from repro.errors import (
+    CouplingError,
+    FMCADError,
+    LibraryError,
+    MetaFileError,
+)
 from repro.fmcad.framework import FMCADFramework
 from repro.fmcad.library import Library
 from repro.integrity.scrub import Scrubber
@@ -145,6 +167,8 @@ class RecoveryReport:
     failed_executions: List[str] = dataclasses.field(default_factory=list)
     released_reservations: List[str] = dataclasses.field(default_factory=list)
     reclaimed_staging_files: List[str] = dataclasses.field(default_factory=list)
+    #: version files and sidecars a crash left that no ``.meta`` names
+    reclaimed_fmcad_files: List[str] = dataclasses.field(default_factory=list)
     #: corrupt payloads healed from verified peer copies (integrity scrub)
     repaired_payloads: List[str] = dataclasses.field(default_factory=list)
     #: unrepairable payloads taken out of service, never to be read again
@@ -200,6 +224,7 @@ class CouplingRecovery:
         report = RecoveryReport()
         for intent in self.intents.pending():
             self._recover_intent(intent, report)
+        self._sweep_wave_leftovers(report)
         self._sweep_executions(report)
         self._sweep_tickets(report)
         self._sweep_reservations(report)
@@ -211,6 +236,39 @@ class CouplingRecovery:
         self._sweep_leases(report)
         self._scrub_storage(report)
         return report
+
+    def _sweep_wave_leftovers(self, report: RecoveryReport) -> None:
+        """Undo what a wave that died before its WAL record left in FMCAD.
+
+        The record would have held the wave's intents too, so no intent
+        describes these leftovers.  Versions ``.meta`` names with a dead
+        ``jcf_oid`` tag are dropped (only a chain's newest versions can
+        be such leftovers); files no ``.meta`` names are reclaimed.
+        Intents are settled first, so every tag they could repair is.
+        """
+        libraries, _unopenable = self.fmcad.all_libraries()
+        for library in libraries:
+            dropped = False
+            for cellview in library.cellviews():
+                for version in reversed(list(cellview.versions)):
+                    tag = version.properties.get("jcf_oid")
+                    if not tag or self.jcf.db.exists(tag):
+                        break
+                    library.drop_version(cellview, version.number)
+                    dropped = True
+                    report.deleted_fmcad_versions.append(
+                        f"{library.name}:{cellview.name} v{version.number}"
+                    )
+            if dropped:
+                library.flush_meta(RECOVERY_USER)
+            try:
+                reclaimed = library.reclaim_orphans()
+            except MetaFileError:
+                continue  # a damaged .meta is the storage scrub's finding
+            for path in reclaimed:
+                report.reclaimed_fmcad_files.append(
+                    str(path.relative_to(library.directory.parent))
+                )
 
     def _sweep_flow_instances(self, report: RecoveryReport) -> None:
         """Adopt or compensate flow instances a crash stranded.

@@ -31,6 +31,15 @@ cells and designers — onto a worker pool:
    rather than racing it.
 5. **Group-commit.**  Each wave's metadata transactions coalesce into
    one OMS flush (:meth:`~repro.oms.database.OMSDatabase.group_commit`).
+   The wave also writes each FMCAD library it checked into once: after
+   every run finished, before the group's WAL record.  The order is
+   version files durable, then one ``.meta`` per touched library, then
+   the WAL record, then the ack.  A ``.meta`` flush that fails or is
+   refused leaves the wave committed in memory but not logged, which
+   nothing can undo: the database stops
+   (:meth:`~repro.oms.database.OMSDatabase.fail_stop`), no record is
+   appended, nothing is acked, and the batch raises
+   :class:`~repro.faults.FailStop` until a reopen and ``recover()``.
 6. **Accounting.**  Each run charges its simulated cost to a private
    clock lane starting at the wave's start time; after the wave the
    master clock advances to the latest lane end.  The batch therefore
@@ -52,9 +61,9 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import gates
-from repro.core.encapsulation import ToolRunResult
+from repro.core.encapsulation import ToolRunResult, publish_meta
 from repro.errors import EncapsulationError, LockContentionError
-from repro.faults import CrashFault
+from repro.faults import CrashFault, fault_point
 
 #: wrapper attribute on HybridFramework per schedulable activity
 ACTIVITIES = ("schematic_entry", "digital_simulation", "layout_entry")
@@ -304,6 +313,27 @@ class BatchScheduler:
                     )
                 )
             wait(futures)
+            # every version file is durable; no .meta names them yet
+            fault_point("wave.before_meta")
+            # one .meta per library the wave changed, written by the user
+            # of the library's first run in turn order
+            first_run: Dict[str, RunRequest] = {}
+            for index in order:
+                request = requests[index]
+                first_run.setdefault(request.library.name, request)
+            try:
+                for name in sorted(first_run):
+                    library = first_run[name].library
+                    if library.tick != library.flushed_tick:
+                        publish_meta(library, first_run[name].user)
+            except CrashFault:
+                raise
+            except Exception as exc:
+                # the runs committed in memory and cannot be undone, yet
+                # nothing may log or ack them: stop as if the process died
+                raise self.db.fail_stop(
+                    f"wave {wave_number}: .meta not written ({exc})"
+                ) from exc
         for future in futures:
             # _execute captures every run-level exception in its outcome;
             # anything escaping the worker is a scheduler bug — surface it

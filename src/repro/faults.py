@@ -59,6 +59,19 @@ class CrashFault(FaultError):
     """Simulated process death: no application-level cleanup may run."""
 
 
+class FailStop(CrashFault):
+    """A real failure that left memory ahead of the durable state.
+
+    Not injected: raised when committed in-memory changes can neither
+    reach the log nor be undone (see
+    :meth:`repro.oms.database.OMSDatabase.fail_stop`).  The process may
+    not go on, so every layer handles it like a crash — nothing
+    compensates, no commit group appends, the design server does not
+    turn it into a retry — and only a reopen plus ``recover()`` make the
+    framework usable again.
+    """
+
+
 class TransientFault(FaultError):
     """Simulated recoverable glitch: retry boundaries may retry it."""
 
@@ -94,9 +107,11 @@ FAULT_POINTS: Tuple[str, ...] = (
     "run.before_finish",      # outputs durable+tagged, derivation not recorded
     "harvest.after_checkout", # ticket held, nothing written
     "harvest.after_checkin",  # FMCAD version exists, OMS import pending
-    "harvest.before_import",  # ditto, after the .meta flush
+    "harvest.before_import",  # ditto; .meta is written at the end
     "harvest.after_import",   # OMS version created (uncommitted)
     "harvest.before_tag",     # both sides committed, cross-tag missing
+    # scheduler wave (core/scheduler.py)
+    "wave.before_meta",       # version files durable, no .meta names them
     # FMCAD checkout protocol (fmcad/checkout.py)
     "checkout.after_grant",   # ticket registered, cellview locked
     "checkout.after_checkin", # version written, ticket still open

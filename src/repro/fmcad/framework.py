@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import dataclasses
 import pathlib
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.clock import SimClock
-from repro.errors import LibraryError
+from repro.errors import IntegrityError, LibraryError, MetaFileError
 from repro.fmcad.checkout import CheckoutManager
 from repro.fmcad.configurations import FMCADConfiguration
 from repro.fmcad.extension import ExtensionInterpreter
@@ -105,6 +105,26 @@ class FMCADFramework:
 
     def libraries(self) -> List[Library]:
         return [self._libraries[name] for name in sorted(self._libraries)]
+
+    def all_libraries(self) -> Tuple[List[Library], List[Tuple[str, str]]]:
+        """Every library, opening closed ones; plus the unopenable ones.
+
+        A closed library whose ``.meta`` is too damaged to parse cannot
+        be opened at all — it is returned separately as
+        ``(name, classification)`` so the damage still becomes a finding.
+        """
+        libraries = self.libraries()
+        unopenable: List[Tuple[str, str]] = []
+        for name in self.known_library_names():
+            if name in self._libraries:
+                continue
+            try:
+                libraries.append(self.open_library(name))
+            except IntegrityError as exc:
+                unopenable.append((name, exc.classification or "torn-write"))
+            except MetaFileError:
+                unopenable.append((name, "torn-write"))
+        return libraries, unopenable
 
     # -- configurations ------------------------------------------------------------
 

@@ -72,6 +72,9 @@ class Library:
         self._cells: Dict[str, Cell] = {}
         #: monotone change counter; bumped on every metadata mutation.
         self.tick = 0
+        #: the tick the on-disk ``.meta`` was last written at: it names
+        #: exactly the versions whose ``created_tick`` is not above it
+        self.flushed_tick = 0
         #: checkins stored as hard links because the data did not change
         self.dedup_links = 0
         #: every read_version re-digests the file against the recorded
@@ -140,7 +143,7 @@ class Library:
                 # of this version stay verified across restarts
                 version._content_digest = record.digest
             cellview.add_version(version)
-        library.tick = tick
+        library.tick = library.flushed_tick = tick
         return library
 
     def orphaned_files(self) -> List[pathlib.Path]:
@@ -159,6 +162,48 @@ class Library:
             if key not in described:
                 orphans.append(data_file)
         return orphans
+
+    def reclaim_orphans(self) -> List[pathlib.Path]:
+        """Delete version files and sidecars no record names; list them.
+
+        A run that dies after writing its version files but before the
+        ``.meta`` that would name them leaves both behind.  Nothing
+        refers to them (the OMS side of that run never reached the log
+        either), so recovery reclaims them.  A file the in-memory library
+        still holds is kept: it is only waiting for its flush.
+        """
+        named = {
+            (cv.cell_name, cv.view.name, v.path.name)
+            for cv in self.cellviews()
+            for v in cv.versions
+        }
+        if self.tick != self.flushed_tick:
+            # memory changed since the last flush, so .meta may still
+            # name a version memory no longer holds
+            named.update(
+                (r.cell, r.view, r.filename)
+                for r in self.metafile.read()[0]
+            )
+        reclaimed: List[pathlib.Path] = []
+        # os.scandir, not Path.glob: this runs over every file of every
+        # library on each restart, and glob is several times slower
+        for cell in os.scandir(self.directory):
+            if not cell.is_dir() or cell.name.startswith("."):
+                continue
+            for view in os.scandir(cell.path):
+                if not view.is_dir():
+                    continue
+                for entry in os.scandir(view.path):
+                    filename = entry.name
+                    if filename.endswith(".props"):
+                        filename = filename[: -len(".props")]
+                    if not (
+                        filename.startswith("v") and filename.endswith(".dat")
+                    ) or (cell.name, view.name, filename) in named:
+                        continue
+                    os.unlink(entry.path)
+                    reclaimed.append(pathlib.Path(entry.path))
+        return sorted(reclaimed)
 
     # -- structure -------------------------------------------------------------
 
@@ -239,6 +284,12 @@ class Library:
         """
         number = cellview.next_version_number()
         path = self._version_path(cellview, number)
+        # a file already at a fresh number is a dead run's leftover that
+        # no .meta names: unlink it rather than write through it (it may
+        # share an inode with an older version) or let the new version
+        # load its sidecar's stale jcf_oid
+        for leftover in (path, path.with_name(path.name + ".props")):
+            leftover.unlink(missing_ok=True)
         digest = hashlib.sha256(data).hexdigest()
         previous = cellview.default_version
         linked = False
@@ -379,13 +430,17 @@ class Library:
         if not self.metafile.acquire(user):
             return False
         try:
-            self.metafile.write(self.meta_records(), self.tick, user)
-            self.clock.charge_native_io(
-                sum(len(r.to_line()) for r in self.meta_records()), files=1
-            )
+            tick = self.tick
+            written = self.metafile.write(self.meta_records(), tick, user)
+            self.flushed_tick = tick
+            self.clock.charge_native_io(written, files=1)
         finally:
             self.metafile.release(user)
         return True
+
+    def meta_names(self, version: CellViewVersion) -> bool:
+        """Does the last flushed ``.meta`` record *version*?"""
+        return version.created_tick <= self.flushed_tick
 
     def snapshot(self, user: str) -> MetaSnapshot:
         """A designer's refresh: read the on-disk ``.meta``.

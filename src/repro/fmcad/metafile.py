@@ -127,8 +127,10 @@ class MetaFile:
 
     # -- I/O -----------------------------------------------------------------
 
-    def write(self, records: List[MetaRecord], tick: int, user: str) -> None:
+    def write(self, records: List[MetaRecord], tick: int, user: str) -> int:
         """Serialise *records*; caller must hold the writer lock.
+
+        Returns the number of bytes written.
 
         The file is written version-2: a whole-file checksum trailer
         (``#sha256=<hex>;bytes=<n>`` over everything before it) makes
@@ -162,6 +164,7 @@ class MetaFile:
         # bytes are still in the page cache ("relaxed" mode skips both
         # fsyncs but keeps the same write sequence)
         durable.atomic_replace(self.path, encoded)
+        return len(encoded)
 
     def read(self) -> Tuple[List[MetaRecord], int]:
         """Parse the ``.meta`` file; returns (records, tick).

@@ -221,7 +221,7 @@ class Scrubber:
                 )
             )
 
-        libraries, unopenable = self._libraries()
+        libraries, unopenable = self.fmcad.all_libraries()
         for library in libraries:
             meta_path = str(library.metafile.path)
             self._meta_owner[meta_path] = library
@@ -263,27 +263,6 @@ class Scrubber:
                 findings.append(ScrubFinding("wal", location, classification))
 
         return [f for f in findings if f.location not in self._manifest]
-
-    def _libraries(self) -> Tuple[List[Library], List[Tuple[str, str]]]:
-        """Every library, opening closed ones; plus the unopenable ones.
-
-        A closed library whose ``.meta`` is too damaged to parse cannot
-        be opened at all — it is returned separately as
-        ``(name, classification)`` so the damage still becomes a finding.
-        """
-        libraries = list(self.fmcad.libraries())
-        open_names = {library.name for library in libraries}
-        unopenable: List[Tuple[str, str]] = []
-        for name in self.fmcad.known_library_names():
-            if name in open_names:
-                continue
-            try:
-                libraries.append(self.fmcad.open_library(name))
-            except IntegrityError as exc:
-                unopenable.append((name, exc.classification or "torn-write"))
-            except MetaFileError:
-                unopenable.append((name, "torn-write"))
-        return libraries, unopenable
 
     # -- repair ----------------------------------------------------------------
 

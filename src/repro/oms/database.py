@@ -16,6 +16,7 @@ from repro.errors import (
     TransactionError,
     UnknownObjectError,
 )
+from repro.faults import CrashFault, FailStop
 from repro.ids import IdAllocator, sort_key
 from repro.oms.blobs import BlobStat, BlobStore, PayloadHandle
 from repro.oms.links import LinkStore
@@ -140,6 +141,8 @@ class OMSDatabase:
         #: attached write-ahead log (see oms/wal.py); when set, every
         #: committed change set appends one durable record
         self.wal = None
+        #: why the database stopped (see :meth:`fail_stop`), or None
+        self.stopped: Optional[str] = None
         #: monotone counter bumped by every structural mutation (and by
         #: transaction commit/abort, since undo closures bypass the
         #: public mutators) — the QueryEngine memo's validity token
@@ -178,6 +181,30 @@ class OMSDatabase:
         """
         self.wal = wal
 
+    def fail_stop(self, reason: str) -> FailStop:
+        """Stop for good: memory holds commits the log will never have.
+
+        Called when committed changes can neither be logged nor undone —
+        a scheduler wave whose ``.meta`` or group record cannot be
+        written.  From now on
+        every transaction, commit group, WAL append and checkpoint
+        raises :class:`~repro.faults.FailStop`, so no later commit can
+        build on the unlogged ones and no checkpoint can make them
+        durable.  Only a reopen (which replays the log) clears it.
+        Returns the exception for the caller to raise.
+        """
+        with self._mutex:
+            if self.stopped is None:
+                self.stopped = reason
+        return FailStop(
+            f"database stopped: {self.stopped}; reopen and recover"
+        )
+
+    def refuse_if_stopped(self) -> None:
+        """Raise :class:`~repro.faults.FailStop` once :meth:`fail_stop` ran."""
+        if self.stopped is not None:
+            raise self.fail_stop(self.stopped)
+
     def _wal_log(self, op: Dict[str, Any]) -> None:
         """Route one successful primitive mutation toward the WAL.
 
@@ -198,6 +225,7 @@ class OMSDatabase:
         """Append one committed change set, honouring group commit."""
         if self.wal is None or not ops:
             return
+        self.refuse_if_stopped()
         with self._mutex:
             group = self._current_group()
             if group is not None and not group.closed:
@@ -238,10 +266,16 @@ class OMSDatabase:
             # commit/abort decides the fate of everything.
             yield self._active_txn
             return
+        self.refuse_if_stopped()
         txn = Transaction(self._allocator.allocate("txn"))
         self._active_txn = txn
         try:
             yield txn
+            # write-ahead: the change set is logged (or buffered into the
+            # open commit group) before the commit is final, so a refused
+            # append aborts the transaction like a raising block would —
+            # an aborted block's buffered ops never touch the log
+            self._wal_commit(txn.wal_ops)
         except BaseException:
             self._active_txn = None
             # roll back under the mutex: the undo closures mutate the
@@ -256,10 +290,6 @@ class OMSDatabase:
             txn.commit()
             with self._mutex:
                 self._bump_epoch()
-            # the whole transaction lands as one WAL record — durability
-            # cost per commit is O(change set), and an aborted block
-            # (whose buffered ops died with it) never touches the log
-            self._wal_commit(txn.wal_ops)
             self._note_top_level_commit()
 
     def _note_top_level_commit(self) -> None:
@@ -317,7 +347,17 @@ class OMSDatabase:
         A commit joins the group of its thread's bound scope (see
         :meth:`commit_scope`); the thread opening the group is bound for
         the duration of the block.
+
+        The group's one WAL record is appended when the block ends, also
+        when it raises an ordinary exception: commits that already
+        happened stay committed.  A block that dies of
+        :class:`~repro.faults.CrashFault` appends nothing — a dead
+        process logs nothing, and its side effects outside OMS (a wave's
+        ``.meta``) may never have landed.  An append that fails leaves
+        the group's commits in memory only, with no way to undo them, so
+        it stops the database (:meth:`fail_stop`).
         """
+        self.refuse_if_stopped()
         with self._mutex:
             if scope in self._commit_groups:
                 raise TransactionError(
@@ -326,9 +366,13 @@ class OMSDatabase:
                 )
             group = GroupCommit(self._allocator.allocate("commitgroup"))
             self._commit_groups[scope] = group
+        crashed = False
         try:
             with self.commit_scope(scope):
                 yield group
+        except CrashFault:
+            crashed = True
+            raise
         finally:
             with self._mutex:
                 del self._commit_groups[scope]
@@ -339,10 +383,18 @@ class OMSDatabase:
                     self.coalesced_commits += commits - 1
             if commits:
                 self.clock.charge_commit_flush()
-            if pending_wal and self.wal is not None:
+            if pending_wal and self.wal is not None and not crashed:
                 # the whole wave's change sets land as one record — one
                 # append, one fsync, mirroring the single durable flush
-                self.wal.commit(pending_wal)
+                self.refuse_if_stopped()
+                try:
+                    self.wal.commit(pending_wal)
+                except CrashFault:
+                    raise
+                except Exception as exc:
+                    raise self.fail_stop(
+                        f"commit group {group.group_id} not logged: {exc}"
+                    ) from exc
 
     def _journal(self, undo: Callable[[], None]) -> None:
         if self._active_txn is not None:

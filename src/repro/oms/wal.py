@@ -363,6 +363,9 @@ class WriteAheadLog:
            sidecars.  The previous state is never destroyed before the
            new one has proven itself on disk.
         """
+        # a stopped database holds commits the log never had: a
+        # checkpoint must not make them durable behind the log's back
+        database.refuse_if_stopped()
         with self._lock:
             fault_point("wal.checkpoint")  # window 1
             data = dump_snapshot(database)

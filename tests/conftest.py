@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -179,3 +183,113 @@ def adopted_cell(hybrid):
     )
     hybrid.prepare_cell("alice", project, "inv2", team_name="team1")
     return hybrid, project, library, "inv2"
+
+
+def build_wave_environment(root, n_cells: int = 4):
+    """A hybrid at *root* with cells ``cell0..`` of ``chiplib`` adopted.
+
+    Every cell is prepared and reserved by alice.  ``.meta`` is flushed
+    at the end, so a reopen after a crash finds the library even when no
+    run got as far as writing it.  Returns (hybrid, project, library,
+    cell names).
+    """
+    hy = HybridFramework(root)
+    resources = hy.jcf.resources
+    resources.define_user("admin", "alice")
+    resources.define_team("admin", "team1")
+    resources.add_member("admin", "alice", "team1")
+    hy.setup_standard_flow()
+    library = hy.fmcad.create_library("chiplib")
+    cells = [f"cell{i}" for i in range(n_cells)]
+    for cell in cells:
+        library.create_cell(cell)
+    project = hy.adopt_library("alice", library, "chipA")
+    resources.assign_team_to_project("admin", "team1", project.oid)
+    for cell in cells:
+        hy.prepare_cell("alice", project, cell, team_name="team1")
+    library.flush_meta("setup")
+    return hy, project, library, cells
+
+
+def schematic_wave(project, library, cells):
+    """One schematic entry per cell: a single wave, two views per run."""
+    from repro.core.scheduler import RunRequest
+
+    return [
+        RunRequest(
+            "alice", project, library, cell, "schematic_entry",
+            kwargs={"edit_fn": build_inverter_editor_fn(2)},
+        )
+        for cell in cells
+    ]
+
+
+def assert_no_wave_leftovers(hybrid):
+    """What recovery must leave after a crash anywhere in a wave.
+
+    A clean audit, no version file that ``.meta`` does not name, and
+    every ``jcf_oid`` tag naming a live OMS version with the same bytes
+    — a tag left by a dead run would name an object that replay never
+    recreated, or a later one that reused its id.
+    """
+    audit = hybrid.audit()
+    assert audit.clean, audit.render()
+    db = hybrid.jcf.db
+    for library in hybrid.fmcad.libraries():
+        assert library.orphaned_files() == []
+        for cellview in library.cellviews():
+            for version in cellview.versions:
+                tag = version.properties.get("jcf_oid")
+                assert tag is not None and db.exists(tag), version.path
+                assert db.get(tag).payload_digest == version.content_digest()
+
+
+_EXIT_AT_POINT = '''
+import os, pathlib, sys
+from repro import faults
+
+class ExitAtPoint:
+    """Stands in for a FaultPlan: the process really dies at the hit."""
+
+    def __init__(self, point, on_hit):
+        self.point, self.on_hit, self.count = point, on_hit, 0
+
+    def hit(self, name):
+        if name == self.point:
+            self.count += 1
+            if self.count == self.on_hit:
+                os._exit(9)
+
+    def hit_with_data(self, name, data):
+        self.hit(name)
+        return data
+
+def arm():
+    faults._plan = ExitAtPoint(sys.argv[2], int(sys.argv[3]))
+
+root = pathlib.Path(sys.argv[1])
+'''
+
+
+def die_in_child(root, point, body, on_hit=1):
+    """Run *body* in a child process that ``os._exit(9)``s at *point*.
+
+    *body* is Python source that sees ``root`` and calls ``arm()`` once
+    its set-up is done; the *on_hit*-th traversal of *point* after that
+    kills the process.  It runs from the repository root with ``src``
+    and the repository on the path, so it may import ``tests.*``
+    helpers.  Unlike a ``CrashFault``, nothing unwinds: no ``finally``
+    block, no transaction abort, no group-commit close runs in the
+    dying process.
+    """
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(repo / "src"), str(repo)])
+    script = _EXIT_AT_POINT + textwrap.dedent(body) + (
+        "\nsys.exit('the body finished; the process should have died')\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script, str(root), point, str(on_hit)],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 9, child.stderr

@@ -5,8 +5,11 @@ from __future__ import annotations
 import pytest
 
 from tests.conftest import (
+    assert_no_wave_leftovers,
     build_inverter_editor_fn,
+    build_wave_environment,
     inverter_testbench_fn,
+    schematic_wave,
     simple_layout_fn,
 )
 from repro.core.scheduler import (
@@ -17,8 +20,8 @@ from repro.core.scheduler import (
     BatchScheduler,
     RunRequest,
 )
-from repro.errors import EncapsulationError
-from repro.faults import FaultPlan, inject
+from repro.errors import EncapsulationError, MetaFileError
+from repro.faults import FailStop, FaultPlan, inject
 
 
 @pytest.fixture
@@ -416,3 +419,187 @@ class TestConcurrentBatches:
             with pytest.raises(TransactionError):
                 with db.group_commit("shared"):
                     pass
+
+
+@pytest.fixture
+def meta_writes(monkeypatch):
+    """The library name of every ``.meta`` write, in call order."""
+    from repro.fmcad.metafile import MetaFile
+
+    writes = []
+    original = MetaFile.write
+
+    def spy(self, records, tick, user):
+        writes.append(self.path.parent.name)
+        return original(self, records, tick, user)
+
+    monkeypatch.setattr(MetaFile, "write", spy)
+    return writes
+
+
+class TestWaveMeta:
+    """Each touched library's ``.meta`` is written once per commit unit."""
+
+    def test_wave_writes_meta_once(self, adopted_cells, meta_writes):
+        hybrid, project, library, cells = adopted_cells
+        result = hybrid.run_many(
+            schematic_wave(project, library, cells), workers=4, seed=2
+        )
+        assert [o.status for o in result.outcomes] == [RUN_OK] * 4
+        assert len(result.waves) == 1
+        # 4 runs x (schematic + symbol) = 8 view checkins, one .meta
+        assert sum(len(cv.versions) for cv in library.cellviews()) == 8
+        assert meta_writes == ["chiplib"]
+        assert library.verify_meta() == []
+        assert hybrid.audit().clean
+
+    def test_each_wave_of_a_batch_writes_once(
+        self, adopted_cells, meta_writes
+    ):
+        hybrid, project, library, cells = adopted_cells
+        result = hybrid.run_many(
+            full_flow_batch(project, library, cells[:2]), workers=2
+        )
+        assert all(o.ok for o in result.outcomes)
+        assert meta_writes == ["chiplib"] * len(result.waves)
+        assert library.verify_meta() == []
+
+    def test_unscheduled_run_writes_meta_once(
+        self, adopted_cells, meta_writes
+    ):
+        hybrid, project, library, cells = adopted_cells
+        result = hybrid.run_schematic_entry(
+            "alice", project, library, cells[0], build_inverter_editor_fn(2)
+        )
+        assert result.success
+        views = {cv.view.name for cv in library.cell(cells[0]).cellviews()}
+        assert views == {"schematic", "symbol"}
+        assert meta_writes == ["chiplib"]
+        assert library.verify_meta() == []
+
+    def test_refused_wave_meta_stops_and_logs_nothing(self, tmp_path):
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root)
+        wal = hybrid.jcf.wal
+        before = wal.stats()["records_appended"]
+        assert library.metafile.acquire("bob")  # a designer holds .meta
+        with pytest.raises(FailStop) as info:
+            hybrid.run_many(schematic_wave(project, library, cells))
+        assert isinstance(info.value.__cause__, MetaFileError)
+        assert wal.stats()["records_appended"] == before
+        library.metafile.release("bob")
+
+        from repro.core.coupling import HybridFramework
+
+        reopened = HybridFramework.reopen(root)
+        report = reopened.recover()
+        assert report.reclaimed_fmcad_files  # the wave's version files
+        reopened_library = reopened.fmcad.library("chiplib")
+        assert reopened_library.orphaned_files() == []
+        assert all(
+            not cv.versions for cv in reopened_library.cellviews()
+        )
+        assert reopened.audit().clean
+
+    def test_process_goes_on_after_refused_wave(self, tmp_path):
+        """Nothing builds on a wave that memory holds and the log lacks.
+
+        The refused wave's runs committed in memory; a later wave, an
+        unscheduled run or a checkpoint in the same process would log
+        ops that point at them, name them in ``.meta`` or make them
+        durable.  All are refused until a reopen and ``recover()``.
+        """
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root)
+        wal = hybrid.jcf.wal
+        before = wal.stats()["records_appended"]
+        assert library.metafile.acquire("bob")
+        with pytest.raises(FailStop):
+            hybrid.run_many(schematic_wave(project, library, cells[:2]))
+        library.metafile.release("bob")
+        meta_before = library.metafile.path.read_bytes()
+        with pytest.raises(FailStop):
+            hybrid.run_many(schematic_wave(project, library, cells[2:]))
+        with pytest.raises(FailStop):
+            hybrid.run_schematic_entry(
+                "alice", project, library, cells[2],
+                build_inverter_editor_fn(2),
+            )
+        with pytest.raises(FailStop):
+            hybrid.save_state()
+        assert wal.stats()["records_appended"] == before
+        assert library.metafile.path.read_bytes() == meta_before
+
+        from repro.core.coupling import HybridFramework
+
+        reopened = HybridFramework.reopen(root)
+        reopened.recover()
+        assert_no_wave_leftovers(reopened)
+        reopened_library = reopened.fmcad.library("chiplib")
+        reopened_project = reopened.jcf.project("chipA")
+        result = reopened.run_many(
+            schematic_wave(reopened_project, reopened_library, cells)
+        )
+        assert [o.status for o in result.outcomes] == [RUN_OK] * 4
+        assert_no_wave_leftovers(reopened)
+
+    def test_refused_unscheduled_meta_compensates(self, adopted_cells):
+        hybrid, project, library, cells = adopted_cells
+        assert library.metafile.acquire("bob")
+        with pytest.raises(MetaFileError):
+            hybrid.run_schematic_entry(
+                "alice", project, library, cells[0],
+                build_inverter_editor_fn(2),
+            )
+        library.metafile.release("bob")
+        # the harvest transaction aborted and took its checkins with it
+        assert all(
+            not cv.versions for cv in library.cell(cells[0]).cellviews()
+        )
+        assert hybrid.audit().clean
+
+    def test_unlogged_unscheduled_run_retracts_its_meta(
+        self, adopted_cells, meta_writes
+    ):
+        """``.meta`` already names the versions when the WAL refuses.
+
+        An unscheduled run writes ``.meta`` as the last step of its
+        harvest transaction; if the transaction's WAL append then fails,
+        the transaction aborts and compensation must rewrite ``.meta``
+        without the dropped versions.
+        """
+        hybrid, project, library, cells = adopted_cells
+        wal = hybrid.jcf.wal
+        flush = library.flush_meta
+
+        def flush_then_fail_the_append(user):
+            del library.flush_meta  # the compensation flushes for real
+            assert flush(user)
+            wal.commit = full_disk
+            return True
+
+        def full_disk(ops):
+            del wal.commit  # one refused append, then the real method
+            raise OSError("no space left on device")
+
+        library.flush_meta = flush_then_fail_the_append
+        with pytest.raises(OSError):
+            hybrid.run_schematic_entry(
+                "alice", project, library, cells[0],
+                build_inverter_editor_fn(2),
+            )
+        # written with the versions, then rewritten without them
+        assert meta_writes == ["chiplib", "chiplib"]
+        assert all(
+            not cv.versions for cv in library.cell(cells[0]).cellviews()
+        )
+        records, _ = library.metafile.read()
+        assert [r for r in records if r.cell == cells[0]] == []
+        assert library.verify_meta() == []
+        assert hybrid.audit().clean
+        # the aborted harvest left memory where the log is
+        from repro.core.coupling import HybridFramework
+        from repro.oms.snapshot import dump_snapshot
+
+        reopened = HybridFramework.reopen(hybrid.root)
+        assert dump_snapshot(reopened.jcf.db) == dump_snapshot(hybrid.jcf.db)

@@ -151,6 +151,29 @@ class TestMetaMaintenance:
         problems = library.verify_meta()
         assert any("dangling" in p for p in problems)
 
+    def test_flush_charges_the_bytes_it_writes(self, library, clock):
+        library.create_cell("alu")
+        cellview = library.create_cellview("alu", "schematic")
+        library.write_version(cellview, b"v1", "alice")
+        before = clock.elapsed_by_category().get("native_io", 0.0)
+        library.flush_meta("alice")
+        charged = clock.elapsed_by_category()["native_io"] - before
+        size = library.metafile.path.stat().st_size
+        model = clock.cost_model
+        assert charged == pytest.approx(
+            model.native_byte_ms * size + model.native_file_ms
+        )
+
+    def test_meta_names_only_flushed_versions(self, library):
+        library.create_cell("alu")
+        cellview = library.create_cellview("alu", "schematic")
+        first = library.write_version(cellview, b"v1", "alice")
+        assert not library.meta_names(first)
+        library.flush_meta("alice")
+        second = library.write_version(cellview, b"v2", "alice")
+        assert library.meta_names(first)
+        assert not library.meta_names(second)
+
 
 class TestStats:
     def test_stats_shape(self, library):
@@ -205,6 +228,60 @@ class TestReopenFromDisk:
         orphans = reopened.orphaned_files()
         assert len(orphans) == 1
         assert orphans[0].read_bytes() == b"never flushed"
+
+    def test_leftover_sidecar_is_not_inherited(self, tmp_path, clock):
+        """A dead run's tag must not attach to the next version 3."""
+        library = self.make_flushed_library(tmp_path, clock)
+        cellview = library.cellview("alu", "schematic")
+        dead = library.write_version(cellview, b"dead run", "bob")
+        dead.properties.set("jcf_oid", "DesignObjectVersion:000009")
+        # the process dies before .meta names v3
+        reopened = Library.open("persist", tmp_path / "libs", clock=clock)
+        cellview = reopened.cellview("alu", "schematic")
+        fresh = reopened.write_version(cellview, b"fresh", "alice")
+        assert fresh.number == 3
+        assert fresh.properties.get("jcf_oid") is None
+        assert not fresh.path.with_name("v0003.dat.props").exists()
+
+    def test_leftover_link_is_replaced_not_written_through(
+        self, tmp_path, clock
+    ):
+        """A leftover hard link shares an inode with a live version."""
+        import os
+
+        library = self.make_flushed_library(tmp_path, clock)
+        cellview = library.cellview("alu", "schematic")
+        # a dead run's dedup checkin: v3 linked to v2, never in .meta
+        os.link(cellview.version(2).path, cellview.version(2).path
+                .with_name("v0003.dat"))
+        reopened = Library.open("persist", tmp_path / "libs", clock=clock)
+        cellview = reopened.cellview("alu", "schematic")
+        reopened.write_version(cellview, b"new bytes", "alice")
+        assert reopened.read_version(cellview, 2) == b"v2 data"
+        assert reopened.read_version(cellview, 3) == b"new bytes"
+
+    def test_reclaim_orphans(self, tmp_path, clock):
+        library = self.make_flushed_library(tmp_path, clock)
+        cellview = library.cellview("alu", "schematic")
+        dead = library.write_version(cellview, b"dead run", "bob")
+        dead.properties.set("jcf_oid", "DesignObjectVersion:000009")
+        reopened = Library.open("persist", tmp_path / "libs", clock=clock)
+        reclaimed = reopened.reclaim_orphans()
+        assert [p.name for p in reclaimed] == ["v0003.dat", "v0003.dat.props"]
+        assert reopened.orphaned_files() == []
+        # named versions and their sidecars stay
+        cellview = reopened.cellview("alu", "schematic")
+        assert reopened.read_version(cellview, 1) == b"v1 data"
+        assert cellview.version(1).properties.get("jcf_oid")
+
+    def test_reclaim_keeps_versions_waiting_for_their_flush(
+        self, tmp_path, clock
+    ):
+        library = self.make_flushed_library(tmp_path, clock)
+        cellview = library.cellview("alu", "schematic")
+        library.write_version(cellview, b"not flushed yet", "alice")
+        assert library.reclaim_orphans() == []
+        assert library.read_version(cellview) == b"not flushed yet"
 
     def test_open_recovers_cells_without_versions(self, tmp_path, clock):
         library = self.make_flushed_library(tmp_path, clock)

@@ -9,6 +9,9 @@ crash scheduled at the ``flow.persist`` / ``flow.resume`` /
 in-flight instance, and ``resume_pending()`` rolls it forward.  The
 resumed run's design output must be byte-identical to an uncrashed
 control run; a second ``recover()`` must change nothing (fixpoint).
+Flows drained by the flow queue run as scheduler waves, so they also
+crash at ``wave.before_meta``: after a wave's version files, before its
+one ``.meta`` write.
 """
 
 import pathlib
@@ -22,6 +25,7 @@ from repro.core.coupling import HybridFramework
 from repro.faults import CrashFault, FaultPlan, inject
 from repro.jcf.model import FLOW_DONE, FLOW_QUEUED
 from repro.oms.snapshot import dump_snapshot
+from tests.conftest import assert_no_wave_leftovers, die_in_child
 
 
 def build_environment(root):
@@ -177,6 +181,58 @@ class TestMidActivityCrashes:
         assert all(state == FLOW_DONE for _, state in results)
         assert design_bytes(hybrid2) == control
         assert hybrid2.audit().clean
+
+
+class TestQueuedWaveCrashes:
+    # the queue runs the one flow's activities as three one-run waves
+    @pytest.mark.parametrize("on_hit", [1, 2, 3])
+    def test_crash_before_a_wave_meta_resumes_identically(
+        self, tmp_path, on_hit
+    ):
+        control = control_bytes(tmp_path)
+        root = tmp_path / "env"
+        hybrid = build_environment(root)
+        start_flow(hybrid)
+        plan = FaultPlan.crash("wave.before_meta", on_hit=on_hit)
+        with inject(plan):
+            with pytest.raises(CrashFault):
+                hybrid.flow_queue.drain(workers=2)
+        assert plan.crash_fired
+
+        hybrid2 = restart_recover(root)
+        instances = hybrid2.flows_orchestrator.instances()
+        assert [i.status for i in instances] == [FLOW_QUEUED]
+        assert_no_wave_leftovers(hybrid2)
+        hybrid2.flow_queue.drain(workers=2)
+        instances = hybrid2.flows_orchestrator.instances()
+        assert [i.status for i in instances] == [FLOW_DONE]
+        assert design_bytes(hybrid2) == control
+        assert_no_wave_leftovers(hybrid2)
+
+    @pytest.mark.parametrize("on_hit", [1, 3])
+    def test_process_exit_before_a_wave_meta_resumes_identically(
+        self, tmp_path, on_hit
+    ):
+        """The same window, hit by a real ``os._exit`` in a child."""
+        control = control_bytes(tmp_path)
+        root = tmp_path / "env"
+        die_in_child(root, "wave.before_meta", """
+            from tests.integration.test_flow_crash import (
+                build_environment, start_flow,
+            )
+            hybrid = build_environment(root)
+            start_flow(hybrid)
+            arm()
+            hybrid.flow_queue.drain(workers=2)
+        """, on_hit=on_hit)
+
+        hybrid = restart_recover(root)
+        assert_no_wave_leftovers(hybrid)
+        hybrid.flow_queue.drain(workers=2)
+        instances = hybrid.flows_orchestrator.instances()
+        assert [i.status for i in instances] == [FLOW_DONE]
+        assert design_bytes(hybrid) == control
+        assert_no_wave_leftovers(hybrid)
 
 
 class TestResumeCrashes:

@@ -6,14 +6,27 @@ at the ``wal.append`` / ``wal.checkpoint`` fault points, the process is
 "restarted" (``HybridFramework.reopen`` on the same root), recovery
 runs, and the audit must come back clean.  Replay convergence is
 asserted by reopening twice — the double-replay fixpoint.
+
+A scheduled wave adds two windows of its own: after its version files
+but before its one ``.meta`` write (``wave.before_meta``, also hit by a
+real ``os._exit`` in a child process), and after the ``.meta`` but
+before its WAL record.
 """
 
 import pytest
 
 from repro.core.coupling import HybridFramework
+from repro.core.scheduler import RunRequest
 from repro.faults import CrashFault, FaultPlan, inject
 from repro.oms.snapshot import dump_snapshot
-from tests.conftest import build_inverter_editor_fn, inverter_testbench_fn
+from tests.conftest import (
+    assert_no_wave_leftovers,
+    build_inverter_editor_fn,
+    build_wave_environment,
+    die_in_child,
+    inverter_testbench_fn,
+    schematic_wave,
+)
 
 
 def build_environment(root):
@@ -162,3 +175,123 @@ class TestReplayFixpoint:
         report = hybrid.recover()
         assert any("torn tail" in note for note in report.wal_repairs)
         assert hybrid.audit().clean
+
+
+def two_wave_batch(project, library, cells):
+    """Schematic entry on every cell, then a simulation of each."""
+    return [
+        RunRequest(
+            "alice", project, library, cell, "schematic_entry",
+            kwargs={"edit_fn": idempotent_schematic_edit},
+        )
+        for cell in cells
+    ] + [
+        RunRequest(
+            "alice", project, library, cell, "digital_simulation",
+            kwargs={"testbench_fn": inverter_testbench_fn()},
+        )
+        for cell in cells
+    ]
+
+
+class TestWaveMetaWindows:
+    # every append inside a batch is a wave's group record, so on_hit
+    # picks the wave: 1 = schematic wave, 2 = simulation wave
+    @pytest.mark.parametrize(
+        "point,on_hit",
+        [
+            ("wave.before_meta", 1),
+            ("wave.before_meta", 2),
+            ("wal.append", 1),
+            ("wal.append", 2),
+        ],
+    )
+    def test_crash_in_a_wave_recovers_clean(self, tmp_path, point, on_hit):
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root, 3)
+        plan = FaultPlan.crash(point, on_hit=on_hit)
+        with inject(plan):
+            with pytest.raises(CrashFault):
+                hybrid.run_many(two_wave_batch(project, library, cells))
+        assert plan.crash_fired
+
+        hybrid2 = restart_recover(root)
+        assert_no_wave_leftovers(hybrid2)
+        # the interrupted batch completes on the recovered environment,
+        # and no new version inherits a dead run's tag
+        project2 = hybrid2.jcf.project("chipA")
+        library2 = hybrid2.fmcad.library("chiplib")
+        result = hybrid2.run_many(two_wave_batch(project2, library2, cells))
+        assert all(o.ok for o in result.outcomes)
+        assert_no_wave_leftovers(hybrid2)
+        # recovery is a fixpoint
+        assert hybrid2.recover().empty()
+
+    def test_crash_before_wave_meta_logs_nothing(self, tmp_path):
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root)
+        before = dump_snapshot(hybrid.jcf.db)
+        with inject(FaultPlan.crash("wave.before_meta")):
+            with pytest.raises(CrashFault):
+                hybrid.run_many(schematic_wave(project, library, cells))
+        assert dump_snapshot(HybridFramework.reopen(root).jcf.db) == before
+
+
+#: child-process body: set up, then die inside a four-run schematic wave
+DEAD_WAVE = """
+    from tests.conftest import build_wave_environment, schematic_wave
+    hybrid, project, library, cells = build_wave_environment(root)
+    arm()
+    hybrid.run_many(schematic_wave(project, library, cells), workers=2)
+"""
+
+
+class TestProcessDeathInAWave:
+    """A real process exit inside a wave: nothing unwinds."""
+
+    def test_dead_wave_leaves_nothing_behind(self, tmp_path):
+        root = tmp_path / "env"
+        die_in_child(root, "wave.before_meta", DEAD_WAVE)
+
+        hybrid = HybridFramework.reopen(root)
+        library = hybrid.fmcad.library("chiplib")
+        # the dead wave's version files and tagged sidecars are on disk,
+        # named by no .meta record
+        assert len(library.orphaned_files()) == 8
+        # a checkin that lands on a dead run's version number starts
+        # from nothing: it must not load the leftover sidecar's tag
+        cellview = library.create_cellview("cell0", "schematic")
+        fresh = library.write_version(cellview, b"fresh bytes", "alice")
+        assert fresh.number == 1
+        assert fresh.properties.get("jcf_oid") is None
+        assert library.read_version(cellview) == b"fresh bytes"
+        library.drop_version(cellview, 1)
+
+        report = hybrid.recover()
+        assert len(report.reclaimed_fmcad_files) == 14
+        assert library.orphaned_files() == []
+        assert hybrid.audit().clean
+
+        project = hybrid.jcf.project("chipA")
+        result = hybrid.run_many(
+            schematic_wave(project, library, ["cell0", "cell1"])
+        )
+        assert all(o.ok for o in result.outcomes)
+        assert_no_wave_leftovers(hybrid)
+
+    def test_exit_between_wave_meta_and_wal_record(self, tmp_path):
+        """``.meta`` names the wave's versions; the WAL never logged them."""
+        root = tmp_path / "env"
+        die_in_child(root, "wal.append", DEAD_WAVE)
+
+        hybrid = HybridFramework.reopen(root)
+        library = hybrid.fmcad.library("chiplib")
+        assert sum(len(cv.versions) for cv in library.cellviews()) == 8
+        report = hybrid.recover()
+        assert len(report.deleted_fmcad_versions) == 8
+        assert_no_wave_leftovers(hybrid)
+        assert all(not cv.versions for cv in library.cellviews())
+        project = hybrid.jcf.project("chipA")
+        result = hybrid.run_many(schematic_wave(project, library, ["cell2"]))
+        assert all(o.ok for o in result.outcomes)
+        assert_no_wave_leftovers(hybrid)

@@ -12,12 +12,17 @@ matrix asserts the three-step contract of the integrity layer:
   byte-for-byte and the sweep comes back clean;
 * **quarantine** — when no verified source exists, the artifact is taken
   out of service and is never served afterwards.
+
+The ``fmcad.meta`` point is also hit on the one write a scheduled wave
+makes: by damage, and by a crash there, both in process and as a real
+process exit.
 """
 
 import hashlib
 
 import pytest
 
+from repro.core.coupling import HybridFramework
 from repro.errors import (
     IntegrityError,
     MetaFileError,
@@ -30,6 +35,7 @@ from repro.faults import (
     CORRUPTION_MODES,
     CORRUPTION_POINTS,
     CorruptionFault,
+    CrashFault,
     FaultPlan,
     FaultRule,
     KIND_CORRUPT,
@@ -42,7 +48,14 @@ from repro.oms.snapshot import (
     restore_snapshot,
     verify_snapshot_bytes,
 )
+from repro.integrity import Scrubber
 from repro.oms.storage import StagingArea
+from tests.conftest import (
+    assert_no_wave_leftovers,
+    build_wave_environment,
+    die_in_child,
+    schematic_wave,
+)
 
 PAYLOAD = b"module inv(input a, output y); assign y = !a; endmodule\n" * 8
 
@@ -323,6 +336,64 @@ class TestMetaFilePoint:
         assert [r.cell for r in records] == ["alu"]
         # the v2 format carries the content digest per version record
         assert records[0].digest == hashlib.sha256(PAYLOAD).hexdigest()
+
+
+@pytest.mark.parametrize("mode", CORRUPTION_MODES)
+class TestMetaFilePointOnWaveWrite:
+    """The one ``.meta`` write a scheduled wave makes for its library."""
+
+    def test_detected_and_repaired_from_live_records(self, tmp_path, mode):
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root)
+        with inject(
+            FaultPlan.corrupt("fmcad.meta", mode=mode, seed=17)
+        ) as plan:
+            result = hybrid.run_many(schematic_wave(project, library, cells))
+        assert plan.corruption_fired
+        assert all(outcome.ok for outcome in result.outcomes)
+
+        assert library.metafile.verify() is not None
+        report = Scrubber(hybrid.jcf, hybrid.fmcad).scrub()
+        assert [f.area for f in report.findings] == ["meta"]
+        assert Scrubber(hybrid.jcf, hybrid.fmcad).scrub(repair=True).ok
+        assert library.verify_meta() == []
+        # the repaired .meta names every version of the wave, tagged
+        reopened = HybridFramework.reopen(root)
+        cellviews = reopened.fmcad.library("chiplib").cellviews()
+        assert sum(len(cv.versions) for cv in cellviews) == 8
+        assert_no_wave_leftovers(reopened)
+
+
+class TestCrashAtWaveMetaWrite:
+    def test_version_files_without_meta_are_reclaimed(self, tmp_path):
+        """A crash instead of damage: version files, but no ``.meta``."""
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root)
+        meta_before = library.metafile.path.read_bytes()
+        with inject(FaultPlan.crash("fmcad.meta")):
+            with pytest.raises(CrashFault):
+                hybrid.run_many(schematic_wave(project, library, cells))
+        assert library.metafile.path.read_bytes() == meta_before
+
+        reopened = HybridFramework.reopen(root)
+        report = reopened.recover()
+        # 4 runs x 2 views, each a version file plus its tag sidecar
+        assert len(report.reclaimed_fmcad_files) == 16
+        assert_no_wave_leftovers(reopened)
+
+    def test_process_exit_at_the_wave_write(self, tmp_path):
+        """The same window, hit by a real ``os._exit`` in a child."""
+        root = tmp_path / "env"
+        die_in_child(root, "fmcad.meta", """
+            from tests.conftest import build_wave_environment, schematic_wave
+            hybrid, project, library, cells = build_wave_environment(root)
+            arm()
+            hybrid.run_many(schematic_wave(project, library, cells))
+        """)
+        reopened = HybridFramework.reopen(root)
+        report = reopened.recover()
+        assert len(report.reclaimed_fmcad_files) == 16
+        assert_no_wave_leftovers(reopened)
 
 
 # -- oms.snapshot -------------------------------------------------------------

@@ -83,6 +83,92 @@ class TestAppend:
             db.create("Thing", {"name": "z"})
         assert wal.stats()["records_appended"] == before + 1
 
+    def test_group_commit_appends_on_ordinary_exception(
+        self, simple_schema, tmp_path
+    ):
+        """Commits made before a live failure stay committed and logged."""
+        root = tmp_path / "wal"
+        wal, db, _ = open_wal(simple_schema, root)
+        before = wal.stats()["records_appended"]
+        with pytest.raises(RuntimeError):
+            with db.group_commit():
+                db.create("Thing", {"name": "kept"})
+                raise RuntimeError("a run failed")
+        assert wal.stats()["records_appended"] == before + 1
+        assert reopened_dump(simple_schema, root) == dump_snapshot(db)
+
+    def test_crashed_group_appends_nothing(self, simple_schema, tmp_path):
+        """A group that dies of CrashFault leaves no record behind."""
+        from repro.faults import CrashFault
+
+        root = tmp_path / "wal"
+        wal, db, _ = open_wal(simple_schema, root)
+        db.create("Thing", {"name": "before"})
+        durable_state = dump_snapshot(db)
+        before = wal.stats()["records_appended"]
+        with pytest.raises(CrashFault):
+            with db.group_commit():
+                db.create("Thing", {"name": "lost"})
+                raise CrashFault("process died mid-group")
+        assert wal.stats()["records_appended"] == before
+        assert reopened_dump(simple_schema, root) == durable_state
+
+    def test_refused_append_aborts_the_transaction(
+        self, simple_schema, tmp_path
+    ):
+        """Write-ahead: a change set the log refused is not committed."""
+        from repro.faults import TransientFault
+
+        root = tmp_path / "wal"
+        wal, db, _ = open_wal(simple_schema, root)
+        db.create("Thing", {"name": "before"})
+        durable_state = dump_snapshot(db)
+        with inject(FaultPlan.transient("wal.append")):
+            with pytest.raises(TransientFault):
+                with db.transaction():
+                    db.create("Thing", {"name": "unlogged"})
+        assert dump_snapshot(db) == durable_state
+        assert [o.get("name") for o in db.select("Thing")] == ["before"]
+        # the log and the database go on together
+        db.create("Thing", {"name": "after"})
+        assert reopened_dump(simple_schema, root) == dump_snapshot(db)
+
+    def test_failed_group_append_stops_the_database(
+        self, simple_schema, tmp_path
+    ):
+        """A group's commits that cannot be logged cannot be built on."""
+        from repro.faults import CrashFault, FailStop
+
+        root = tmp_path / "wal"
+        wal, db, _ = open_wal(simple_schema, root)
+        db.create("Thing", {"name": "before"})
+        durable_state = dump_snapshot(db)
+        original = wal.commit
+
+        def full_disk(ops):
+            raise OSError("no space left on device")
+
+        wal.commit = full_disk
+        with pytest.raises(FailStop):
+            with db.group_commit():
+                db.create("Thing", {"name": "unlogged"})
+        wal.commit = original
+        assert issubclass(FailStop, CrashFault)
+        assert "not logged" in db.stopped
+        before = wal.stats()["records_appended"]
+        with pytest.raises(FailStop):
+            with db.transaction():
+                pass
+        with pytest.raises(FailStop):
+            with db.group_commit():
+                pass
+        with pytest.raises(FailStop):
+            db.create("Thing", {"name": "auto-committed"})
+        with pytest.raises(FailStop):
+            wal.checkpoint(db)  # would make "unlogged" durable
+        assert wal.stats()["records_appended"] == before
+        assert reopened_dump(simple_schema, root) == durable_state
+
     def test_identical_payloads_write_one_sidecar(
         self, simple_schema, tmp_path
     ):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ShardUnavailableError
-from repro.faults import FaultPlan, inject
+from repro.faults import FailStop, FaultPlan, inject
 from repro.server.engine import ServeEngine
 from repro.server.health import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.server.protocol import ScriptCatalog
@@ -97,6 +97,30 @@ def _sessions_on_distinct_shards(engine, plans):
 
 
 class TestEngineShardHealth:
+    def test_unlogged_wave_is_not_retried(self, scenario):
+        """A wave memory holds but the log lacks stops the engine.
+
+        Shedding it as ``shard-unavailable`` would invite a retry on a
+        process whose memory and log disagree.
+        """
+        hybrid, plans = scenario
+        engine = ServeEngine(hybrid, shards=2, max_batch=1, window_ms=50.0)
+        plan = plans[0]
+        session = engine.open_session(
+            plan.user, plan.team, plan.library, plan.project
+        )
+        library = hybrid.fmcad.library(plan.library)
+        assert library.metafile.acquire("bob")  # a designer holds .meta
+        t0 = engine.epoch_ms
+        pending = engine.submit(
+            session, plan.cells[0], "schematic_entry",
+            kwargs=KWARGS, now_ms=t0,
+        )
+        with pytest.raises(FailStop):
+            engine.pump(t0 + 100.0)
+        assert pending.status != "shard-unavailable"
+        assert hybrid.jcf.db.stopped is not None
+
     def test_wedged_shard_is_fenced_and_recovers(self, scenario):
         hybrid, plans = scenario
         engine = ServeEngine(
