@@ -177,8 +177,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--window-ms", type=float, default=25.0,
-        help="deadline bound on a coalescing window, anchored on its "
-             "oldest request",
+        help="longest an idle shard holds a short window for runs that "
+             "never came back; a shard otherwise flushes as soon as its "
+             "window holds the runs that were outstanding when its last "
+             "batch finished",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=256,

@@ -8,8 +8,10 @@ library-style and in-process.  ``repro.server`` adds the served layer:
   names; independent teams land on independent shards;
 * :mod:`repro.server.admission` — bounded per-shard queues and
   token-bucket admission (typed fail-fast rejection, never collapse);
-* :mod:`repro.server.coalescer` — size- and deadline-bounded batch
-  windows that flush one ``run_many`` wave per shard;
+* :mod:`repro.server.coalescer` — batch windows that flush one
+  ``run_many`` wave per shard: self-clocked on completions when
+  threaded, size- and deadline-bounded under the deterministic
+  conductor;
 * :mod:`repro.server.leases` — per-(library, cell) checkout leases with
   heartbeat renewal and fencing tokens (zombie sessions cannot clobber
   their successors);

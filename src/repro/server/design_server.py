@@ -4,7 +4,11 @@ One event loop accepts designer connections and speaks the
 line-delimited JSON protocol; the blocking work — `run_many` waves —
 happens on the engine's per-shard executor threads, so the loop only
 parses frames, admits requests and resolves waiters.  Batch windows are
-flushed by a periodic flusher task on the wall clock.
+self-clocked by the engine: a submit to an idle shard, or a finishing
+batch, flushes a window as soon as it holds the shard's expected width
+(see :mod:`repro.server.coalescer`).  A periodic task on the wall clock
+serves only the fallback: it flushes an *idle* shard's short window once
+it has waited ``window_ms`` for runs that never came.
 
 The front end is built for hostile networks:
 
@@ -159,7 +163,7 @@ class DesignServer:
     # -- background flusher ------------------------------------------------
 
     async def _flush_windows(self) -> None:
-        """Flush deadline-expired batch windows on the wall clock."""
+        """Fallback: flush idle shards' windows held past ``window_ms``."""
         interval_s = max(self.window_ms / 2.0, 1.0) / 1000.0
         while True:
             await asyncio.sleep(interval_s)

@@ -17,9 +17,14 @@ Two execution modes:
   byte-identical OMS snapshot at any worker count.
 * **threaded** (``concurrent=True``) — each shard owns a single-thread
   executor and flushed batches run concurrently across shards (batches
-  on one shard stay serial).  This is the mode the asyncio front end
-  uses; wall-clock speedup is real but byte-level replay identity is
-  not promised (execution interleaving chooses oid allocation order).
+  on one shard stay serial).  Windows are self-clocked
+  (:mod:`repro.server.coalescer`): an idle shard flushes as soon as its
+  window holds the shard's expected width, and a finishing batch
+  releases its shard before its clients are answered, so the runs that
+  queued behind it go out without waiting on a timer.  This is the mode
+  the asyncio front end uses; wall-clock speedup is real but byte-level
+  replay identity is not promised (execution interleaving chooses oid
+  allocation order).
 
 The engine is deliberately ignorant of transports and of scripts: the
 protocol layer resolves named scripts into activity kwargs before
@@ -31,8 +36,8 @@ from __future__ import annotations
 import dataclasses
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.scheduler import RUN_CRASHED, RunOutcome, RunRequest
 from repro.errors import (
@@ -128,8 +133,11 @@ class _ShardRuntime:
         self.breaker = breaker
         #: flushed-but-unexecuted batches (deterministic mode)
         self.ready: List[Tuple[List[PendingRun], float]] = []
-        #: in-flight executor futures (threaded mode)
-        self.futures: List[Future] = []
+        #: in-flight executor futures (threaded mode); a finished
+        #: future drops out, keeping only its exception if it raised
+        self.futures: Set[Future] = set()
+        self.error: Optional[BaseException] = None
+        self._futures_mutex = threading.Lock()
         self.executor: Optional[ThreadPoolExecutor] = None
         self.batch_seq = 0
         self.batches_run = 0
@@ -139,6 +147,22 @@ class _ShardRuntime:
         self.deadline_shed = 0
         self.fenced = 0
         self.cancelled = 0
+
+    def track(self, future: Future) -> None:
+        with self._futures_mutex:
+            self.futures.add(future)
+        future.add_done_callback(self._untrack)
+
+    def _untrack(self, future: Future) -> None:
+        error = None if future.cancelled() else future.exception()
+        with self._futures_mutex:
+            self.futures.discard(future)
+            if error is not None and self.error is None:
+                self.error = error
+
+    def in_flight(self) -> List[Future]:
+        with self._futures_mutex:
+            return [future for future in self.futures if not future.done()]
 
 
 class ServeEngine:
@@ -208,7 +232,9 @@ class ServeEngine:
                 admission=AdmissionController(
                     shard_id, queue_depth, bucket=bucket
                 ),
-                batcher=ShardBatcher(shard_id, max_batch, window_ms),
+                batcher=ShardBatcher(
+                    shard_id, max_batch, window_ms, clocked=concurrent
+                ),
                 breaker=CircuitBreaker(
                     shard_id, breaker_threshold, breaker_cooldown_ms
                 ),
@@ -443,7 +469,8 @@ class ServeEngine:
     def cancel(self, pending: PendingRun) -> bool:
         """Withdraw a not-yet-started run (client disconnected).
 
-        Only runs still sitting in their coalescer window can be
+        Only runs still sitting in their coalescer window — in threaded
+        mode, queued behind their shard's in-flight batch — can be
         cancelled; a flushed run executes regardless (its result is
         simply unobserved).  Returns True if the run was withdrawn.
         """
@@ -467,13 +494,36 @@ class ServeEngine:
         flush_ms: float,
     ) -> None:
         if runtime.executor is not None:
-            runtime.futures.append(
+            runtime.track(
                 runtime.executor.submit(
-                    self._execute_batch, runtime, batch, flush_ms
+                    self._run_clocked, runtime, batch, flush_ms
                 )
             )
         else:
             runtime.ready.append((batch, flush_ms))
+
+    def _run_clocked(
+        self,
+        runtime: _ShardRuntime,
+        batch: List[PendingRun],
+        flush_ms: float,
+    ) -> None:
+        """Executor body (threaded mode): run, release the shard, answer.
+
+        The shard is released before the clients hear back, so a client
+        that resubmits on its answer is not counted twice in the expected
+        width.  A batch that raises still releases its shard, so the runs
+        behind it are not parked until the idle fallback.
+        """
+        try:
+            settled = self._execute_batch(runtime, batch, flush_ms)
+        finally:
+            runtime.batcher.complete(len(batch), self._now())
+        self._notify(settled)
+
+    def _notify(self, settled: List[PendingRun]) -> None:
+        if self.on_batch_complete is not None and settled:
+            self.on_batch_complete(list(settled))
 
     def _shed(
         self,
@@ -495,7 +545,7 @@ class ServeEngine:
         runtime: _ShardRuntime,
         batch: List[PendingRun],
         flush_ms: float,
-    ) -> None:
+    ) -> List[PendingRun]:
         """Run one flushed window as a ``run_many`` wave on its shard.
 
         Before the wave starts, the batch is triaged on the admission
@@ -513,6 +563,7 @@ class ServeEngine:
         breaker; a clean wave heals it.  :class:`~repro.faults.CrashFault`
         from the ``server.dispatch`` fault point propagates — that *is*
         the crash-mid-batch scenario, and recovery owns what follows.
+        Returns the settled runs; the caller answers their clients.
         """
         eval_ms = self.now_fn() if self.now_fn is not None else flush_ms
         self.leases.reclaim_due(eval_ms)
@@ -680,8 +731,7 @@ class ServeEngine:
         )
         with self._mutex:
             self._completed.extend(settled)
-        if self.on_batch_complete is not None and settled:
-            self.on_batch_complete(list(settled))
+        return settled
 
     def pump(self, now_ms: Optional[float] = None) -> int:
         """Flush due windows and run queued batches; returns runs executed.
@@ -690,7 +740,8 @@ class ServeEngine:
         on the calling thread in ascending shard order, so the whole
         schedule — and therefore oid allocation and the final snapshot —
         is a pure function of arrivals and seed.  In threaded mode it
-        only flushes due windows (their executors do the running).
+        only flushes idle shards' windows past their fallback deadline
+        (completions clock everything else; executors do the running).
         """
         now = self._now() if now_ms is None else now_ms
         executed = 0
@@ -702,28 +753,42 @@ class ServeEngine:
         for runtime in self._runtimes:
             while runtime.ready:
                 batch, flush_ms = runtime.ready.pop(0)
-                self._execute_batch(runtime, batch, flush_ms)
+                self._notify(self._execute_batch(runtime, batch, flush_ms))
                 executed += len(batch)
         return executed
 
     def drain(self, now_ms: Optional[float] = None) -> int:
         """Flush every partial window and finish all in-flight work.
 
-        Folds the shard lanes back into the master clock afterwards, so
-        ``clock.now_ms - epoch_ms`` on the master timeline reads the
-        serving makespan (the busiest shard's end).
+        Loops until no shard has a batch in flight or a run in its
+        window: a busy threaded shard flushes its window once its batch
+        is done, and runs submitted while drain waits are finished too.
+        Re-raises the first exception a threaded batch raised.  Folds the shard lanes back into the master clock
+        afterwards, so ``clock.now_ms - epoch_ms`` on the master
+        timeline reads the serving makespan (the busiest shard's end).
         """
         now = self._now() if now_ms is None else now_ms
         executed = 0
+        while True:
+            for runtime in self._runtimes:
+                leftover = runtime.batcher.flush()
+                if leftover:
+                    self._dispatch(runtime, leftover, now)
+            executed += self.pump(now)
+            in_flight = [
+                future
+                for runtime in self._runtimes
+                for future in runtime.in_flight()
+            ]
+            if not in_flight and not any(
+                len(runtime.batcher) for runtime in self._runtimes
+            ):
+                break
+            wait(in_flight)
         for runtime in self._runtimes:
-            leftover = runtime.batcher.flush()
-            if leftover:
-                self._dispatch(runtime, leftover, now)
-        executed += self.pump(now)
-        for runtime in self._runtimes:
-            for future in runtime.futures:
-                future.result()
-            runtime.futures.clear()
+            error, runtime.error = runtime.error, None
+            if error is not None:
+                raise error
         self.clock.advance_to(
             max(runtime.lane.now_ms for runtime in self._runtimes)
         )
@@ -733,11 +798,13 @@ class ServeEngine:
         """Stop admitting, drain everything in flight, shut executors down."""
         for runtime in self._runtimes:
             runtime.admission.close()
-        self.drain()
-        self._closed = True
-        for runtime in self._runtimes:
-            if runtime.executor is not None:
-                runtime.executor.shutdown(wait=True)
+        try:
+            self.drain()
+        finally:
+            self._closed = True
+            for runtime in self._runtimes:
+                if runtime.executor is not None:
+                    runtime.executor.shutdown(wait=True)
 
     # -- introspection -----------------------------------------------------
 
@@ -773,6 +840,8 @@ class ServeEngine:
                     "window_pending": len(runtime.batcher),
                     "flushes_by_size": runtime.batcher.flushes_by_size,
                     "flushes_by_deadline": runtime.batcher.flushes_by_deadline,
+                    "flushes_by_clock": runtime.batcher.flushes_by_clock,
+                    "expected_width": runtime.batcher.expected_width,
                     "batches_run": runtime.batches_run,
                     "waves_run": runtime.waves_run,
                     "runs_ok": runtime.runs_ok,

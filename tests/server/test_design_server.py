@@ -150,18 +150,19 @@ class TestDesignServer:
 
         run_async(exercise())
 
-    def test_overload_rejection_over_the_wire(self, scenario):
+    def test_overload_rejection_over_the_wire(self, scenario, hold_runs):
         hybrid, plans = scenario
         plan = plans[0]
 
         async def exercise():
-            # queue depth 1 and an unreachable window: the second
-            # concurrent run must be refused as overload
+            # queue depth 1 and a held wave: the second concurrent run
+            # must be refused as overload
             server = DesignServer(
                 hybrid, shards=1, max_batch=100, window_ms=60_000.0,
                 queue_depth=1,
             )
             host, port = await server.start()
+            hold = hold_runs(hybrid)
             try:
                 async with _Client(host, port) as client:
                     hello = await client.call(
@@ -169,7 +170,8 @@ class TestDesignServer:
                         library=plan.library, project=plan.project,
                     )
                     assert hello["ok"]
-                    # first run parks in the (never-flushing) window
+                    # first run takes the queue's one slot and is held
+                    # in flight
                     client.writer.write(encode_frame({
                         "op": "run", "id": 2, "cell": plan.cells[0],
                         "activity": "schematic_entry",
@@ -185,15 +187,19 @@ class TestDesignServer:
                     refusal = await client.read_frame()
                     assert refusal["id"] == 3
                     assert refusal["error"]["type"] == "ServerOverloadError"
+                    hold.release()
+                    answer = await client.read_frame()
+                    assert answer["id"] == 2
+                    assert answer["ok"], answer
             finally:
-                # stop() drains the parked first run and answers it
+                hold.release()
                 await server.stop()
 
         run_async(exercise())
 
-    def test_stop_drains_in_flight_windows(self, scenario):
-        """A run parked in an unflushed window is committed and answered
-        during graceful shutdown, not dropped."""
+    def test_stop_drains_in_flight_windows(self, scenario, hold_runs):
+        """A run parked in a window behind a busy shard is committed and
+        answered during graceful shutdown, not dropped."""
         hybrid, plans = scenario
         plan = plans[0]
 
@@ -202,24 +208,30 @@ class TestDesignServer:
                 hybrid, shards=2, max_batch=100, window_ms=60_000.0
             )
             host, port = await server.start()
+            hold = hold_runs(hybrid)
             async with _Client(host, port) as client:
                 hello = await client.call(
                     op="hello", id=1, user=plan.user, team=plan.team,
                     library=plan.library, project=plan.project,
                 )
                 assert hello["ok"]
-                client.writer.write(encode_frame({
-                    "op": "run", "id": 2, "cell": plan.cells[0],
-                    "activity": "schematic_entry",
-                    "script": "idempotent_inverter",
-                }))
+                for request_id in (2, 3):
+                    client.writer.write(encode_frame({
+                        "op": "run", "id": request_id, "cell": plan.cells[0],
+                        "activity": "schematic_entry",
+                        "script": "idempotent_inverter",
+                    }))
                 await client.writer.drain()
-                await asyncio.sleep(0.05)  # let the server admit it
+                await asyncio.sleep(0.05)  # let the server admit both
+                shard = server.engine.stats()["per_shard"][hello["shard"]]
+                assert shard["window_pending"] == 1  # parked behind run 2
                 stop_task = asyncio.create_task(server.stop())
-                answer = await client.read_frame()
+                await asyncio.sleep(0.05)
+                hold.release()
+                answers = [await client.read_frame() for _ in range(2)]
                 await stop_task
-                assert answer["id"] == 2
-                assert answer["ok"], answer
+                assert sorted(answer["id"] for answer in answers) == [2, 3]
+                assert all(answer["ok"] for answer in answers), answers
             assert hybrid.audit().clean
 
         run_async(exercise())

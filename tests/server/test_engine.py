@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import asyncio
 import shutil
 import threading
+import time
 
 import pytest
 
 from repro.errors import LockContentionError, ServerOverloadError, SessionError
+from repro.faults import CrashFault, FaultPlan, inject
 from repro.oms.locks import LockManager
+from repro.server.design_server import DesignServer
 from repro.server.engine import ServeEngine
+from repro.server.protocol import ScriptCatalog
 from repro.workloads.loadgen import (
     ScenarioSpec,
     build_scenario,
     replay_engine,
+    replay_socket,
 )
 
 SPEC = ScenarioSpec(teams=2, designers_per_team=3, runs_per_designer=1)
@@ -178,15 +184,14 @@ class TestBackpressure:
 
 
 class TestDrain:
-    def test_close_drains_in_flight_waves(self, scenario):
+    def test_close_drains_in_flight_waves(self, scenario, hold_runs):
         """Shutdown with a wave in flight: the wave commits, its clients
         are answered, and only *new* work is refused."""
-        from repro.server.protocol import ScriptCatalog
-
         hybrid, plans = scenario
         engine = ServeEngine(
             hybrid, shards=2, max_batch=100, window_ms=1e9, concurrent=True
         )
+        hold = hold_runs(hybrid)
         catalog = ScriptCatalog()
         kwargs = catalog.resolve("schematic_entry", "idempotent_inverter", {})
         sessions = [
@@ -197,7 +202,14 @@ class TestDrain:
             engine.submit(session, plan.cells[0], "schematic_entry", kwargs)
             for session, plan in zip(sessions, plans)
         ]
-        assert not any(p.done for p in pendings)  # windows never filled
+        assert hold.entered.wait(10.0)
+        # each shard's first run is held in flight; the rest wait in its
+        # window behind it
+        assert not any(p.done for p in pendings)
+        assert sum(
+            shard["window_pending"] for shard in engine.stats()["per_shard"]
+        ) >= len(pendings) - 2
+        hold.release()
         engine.close()
         assert all(p.done and p.outcome.ok for p in pendings)
         with pytest.raises(ServerOverloadError) as excinfo:
@@ -256,3 +268,140 @@ class TestRunLocks:
         locks = engine.stats()["locks"]
         assert locks["acquisitions"] - before == SPEC.total_runs
         assert locks["contentions"] == 0
+
+
+class TestSelfClocking:
+    """Threaded shards flush on completions, not on the window timer."""
+
+    def test_serial_clients_never_wait_for_the_fallback(self, tmp_path):
+        spec = ScenarioSpec(teams=2, designers_per_team=2, runs_per_designer=3)
+        hybrid, plans = build_scenario(tmp_path / "env", spec)
+
+        async def exercise():
+            # a timer-first window would hold every run for a minute
+            server = DesignServer(hybrid, shards=2, window_ms=60_000.0)
+            host, port = await server.start()
+            try:
+                report = await asyncio.wait_for(
+                    replay_socket(host, port, plans, spec, max_concurrent=1),
+                    timeout=30.0,
+                )
+            finally:
+                await server.stop()
+            return report, server.engine.stats()["per_shard"]
+
+        report, shards = asyncio.run(exercise())
+        assert report.ok == spec.total_runs
+        assert report.dropped_sessions == 0
+        assert [shard["flushes_by_deadline"] for shard in shards] == [0, 0]
+        assert sum(shard["flushes_by_clock"] for shard in shards) == (
+            spec.total_runs
+        )
+        assert all(shard["expected_width"] == 1 for shard in shards)
+
+    def test_closed_loop_of_eight_converges_to_eight_wide_batches(
+        self, tmp_path, hold_runs
+    ):
+        """Eight clients that each resubmit on their answer share 8-wide
+        waves; drain() keeps waiting while completions bring new runs."""
+        rounds = 3
+        spec = ScenarioSpec(
+            teams=1, designers_per_team=8, runs_per_designer=rounds + 1
+        )
+        hybrid, plans = build_scenario(tmp_path / "env", spec)
+        widths = []
+        run_many = hybrid.run_many
+
+        def counted(requests, **kwargs):
+            widths.append(len(requests))
+            return run_many(requests, **kwargs)
+
+        hybrid.run_many = counted
+        hold = hold_runs(hybrid)
+        engine = ServeEngine(
+            hybrid, shards=1, max_batch=16, window_ms=60_000.0,
+            concurrent=True, now_fn=lambda: time.monotonic() * 1000.0,
+        )
+        kwargs = ScriptCatalog().resolve(
+            "schematic_entry", "idempotent_inverter", {}
+        )
+        sessions = [
+            engine.open_session(p.user, p.team, p.library, p.project)
+            for p in plans
+        ]
+        # client 0 goes first and alone, so it stays one run ahead of its
+        # peers: it sends one run more, and all finish in the same wave
+        todo = {
+            session.session_id: list(plan.cells[: rounds + (index == 0)])
+            for index, (session, plan) in enumerate(zip(sessions, plans))
+        }
+        settled = []
+
+        def send(session):
+            cell = todo[session.session_id].pop(0)
+            engine.submit(session, cell, "schematic_entry", kwargs)
+
+        def answered(batch):
+            # each client sends its next run as soon as it hears back
+            settled.extend(batch)
+            for pending in batch:
+                if todo[pending.session.session_id]:
+                    send(pending.session)
+
+        engine.on_batch_complete = answered
+        send(sessions[0])
+        assert hold.entered.wait(10.0)
+        for session in sessions[1:]:
+            send(session)
+        assert engine.stats()["per_shard"][0]["window_pending"] == 7
+        hold.release()
+        engine.drain()
+        assert len(settled) == 8 * rounds + 1
+        assert all(pending.outcome.ok for pending in settled)
+        assert widths == [1] + [8] * rounds
+        shard = engine.stats()["per_shard"][0]
+        assert shard["flushes_by_deadline"] == 0
+        assert shard["flushes_by_clock"] == 1 + rounds
+        assert shard["expected_width"] == 8
+        engine.close()
+        assert hybrid.audit().clean
+
+    def test_crashed_batch_releases_its_shard(self, scenario):
+        """A batch that raises frees its shard for the next run, keeps no
+        finished future, and its exception surfaces at drain."""
+        hybrid, plans = scenario
+        engine = ServeEngine(
+            hybrid, shards=1, window_ms=60_000.0, concurrent=True,
+            now_fn=lambda: time.monotonic() * 1000.0,
+        )
+        kwargs = ScriptCatalog().resolve(
+            "schematic_entry", "idempotent_inverter", {}
+        )
+        plan = plans[0]
+        session = engine.open_session(
+            plan.user, plan.team, plan.library, plan.project
+        )
+        runtime = engine._runtimes[0]
+        with inject(FaultPlan.crash("server.dispatch")):
+            engine.submit(session, plan.cells[0], "schematic_entry", kwargs)
+            deadline = time.monotonic() + 10.0
+            while runtime.error is None and time.monotonic() < deadline:
+                time.sleep(0.005)
+        assert isinstance(runtime.error, CrashFault)
+        # the crashed run never reached the wave: run its cell again
+        second = engine.submit(
+            session, plan.cells[0], "schematic_entry", kwargs
+        )
+        deadline = time.monotonic() + 10.0
+        while not second.settled and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert second.outcome is not None and second.outcome.ok
+        while runtime.in_flight() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert runtime.futures == set()
+        shard = engine.stats()["per_shard"][0]
+        assert shard["flushes_by_deadline"] == 0
+        assert shard["flushes_by_clock"] == 2
+        with pytest.raises(CrashFault):
+            engine.close()
+        assert runtime.error is None

@@ -181,28 +181,51 @@ class TestMalformedFrames:
 
 class TestVanishingClients:
     def test_disconnect_between_admit_and_answer_leaks_nothing(
-        self, scenario
+        self, scenario, hold_runs
     ):
         hybrid, plans = scenario
-        plan = plans[0]
+        plan, other = plans[0], plans[1]
 
         async def exercise():
-            # a wide window: the run is admitted but nowhere near flushing
+            # a wide fallback window and a held wave: the run is admitted
+            # and parked behind the busy shard, nowhere near flushing
             server = DesignServer(
                 hybrid, shards=1, max_batch=8, window_ms=60_000.0
             )
             host, port = await server.start()
+            hold = hold_runs(hybrid)
             try:
-                async with _Client(host, port) as client:
-                    await _hello(client, plan)
-                    client.writer.write(encode_frame({
-                        "op": "run", "id": 1, "cell": plan.cells[0],
+                async with _Client(host, port) as busy:
+                    await _hello(busy, other)
+                    busy.writer.write(encode_frame({
+                        "op": "run", "id": 1, "cell": other.cells[0],
                         "activity": "schematic_entry",
                         "script": "idempotent_inverter",
                     }))
-                    await client.writer.drain()
-                    await asyncio.sleep(0.05)  # admitted, now vanish
-                await asyncio.sleep(0.05)
+                    await busy.writer.drain()
+                    entered = await asyncio.get_running_loop().run_in_executor(
+                        None, hold.entered.wait, 10.0
+                    )
+                    assert entered  # the shard is busy with that wave
+                    async with _Client(host, port) as client:
+                        await _hello(client, plan)
+                        client.writer.write(encode_frame({
+                            "op": "run", "id": 1, "cell": plan.cells[0],
+                            "activity": "schematic_entry",
+                            "script": "idempotent_inverter",
+                        }))
+                        await client.writer.drain()
+                        await asyncio.sleep(0.05)
+                        shard = server.engine.stats()["per_shard"][0]
+                        assert shard["window_pending"] == 1
+                        # admitted and parked, now vanish
+                    await asyncio.sleep(0.05)
+                    assert server.transport_stats()["abandoned_runs"] == 1
+                    hold.release()
+                    answer = await asyncio.wait_for(
+                        busy.read_frame(), timeout=10.0
+                    )
+                    assert answer["ok"], answer
                 assert server._waiters == {}
                 assert server.transport_stats()["abandoned_runs"] == 1
                 stats = server.engine.stats()["per_shard"][0]
@@ -211,12 +234,13 @@ class TestVanishingClients:
                 audit = server.engine.hybrid.audit()
                 assert audit.clean
             finally:
+                hold.release()
                 await server.stop()
             assert server.engine.stats()["per_shard"][0]["cancelled"] == 1
 
         run_async(exercise())
 
-    def test_stop_during_open_window_still_answers(self, scenario):
+    def test_stop_during_open_window_still_answers(self, scenario, hold_runs):
         hybrid, plans = scenario
         plan = plans[0]
 
@@ -225,26 +249,39 @@ class TestVanishingClients:
                 hybrid, shards=1, max_batch=8, window_ms=60_000.0
             )
             host, port = await server.start()
+            hold = hold_runs(hybrid)
             try:
                 async with _Client(host, port) as client:
                     await _hello(client, plan)
-                    client.writer.write(encode_frame({
-                        "op": "run", "id": 1, "cell": plan.cells[0],
-                        "activity": "schematic_entry",
-                        "script": "idempotent_inverter",
-                    }))
+                    for request_id, cell in enumerate(plan.cells[:2], 1):
+                        client.writer.write(encode_frame({
+                            "op": "run", "id": request_id, "cell": cell,
+                            "activity": "schematic_entry",
+                            "script": "idempotent_inverter",
+                        }))
                     await client.writer.drain()
                     await asyncio.sleep(0.05)
-                    # the operator stops the server mid-window; the
-                    # drain must flush and answer, not strand the client
+                    shard = server.engine.stats()["per_shard"][0]
+                    assert shard["window_pending"] == 1
+                    # run 2 sits in the window behind the held run 1 when
+                    # the operator stops the server; the drain must flush
+                    # and answer it, not strand the client
                     stop_task = asyncio.ensure_future(server.stop())
-                    answer = await asyncio.wait_for(
-                        client.read_frame(), timeout=10.0
-                    )
+                    await asyncio.sleep(0.05)
+                    hold.release()
+                    answers = [
+                        await asyncio.wait_for(
+                            client.read_frame(), timeout=10.0
+                        )
+                        for _ in range(2)
+                    ]
                     await stop_task
-                    assert answer["ok"], answer
-                    assert answer["status"] == "ok"
+                    assert sorted(a["id"] for a in answers) == [1, 2]
+                    for answer in answers:
+                        assert answer["ok"], answer
+                        assert answer["status"] == "ok"
             finally:
+                hold.release()
                 if not server._stopping:
                     await server.stop()
 
