@@ -55,10 +55,18 @@ SPEC = ScenarioSpec(teams=32, designers_per_team=32, runs_per_designer=1)
 MAX_BATCH = 32
 #: deadline bound on a window, simulated ms
 WINDOW_MS = 2000.0
-if os.environ.get("REPRO_BENCH_SMOKE"):
+
+
+def use_smoke_sizes() -> None:
+    """Shrink the experiment to its CI size: 64 sessions, 1-4 shards."""
+    global SHARD_COUNTS, SPEC, MAX_BATCH
     SHARD_COUNTS = [1, 2, 4]
     SPEC = ScenarioSpec(teams=8, designers_per_team=8, runs_per_designer=1)
     MAX_BATCH = 8
+
+
+if os.environ.get("REPRO_BENCH_SMOKE"):
+    use_smoke_sizes()
 
 RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "e31d_server.txt"
 
@@ -292,13 +300,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.smoke:
-        shard_counts = [1, 2, 4]
-        spec = ScenarioSpec(teams=8, designers_per_team=8,
-                            runs_per_designer=1)
-    else:
-        shard_counts = SHARD_COUNTS
-        spec = SPEC
-    report, metrics = run_bench(shard_counts, spec)
+        use_smoke_sizes()
+    report, metrics = run_bench(SHARD_COUNTS, SPEC)
     print(report)
     if not args.smoke:
         RESULTS_PATH.parent.mkdir(exist_ok=True)

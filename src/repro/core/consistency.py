@@ -470,7 +470,7 @@ class ConsistencyGuard:
         quarantined them — re-reporting forever would make a recovered
         store permanently un-auditable.  Damage to the write-ahead log
         (a torn tail recovery has not dropped yet, a checkpoint failing
-        its checksum, a payload sidecar no longer proving its digest)
+        its checksum, a payload pack frame no longer proving its digest)
         is reported as ``wal-integrity``.
         """
         for finding in Scrubber(self.jcf, self.fmcad).scrub().findings:

@@ -31,12 +31,15 @@ cells and designers — onto a worker pool:
    rather than racing it.
 5. **Group-commit.**  Each wave's metadata transactions coalesce into
    one OMS flush (:meth:`~repro.oms.database.OMSDatabase.group_commit`).
-   The wave also writes each FMCAD library it checked into once: after
-   every run finished, before the group's WAL record.  The order is
-   version files durable, then one ``.meta`` per touched library, then
-   the WAL record, then the ack.  A ``.meta`` flush that fails or is
-   refused leaves the wave committed in memory but not logged, which
-   nothing can undo: the database stops
+   A run writes its version files inside its commit turn without
+   fsyncing them and fsyncs them after leaving it, so the next turn
+   does not wait for its disk.  The wave writes each FMCAD library it
+   checked into once: after every run (fsyncs included) finished,
+   before the group's WAL record.  The order is version files durable,
+   then one ``.meta`` per touched library, then the WAL record, then
+   the ack.  A fsync or ``.meta`` flush that fails, or a refused one,
+   leaves the wave committed in memory but not logged, which nothing
+   can undo: the database stops
    (:meth:`~repro.oms.database.OMSDatabase.fail_stop`), no record is
    appended, nothing is acked, and the batch raises
    :class:`~repro.faults.FailStop` until a reopen and ``recover()``.
@@ -64,6 +67,7 @@ from repro.core import gates
 from repro.core.encapsulation import ToolRunResult, publish_meta
 from repro.errors import EncapsulationError, LockContentionError
 from repro.faults import CrashFault, fault_point
+from repro.oms import durable
 
 #: wrapper attribute on HybridFramework per schedulable activity
 ACTIVITIES = ("schematic_entry", "digital_simulation", "layout_entry")
@@ -313,15 +317,22 @@ class BatchScheduler:
                     )
                 )
             wait(futures)
-            # every version file is durable; no .meta names them yet
-            fault_point("wave.before_meta")
-            # one .meta per library the wave changed, written by the user
-            # of the library's first run in turn order
-            first_run: Dict[str, RunRequest] = {}
-            for index in order:
-                request = requests[index]
-                first_run.setdefault(request.library.name, request)
             try:
+                for future in futures:
+                    # _execute captures every run-level exception in its
+                    # outcome; what escapes is a failed version-file
+                    # fsync (or a scheduler bug)
+                    exc = future.exception()
+                    if exc is not None:
+                        raise exc
+                # every version file is durable; no .meta names them yet
+                fault_point("wave.before_meta")
+                # one .meta per library the wave changed, written by the
+                # user of the library's first run in turn order
+                first_run: Dict[str, RunRequest] = {}
+                for index in order:
+                    request = requests[index]
+                    first_run.setdefault(request.library.name, request)
                 for name in sorted(first_run):
                     library = first_run[name].library
                     if library.tick != library.flushed_tick:
@@ -332,14 +343,8 @@ class BatchScheduler:
                 # the runs committed in memory and cannot be undone, yet
                 # nothing may log or ack them: stop as if the process died
                 raise self.db.fail_stop(
-                    f"wave {wave_number}: .meta not written ({exc})"
+                    f"wave {wave_number}: not made durable ({exc})"
                 ) from exc
-        for future in futures:
-            # _execute captures every run-level exception in its outcome;
-            # anything escaping the worker is a scheduler bug — surface it
-            exc = future.exception()
-            if exc is not None:
-                raise exc
         if lanes:
             self.clock.advance_to(max(lane.now_ms for lane in lanes))
 
@@ -368,6 +373,7 @@ class BatchScheduler:
         try:
             with self.db.commit_scope(self.commit_scope), \
                     gates.install(gate), self.clock.use_lane(lane), \
+                    durable.deferred_fsyncs() as written, \
                     self.hybrid.jcf.staging_sandbox(sandbox_name) as sandbox:
                 try:
                     wrapper = getattr(self.hybrid, request.activity)
@@ -392,6 +398,9 @@ class BatchScheduler:
             acquisition.release()
         outcome.lane_ms = lane.elapsed_ms
         if outcome.status != RUN_CRASHED:
+            # out of the commit turn: the version files it wrote unsynced
+            # must be durable before the wave writes the .meta naming them
+            durable.fsync_files(written)
             # a live run cleans its sandbox; a crashed one leaves its
             # files on disk for the audit to flag and recover() to sweep
             sandbox.clear()

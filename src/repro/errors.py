@@ -106,6 +106,16 @@ class WALError(OMSError):
     """Write-ahead-log operation failed (append, checkpoint, replay)."""
 
 
+class WALSyncError(WALError):
+    """A WAL record was written but its fsync failed.
+
+    The record is in the log file and may or may not reach the disk, so
+    the commit is neither durable nor safely undone: the database stops
+    (:meth:`~repro.oms.database.OMSDatabase.fail_stop`) instead of
+    aborting it.
+    """
+
+
 class WALIntegrityError(WALError, IntegrityError):
     """A WAL record or checkpoint failed verification.
 

@@ -316,8 +316,11 @@ class Library:
             # version files are immutable once written, so a plain
             # write + fsync suffices — no rename dance needed, but the
             # bytes must be durable before the .meta that references them
+            # (a scheduled run defers the fsync past its commit turn; its
+            # wave writes the .meta only after every run's fsyncs)
             durable.write_bytes(
-                path, corruption_point("fmcad.version_file", data)
+                path, corruption_point("fmcad.version_file", data),
+                deferrable=True,
             )
             self.clock.charge_native_io(len(data), files=1)
         version = CellViewVersion(

@@ -3,7 +3,7 @@
 The scrubber walks every at-rest representation the coupling owns —
 OMS blobs (including delta chains), staged files, FMCAD version files,
 ``.meta`` files, the write-ahead log (checkpoints, logs, payload
-sidecars) — re-verifies each against its recorded checksum, and
+pack) — re-verifies each against its recorded checksum, and
 classifies what it finds:
 
 * **bit-rot** — same size, wrong bytes (a flipped bit at rest);
@@ -303,7 +303,7 @@ class Scrubber:
         if finding.area == "wal":
             # the live database is the repair source: a checkpoint
             # rewrites the checkpoint durably and verified, and retires
-            # the logs and sidecars it folds in
+            # the logs and the payload pack it folds in
             wal = self.jcf.wal
             try:
                 wal.checkpoint(self.jcf.db)

@@ -15,6 +15,7 @@ from repro.errors import (
     SchemaError,
     TransactionError,
     UnknownObjectError,
+    WALSyncError,
 )
 from repro.faults import CrashFault, FailStop
 from repro.ids import IdAllocator, sort_key
@@ -185,8 +186,10 @@ class OMSDatabase:
         """Stop for good: memory holds commits the log will never have.
 
         Called when committed changes can neither be logged nor undone —
-        a scheduler wave whose ``.meta`` or group record cannot be
-        written.  From now on
+        a scheduler wave whose version files, ``.meta`` or group record
+        cannot be made durable — and when a WAL record was written but
+        its fsync failed, so the log may hold a commit memory would
+        otherwise abort.  From now on
         every transaction, commit group, WAL append and checkpoint
         raises :class:`~repro.faults.FailStop`, so no later commit can
         build on the unlogged ones and no checkpoint can make them
@@ -218,8 +221,11 @@ class OMSDatabase:
         txn = self._active_txn
         if txn is not None:
             txn.record_wal(op)
-        else:
+            return
+        try:
             self._wal_commit([op])
+        except WALSyncError as exc:
+            raise self.fail_stop(f"auto-commit: {exc}") from exc
 
     def _wal_commit(self, ops: List[Dict[str, Any]]) -> None:
         """Append one committed change set, honouring group commit."""
@@ -276,6 +282,14 @@ class OMSDatabase:
             # append aborts the transaction like a raising block would —
             # an aborted block's buffered ops never touch the log
             self._wal_commit(txn.wal_ops)
+        except WALSyncError as exc:
+            # the record is in the log, maybe durable: memory keeps the
+            # commit a reopen may replay, and nothing builds on it
+            self._active_txn = None
+            txn.commit()
+            with self._mutex:
+                self._bump_epoch()
+            raise self.fail_stop(f"transaction: {exc}") from exc
         except BaseException:
             self._active_txn = None
             # roll back under the mutex: the undo closures mutate the

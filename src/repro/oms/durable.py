@@ -13,7 +13,11 @@ This module centralises the missing :func:`os.fsync` placement:
 * :func:`atomic_replace` — durable temp write, ``os.replace``, then
   fsync of the **parent directory** so the rename itself is durable;
 * :func:`replace` / :func:`fsync_dir` — for callers that build the
-  temp file themselves (tar archives, WAL segments).
+  temp file themselves (tar archives, WAL segments);
+* :func:`deferred_fsyncs` / :func:`fsync_files` — for a caller that
+  must write files now but may make them durable later, off a serial
+  path (a scheduled run's version files, written inside its commit
+  turn and fsynced after it).
 
 Durability modes
 ----------------
@@ -37,7 +41,7 @@ import contextlib
 import os
 import pathlib
 import threading
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, List, Optional, Union
 
 DURABILITY_FULL = "full"
 DURABILITY_RELAXED = "relaxed"
@@ -103,11 +107,25 @@ def fsync_file(path: PathLike, mode: Optional[str] = None) -> None:
         os.close(fd)
 
 
-def fsync_file_handle(handle, mode: Optional[str] = None) -> None:
-    """Fsync an already-open file object (appenders keep theirs open)."""
+def fsync_fd(fd: int, mode: Optional[str] = None) -> None:
+    """Fsync an open file descriptor (no-op when relaxed)."""
     if _resolved(mode) != DURABILITY_FULL:
         return
-    os.fsync(handle.fileno())
+    os.fsync(fd)
+
+
+def fsync_files(paths: Iterable[PathLike], mode: Optional[str] = None) -> None:
+    """Fsync each file of *paths* that still exists.
+
+    A file gone by now was unlinked on purpose (a compensated checkin
+    drops its own version file), so there is nothing left to make
+    durable.
+    """
+    for path in paths:
+        try:
+            fsync_file(path, mode=mode)
+        except FileNotFoundError:
+            pass
 
 
 def fsync_dir(path: PathLike, mode: Optional[str] = None) -> None:
@@ -131,13 +149,43 @@ def fsync_dir(path: PathLike, mode: Optional[str] = None) -> None:
         os.close(fd)
 
 
-def write_bytes(path: PathLike, data: bytes, mode: Optional[str] = None) -> None:
-    """Write ``data`` to ``path`` and fsync the file."""
+@contextlib.contextmanager
+def deferred_fsyncs() -> Iterator[List[pathlib.Path]]:
+    """Collect, instead of issuing, this thread's deferrable fsyncs.
+
+    Inside the block, ``write_bytes(..., deferrable=True)`` writes its
+    file without fsyncing it and appends the path to the yielded list.
+    The owner of the block must pass that list to :func:`fsync_files`
+    before anything that names those files is made durable.
+    """
+    previous = getattr(_state, "deferred", None)
+    pending: List[pathlib.Path] = []
+    _state.deferred = pending
+    try:
+        yield pending
+    finally:
+        _state.deferred = previous
+
+
+def write_bytes(
+    path: PathLike,
+    data: bytes,
+    mode: Optional[str] = None,
+    deferrable: bool = False,
+) -> None:
+    """Write ``data`` to ``path`` and fsync the file.
+
+    A *deferrable* write inside :func:`deferred_fsyncs` leaves the fsync
+    to the owner of that block.
+    """
     resolved = _resolved(mode)
+    pending = getattr(_state, "deferred", None) if deferrable else None
     with open(os.fspath(path), "wb") as handle:
         handle.write(data)
         handle.flush()
-        if resolved == DURABILITY_FULL:
+        if pending is not None:
+            pending.append(pathlib.Path(path))
+        elif resolved == DURABILITY_FULL:
             os.fsync(handle.fileno())
 
 

@@ -15,8 +15,8 @@ Layout (all under one WAL directory)::
                           checkpoint re-verifies from disk
     checkpoint.json       last compacted snapshot (dump_snapshot bytes)
     checkpoint.json.prev  previous checkpoint, same retention rule
-    blobs/<digest>        payload sidecars, content-addressed; written
-                          once per digest between checkpoints
+    blobs.pack            append-only payload frames; each digest is
+                          written once between checkpoints
 
 Record format — one JSON object per line::
 
@@ -25,11 +25,20 @@ Record format — one JSON object per line::
 ``H`` is the SHA-256 of the canonical serialisation of the record body
 (everything but ``sha256``), so a flipped bit anywhere in the line is
 detected before replay.  Payload bytes never ride inside records; an op
-carries ``payload_digest`` and the bytes live in a ``blobs/`` sidecar
-(written before the record that references it, and verified against its
-file name on read).  Re-committing a payload the log already made
-durable — the common case under delta harvest — appends a digest-only
-record: zero payload bytes rewritten.
+carries ``payload_digest`` and the bytes live in a frame of
+``blobs.pack``::
+
+    magic byte 0xB7 | raw 32-byte SHA-256 | 8-byte big-endian length | bytes
+
+A commit appends the frames of all its new payloads and fsyncs the pack
+once, before it appends the record that names them; frames are verified
+against their digest on read.  Re-committing a payload the log already
+made durable — the common case under delta harvest — appends a
+digest-only record: zero payload bytes rewritten.  A pack frame cut
+short at the end of the file is the residue of a crash mid-append:
+recovery truncates it like a torn record.  (Workspaces written before
+the pack kept one ``blobs/<digest>`` sidecar file per payload; those
+are still read, and the next checkpoint deletes them.)
 
 Replay is **idempotent**: ``create`` of an existing oid is a no-op,
 ``set_attr``/``set_payload`` overwrite, ``link`` is an idempotent add,
@@ -47,12 +56,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import pathlib
+import struct
 import threading
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.clock import SimClock
-from repro.errors import OMSError, WALError, WALIntegrityError
+from repro.errors import OMSError, WALError, WALIntegrityError, WALSyncError
 from repro.faults import corruption_point, fault_point
 from repro.oms import durable
 from repro.oms.blobs import digest_bytes
@@ -72,7 +83,14 @@ PREV_LOG_NAME = "wal.log.prev"
 CHECKPOINT_NAME = "checkpoint.json"
 PREV_CHECKPOINT_NAME = "checkpoint.json.prev"
 CHECKPOINT_TMP_NAME = "checkpoint.json.tmp"
-BLOB_DIR_NAME = "blobs"
+PACK_NAME = "blobs.pack"
+#: per-payload sidecar directory of workspaces written before the pack
+LEGACY_BLOB_DIR_NAME = "blobs"
+
+#: first byte of every pack frame
+FRAME_MAGIC = 0xB7
+#: frame header: magic, raw SHA-256 of the payload, payload length
+FRAME_HEADER = struct.Struct(">B32sQ")
 
 #: what precedes a record's digest on its line (``sha256`` sorts last)
 _DIGEST_MARKER = b', "sha256": "'
@@ -96,6 +114,8 @@ class WALRecoveryInfo:
     ops_skipped: int = 0
     #: torn tail records dropped from the live log
     torn_records_dropped: int = 0
+    #: bytes of a torn final pack frame truncated away
+    torn_pack_bytes: int = 0
     #: housekeeping performed (completed truncations, dropped temps)
     cleaned: List[str] = dataclasses.field(default_factory=list)
 
@@ -128,14 +148,15 @@ class WriteAheadLog:
     ) -> None:
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.blob_dir.mkdir(exist_ok=True)
         #: per-call-site durability override (None = process default)
         self.durability_mode = durability_mode
         self._lock = threading.RLock()
         self._lsn = 0
-        #: digests already durable (blob sidecar or folded checkpoint);
-        #: commits referencing them skip the sidecar write entirely
+        #: digests already durable (pack frame, legacy sidecar or folded
+        #: checkpoint); commits referencing them write no payload bytes
         self._durable_digests: Set[str] = set()
+        #: digest -> (offset, size) of its payload bytes in the pack
+        self._pack_index: Dict[str, Tuple[int, int]] = {}
         # -- counters (bench/stats surface) --
         self.records_appended = 0
         self.ops_appended = 0
@@ -169,8 +190,12 @@ class WriteAheadLog:
         return self.root / CHECKPOINT_TMP_NAME
 
     @property
-    def blob_dir(self) -> pathlib.Path:
-        return self.root / BLOB_DIR_NAME
+    def pack_path(self) -> pathlib.Path:
+        return self.root / PACK_NAME
+
+    @property
+    def legacy_blob_dir(self) -> pathlib.Path:
+        return self.root / LEGACY_BLOB_DIR_NAME
 
     @classmethod
     def present_at(cls, root: Union[str, pathlib.Path]) -> bool:
@@ -188,9 +213,107 @@ class WriteAheadLog:
             for record, _, _ in self._iter_lines(path):
                 if record is not None:
                     self._lsn = max(self._lsn, int(record.get("lsn", 0)))
-        for entry in self.blob_dir.iterdir():
-            if entry.is_file():
-                self._durable_digests.add(entry.name)
+        self._pack_index, _ = self._scan_pack()
+        self._durable_digests.update(self._pack_index)
+        self._durable_digests.update(p.name for p in self._legacy_sidecars())
+
+    def _legacy_sidecars(self) -> List[pathlib.Path]:
+        """``blobs/<digest>`` files a workspace from before the pack left."""
+        if not self.legacy_blob_dir.is_dir():
+            return []
+        return sorted(p for p in self.legacy_blob_dir.iterdir() if p.is_file())
+
+    # -- payload pack ---------------------------------------------------------
+
+    def _scan_pack(
+        self,
+    ) -> Tuple[Dict[str, Tuple[int, int]], Optional[Tuple[int, str]]]:
+        """Index the pack's frames: ``digest -> (offset, size)`` of each.
+
+        Reads headers only; payload bytes are verified when read.  The
+        second value is ``(offset, classification)`` of the first byte
+        that does not start a whole frame, or None: ``torn-tail`` for a
+        final frame cut short (a crash mid-append), ``bit-rot`` for a
+        header without the magic byte, behind which no frame can be
+        found.
+        """
+        index: Dict[str, Tuple[int, int]] = {}
+        try:
+            handle = open(self.pack_path, "rb")
+        except FileNotFoundError:
+            return index, None
+        with handle:
+            size = os.fstat(handle.fileno()).st_size
+            offset = 0
+            while offset < size:
+                header = handle.read(FRAME_HEADER.size)
+                if len(header) < FRAME_HEADER.size:
+                    return index, (offset, "torn-tail")
+                magic, raw_digest, length = FRAME_HEADER.unpack(header)
+                if magic != FRAME_MAGIC:
+                    return index, (offset, "bit-rot")
+                start = offset + FRAME_HEADER.size
+                if start + length > size:
+                    return index, (offset, "torn-tail")
+                index[raw_digest.hex()] = (start, length)
+                offset = start + length
+                handle.seek(offset)
+        return index, None
+
+    def _read_frame(self, digest: str) -> Optional[bytes]:
+        """The pack's bytes for *digest*, verified; None if not packed."""
+        located = self._pack_index.get(digest)
+        if located is None:
+            return None
+        offset, length = located
+        with open(self.pack_path, "rb") as handle:
+            handle.seek(offset)
+            data = handle.read(length)
+        if digest_bytes(data) != digest:
+            location = self._frame_location(offset - FRAME_HEADER.size)
+            raise WALIntegrityError(
+                f"pack frame {location} fails its digest {digest}",
+                location=location,
+                classification="bit-rot",
+            )
+        return data
+
+    def _frame_location(self, offset: int) -> str:
+        """Finding location of the pack frame starting at *offset*."""
+        return f"{self.pack_path}@{offset}"
+
+    def _append(self, path: pathlib.Path, data: bytes) -> int:
+        """Append *data* to *path*, fsync it; returns where it landed.
+
+        A write that fails is cut back off, so the next append never
+        lands behind a partial one.  A failed fsync raises
+        :class:`~repro.errors.WALSyncError`: the bytes are in the file.
+        """
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            start = os.lseek(fd, 0, os.SEEK_END)
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+            except BaseException:
+                os.ftruncate(fd, start)
+                raise
+            try:
+                durable.fsync_fd(fd, mode=self.durability_mode)
+            except OSError as exc:
+                raise WALSyncError(
+                    f"{path.name}: appended but not synced ({exc})"
+                ) from exc
+        finally:
+            os.close(fd)
+        return start
+
+    def _truncate(self, path: pathlib.Path, offset: int) -> None:
+        """Durably cut *path* back to *offset* bytes (drop a torn tail)."""
+        with open(path, "r+b") as handle:
+            handle.truncate(offset)
+            durable.fsync_fd(handle.fileno(), mode=self.durability_mode)
 
     # -- record encoding ------------------------------------------------------
 
@@ -275,27 +398,45 @@ class WriteAheadLog:
 
     # -- appending ------------------------------------------------------------
 
-    def _ensure_blob(self, data: bytes) -> str:
-        """Make payload bytes durable in a sidecar; returns the digest.
+    def _pack_payloads(self, payloads: Dict[str, bytes]) -> None:
+        """Make *payloads* durable as frames of the pack: one fsync.
 
-        Digest-addressed and written at most once per digest between
-        checkpoints — the second commit of identical bytes is free.
+        The directory is fsynced only when this append created the pack.
+        A failure here comes before any record names the frames, so the
+        commit simply aborts; frames that did land are orphans that
+        replay never reads and the next checkpoint deletes.
         """
-        digest = digest_bytes(data)
-        if digest in self._durable_digests:
-            self.blob_dedup_hits += 1
-            return digest
-        durable.atomic_replace(
-            self.blob_dir / digest, data, mode=self.durability_mode
-        )
-        self._durable_digests.add(digest)
-        self.blob_writes += 1
-        self.blob_bytes_written += len(data)
-        return digest
+        created = not self.pack_path.exists()
+        chunks: List[bytes] = []
+        for digest, data in payloads.items():
+            chunks.append(
+                FRAME_HEADER.pack(FRAME_MAGIC, bytes.fromhex(digest), len(data))
+            )
+            chunks.append(data)
+        try:
+            offset = self._append(self.pack_path, b"".join(chunks))
+        except WALSyncError as exc:
+            raise WALError(str(exc)) from exc  # no record names them yet
+        if created:
+            durable.fsync_dir(self.root, mode=self.durability_mode)
+        for digest, data in payloads.items():
+            offset += FRAME_HEADER.size
+            self._pack_index[digest] = (offset, len(data))
+            offset += len(data)
+            self._durable_digests.add(digest)
+            self.blob_writes += 1
+            self.blob_bytes_written += len(data)
 
-    def _encode_ops(self, ops: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Strip payload bytes out of ops into sidecars."""
+    def _encode_ops(
+        self, ops: List[Dict[str, Any]]
+    ) -> Tuple[List[Dict[str, Any]], Dict[str, bytes]]:
+        """Strip payload bytes out of ops; also returns the new payloads.
+
+        A payload is new when no earlier commit made its digest durable;
+        the second commit of identical bytes writes none of them.
+        """
         encoded = []
+        fresh: Dict[str, bytes] = {}
         for op in ops:
             if "payload" in op:
                 op = dict(op)
@@ -304,22 +445,31 @@ class WriteAheadLog:
                     op["payload_digest"] = None
                     op["payload_size"] = 0
                 else:
-                    op["payload_digest"] = self._ensure_blob(payload)
+                    digest = digest_bytes(payload)
+                    if digest in self._durable_digests or digest in fresh:
+                        self.blob_dedup_hits += 1
+                    else:
+                        fresh[digest] = payload
+                    op["payload_digest"] = digest
                     op["payload_size"] = len(payload)
             encoded.append(op)
-        return encoded
+        return encoded, fresh
 
     def commit(self, ops: List[Dict[str, Any]]) -> Optional[int]:
         """Append one committed change set; returns its lsn.
 
         The record (not the whole database) is what pays the durable
-        write: cost is O(change set).  The fsync honours the WAL's
-        durability mode.
+        write: cost is O(change set).  New payloads go to the pack first
+        (one fsync), then the record (one fsync); both honour the WAL's
+        durability mode.  A record written whose fsync fails raises
+        :class:`~repro.errors.WALSyncError`: it may still reach the disk.
         """
         if not ops:
             return None
         with self._lock:
-            encoded = self._encode_ops(ops)
+            encoded, fresh = self._encode_ops(ops)
+            if fresh:
+                self._pack_payloads(fresh)
             self._lsn += 1
             body: Dict[str, Any] = {
                 "format": FORMAT,
@@ -331,12 +481,10 @@ class WriteAheadLog:
                 "wal.record",
                 json.dumps(body, sort_keys=True).encode("utf-8"),
             )
-            # crash here: the record is lost whole, the tail stays clean
+            # crash here: the record is lost whole, the tail stays clean;
+            # the payload frames already packed name no record
             fault_point("wal.append")
-            with open(self.log_path, "ab") as handle:
-                handle.write(line + b"\n")
-                handle.flush()
-                durable.fsync_file_handle(handle, mode=self.durability_mode)
+            self._append(self.log_path, line + b"\n")
             self.records_appended += 1
             self.ops_appended += len(ops)
             self.bytes_appended += len(line) + 1
@@ -359,9 +507,9 @@ class WriteAheadLog:
         3. rotate ``wal.log`` to ``wal.log.prev`` — crash recovers from
            the new checkpoint; the prev log is redundant but harmless;
         4. re-read and re-verify the published checkpoint from disk,
-           and only then garbage-collect ``.prev`` artifacts and blob
-           sidecars.  The previous state is never destroyed before the
-           new one has proven itself on disk.
+           and only then garbage-collect ``.prev`` artifacts and the
+           payload pack.  The previous state is never destroyed before
+           the new one has proven itself on disk.
         """
         # a stopped database holds commits the log never had: a
         # checkpoint must not make them durable behind the log's back
@@ -414,14 +562,13 @@ class WriteAheadLog:
 
     def _gc_after_checkpoint(self, database: OMSDatabase) -> None:
         """Drop superseded artifacts once the new checkpoint verified."""
-        for stale in (self.prev_log_path, self.prev_checkpoint_path):
-            if stale.exists():
-                stale.unlink()
-        for entry in self.blob_dir.iterdir():
-            if entry.is_file():
-                entry.unlink()
+        for stale in (self.prev_log_path, self.prev_checkpoint_path,
+                      self.pack_path, *self._legacy_sidecars()):
+            stale.unlink(missing_ok=True)
+        if self.legacy_blob_dir.is_dir():
+            self.legacy_blob_dir.rmdir()
         durable.fsync_dir(self.root, mode=self.durability_mode)
-        durable.fsync_dir(self.blob_dir, mode=self.durability_mode)
+        self._pack_index = {}
         # everything the checkpoint holds is durable by definition
         self._durable_digests = set(database.payload_digests())
 
@@ -484,11 +631,7 @@ class WriteAheadLog:
                         )
                     # drop the torn tail: the interrupted append never
                     # committed, so truncating is the repair
-                    with open(path, "r+b") as handle:
-                        handle.truncate(torn_offset)
-                        durable.fsync_file_handle(
-                            handle, mode=self.durability_mode
-                        )
+                    self._truncate(path, torn_offset)
                     info.torn_records_dropped += torn_count
                     info.cleaned.append(
                         f"truncated torn tail of {path.name} "
@@ -497,7 +640,26 @@ class WriteAheadLog:
                 all_records.extend(records)
 
             self._check_lsn_order(all_records)
+            self._pack_index, damage = self._scan_pack()
+            if damage is not None and damage[1] != "torn-tail":
+                raise WALIntegrityError(
+                    f"{self.pack_path}: frame header at byte {damage[0]} "
+                    f"is damaged — at-rest corruption, not a torn append",
+                    location=self._frame_location(damage[0]),
+                    classification=damage[1],
+                )
             applied, skipped = self.replay_into(database, all_records)
+            if damage is not None:
+                # after replay: a record that needed those bytes has
+                # raised by now, so the cut drops only what nothing names
+                # and the next append cannot land behind a partial frame
+                offset = damage[0]
+                info.torn_pack_bytes = self.pack_path.stat().st_size - offset
+                self._truncate(self.pack_path, offset)
+                info.cleaned.append(
+                    f"truncated torn final frame of {PACK_NAME} "
+                    f"({info.torn_pack_bytes} byte(s))"
+                )
             info.records_applied = len(all_records)
             info.ops_applied = applied
             info.ops_skipped = skipped
@@ -514,6 +676,7 @@ class WriteAheadLog:
                         stale.unlink()
                         info.cleaned.append(f"completed truncation of {stale.name}")
                 durable.fsync_dir(self.root, mode=self.durability_mode)
+            self._durable_digests.update(self._pack_index)
             self._durable_digests.update(database.payload_digests())
             return database, info
 
@@ -598,7 +761,7 @@ class WriteAheadLog:
     ) -> Dict[str, bytes]:
         """Resolve every referenced payload digest up front.
 
-        A digest may be durable only inside the checkpoint (its sidecar
+        A digest may be durable only inside the checkpoint (its frame
         was GC'd); if a replayed ``delete`` later drops its last
         reference and a subsequent ``create`` re-interns it, the bytes
         must come from somewhere — this cache pins them for the whole
@@ -618,7 +781,10 @@ class WriteAheadLog:
     def _resolve_payload(
         self, database: OMSDatabase, digest: str
     ) -> Optional[bytes]:
-        sidecar = self.blob_dir / digest
+        data = self._read_frame(digest)
+        if data is not None:
+            return data
+        sidecar = self.legacy_blob_dir / digest
         if sidecar.is_file():
             data = sidecar.read_bytes()
             if digest_bytes(data) != digest:
@@ -643,7 +809,7 @@ class WriteAheadLog:
         if data is None:
             raise WALError(
                 f"replay: payload {digest} referenced by op "
-                f"{op.get('op')!r} is not durable anywhere (sidecar, "
+                f"{op.get('op')!r} is not durable anywhere (pack, "
                 f"checkpoint, or earlier in this replay)"
             )
         return data
@@ -711,6 +877,8 @@ class WriteAheadLog:
 
         A healthy (or freshly recovered) WAL reports nothing; a torn
         tail shows up as ``torn-tail`` until :meth:`repair` drops it.
+        The logs and the pack are read under the append lock, so a live
+        commit's half-written append is never reported as torn.
         """
         findings: List[Tuple[str, str]] = []
         for path in (self.checkpoint_path, self.prev_checkpoint_path):
@@ -718,23 +886,46 @@ class WriteAheadLog:
                 problem = verify_snapshot_bytes(path.read_bytes())
                 if problem is not None:
                     findings.append((str(path), problem))
-        for path in (self.prev_log_path, self.log_path):
-            try:
-                _, torn_offset, _ = self._scan_log(path, location=str(path))
-            except WALIntegrityError as exc:
-                findings.append((str(path), exc.classification or "bit-rot"))
-                continue
-            if torn_offset is not None:
-                findings.append((str(path), "torn-tail"))
-        for entry in sorted(self.blob_dir.iterdir()):
-            if entry.is_file() and digest_bytes(entry.read_bytes()) != entry.name:
+        with self._lock:
+            for path in (self.prev_log_path, self.log_path):
+                try:
+                    _, torn_offset, _ = self._scan_log(
+                        path, location=str(path)
+                    )
+                except WALIntegrityError as exc:
+                    findings.append(
+                        (str(path), exc.classification or "bit-rot")
+                    )
+                    continue
+                if torn_offset is not None:
+                    findings.append((str(path), "torn-tail"))
+            findings.extend(self._pack_findings())
+        for entry in self._legacy_sidecars():
+            if digest_bytes(entry.read_bytes()) != entry.name:
                 findings.append((str(entry), "bit-rot"))
         return findings
 
-    def repair(self) -> List[str]:
-        """Drop the live log's torn tail, if any; returns repair notes.
+    def _pack_findings(self) -> List[Tuple[str, str]]:
+        """Frames whose bytes fail their digest, and any unreadable tail."""
+        findings: List[Tuple[str, str]] = []
+        index, damage = self._scan_pack()
+        if index:
+            with open(self.pack_path, "rb") as handle:
+                for digest, (offset, length) in index.items():
+                    handle.seek(offset)
+                    if digest_bytes(handle.read(length)) != digest:
+                        findings.append((
+                            self._frame_location(offset - FRAME_HEADER.size),
+                            "bit-rot",
+                        ))
+        if damage is not None:
+            findings.append((self._frame_location(damage[0]), damage[1]))
+        return findings
 
-        Safe to call whenever the database is quiesced (the recovery
+    def repair(self) -> List[str]:
+        """Drop the torn tails of the live log and the pack, if any.
+
+        Returns repair notes.  Safe to call whenever the database is quiesced (the recovery
         sweep calls it); damage it cannot repair is left for
         :meth:`verify` / the audit to report.
         """
@@ -747,15 +938,15 @@ class WriteAheadLog:
             except WALIntegrityError:
                 return notes  # not a tail problem; audit reports it
             if torn_offset is not None:
-                with open(self.log_path, "r+b") as handle:
-                    handle.truncate(torn_offset)
-                    durable.fsync_file_handle(
-                        handle, mode=self.durability_mode
-                    )
+                self._truncate(self.log_path, torn_offset)
                 notes.append(
                     f"wal: truncated torn tail of {LOG_NAME} "
                     f"({torn_count} record(s))"
                 )
+            _, damage = self._scan_pack()
+            if damage is not None and damage[1] == "torn-tail":
+                self._truncate(self.pack_path, damage[0])
+                notes.append(f"wal: truncated torn final frame of {PACK_NAME}")
         return notes
 
     # -- stats ----------------------------------------------------------------

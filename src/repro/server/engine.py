@@ -560,9 +560,14 @@ class ServeEngine:
         before its window flushed.
 
         A wave that raises (or crashes any run) feeds the shard's circuit
-        breaker; a clean wave heals it.  :class:`~repro.faults.CrashFault`
-        from the ``server.dispatch`` fault point propagates — that *is*
-        the crash-mid-batch scenario, and recovery owns what follows.
+        breaker; a clean wave heals it, and the runs of a wave that
+        raised are answered with
+        :class:`~repro.errors.ShardUnavailableError`.  Runs of a batch
+        that dies of :class:`~repro.faults.CrashFault` (the
+        ``server.dispatch`` fault point, or a wave's ``FailStop``) are
+        answered with the crash itself, which carries no retry hint, and
+        the crash then propagates — that *is* the crash-mid-batch
+        scenario, and recovery owns what follows.
         Returns the settled runs; the caller answers their clients.
         """
         eval_ms = self.now_fn() if self.now_fn is not None else flush_ms
@@ -676,8 +681,16 @@ class ServeEngine:
                         sandbox_prefix=prefix,
                     )
                     end_ms = self.clock.now_ms
-            except CrashFault:
+            except CrashFault as exc:
                 runtime.breaker.record_failure(eval_ms)
+                # the process is as good as dead: answer its runs with the
+                # crash itself (no retry hint: memory and log may disagree)
+                # and free their slots, then let the crash surface
+                for pending in runnable:
+                    self._shed(runtime, pending, RUN_CRASHED, exc, eval_ms)
+                shed.extend(runnable)
+                self._settle(runtime, batch, shed)
+                self._notify(shed)
                 raise
             except Exception:
                 # the wave never produced outcomes: the shard is wedged
@@ -726,12 +739,21 @@ class ServeEngine:
             else:
                 runtime.breaker.record_success(record_ms)
         settled = shed + runnable if result is not None else shed
+        self._settle(runtime, batch, settled)
+        return settled
+
+    def _settle(
+        self,
+        runtime: _ShardRuntime,
+        batch: List[PendingRun],
+        settled: List[PendingRun],
+    ) -> None:
+        """Release the batch's admission slots and record its answers."""
         runtime.admission.complete(
             sum(1 for pending in batch if not pending.cancelled)
         )
         with self._mutex:
             self._completed.extend(settled)
-        return settled
 
     def pump(self, now_ms: Optional[float] = None) -> int:
         """Flush due windows and run queued batches; returns runs executed.

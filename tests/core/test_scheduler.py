@@ -603,3 +603,113 @@ class TestWaveMeta:
 
         reopened = HybridFramework.reopen(hybrid.root)
         assert dump_snapshot(reopened.jcf.db) == dump_snapshot(hybrid.jcf.db)
+
+
+@pytest.fixture
+def fsyncs(monkeypatch, hybrid):
+    """Every fsync under full durability, in call order.
+
+    Each entry is ``(path, scheduled, in_transaction)``: the file's path,
+    whether the fsyncing thread was inside a scheduled run (a
+    :class:`~repro.core.gates.RunGate` installed) and whether it was
+    inside an OMS transaction.
+    """
+    import os
+
+    from repro.core import gates
+    from repro.oms import durable
+
+    events = []
+    real = os.fsync
+
+    def spy(fd):
+        events.append((
+            os.readlink(f"/proc/self/fd/{fd}"),
+            isinstance(gates.current_gate(), gates.RunGate),
+            hybrid.jcf.db.in_transaction,
+        ))
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    previous = durable.get_default_durability()
+    durable.set_default_durability(durable.DURABILITY_FULL)
+    yield events
+    durable.set_default_durability(previous)
+
+
+class TestVersionFileFsync:
+    """A scheduled run fsyncs its version files outside its commit turn."""
+
+    def test_wave_fsyncs_versions_after_runs_before_meta(
+        self, adopted_cells, fsyncs
+    ):
+        hybrid, project, library, cells = adopted_cells
+        result = hybrid.run_many(
+            schematic_wave(project, library, cells), workers=4, seed=2
+        )
+        assert [o.status for o in result.outcomes] == [RUN_OK] * 4
+        paths = [path for path, _, _ in fsyncs]
+        versions = [i for i, path in enumerate(paths) if path.endswith(".dat")]
+        # 4 runs x (schematic + symbol), each fsynced once, none of them
+        # by a thread still inside its run
+        assert len(versions) == 8
+        assert not any(fsyncs[i][1] for i in versions)
+        meta = min(i for i, path in enumerate(paths) if ".meta" in path)
+        assert max(versions) < meta
+        assert library.verify_meta() == []
+        assert hybrid.audit().clean
+
+    def test_unscheduled_run_fsyncs_inline(self, adopted_cells, fsyncs):
+        hybrid, project, library, cells = adopted_cells
+        result = hybrid.run_schematic_entry(
+            "alice", project, library, cells[0], build_inverter_editor_fn(2)
+        )
+        assert result.success
+        versions = [e for e in fsyncs if e[0].endswith(".dat")]
+        assert len(versions) == 2
+        # written and fsynced inside the harvest transaction
+        assert all(in_txn for _, _, in_txn in versions)
+
+    def test_failed_version_fsync_stops_the_wave(
+        self, tmp_path, monkeypatch
+    ):
+        import errno
+        import os
+
+        from repro.core.coupling import HybridFramework
+        from repro.oms import durable
+
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root)
+        wal = hybrid.jcf.wal
+        before = wal.stats()["records_appended"]
+        meta_before = library.metafile.path.read_bytes()
+        real = os.fsync
+
+        def failing(fd):
+            if os.readlink(f"/proc/self/fd/{fd}").endswith(".dat"):
+                raise OSError(errno.EIO, "input/output error")
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", failing)
+        previous = durable.get_default_durability()
+        durable.set_default_durability(durable.DURABILITY_FULL)
+        try:
+            with pytest.raises(FailStop) as info:
+                hybrid.run_many(schematic_wave(project, library, cells))
+        finally:
+            durable.set_default_durability(previous)
+            monkeypatch.undo()
+        assert isinstance(info.value.__cause__, OSError)
+        # no .meta names the undurable files, no record logs the wave
+        assert library.metafile.path.read_bytes() == meta_before
+        assert wal.stats()["records_appended"] == before
+        assert hybrid.jcf.db.stopped is not None
+
+        reopened = HybridFramework.reopen(root)
+        reopened.recover()
+        assert_no_wave_leftovers(reopened)
+        assert all(
+            not cv.versions
+            for cv in reopened.fmcad.library("chiplib").cellviews()
+        )

@@ -10,7 +10,9 @@ asserted by reopening twice — the double-replay fixpoint.
 A scheduled wave adds two windows of its own: after its version files
 but before its one ``.meta`` write (``wave.before_meta``, also hit by a
 real ``os._exit`` in a child process), and after the ``.meta`` but
-before its WAL record.
+before its WAL record.  The payload pack adds two more: after the
+pack's fsync but before the record append (orphan frames), and a torn
+final frame.
 """
 
 import pytest
@@ -19,6 +21,7 @@ from repro.core.coupling import HybridFramework
 from repro.core.scheduler import RunRequest
 from repro.faults import CrashFault, FaultPlan, inject
 from repro.oms.snapshot import dump_snapshot
+from repro.oms.wal import FRAME_HEADER, FRAME_MAGIC
 from tests.conftest import (
     assert_no_wave_leftovers,
     build_inverter_editor_fn,
@@ -295,3 +298,84 @@ class TestProcessDeathInAWave:
         result = hybrid.run_many(schematic_wave(project, library, ["cell2"]))
         assert all(o.ok for o in result.outcomes)
         assert_no_wave_leftovers(hybrid)
+
+
+def packed_orphans(wal):
+    """Digests with a pack frame that no log record names."""
+    named = {
+        op.get("payload_digest")
+        for record, _, _ in wal._iter_lines(wal.log_path)
+        if record is not None
+        for op in record["ops"]
+    }
+    index, _ = wal._scan_pack()
+    return set(index) - named
+
+
+class TestPackCrashes:
+    """The payload pack's own crash windows."""
+
+    def test_crash_after_pack_fsync_before_record(self, tmp_path):
+        """Frames packed for a record that never landed replay nothing."""
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root)
+        before = dump_snapshot(hybrid.jcf.db)
+        wal = hybrid.jcf.wal
+        packed = wal._pack_payloads
+
+        def die_after_pack_fsync(payloads):
+            packed(payloads)
+            raise CrashFault("died between pack fsync and record append")
+
+        wal._pack_payloads = die_after_pack_fsync
+        with pytest.raises(CrashFault):
+            hybrid.run_many(schematic_wave(project, library, cells))
+        orphans = packed_orphans(wal)
+        assert orphans  # the wave's payloads, named by no record
+
+        hybrid2 = HybridFramework.reopen(root)
+        assert dump_snapshot(hybrid2.jcf.db) == before
+        hybrid2.recover()
+        assert_no_wave_leftovers(hybrid2)
+        project2 = hybrid2.jcf.project("chipA")
+        library2 = hybrid2.fmcad.library("chiplib")
+        result = hybrid2.run_many(schematic_wave(project2, library2, cells))
+        assert all(o.ok for o in result.outcomes)
+        assert_no_wave_leftovers(hybrid2)
+        # the rerun's identical bytes dedup onto the orphan frames,
+        # which a record now names and replay reads
+        assert not packed_orphans(hybrid2.jcf.wal) & orphans
+        assert dump_snapshot(HybridFramework.reopen(root).jcf.db) == (
+            dump_snapshot(hybrid2.jcf.db)
+        )
+
+    def test_torn_final_frame_then_more_commits(self, tmp_path):
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root)
+        result = hybrid.run_many(schematic_wave(project, library, cells[:2]))
+        assert all(o.ok for o in result.outcomes)
+        committed = dump_snapshot(hybrid.jcf.db)
+        pack = hybrid.jcf.wal.pack_path
+        whole = pack.stat().st_size
+        # a crash mid-append leaves the head of a frame at the pack's end
+        with open(pack, "ab") as handle:
+            handle.write(FRAME_HEADER.pack(FRAME_MAGIC, bytes(32), 4096))
+            handle.write(b"the first bytes of a payload")
+
+        hybrid2 = HybridFramework.reopen(root)
+        assert pack.stat().st_size == whole
+        assert dump_snapshot(hybrid2.jcf.db) == committed
+        hybrid2.recover()
+        assert hybrid2.audit().clean
+        project2 = hybrid2.jcf.project("chipA")
+        library2 = hybrid2.fmcad.library("chiplib")
+        result = hybrid2.run_many(
+            schematic_wave(project2, library2, cells[2:])
+        )
+        assert all(o.ok for o in result.outcomes)
+        assert pack.stat().st_size > whole
+        assert hybrid2.jcf.wal.verify() == []
+        # a reopen replays every record, before and after the cut
+        hybrid3 = HybridFramework.reopen(root)
+        assert dump_snapshot(hybrid3.jcf.db) == dump_snapshot(hybrid2.jcf.db)
+        assert_no_wave_leftovers(hybrid3)

@@ -169,6 +169,31 @@ class TestDetectAndRepair:
         assert scrubber.scrub(repair=True).ok
         assert hybrid.jcf.wal.verify() == []
 
+    def test_rotted_pack_frame_repaired_from_live_database(
+        self, adopted_cell
+    ):
+        from repro.oms.wal import FRAME_HEADER
+
+        hybrid, project, library, _ = adopted_cell
+        run_flow(hybrid, project, library)
+        pack = hybrid.jcf.wal.pack_path
+        data = bytearray(pack.read_bytes())
+        data[FRAME_HEADER.size] ^= 0x01  # first payload byte, first frame
+        pack.write_bytes(bytes(data))
+        live = hybrid.jcf.save_snapshot()
+
+        scrubber = Scrubber(hybrid.jcf, hybrid.fmcad)
+        assert [
+            (f.area, f.location, f.classification)
+            for f in scrubber.scrub().findings
+        ] == [("wal", f"{pack}@0", "bit-rot")]
+        report = scrubber.scrub(repair=True)
+        assert report.ok
+        assert [f.action for f in report.findings] == ["repaired"]
+        assert hybrid.jcf.wal.verify() == []
+        reopened = HybridFramework.reopen(hybrid.root)
+        assert reopened.jcf.save_snapshot() == live
+
 
 class TestQuarantine:
     def test_version_file_with_no_peer_is_quarantined(self, adopted_cell):

@@ -81,7 +81,7 @@ class TestWrites:
         durable.fsync_file(target, mode="full")
         durable.fsync_dir(tmp_path, mode="full")
         with open(target, "rb") as handle:
-            durable.fsync_file_handle(handle, mode="full")
+            durable.fsync_fd(handle.fileno(), mode="full")
 
     def test_fsync_dir_tolerates_missing_directory(self, tmp_path):
         durable.fsync_dir(tmp_path / "nope", mode="full")

@@ -4,12 +4,16 @@ import json
 
 import pytest
 
-from repro.errors import WALError, WALIntegrityError
+from repro.errors import WALError, WALIntegrityError, WALSyncError
 from repro.faults import FaultPlan, inject
 from repro.oms.database import OMSDatabase
 from repro.oms.snapshot import dump_snapshot
 from repro.oms.wal import (
+    CHECKPOINT_NAME,
+    FRAME_HEADER,
+    FRAME_MAGIC,
     LOG_NAME,
+    PACK_NAME,
     WALRecoveryInfo,
     WriteAheadLog,
 )
@@ -192,11 +196,13 @@ class TestCheckpoint:
         wal, db, _ = open_wal(simple_schema, root)
         db.create("Thing", {"name": "a"}, payload=b"payload")
         assert wal.log_size() > 0
+        assert wal.pack_path.stat().st_size > len(b"payload")
         wal.checkpoint(db)
         assert not wal.log_path.exists()
         assert not wal.prev_log_path.exists()
         assert not wal.prev_checkpoint_path.exists()
-        assert list(wal.blob_dir.iterdir()) == []
+        assert not wal.pack_path.exists()
+        assert sorted(p.name for p in root.iterdir()) == [CHECKPOINT_NAME]
         _, db2, info = open_wal(simple_schema, root)
         assert info.base == "checkpoint"
         assert dump_snapshot(db2) == dump_snapshot(db)
@@ -368,10 +374,180 @@ class TestDamage:
         root = tmp_path / "wal"
         wal, db, _ = open_wal(simple_schema, root)
         db.create("Thing", {"name": "a"}, payload=b"rot-me")
-        sidecar = next(p for p in wal.blob_dir.iterdir() if p.is_file())
-        sidecar.write_bytes(b"rotted")
+        db.create("Thing", {"name": "b"}, payload=b"stays-clean")
+        frame = FRAME_HEADER.size + len(b"rot-me")
+        data = bytearray(wal.pack_path.read_bytes())
+        data[frame - 1] ^= 0x01  # last payload byte of the first frame
+        wal.pack_path.write_bytes(bytes(data))
         findings = WriteAheadLog(root).verify()
-        assert any(kind == "bit-rot" for _, kind in findings)
+        assert findings == [(f"{wal.pack_path}@0", "bit-rot")]
+        # replay never serves the rotted bytes
+        with pytest.raises(WALIntegrityError):
+            WriteAheadLog(root).recover(simple_schema)
+
+
+class TestPack:
+    """Payload bytes live as frames of one append-only pack."""
+
+    def test_one_pack_append_per_record(self, simple_schema, tmp_path):
+        root = tmp_path / "wal"
+        wal, db, _ = open_wal(simple_schema, root)
+        payloads = [b"first", b"second", b"third", b"first"]
+        with db.transaction():
+            for i, payload in enumerate(payloads):
+                db.create("Thing", {"name": f"t{i}"}, payload=payload)
+        assert wal.stats()["records_appended"] == 1
+        assert wal.stats()["blob_writes"] == 3
+        assert wal.pack_path.stat().st_size == sum(
+            FRAME_HEADER.size + len(p) for p in set(payloads)
+        )
+        assert not wal.legacy_blob_dir.exists()
+        assert reopened_dump(simple_schema, root) == dump_snapshot(db)
+
+    def test_torn_final_frame_is_truncated(self, simple_schema, tmp_path):
+        root = tmp_path / "wal"
+        wal, db, _ = open_wal(simple_schema, root)
+        db.create("Thing", {"name": "a"}, payload=b"kept")
+        good = wal.pack_path.stat().st_size
+        torn = FRAME_HEADER.pack(FRAME_MAGIC, bytes(32), 100) + b"half"
+        with open(wal.pack_path, "ab") as handle:
+            handle.write(torn)
+        wal2 = WriteAheadLog(root)
+        assert wal2.verify() == [(f"{wal.pack_path}@{good}", "torn-tail")]
+        db2, info = wal2.recover(simple_schema)
+        assert info.torn_pack_bytes == len(torn)
+        assert wal.pack_path.stat().st_size == good
+        assert dump_snapshot(db2) == dump_snapshot(db)
+        # the next append lands on a frame boundary
+        db2.attach_wal(wal2)
+        db2.create("Thing", {"name": "b"}, payload=b"after")
+        assert WriteAheadLog(root).verify() == []
+        assert reopened_dump(simple_schema, root) == dump_snapshot(db2)
+
+    def test_repair_truncates_torn_frame(self, simple_schema, tmp_path):
+        root = tmp_path / "wal"
+        wal, db, _ = open_wal(simple_schema, root)
+        db.create("Thing", {"name": "a"}, payload=b"kept")
+        with open(wal.pack_path, "ab") as handle:
+            handle.write(bytes([FRAME_MAGIC]) + b"cut")
+        notes = WriteAheadLog(root).repair()
+        assert notes == ["wal: truncated torn final frame of blobs.pack"]
+        assert WriteAheadLog(root).verify() == []
+
+    def test_damaged_frame_header_raises(self, simple_schema, tmp_path):
+        """A header without its magic byte cannot be a torn append."""
+        root = tmp_path / "wal"
+        wal, db, _ = open_wal(simple_schema, root)
+        db.create("Thing", {"name": "a"}, payload=b"one")
+        second = wal.pack_path.stat().st_size
+        db.create("Thing", {"name": "b"}, payload=b"two")
+        data = bytearray(wal.pack_path.read_bytes())
+        data[second] ^= 0xFF
+        wal.pack_path.write_bytes(bytes(data))
+        assert WriteAheadLog(root).verify() == [
+            (f"{wal.pack_path}@{second}", "bit-rot")
+        ]
+        with pytest.raises(WALIntegrityError):
+            WriteAheadLog(root).recover(simple_schema)
+        # refused, not truncated: the damage stays for the scrubber
+        assert len(wal.pack_path.read_bytes()) == len(data)
+
+    def test_legacy_sidecars_read_until_checkpoint(
+        self, simple_schema, tmp_path
+    ):
+        """A workspace from before the pack keeps ``blobs/<digest>``."""
+        from repro.oms.blobs import digest_bytes
+
+        root = tmp_path / "wal"
+        wal, db, _ = open_wal(simple_schema, root)
+        db.create("Thing", {"name": "a"}, payload=b"old-style")
+        expected = dump_snapshot(db)
+        wal.pack_path.unlink()
+        wal.legacy_blob_dir.mkdir()
+        sidecar = wal.legacy_blob_dir / digest_bytes(b"old-style")
+        sidecar.write_bytes(b"old-style")
+        wal2, db2, _ = open_wal(simple_schema, root)
+        assert dump_snapshot(db2) == expected
+        assert wal2.verify() == []
+        # a legacy digest is durable: committing it again packs nothing
+        db2.create("Thing", {"name": "b"}, payload=b"old-style")
+        assert not wal2.pack_path.exists()
+        sidecar.write_bytes(b"rotted")
+        assert wal2.verify() == [(str(sidecar), "bit-rot")]
+        sidecar.write_bytes(b"old-style")
+        wal2.checkpoint(db2)
+        assert not wal2.legacy_blob_dir.exists()
+        assert reopened_dump(simple_schema, root) == dump_snapshot(db2)
+
+
+def fail_fsync_of(monkeypatch, name):
+    """Make every fsync of the file called *name* raise ``EIO``."""
+    import errno
+    import os
+
+    real = os.fsync
+
+    def fsync(fd):
+        if os.readlink(f"/proc/self/fd/{fd}").endswith(name):
+            raise OSError(errno.EIO, "input/output error")
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+
+
+class TestFsyncFailures:
+    """A failed fsync either stops the database or aborts cleanly; the
+    database and a reopen agree either way."""
+
+    @pytest.mark.parametrize("mode", ["transaction", "auto-commit"])
+    def test_failed_record_fsync_stops_the_database(
+        self, simple_schema, tmp_path, monkeypatch, mode
+    ):
+        from repro.faults import FailStop
+
+        root = tmp_path / "wal"
+        wal = WriteAheadLog(root, durability_mode="full")
+        db, _ = wal.recover(simple_schema)
+        db.attach_wal(wal)
+        db.create("Thing", {"name": "before"}, payload=b"p0")
+        fail_fsync_of(monkeypatch, LOG_NAME)
+        with pytest.raises(FailStop) as info:
+            if mode == "transaction":
+                with db.transaction():
+                    db.create("Thing", {"name": "unsynced"}, payload=b"p1")
+            else:
+                db.create("Thing", {"name": "unsynced"}, payload=b"p1")
+        monkeypatch.undo()
+        assert isinstance(info.value.__cause__, WALSyncError)
+        assert db.stopped is not None
+        # the record reached the file: memory kept the commit too
+        names = sorted(o.get("name") for o in db.select("Thing"))
+        assert names == ["before", "unsynced"]
+        assert reopened_dump(simple_schema, root) == dump_snapshot(db)
+        with pytest.raises(FailStop):
+            db.create("Thing", {"name": "after"})
+
+    def test_failed_pack_fsync_aborts(
+        self, simple_schema, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "wal"
+        wal = WriteAheadLog(root, durability_mode="full")
+        db, _ = wal.recover(simple_schema)
+        db.attach_wal(wal)
+        db.create("Thing", {"name": "before"}, payload=b"p0")
+        durable_state = dump_snapshot(db)
+        fail_fsync_of(monkeypatch, PACK_NAME)
+        with pytest.raises(WALError) as info:
+            with db.transaction():
+                db.create("Thing", {"name": "unsynced"}, payload=b"p1")
+        monkeypatch.undo()
+        assert not isinstance(info.value, WALSyncError)
+        assert db.stopped is None
+        assert dump_snapshot(db) == durable_state
+        assert reopened_dump(simple_schema, root) == durable_state
+        # the database goes on, and the payload is packed again
+        db.create("Thing", {"name": "retried"}, payload=b"p1")
+        assert reopened_dump(simple_schema, root) == dump_snapshot(db)
 
 
 class TestSurface:

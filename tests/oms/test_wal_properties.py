@@ -12,6 +12,7 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.oms.blobs import digest_bytes
 from repro.oms.database import OMSDatabase
 from repro.oms.schema import AttributeDef, Schema
 from repro.oms.snapshot import dump_snapshot
@@ -129,6 +130,49 @@ class TestReplayEquivalence:
         # truncations, completed renames — changes the answer)
         again, _ = WriteAheadLog(root).recover(schema)
         assert dump_snapshot(again) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(ops=_OPS, torn=st.binary(min_size=1, max_size=96), data=st.data())
+    def test_torn_pack_append_converges(
+        self, tmp_path_factory, ops, torn, data
+    ):
+        """A commit that died mid-way through its pack append.
+
+        Its frames are cut at any byte offset, from none of them to all
+        of them; no record names them.  Recovery returns the committed
+        state and leaves the pack on a frame boundary, so the next
+        commit and a reopen agree with the live database.
+        """
+        root = tmp_path_factory.mktemp("walpack") / "wal"
+        schema = _schema()
+        wal = WriteAheadLog(root)
+        db, _ = wal.recover(schema)
+        db.attach_wal(wal)
+        live, counter = [], [0]
+        for op in ops:
+            if op.kind == "checkpoint":
+                wal.checkpoint(db)
+            else:
+                _apply(db, live, counter, op)
+        expected = dump_snapshot(db)
+        start = wal.pack_path.stat().st_size if wal.pack_path.exists() else 0
+        # the dead commit's frames: two new payloads in one append
+        wal._pack_payloads({
+            digest_bytes(payload): payload for payload in (torn, b"2" + torn)
+        })
+        end = wal.pack_path.stat().st_size
+        cut = data.draw(st.integers(start, end), label="cut")
+        with open(wal.pack_path, "r+b") as handle:
+            handle.truncate(cut)
+
+        wal2 = WriteAheadLog(root)
+        recovered, _ = wal2.recover(schema)
+        assert dump_snapshot(recovered) == expected
+        recovered.attach_wal(wal2)
+        recovered.create("Node", {"name": "next"}, payload=b"3" + torn)
+        assert wal2.verify() == []
+        again, _ = WriteAheadLog(root).recover(schema)
+        assert dump_snapshot(again) == dump_snapshot(recovered)
 
     @settings(max_examples=15, deadline=None)
     @given(ops=_OPS)

@@ -405,3 +405,37 @@ class TestSelfClocking:
         with pytest.raises(CrashFault):
             engine.close()
         assert runtime.error is None
+
+    def test_crashed_batch_answers_its_runs(self, scenario):
+        """A batch dying of CrashFault answers its runs with the crash and
+        frees their admission slots; close() still raises it."""
+        hybrid, plans = scenario
+        answered = []
+        engine = ServeEngine(
+            hybrid, shards=1, window_ms=60_000.0, concurrent=True,
+            now_fn=lambda: time.monotonic() * 1000.0,
+        )
+        engine.on_batch_complete = answered.extend
+        kwargs = ScriptCatalog().resolve(
+            "schematic_entry", "idempotent_inverter", {}
+        )
+        plan = plans[0]
+        session = engine.open_session(
+            plan.user, plan.team, plan.library, plan.project
+        )
+        with inject(FaultPlan.crash("server.dispatch")):
+            pending = engine.submit(
+                session, plan.cells[0], "schematic_entry", kwargs
+            )
+            deadline = time.monotonic() + 10.0
+            while not pending.settled and time.monotonic() < deadline:
+                time.sleep(0.005)
+        # answered with the crash itself: no retry hint on a dead process
+        assert pending.status == "crashed"
+        assert isinstance(pending.error, CrashFault)
+        assert answered == [pending]
+        assert pending in engine.completed()
+        runtime = engine._runtimes[0]
+        assert runtime.admission.depth == 0
+        with pytest.raises(CrashFault):
+            engine.close()
