@@ -397,10 +397,11 @@ class BatchScheduler:
             gate.abandon()
             acquisition.release()
         outcome.lane_ms = lane.elapsed_ms
+        # out of the commit turn: the version files it wrote unsynced
+        # must be durable before the wave writes the .meta naming them
+        # (a crashed run's files may stay named too)
+        durable.fsync_files(written)
         if outcome.status != RUN_CRASHED:
-            # out of the commit turn: the version files it wrote unsynced
-            # must be durable before the wave writes the .meta naming them
-            durable.fsync_files(written)
             # a live run cleans its sandbox; a crashed one leaves its
             # files on disk for the audit to flag and recover() to sweep
             sandbox.clear()

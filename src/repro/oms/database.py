@@ -208,24 +208,32 @@ class OMSDatabase:
         if self.stopped is not None:
             raise self.fail_stop(self.stopped)
 
-    def _wal_log(self, op: Dict[str, Any]) -> None:
-        """Route one successful primitive mutation toward the WAL.
+    def _wal_log(self, op: Dict[str, Any], undo: Callable[[], None]) -> None:
+        """Journal one successful primitive mutation and log it.
 
-        Inside a transaction the op is buffered on the per-thread undo
-        journal's sibling list and lands as one record at commit; an
-        auto-committed primitive pays its own record.  Undo closures
-        call private primitives, so rollbacks never reach here.
+        Inside a transaction *undo* joins the per-thread undo journal and
+        the op is buffered beside it, landing as one record at commit.
+        An auto-committed primitive pays its own record; when the WAL
+        refuses it before the record is written, *undo* rolls it back,
+        as an aborted transaction would be.  Undo closures call private
+        primitives, so rollbacks never reach here.
         """
-        if self.wal is None:
-            return
         txn = self._active_txn
         if txn is not None:
-            txn.record_wal(op)
+            txn.record_undo(undo)
+            if self.wal is not None:
+                txn.record_wal(op)
+            return
+        if self.wal is None:
             return
         try:
             self._wal_commit([op])
         except WALSyncError as exc:
             raise self.fail_stop(f"auto-commit: {exc}") from exc
+        except BaseException:
+            undo()
+            self._bump_epoch()
+            raise
 
     def _wal_commit(self, ops: List[Dict[str, Any]]) -> None:
         """Append one committed change set, honouring group commit."""
@@ -450,7 +458,6 @@ class OMSDatabase:
             # rollback, exactly as they observe delete()
             obj._deleted = True
 
-        self._journal(undo)
         self._wal_log({
             "op": "create",
             "oid": oid,
@@ -458,7 +465,7 @@ class OMSDatabase:
             "values": complete,
             "payload": payload,
             "delta_base": payload_delta_base,
-        })
+        }, undo)
         return obj
 
     # Every object enters or leaves the store through these primitives,
@@ -556,8 +563,7 @@ class OMSDatabase:
             for rel_name, pair in removed_links:
                 self._link_add(rel_name, *pair)
 
-        self._journal(undo)
-        self._wal_log({"op": "delete", "oid": oid})
+        self._wal_log({"op": "delete", "oid": oid}, undo)
 
     @_synchronized
     def set_attr(self, oid: str, name: str, value: Any) -> None:
@@ -566,9 +572,10 @@ class OMSDatabase:
         previous = self._set_value(obj, name, value)
         self._bump_epoch()
         self.clock.charge_metadata_op()
-        self._journal(lambda: self._set_value(obj, name, previous))
-        self._wal_log({"op": "set_attr", "oid": oid, "name": name,
-                       "value": value})
+        self._wal_log(
+            {"op": "set_attr", "oid": oid, "name": name, "value": value},
+            lambda: self._set_value(obj, name, previous),
+        )
 
     @_synchronized
     def set_payload(
@@ -610,9 +617,8 @@ class OMSDatabase:
                 self._blobs.decref(handle.digest)
             obj._payload = previous
 
-        self._journal(undo)
         self._wal_log({"op": "set_payload", "oid": oid, "payload": payload,
-                       "delta_base": payload_delta_base})
+                       "delta_base": payload_delta_base}, undo)
 
     def payload_stat(self, oid: str) -> Optional[BlobStat]:
         """Digest and size of an object's payload in O(1) — no bytes read.
@@ -774,11 +780,11 @@ class OMSDatabase:
             return  # idempotent
         self._bump_epoch()
         self.clock.charge_metadata_op()
-        self._journal(
-            lambda: self._link_remove(rel_name, source_oid, target_oid)
+        self._wal_log(
+            {"op": "link", "rel": rel_name, "source": source_oid,
+             "target": target_oid},
+            lambda: self._link_remove(rel_name, source_oid, target_oid),
         )
-        self._wal_log({"op": "link", "rel": rel_name, "source": source_oid,
-                       "target": target_oid})
 
     @_synchronized
     def unlink(self, rel_name: str, source_oid: str, target_oid: str) -> None:
@@ -790,9 +796,11 @@ class OMSDatabase:
             )
         self._bump_epoch()
         self.clock.charge_metadata_op()
-        self._journal(lambda: self._link_add(rel_name, source_oid, target_oid))
-        self._wal_log({"op": "unlink", "rel": rel_name, "source": source_oid,
-                       "target": target_oid})
+        self._wal_log(
+            {"op": "unlink", "rel": rel_name, "source": source_oid,
+             "target": target_oid},
+            lambda: self._link_add(rel_name, source_oid, target_oid),
+        )
 
     @_synchronized
     def linked(self, rel_name: str, source_oid: str, target_oid: str) -> bool:

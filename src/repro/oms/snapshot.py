@@ -14,12 +14,13 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from typing import Optional
+from typing import Optional, Set
 
 from repro.clock import SimClock
 from repro.errors import OMSError, QuarantinedError, SnapshotIntegrityError
 from repro.faults import corruption_point
 from repro.ids import sort_key
+from repro.oms.blobs import digest_bytes
 from repro.oms.database import OMSDatabase
 from repro.oms.objects import OMSObject
 from repro.oms.schema import Schema
@@ -114,6 +115,19 @@ def verify_snapshot_bytes(data: bytes) -> Optional[str]:
     if recorded is not None and _document_digest(doc) != recorded:
         return "bit-rot"
     return None
+
+
+def snapshot_payload_digests(data: bytes) -> Set[str]:
+    """Digest of every payload serialised in snapshot *data*.
+
+    *data* must already have verified (:func:`verify_snapshot_bytes`).
+    """
+    doc = json.loads(data.decode("utf-8"))
+    return {
+        digest_bytes(base64.b64decode(entry["payload"]))
+        for entry in doc["objects"]
+        if entry["payload"] is not None
+    }
 
 
 def restore_snapshot(

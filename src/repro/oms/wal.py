@@ -36,7 +36,9 @@ against their digest on read.  Re-committing a payload the log already
 made durable — the common case under delta harvest — appends a
 digest-only record: zero payload bytes rewritten.  A pack frame cut
 short at the end of the file is the residue of a crash mid-append:
-recovery truncates it like a torn record.  (Workspaces written before
+recovery truncates it like a torn record, provided no record names a
+payload the cut would delete (else a rotted header only looks torn).
+(Workspaces written before
 the pack kept one ``blobs/<digest>`` sidecar file per payload; those
 are still read, and the next checkpoint deletes them.)
 
@@ -60,7 +62,7 @@ import os
 import pathlib
 import struct
 import threading
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, BinaryIO, Dict, List, Optional, Set, Tuple, Union
 
 from repro.clock import SimClock
 from repro.errors import OMSError, WALError, WALIntegrityError, WALSyncError
@@ -73,6 +75,7 @@ from repro.oms.schema import Schema
 from repro.oms.snapshot import (
     dump_snapshot,
     restore_snapshot,
+    snapshot_payload_digests,
     verify_snapshot_bytes,
 )
 
@@ -157,6 +160,9 @@ class WriteAheadLog:
         self._durable_digests: Set[str] = set()
         #: digest -> (offset, size) of its payload bytes in the pack
         self._pack_index: Dict[str, Tuple[int, int]] = {}
+        #: whether this WAL has fsynced the directory since the pack's
+        #: file was created (or since it first appended to it)
+        self._pack_entry_synced = False
         # -- counters (bench/stats surface) --
         self.records_appended = 0
         self.ops_appended = 0
@@ -213,8 +219,7 @@ class WriteAheadLog:
             for record, _, _ in self._iter_lines(path):
                 if record is not None:
                     self._lsn = max(self._lsn, int(record.get("lsn", 0)))
-        self._pack_index, _ = self._scan_pack()
-        self._durable_digests.update(self._pack_index)
+        self._adopt_pack_index(self._scan_pack()[0])
         self._durable_digests.update(p.name for p in self._legacy_sidecars())
 
     def _legacy_sidecars(self) -> List[pathlib.Path]:
@@ -228,47 +233,105 @@ class WriteAheadLog:
     def _scan_pack(
         self,
     ) -> Tuple[Dict[str, Tuple[int, int]], Optional[Tuple[int, str]]]:
-        """Index the pack's frames: ``digest -> (offset, size)`` of each.
+        """Index the pack's frames; see :meth:`_index_frames`."""
+        try:
+            handle = open(self.pack_path, "rb")
+        except FileNotFoundError:
+            return {}, None
+        with handle:
+            return self._index_frames(
+                handle, os.fstat(handle.fileno()).st_size
+            )
+
+    @staticmethod
+    def _index_frames(
+        handle: BinaryIO, size: int
+    ) -> Tuple[Dict[str, Tuple[int, int]], Optional[Tuple[int, str]]]:
+        """``digest -> (offset, size)`` of each frame in *size* bytes.
 
         Reads headers only; payload bytes are verified when read.  The
         second value is ``(offset, classification)`` of the first byte
         that does not start a whole frame, or None: ``torn-tail`` for a
-        final frame cut short (a crash mid-append), ``bit-rot`` for a
-        header without the magic byte, behind which no frame can be
-        found.
+        final frame cut short (a crash mid-append, or a header whose
+        length rotted past the end: :meth:`_classify_cut` tells them
+        apart), ``bit-rot`` for a header without the magic byte, behind
+        which no frame can be found.
         """
         index: Dict[str, Tuple[int, int]] = {}
-        try:
-            handle = open(self.pack_path, "rb")
-        except FileNotFoundError:
-            return index, None
-        with handle:
-            size = os.fstat(handle.fileno()).st_size
-            offset = 0
-            while offset < size:
-                header = handle.read(FRAME_HEADER.size)
-                if len(header) < FRAME_HEADER.size:
-                    return index, (offset, "torn-tail")
-                magic, raw_digest, length = FRAME_HEADER.unpack(header)
-                if magic != FRAME_MAGIC:
-                    return index, (offset, "bit-rot")
-                start = offset + FRAME_HEADER.size
-                if start + length > size:
-                    return index, (offset, "torn-tail")
-                index[raw_digest.hex()] = (start, length)
-                offset = start + length
-                handle.seek(offset)
+        offset = 0
+        handle.seek(0)
+        while offset < size:
+            header = handle.read(FRAME_HEADER.size)
+            if len(header) < FRAME_HEADER.size:
+                return index, (offset, "torn-tail")
+            magic, raw_digest, length = FRAME_HEADER.unpack(header)
+            if magic != FRAME_MAGIC:
+                return index, (offset, "bit-rot")
+            start = offset + FRAME_HEADER.size
+            if start + length > size:
+                return index, (offset, "torn-tail")
+            index[raw_digest.hex()] = (start, length)
+            offset = start + length
+            handle.seek(offset)
         return index, None
 
-    def _read_frame(self, digest: str) -> Optional[bytes]:
-        """The pack's bytes for *digest*, verified; None if not packed."""
-        located = self._pack_index.get(digest)
-        if located is None:
-            return None
-        offset, length = located
-        with open(self.pack_path, "rb") as handle:
-            handle.seek(offset)
-            data = handle.read(length)
+    def _classify_cut(
+        self,
+        index: Dict[str, Tuple[int, int]],
+        damage: Optional[Tuple[int, str]],
+        records: List[Dict[str, Any]],
+        held: Optional[Set[str]] = None,
+    ) -> Optional[Tuple[int, str]]:
+        """Tell a torn final frame from a rotted header that looks torn.
+
+        A crash mid-append tears only frames of a commit whose record
+        was never written, so a genuine torn tail holds nothing a record
+        names.  A header whose length field rotted past the end of the
+        file (say, a flipped high byte) looks the same, but *records*
+        still name the frames behind it.  A digest they name that is
+        neither indexed before the cut nor durable in *held* (default:
+        legacy sidecars and the checkpoints) makes the damage
+        ``bit-rot``: cutting it would delete bytes the log needs.
+        """
+        if damage is None or damage[1] != "torn-tail":
+            return damage
+        needed = {
+            op["payload_digest"]
+            for record in records
+            for op in record["ops"]
+            if op.get("payload_digest")
+        }
+        needed.difference_update(index)
+        if needed:
+            if held is None:
+                held = self._held_outside_pack()
+            if not needed <= held:
+                return damage[0], "bit-rot"
+        return damage
+
+    def _held_outside_pack(self) -> Set[str]:
+        """Digests durable without the pack: legacy sidecars, checkpoints."""
+        held = {p.name for p in self._legacy_sidecars()}
+        for path in (self.checkpoint_path, self.prev_checkpoint_path):
+            data = self._verified_checkpoint(path)
+            if data is not None:
+                held.update(snapshot_payload_digests(data))
+        return held
+
+    def _adopt_pack_index(self, index: Dict[str, Tuple[int, int]]) -> None:
+        """Use *index*; a digest whose frame was cut is durable no more."""
+        self._durable_digests.difference_update(
+            self._pack_index.keys() - index.keys()
+        )
+        self._pack_index = index
+        self._durable_digests.update(index)
+
+    def _read_frame(
+        self, handle: BinaryIO, digest: str, offset: int, length: int
+    ) -> bytes:
+        """The frame bytes at *offset*, verified against *digest*."""
+        handle.seek(offset)
+        data = handle.read(length)
         if digest_bytes(data) != digest:
             location = self._frame_location(offset - FRAME_HEADER.size)
             raise WALIntegrityError(
@@ -348,12 +411,16 @@ class WriteAheadLog:
         return record
 
     def _iter_lines(
-        self, path: pathlib.Path
+        self, path: pathlib.Path, raw: Optional[bytes] = None
     ) -> List[Tuple[Optional[Dict[str, Any]], int, bytes]]:
-        """``(decoded_or_None, byte_offset, raw_line)`` per non-empty line."""
-        if not path.exists():
-            return []
-        raw = path.read_bytes()
+        """``(decoded_or_None, byte_offset, raw_line)`` per non-empty line.
+
+        *raw* is the log's bytes when the caller already read them.
+        """
+        if raw is None:
+            if not path.exists():
+                return []
+            raw = path.read_bytes()
         out: List[Tuple[Optional[Dict[str, Any]], int, bytes]] = []
         offset = 0
         while offset < len(raw):
@@ -368,7 +435,7 @@ class WriteAheadLog:
         return out
 
     def _scan_log(
-        self, path: pathlib.Path, location: str
+        self, path: pathlib.Path, location: str, raw: Optional[bytes] = None
     ) -> Tuple[List[Dict[str, Any]], Optional[int], int]:
         """Read a log, separating good records from a torn tail.
 
@@ -379,7 +446,7 @@ class WriteAheadLog:
         records: List[Dict[str, Any]] = []
         torn_offset: Optional[int] = None
         torn_count = 0
-        for decoded, offset, _ in self._iter_lines(path):
+        for decoded, offset, _ in self._iter_lines(path, raw):
             if decoded is None:
                 if torn_offset is None:
                     torn_offset = offset
@@ -401,12 +468,13 @@ class WriteAheadLog:
     def _pack_payloads(self, payloads: Dict[str, bytes]) -> None:
         """Make *payloads* durable as frames of the pack: one fsync.
 
-        The directory is fsynced only when this append created the pack.
+        The directory is fsynced once per pack file, after the first
+        append that succeeds: the file may be new, or left by an append
+        that failed, or by a process that died before syncing its name.
         A failure here comes before any record names the frames, so the
         commit simply aborts; frames that did land are orphans that
         replay never reads and the next checkpoint deletes.
         """
-        created = not self.pack_path.exists()
         chunks: List[bytes] = []
         for digest, data in payloads.items():
             chunks.append(
@@ -417,8 +485,9 @@ class WriteAheadLog:
             offset = self._append(self.pack_path, b"".join(chunks))
         except WALSyncError as exc:
             raise WALError(str(exc)) from exc  # no record names them yet
-        if created:
+        if not self._pack_entry_synced:
             durable.fsync_dir(self.root, mode=self.durability_mode)
+            self._pack_entry_synced = True
         for digest, data in payloads.items():
             offset += FRAME_HEADER.size
             self._pack_index[digest] = (offset, len(data))
@@ -569,6 +638,7 @@ class WriteAheadLog:
             self.legacy_blob_dir.rmdir()
         durable.fsync_dir(self.root, mode=self.durability_mode)
         self._pack_index = {}
+        self._pack_entry_synced = False
         # everything the checkpoint holds is durable by definition
         self._durable_digests = set(database.payload_digests())
 
@@ -640,7 +710,13 @@ class WriteAheadLog:
                 all_records.extend(records)
 
             self._check_lsn_order(all_records)
-            self._pack_index, damage = self._scan_pack()
+            index, damage = self._scan_pack()
+            if damage is not None:
+                # what replay reads besides the pack: the base state the
+                # payload cache resolves from, and legacy sidecars
+                held = set(database.payload_digests())
+                held.update(p.name for p in self._legacy_sidecars())
+                damage = self._classify_cut(index, damage, all_records, held)
             if damage is not None and damage[1] != "torn-tail":
                 raise WALIntegrityError(
                     f"{self.pack_path}: frame header at byte {damage[0]} "
@@ -648,11 +724,11 @@ class WriteAheadLog:
                     location=self._frame_location(damage[0]),
                     classification=damage[1],
                 )
+            self._adopt_pack_index(index)
             applied, skipped = self.replay_into(database, all_records)
             if damage is not None:
-                # after replay: a record that needed those bytes has
-                # raised by now, so the cut drops only what nothing names
-                # and the next append cannot land behind a partial frame
+                # no record names the torn frames: cut them, so the next
+                # append cannot land behind a partial frame
                 offset = damage[0]
                 info.torn_pack_bytes = self.pack_path.stat().st_size - offset
                 self._truncate(self.pack_path, offset)
@@ -676,7 +752,6 @@ class WriteAheadLog:
                         stale.unlink()
                         info.cleaned.append(f"completed truncation of {stale.name}")
                 durable.fsync_dir(self.root, mode=self.durability_mode)
-            self._durable_digests.update(self._pack_index)
             self._durable_digests.update(database.payload_digests())
             return database, info
 
@@ -781,9 +856,10 @@ class WriteAheadLog:
     def _resolve_payload(
         self, database: OMSDatabase, digest: str
     ) -> Optional[bytes]:
-        data = self._read_frame(digest)
-        if data is not None:
-            return data
+        located = self._pack_index.get(digest)
+        if located is not None:
+            with open(self.pack_path, "rb") as handle:
+                return self._read_frame(handle, digest, *located)
         sidecar = self.legacy_blob_dir / digest
         if sidecar.is_file():
             data = sidecar.read_bytes()
@@ -877,8 +953,12 @@ class WriteAheadLog:
 
         A healthy (or freshly recovered) WAL reports nothing; a torn
         tail shows up as ``torn-tail`` until :meth:`repair` drops it.
-        The logs and the pack are read under the append lock, so a live
-        commit's half-written append is never reported as torn.
+        The logs and the pack are opened and sized under the append
+        lock, so a live commit's half-written append is never reported
+        as torn; they are read after it is released.  Appends only add
+        bytes past those sizes, and a checkpoint renames or unlinks the
+        files, never rewrites them, so the open handles still hold what
+        was sized.
         """
         findings: List[Tuple[str, str]] = []
         for path in (self.checkpoint_path, self.prev_checkpoint_path):
@@ -886,38 +966,61 @@ class WriteAheadLog:
                 problem = verify_snapshot_bytes(path.read_bytes())
                 if problem is not None:
                     findings.append((str(path), problem))
-        with self._lock:
-            for path in (self.prev_log_path, self.log_path):
+        paths = (self.prev_log_path, self.log_path, self.pack_path)
+        opened: List[Optional[Tuple[BinaryIO, int]]] = []
+        try:
+            with self._lock:
+                for path in paths:
+                    try:
+                        handle = open(path, "rb")
+                    except FileNotFoundError:
+                        opened.append(None)
+                        continue
+                    opened.append((handle, os.fstat(handle.fileno()).st_size))
+            records: List[Dict[str, Any]] = []
+            for path, entry in zip(paths[:2], opened[:2]):
+                if entry is None:
+                    continue
+                raw = entry[0].read(entry[1])
                 try:
-                    _, torn_offset, _ = self._scan_log(
-                        path, location=str(path)
+                    logged, torn_offset, _ = self._scan_log(
+                        path, str(path), raw
                     )
                 except WALIntegrityError as exc:
                     findings.append(
                         (str(path), exc.classification or "bit-rot")
                     )
+                    records.extend(
+                        r for r, _, _ in self._iter_lines(path, raw)
+                        if r is not None
+                    )
                     continue
+                records.extend(logged)
                 if torn_offset is not None:
                     findings.append((str(path), "torn-tail"))
-            findings.extend(self._pack_findings())
-        for entry in self._legacy_sidecars():
-            if digest_bytes(entry.read_bytes()) != entry.name:
-                findings.append((str(entry), "bit-rot"))
+            if opened[2] is not None:
+                findings.extend(self._pack_findings(*opened[2], records))
+        finally:
+            for entry in opened:
+                if entry is not None:
+                    entry[0].close()
+        for sidecar in self._legacy_sidecars():
+            if digest_bytes(sidecar.read_bytes()) != sidecar.name:
+                findings.append((str(sidecar), "bit-rot"))
         return findings
 
-    def _pack_findings(self) -> List[Tuple[str, str]]:
+    def _pack_findings(
+        self, handle: BinaryIO, size: int, records: List[Dict[str, Any]]
+    ) -> List[Tuple[str, str]]:
         """Frames whose bytes fail their digest, and any unreadable tail."""
         findings: List[Tuple[str, str]] = []
-        index, damage = self._scan_pack()
-        if index:
-            with open(self.pack_path, "rb") as handle:
-                for digest, (offset, length) in index.items():
-                    handle.seek(offset)
-                    if digest_bytes(handle.read(length)) != digest:
-                        findings.append((
-                            self._frame_location(offset - FRAME_HEADER.size),
-                            "bit-rot",
-                        ))
+        index, damage = self._index_frames(handle, size)
+        for digest, (offset, length) in index.items():
+            try:
+                self._read_frame(handle, digest, offset, length)
+            except WALIntegrityError as exc:
+                findings.append((exc.location, exc.classification))
+        damage = self._classify_cut(index, damage, records)
         if damage is not None:
             findings.append((self._frame_location(damage[0]), damage[1]))
         return findings
@@ -925,14 +1028,15 @@ class WriteAheadLog:
     def repair(self) -> List[str]:
         """Drop the torn tails of the live log and the pack, if any.
 
-        Returns repair notes.  Safe to call whenever the database is quiesced (the recovery
-        sweep calls it); damage it cannot repair is left for
+        Returns repair notes.  Safe to call whenever the database is
+        quiesced (the recovery sweep calls it); damage it cannot repair
+        — a pack header that only looks torn among them — is left for
         :meth:`verify` / the audit to report.
         """
         notes: List[str] = []
         with self._lock:
             try:
-                _, torn_offset, torn_count = self._scan_log(
+                records, torn_offset, torn_count = self._scan_log(
                     self.log_path, location=str(self.log_path)
                 )
             except WALIntegrityError:
@@ -943,9 +1047,16 @@ class WriteAheadLog:
                     f"wal: truncated torn tail of {LOG_NAME} "
                     f"({torn_count} record(s))"
                 )
-            _, damage = self._scan_pack()
+            index, damage = self._scan_pack()
+            if damage is not None and damage[1] == "torn-tail":
+                records.extend(
+                    r for r, _, _ in self._iter_lines(self.prev_log_path)
+                    if r is not None
+                )
+                damage = self._classify_cut(index, damage, records)
             if damage is not None and damage[1] == "torn-tail":
                 self._truncate(self.pack_path, damage[0])
+                self._adopt_pack_index(index)
                 notes.append(f"wal: truncated torn final frame of {PACK_NAME}")
         return notes
 

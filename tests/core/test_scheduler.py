@@ -670,6 +670,22 @@ class TestVersionFileFsync:
         # written and fsynced inside the harvest transaction
         assert all(in_txn for _, _, in_txn in versions)
 
+    def test_crashed_run_fsyncs_its_versions(self, adopted_cells, fsyncs):
+        """A crashed run's version files may stay named: they are synced."""
+        hybrid, project, library, cells = adopted_cells
+        with inject(FaultPlan.crash("run.before_finish", on_hit=2)):
+            result = hybrid.run_many(
+                schematic_wave(project, library, cells), workers=4, seed=2
+            )
+        assert len(result.by_status(RUN_CRASHED)) == 1
+        on_disk = {
+            str(path) for path in library.directory.rglob("*.dat")
+        }
+        synced = {path for path, scheduled, _ in fsyncs
+                  if path.endswith(".dat") and not scheduled}
+        assert len(on_disk) == 8
+        assert on_disk <= synced
+
     def test_failed_version_fsync_stops_the_wave(
         self, tmp_path, monkeypatch
     ):

@@ -194,6 +194,32 @@ class TestDetectAndRepair:
         reopened = HybridFramework.reopen(hybrid.root)
         assert reopened.jcf.save_snapshot() == live
 
+    def test_rotted_frame_length_survives_recovery_and_is_repaired(
+        self, adopted_cell
+    ):
+        """A length field rotted past the end of the pack looks like a
+        torn append; recovery must not cut it but heal it by scrubbing."""
+        hybrid, project, library, _ = adopted_cell
+        run_flow(hybrid, project, library)
+        pack = hybrid.jcf.wal.pack_path
+        data = bytearray(pack.read_bytes())
+        data[1 + 32] ^= 0x01  # high byte of the first frame's length
+        pack.write_bytes(bytes(data))
+        live = hybrid.jcf.save_snapshot()
+        scrubber = Scrubber(hybrid.jcf, hybrid.fmcad)
+        assert [
+            (f.area, f.location, f.classification)
+            for f in scrubber.scrub().findings
+        ] == [("wal", f"{pack}@0", "bit-rot")]
+
+        report = hybrid.recover()
+        assert report.wal_repairs == []  # the sweep cut nothing
+        [repaired] = report.repaired_payloads
+        assert f"wal {pack}@0" in repaired
+        assert hybrid.jcf.wal.verify() == []
+        reopened = HybridFramework.reopen(hybrid.root)
+        assert reopened.jcf.save_snapshot() == live
+
 
 class TestQuarantine:
     def test_version_file_with_no_peer_is_quarantined(self, adopted_cell):

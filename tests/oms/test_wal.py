@@ -452,6 +452,61 @@ class TestPack:
         # refused, not truncated: the damage stays for the scrubber
         assert len(wal.pack_path.read_bytes()) == len(data)
 
+    def test_rotted_length_is_not_a_torn_tail(self, simple_schema, tmp_path):
+        """A flipped high length byte runs a frame past the end of the
+        pack; records still name the frames behind it, so neither
+        repair() nor recover() may cut them."""
+        root = tmp_path / "wal"
+        wal, db, _ = open_wal(simple_schema, root)
+        db.create("Thing", {"name": "a"}, payload=b"one")
+        db.create("Thing", {"name": "b"}, payload=b"two")
+        data = bytearray(wal.pack_path.read_bytes())
+        data[1 + 32] ^= 0x01  # high byte of the first frame's length
+        wal.pack_path.write_bytes(bytes(data))
+        finding = [(f"{wal.pack_path}@0", "bit-rot")]
+        assert WriteAheadLog(root).verify() == finding
+        assert wal.repair() == []
+        assert WriteAheadLog(root).repair() == []
+        assert wal.pack_path.read_bytes() == bytes(data)
+        with pytest.raises(WALIntegrityError) as info:
+            WriteAheadLog(root).recover(simple_schema)
+        assert info.value.classification == "bit-rot"
+        assert wal.pack_path.read_bytes() == bytes(data)
+        # a checkpoint from the live database heals it
+        wal.checkpoint(db)
+        assert WriteAheadLog(root).verify() == []
+        assert reopened_dump(simple_schema, root) == dump_snapshot(db)
+
+    def test_rotted_length_behind_checkpointed_payloads_is_cut(
+        self, simple_schema, tmp_path
+    ):
+        """Frames whose digests a checkpoint also holds are not needed."""
+        from repro.oms.blobs import digest_bytes
+
+        root = tmp_path / "wal"
+        wal, db, _ = open_wal(simple_schema, root)
+        db.create("Thing", {"name": "a"}, payload=b"one")
+        wal.checkpoint(db)
+        # a commit that died before its record packed "two" ...
+        wal._pack_payloads({digest_bytes(b"two"): b"two"})
+        # ... and a later record names only the checkpointed "one"
+        db.create("Thing", {"name": "b"}, payload=b"one")
+        data = bytearray(wal.pack_path.read_bytes())
+        data[1 + 32] ^= 0x01
+        wal.pack_path.write_bytes(bytes(data))
+        assert WriteAheadLog(root).verify() == [
+            (f"{wal.pack_path}@0", "torn-tail")
+        ]
+        assert wal.repair() == [
+            "wal: truncated torn final frame of blobs.pack"
+        ]
+        assert wal.pack_path.stat().st_size == 0
+        # the cut frame is durable no more: committing its bytes packs
+        # them again instead of logging a digest nothing holds
+        db.create("Thing", {"name": "c"}, payload=b"two")
+        assert wal.pack_path.stat().st_size == FRAME_HEADER.size + 3
+        assert reopened_dump(simple_schema, root) == dump_snapshot(db)
+
     def test_legacy_sidecars_read_until_checkpoint(
         self, simple_schema, tmp_path
     ):
@@ -527,8 +582,9 @@ class TestFsyncFailures:
         with pytest.raises(FailStop):
             db.create("Thing", {"name": "after"})
 
+    @pytest.mark.parametrize("mode", ["transaction", "auto-commit"])
     def test_failed_pack_fsync_aborts(
-        self, simple_schema, tmp_path, monkeypatch
+        self, simple_schema, tmp_path, monkeypatch, mode
     ):
         root = tmp_path / "wal"
         wal = WriteAheadLog(root, durability_mode="full")
@@ -538,7 +594,10 @@ class TestFsyncFailures:
         durable_state = dump_snapshot(db)
         fail_fsync_of(monkeypatch, PACK_NAME)
         with pytest.raises(WALError) as info:
-            with db.transaction():
+            if mode == "transaction":
+                with db.transaction():
+                    db.create("Thing", {"name": "unsynced"}, payload=b"p1")
+            else:
                 db.create("Thing", {"name": "unsynced"}, payload=b"p1")
         monkeypatch.undo()
         assert not isinstance(info.value, WALSyncError)
@@ -547,6 +606,33 @@ class TestFsyncFailures:
         assert reopened_dump(simple_schema, root) == durable_state
         # the database goes on, and the payload is packed again
         db.create("Thing", {"name": "retried"}, payload=b"p1")
+        assert reopened_dump(simple_schema, root) == dump_snapshot(db)
+
+    def test_pack_name_synced_after_failed_first_append(
+        self, simple_schema, tmp_path, monkeypatch
+    ):
+        """The pack's first append created it but failed: the retry
+        still makes the pack's directory entry durable."""
+        from repro.oms import durable
+
+        root = tmp_path / "wal"
+        wal = WriteAheadLog(root, durability_mode="full")
+        db, _ = wal.recover(simple_schema)
+        db.attach_wal(wal)
+        fail_fsync_of(monkeypatch, PACK_NAME)
+        with pytest.raises(WALError):
+            db.create("Thing", {"name": "a"}, payload=b"p0")
+        monkeypatch.undo()
+        assert wal.pack_path.exists()
+        synced = []
+        real = durable.fsync_dir
+        monkeypatch.setattr(
+            durable, "fsync_dir",
+            lambda path, mode=None: (synced.append(path), real(path, mode)),
+        )
+        db.create("Thing", {"name": "a"}, payload=b"p0")
+        db.create("Thing", {"name": "b"}, payload=b"p1")
+        assert synced == [root]  # once, not per append
         assert reopened_dump(simple_schema, root) == dump_snapshot(db)
 
 
