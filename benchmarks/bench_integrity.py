@@ -6,10 +6,11 @@ address on every read path (OMS materialize, staged tool input, FMCAD
 
 1. **verified-read overhead** — the multi-user copy-on-write staging
    workload of ``bench_staging`` run with verification on vs off
-   (wall clock, median of interleaved paired trials).  The acceptance
-   bound is
-   <= 5% overhead: the verified-once fast path means steady-state
-   re-reads of an already-proven blob skip the re-hash entirely;
+   (wall clock, interleaved paired trials that alternate which arm runs
+   first; every pair's ratio is printed).  The acceptance bound is
+   <= 5% median paired overhead: the verified-once fast path means
+   steady-state re-reads of an already-proven blob skip the re-hash
+   entirely;
 2. **materialize cost** — per-read cost of a cold verified read (pays
    one SHA-256 over the payload), a warm verified read (fast path) and
    an unverified read, across payload sizes;
@@ -25,6 +26,7 @@ runs persist ``benchmarks/results/integrity.txt``.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import pathlib
 import statistics
@@ -52,8 +54,15 @@ USERS = 4
 OBJECTS = 3
 ROUNDS = 24
 OBJ_BYTES = 200_000
-#: interleaved trials per arm; min-of-N rejects scheduler noise
-TRIALS = 5
+#: interleaved trial pairs; the bound is asserted on their median ratio
+TRIALS = 11
+#: pairs at smoke size.  On a 2-vCPU VM one ~30 ms smoke pair reads
+#: anywhere from -30% to +50% around a ~2.5% median, so the quietest of
+#: three pairs (the former gate) failed about 1 run in 6 while the
+#: quietest of 15 missed a ~10% overhead 4 runs in 5; the median of 31
+#: pairs read 1.2-4.4% in 20 runs with the verified-once flag and
+#: 5.4-10.6% in 6 runs without it
+SMOKE_TRIALS = 31
 
 #: materialize microbench payload sizes
 SIZES = [10_000, 100_000, 1_000_000]
@@ -66,16 +75,12 @@ SCRUB_CORRUPTIONS = 5
 
 if os.environ.get("REPRO_BENCH_SMOKE"):
     ROUNDS = 8
-    TRIALS = 3
+    TRIALS = SMOKE_TRIALS
     SIZES = [10_000, 100_000]
     MATERIALIZE_REPEATS = 10
     SCRUB_PAYLOADS = 16
 
 RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "integrity.txt"
-
-
-def fresh_jcf() -> JCFFramework:
-    return JCFFramework(pathlib.Path(tempfile.mkdtemp()))
 
 
 def setup_design_objects(jcf: JCFFramework, payloads: List[bytes]):
@@ -92,41 +97,46 @@ def setup_design_objects(jcf: JCFFramework, payloads: List[bytes]):
 
 
 def _staging_workload(verify: bool) -> float:
-    jcf = fresh_jcf()
-    jcf.db._blobs.verify_reads = verify
-    payloads = [bytes([65 + i]) * OBJ_BYTES for i in range(OBJECTS)]
-    versions = setup_design_objects(jcf, payloads)
-    areas = [
-        StagingArea(jcf.db, jcf.root / "staging" / f"user{u}")
-        for u in range(USERS)
-    ]
-    start = time.perf_counter()
-    for _ in range(ROUNDS):
-        for area in areas:
-            area.export_objects([v.oid for v in versions])
-    return time.perf_counter() - start
+    with tempfile.TemporaryDirectory() as root:
+        jcf = JCFFramework(pathlib.Path(root))
+        jcf.db._blobs.verify_reads = verify
+        payloads = [bytes([65 + i]) * OBJ_BYTES for i in range(OBJECTS)]
+        versions = setup_design_objects(jcf, payloads)
+        areas = [
+            StagingArea(jcf.db, jcf.root / "staging" / f"user{u}")
+            for u in range(USERS)
+        ]
+        # the previous trial's garbage is collected outside the timing
+        gc.collect()
+        start = time.perf_counter()
+        for _ in range(ROUNDS):
+            for area in areas:
+                area.export_objects([v.oid for v in versions])
+        return time.perf_counter() - start
 
 
-def run_overhead() -> Dict[str, float]:
+def run_overhead() -> Tuple[Dict[str, float], List[float]]:
+    """Overhead figures, and each pair's on/off overhead in percent."""
     _staging_workload(True)  # warmup: imports, allocator, page cache
     off_times: List[float] = []
     on_times: List[float] = []
-    for _ in range(TRIALS):  # interleaved so drift hits both arms alike
-        off_times.append(_staging_workload(False))
-        on_times.append(_staging_workload(True))
+    for trial in range(TRIALS):
+        # interleaved so drift hits both arms alike, and alternating
+        # which arm runs first so neither always follows the other
+        for verify in (trial % 2 == 1, trial % 2 == 0):
+            (on_times if verify else off_times).append(
+                _staging_workload(verify)
+            )
     # each back-to-back pair shares ambient conditions; the median paired
-    # ratio survives a single scheduler hiccup in either arm without the
+    # ratio survives scheduler hiccups in either arm without the
     # optimistic bias a min (or pessimistic bias a mean) would carry
     ratios = [on / off for off, on in zip(off_times, on_times)]
+    pair_pcts = [(ratio - 1.0) * 100.0 for ratio in ratios]
     return {
         "off_ms": min(off_times) * 1000.0,
         "on_ms": min(on_times) * 1000.0,
         "overhead_pct": (statistics.median(ratios) - 1.0) * 100.0,
-        # the bound is asserted on the best pair: noise only ever adds
-        # time, so a systematic cost shows up in every pair including
-        # this one, while a one-off stall can't produce a false failure
-        "overhead_floor_pct": (min(ratios) - 1.0) * 100.0,
-    }
+    }, pair_pcts
 
 
 # -- experiment 2: materialize cost (cold / warm / unverified) ---------------
@@ -213,7 +223,7 @@ def run_scrub() -> Dict[str, float]:
 
 
 def run_bench() -> Tuple[str, Dict[str, float]]:
-    overhead = run_overhead()
+    overhead, pair_pcts = run_overhead()
     materialize_rows = run_materialize()
     scrub = run_scrub()
 
@@ -225,6 +235,7 @@ def run_bench() -> Tuple[str, Dict[str, float]]:
         f"   {ROUNDS} rounds; wall clock, overhead is the median of "
         f"{TRIALS} interleaved paired trials)\n\n"
     )
+    pairs = " ".join(f"{pct:+.1f}%" for pct in pair_pcts)
     report += format_table(
         ["verification", "wall ms", "overhead"],
         [
@@ -236,6 +247,7 @@ def run_bench() -> Tuple[str, Dict[str, float]]:
             ],
         ],
     )
+    report += f"\n   each pair, on vs off: {pairs}"
     report += (
         "\n\n2. single materialize cost (us/read; cold pays one SHA-256, "
         "warm is the\n   verified-once fast path)\n\n"
@@ -268,10 +280,10 @@ def run_bench() -> Tuple[str, Dict[str, float]]:
     )
 
     # acceptance: the overhead bound, and 100% detection while sweeping
-    assert overhead["overhead_floor_pct"] <= MAX_OVERHEAD_PCT, (
-        f"verified reads cost {overhead['overhead_floor_pct']:.1f}% on "
-        f"the staging workload even in the quietest trial pair "
-        f"(bound: {MAX_OVERHEAD_PCT}%)"
+    assert overhead["overhead_pct"] <= MAX_OVERHEAD_PCT, (
+        f"verified reads cost {overhead['overhead_pct']:.1f}% on "
+        f"the staging workload, median of {TRIALS} trial pairs "
+        f"(bound: {MAX_OVERHEAD_PCT}%; pairs: {pairs})"
     )
     assert scrub["detected"] == scrub["injected"] > 0, (
         f"scrub detected {scrub['detected']:.0f} of "
@@ -302,7 +314,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.smoke:
         global ROUNDS, TRIALS, SIZES, MATERIALIZE_REPEATS, SCRUB_PAYLOADS
-        ROUNDS, TRIALS = 8, 3
+        ROUNDS, TRIALS = 8, SMOKE_TRIALS
         SIZES = [10_000, 100_000]
         MATERIALIZE_REPEATS = 10
         SCRUB_PAYLOADS = 16

@@ -88,13 +88,3 @@ class BlackBoxToolWrapper(_ToolWrapper):
             ) from exc
         return success, output, details
 
-
-def guarded_menu_count(session) -> int:
-    """How many menu points the guard holds locked in *session*.
-
-    Black-box tools expose no menus, so the count is zero — the
-    integration-level ablation's measurable consistency gap.
-    """
-    return sum(
-        1 for name in session.menu_names() if session.menu(name).locked
-    )

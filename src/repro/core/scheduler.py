@@ -32,12 +32,13 @@ cells and designers — onto a worker pool:
 5. **Group-commit.**  Each wave's metadata transactions coalesce into
    one OMS flush (:meth:`~repro.oms.database.OMSDatabase.group_commit`).
    A run writes its version files inside its commit turn without
-   fsyncing them and fsyncs them after leaving it, so the next turn
-   does not wait for its disk.  The wave writes each FMCAD library it
-   checked into once: after every run (fsyncs included) finished,
-   before the group's WAL record.  The order is version files durable,
-   then one ``.meta`` per touched library, then the WAL record, then
-   the ack.  A fsync or ``.meta`` flush that fails, or a refused one,
+   fsyncing them and fsyncs them after leaving it, then once each
+   directory that gained an entry, so the next turn does not wait for
+   its disk.  The wave writes each FMCAD library it checked into once:
+   after every run (fsyncs included) finished, before the group's WAL
+   record.  The order is version files and their names durable, then
+   one ``.meta`` per touched library, then the WAL record, then the
+   ack.  A fsync or ``.meta`` flush that fails, or a refused one,
    leaves the wave committed in memory but not logged, which nothing
    can undo: the database stops
    (:meth:`~repro.oms.database.OMSDatabase.fail_stop`), no record is
@@ -158,12 +159,6 @@ class BatchResult:
     @property
     def succeeded(self) -> List[RunOutcome]:
         return self.by_status(RUN_OK)
-
-    def raise_first_error(self) -> None:
-        """Re-raise the first failure (for callers that want fail-fast)."""
-        for outcome in self.outcomes:
-            if outcome.error is not None:
-                raise outcome.error
 
 
 class BatchScheduler:
@@ -397,10 +392,10 @@ class BatchScheduler:
             gate.abandon()
             acquisition.release()
         outcome.lane_ms = lane.elapsed_ms
-        # out of the commit turn: the version files it wrote unsynced
-        # must be durable before the wave writes the .meta naming them
-        # (a crashed run's files may stay named too)
-        durable.fsync_files(written)
+        # out of the commit turn: the version files it wrote unsynced,
+        # and their directory entries, must be durable before the wave
+        # writes the .meta naming them (a crashed run's may stay named)
+        written.fsync()
         if outcome.status != RUN_CRASHED:
             # a live run cleans its sandbox; a crashed one leaves its
             # files on disk for the audit to flag and recover() to sweep

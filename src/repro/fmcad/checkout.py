@@ -14,7 +14,6 @@ reservation, so the manager counts every denied checkout.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import pathlib
 from typing import Callable, Dict, List, Optional
 
@@ -65,8 +64,6 @@ class CheckoutManager:
         #: accounting for bench_multiuser
         self.denied_checkouts = 0
         self.granted_checkouts = 0
-        #: leftover working files revalidated by digest instead of re-copied
-        self.validated_working_files = 0
         #: working files materialised by reflinking the version file
         #: instead of copying its bytes
         self.cloned_working_files = 0
@@ -121,16 +118,7 @@ class CheckoutManager:
         )
         working_path.parent.mkdir(parents=True, exist_ok=True)
         if base is not None:
-            # a leftover working file (e.g. from a crashed session) whose
-            # digest still matches the base version needs no re-copy
-            if (
-                working_path.exists()
-                and hashlib.sha256(working_path.read_bytes()).hexdigest()
-                == base.content_digest()
-            ):
-                library.clock.charge_native_io(0, files=1)
-                self.validated_working_files += 1
-            elif self._reflink_working_file(base, working_path):
+            if self._reflink_working_file(base, working_path):
                 # extents shared copy-on-write: no bytes moved, the
                 # private inode appears for a metadata-sized cost
                 library.clock.charge_native_io(0, files=1)
@@ -251,6 +239,5 @@ class CheckoutManager:
             "active": len(self._active),
             "granted": self.granted_checkouts,
             "denied": self.denied_checkouts,
-            "validated_working_files": self.validated_working_files,
             "cloned_working_files": self.cloned_working_files,
         }

@@ -66,7 +66,7 @@ class Library:
             raise LibraryError(f"invalid library name: {name!r}")
         self.name = name
         self.directory = pathlib.Path(root) / name
-        self.directory.mkdir(parents=True, exist_ok=True)
+        durable.make_dirs(self.directory)
         self.clock = clock or SimClock()
         self.metafile = MetaFile(self.directory / ".meta")
         self._cells: Dict[str, Cell] = {}
@@ -77,9 +77,6 @@ class Library:
         self.flushed_tick = 0
         #: checkins stored as hard links because the data did not change
         self.dedup_links = 0
-        #: every read_version re-digests the file against the recorded
-        #: content address; ``False`` is the unverified benchmark arm
-        self.verify_reads = True
         #: shared MaterializationCache, if the owning framework attached
         #: one — digest-keyed, so entries interoperate with blob reads
         self.read_cache = None
@@ -215,7 +212,7 @@ class Library:
             raise LibraryError(f"invalid cell name: {name!r}")
         cell = Cell(name)
         self._cells[name] = cell
-        (self.directory / name).mkdir(exist_ok=True)
+        durable.make_dirs(self.directory / name)
         self._bump()
         return cell
 
@@ -246,7 +243,7 @@ class Library:
         viewtype = resolve_viewtype(viewtype_name or view_name)
         view = View(view_name, viewtype)
         cellview = cell.add_cellview(CellView(cell_name, view))
-        (self.directory / cell_name / view_name).mkdir(parents=True, exist_ok=True)
+        durable.make_dirs(self.directory / cell_name / view_name)
         self._bump()
         return cellview
 
@@ -323,6 +320,9 @@ class Library:
                 deferrable=True,
             )
             self.clock.charge_native_io(len(data), files=1)
+        # the new name, linked or written, must be durable before a
+        # .meta names it
+        durable.fsync_entry(path)
         version = CellViewVersion(
             number=number, path=path, created_tick=self.tick + 1, author=author
         )
@@ -372,11 +372,7 @@ class Library:
         if version is None:
             raise LibraryError(f"cellview {cellview.name} has no versions")
         digest = version._content_digest
-        if (
-            self.verify_reads
-            and self.read_cache is not None
-            and digest is not None
-        ):
+        if self.read_cache is not None and digest is not None:
             cached = self.read_cache.get(digest)
             if cached is not None:
                 # digest-keyed coherence: the cache only holds bytes that
@@ -385,17 +381,16 @@ class Library:
                 self.clock.charge_native_io(0, files=1)
                 return cached
         data = version.read_data()
-        if self.verify_reads:
-            problem = version.classify_damage(data)
-            if problem is not None:
-                raise IntegrityError(
-                    f"library {self.name!r}: version file {version.path} "
-                    f"fails verification ({problem})",
-                    location=str(version.path),
-                    classification=problem,
-                )
-            if self.read_cache is not None and digest is not None:
-                self.read_cache.put(digest, data)
+        problem = version.classify_damage(data)
+        if problem is not None:
+            raise IntegrityError(
+                f"library {self.name!r}: version file {version.path} "
+                f"fails verification ({problem})",
+                location=str(version.path),
+                classification=problem,
+            )
+        if self.read_cache is not None and digest is not None:
+            self.read_cache.put(digest, data)
         self.clock.charge_native_io(len(data), files=1)
         return data
 

@@ -14,10 +14,12 @@ This module centralises the missing :func:`os.fsync` placement:
   fsync of the **parent directory** so the rename itself is durable;
 * :func:`replace` / :func:`fsync_dir` — for callers that build the
   temp file themselves (tar archives, WAL segments);
-* :func:`deferred_fsyncs` / :func:`fsync_files` — for a caller that
-  must write files now but may make them durable later, off a serial
-  path (a scheduled run's version files, written inside its commit
-  turn and fsynced after it).
+* :func:`fsync_entry` / :func:`make_dirs` — make a new name durable
+  in its directory;
+* :func:`deferred_fsyncs` — for a caller that must write files and
+  names now but may make them durable later, off a serial path (a
+  scheduled run's version files, written inside its commit turn and
+  fsynced after it).
 
 Durability modes
 ----------------
@@ -41,7 +43,7 @@ import contextlib
 import os
 import pathlib
 import threading
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 DURABILITY_FULL = "full"
 DURABILITY_RELAXED = "relaxed"
@@ -114,20 +116,6 @@ def fsync_fd(fd: int, mode: Optional[str] = None) -> None:
     os.fsync(fd)
 
 
-def fsync_files(paths: Iterable[PathLike], mode: Optional[str] = None) -> None:
-    """Fsync each file of *paths* that still exists.
-
-    A file gone by now was unlinked on purpose (a compensated checkin
-    drops its own version file), so there is nothing left to make
-    durable.
-    """
-    for path in paths:
-        try:
-            fsync_file(path, mode=mode)
-        except FileNotFoundError:
-            pass
-
-
 def fsync_dir(path: PathLike, mode: Optional[str] = None) -> None:
     """Force a directory entry table to stable storage.
 
@@ -149,17 +137,75 @@ def fsync_dir(path: PathLike, mode: Optional[str] = None) -> None:
         os.close(fd)
 
 
+def fsync_entry(path: PathLike) -> None:
+    """Make the directory entry naming *path* durable.
+
+    Fsyncs the directory holding *path*, or, inside
+    :func:`deferred_fsyncs`, leaves that to the block's owner.
+    """
+    directory = pathlib.Path(path).parent
+    pending = getattr(_state, "deferred", None)
+    if pending is None:
+        fsync_dir(directory)
+    else:
+        pending.directories[directory] = None
+
+
+def make_dirs(path: PathLike) -> None:
+    """Create directory *path* and its missing parents, names durable.
+
+    Each directory this call creates gets :func:`fsync_entry`; one that
+    already exists costs nothing more than the ``mkdir`` that found it.
+    """
+    path = pathlib.Path(path)
+    try:
+        path.mkdir()
+    except FileExistsError:
+        return
+    except FileNotFoundError:
+        make_dirs(path.parent)
+        make_dirs(path)
+        return
+    fsync_entry(path)
+
+
+class Deferred:
+    """The fsyncs a :func:`deferred_fsyncs` block left to its owner."""
+
+    def __init__(self) -> None:
+        #: files written but not yet fsynced
+        self.files: List[pathlib.Path] = []
+        #: directories that gained an entry, each listed once
+        self.directories: Dict[pathlib.Path, None] = {}
+
+    def fsync(self, mode: Optional[str] = None) -> None:
+        """Fsync each file that still exists, then once each directory.
+
+        A file gone by now was unlinked on purpose (a compensated
+        checkin drops its own version file), so there is nothing left
+        to make durable.
+        """
+        for path in self.files:
+            try:
+                fsync_file(path, mode=mode)
+            except FileNotFoundError:
+                pass
+        for directory in self.directories:
+            fsync_dir(directory, mode=mode)
+
+
 @contextlib.contextmanager
-def deferred_fsyncs() -> Iterator[List[pathlib.Path]]:
+def deferred_fsyncs() -> Iterator[Deferred]:
     """Collect, instead of issuing, this thread's deferrable fsyncs.
 
     Inside the block, ``write_bytes(..., deferrable=True)`` writes its
-    file without fsyncing it and appends the path to the yielded list.
-    The owner of the block must pass that list to :func:`fsync_files`
-    before anything that names those files is made durable.
+    file without fsyncing it, and :func:`fsync_entry` does not fsync the
+    directory; both are recorded in the yielded :class:`Deferred`.  The
+    owner of the block must call its :meth:`~Deferred.fsync` before
+    anything that names those files is made durable.
     """
     previous = getattr(_state, "deferred", None)
-    pending: List[pathlib.Path] = []
+    pending = Deferred()
     _state.deferred = pending
     try:
         yield pending
@@ -184,7 +230,7 @@ def write_bytes(
         handle.write(data)
         handle.flush()
         if pending is not None:
-            pending.append(pathlib.Path(path))
+            pending.files.append(pathlib.Path(path))
         elif resolved == DURABILITY_FULL:
             os.fsync(handle.fileno())
 

@@ -137,38 +137,11 @@ class StagingArea:
         private inode, so editing one staged file in place can never
         bleed into another.
         """
-        path = self._claim_path(oid, filename)
-        stat = self._payload_stat(oid)
-        if self._export_is_hit(path, stat, writable):
+        staged, copied = self._export_one(oid, filename, writable)
+        if copied is None:
             self._db.clock.charge_metadata_op()
-            self.export_hits += 1
-        elif not writable and self._link_from_peer(path, stat):
-            # zero-copy staging: another staged file already holds these
-            # exact bytes, so the export is one hard link — no payload
-            # bytes cross the file system at all
-            fault_point("staging.write")
-            self._db.clock.charge_metadata_op()
-            self.export_links += 1
-        elif writable and self._reflink_from_peer(path, stat):
-            # writable exports need a private inode, so they cannot
-            # hard-link — but a reflink shares the peer's extents
-            # copy-on-write (O(1)) on a private inode
-            fault_point("staging.write")
-            self._db.clock.charge_metadata_op()
-            self.export_reflinks += 1
         else:
-            payload = self._db.get(oid).payload or b""
-            self._write_breaking_links(
-                path, corruption_point("staging.file", payload)
-            )
-            # the staged file exists but is not yet recorded — a crash
-            # here leaves a staging orphan for recovery to reclaim
-            fault_point("staging.write")
-            self._db.clock.charge_copy(len(payload), files=1)
-            self.bytes_exported += len(payload)
-            self.files_exported += 1
-        staged = StagedFile(oid=oid, path=path, size=stat.size, digest=stat.digest)
-        self._record(staged)
+            self._db.clock.charge_copy(copied, files=1)
         return staged
 
     @_synchronized
@@ -194,28 +167,10 @@ class StagingArea:
         self._db.clock.charge_metadata_op()
         for index, oid in enumerate(oids):
             filename = filenames[index] if filenames is not None else None
-            path = self._claim_path(oid, filename)
-            stat = self._payload_stat(oid)
-            if self._export_is_hit(path, stat, writable):
-                self.export_hits += 1
-            elif not writable and self._link_from_peer(path, stat):
-                fault_point("staging.write")
-                self.export_links += 1
-            elif writable and self._reflink_from_peer(path, stat):
-                fault_point("staging.write")
-                self.export_reflinks += 1
-            else:
-                payload = self._db.get(oid).payload or b""
-                self._write_breaking_links(
-                    path, corruption_point("staging.file", payload)
-                )
-                fault_point("staging.write")
-                miss_bytes += len(payload)
+            staged, copied = self._export_one(oid, filename, writable)
+            if copied is not None:
+                miss_bytes += copied
                 misses += 1
-                self.bytes_exported += len(payload)
-                self.files_exported += 1
-            staged = StagedFile(oid=oid, path=path, size=stat.size, digest=stat.digest)
-            self._record(staged)
             results.append(staged)
         if misses:
             self._db.clock.charge_copy(miss_bytes, files=misses)
@@ -233,23 +188,12 @@ class StagingArea:
         recognised in one metadata operation and the database write is
         skipped — the common case after a read-only tool run.
         """
-        path = self._resolve_import_path(oid, path)
-        fault_point("staging.import")
-        payload = path.read_bytes()
-        digest = digest_bytes(payload)
-        stat = self._payload_stat(oid)
-        if self.copy_on_write and digest == stat.digest:
-            self._db.clock.charge_metadata_op()
-            self.import_hits += 1
+        size, changed = self._import_one(oid, path)
+        if changed:
+            self._db.clock.charge_copy(size, files=1)
         else:
-            self._db.set_payload(oid, payload, payload_delta_base=stat.digest)
-            self._db.clock.charge_copy(len(payload), files=1)
-            self.bytes_imported += len(payload)
-            self.files_imported += 1
-        self._record(
-            StagedFile(oid=oid, path=path, size=len(payload), digest=digest)
-        )
-        return len(payload)
+            self._db.clock.charge_metadata_op()
+        return size
 
     @_synchronized
     def import_objects(self, oids: Sequence[str]) -> Dict[str, int]:
@@ -264,23 +208,10 @@ class StagingArea:
         misses = 0
         self._db.clock.charge_metadata_op()
         for oid in oids:
-            path = self._resolve_import_path(oid, None)
-            fault_point("staging.import")
-            payload = path.read_bytes()
-            digest = digest_bytes(payload)
-            stat = self._payload_stat(oid)
-            if self.copy_on_write and digest == stat.digest:
-                self.import_hits += 1
-            else:
-                self._db.set_payload(oid, payload, payload_delta_base=stat.digest)
-                miss_bytes += len(payload)
+            sizes[oid], changed = self._import_one(oid, None)
+            if changed:
+                miss_bytes += sizes[oid]
                 misses += 1
-                self.bytes_imported += len(payload)
-                self.files_imported += 1
-            self._record(
-                StagedFile(oid=oid, path=path, size=len(payload), digest=digest)
-            )
-            sizes[oid] = len(payload)
         if misses:
             self._db.clock.charge_copy(miss_bytes, files=misses)
         return sizes
@@ -564,48 +495,82 @@ class StagingArea:
             return BlobStat(digest=EMPTY_DIGEST, size=0)
         return stat
 
-    def _link_from_peer(self, path: pathlib.Path, stat: BlobStat) -> bool:
-        """Hard-link *path* to a staged file already holding the payload.
+    def _export_one(
+        self, oid: str, filename: Optional[str], writable: bool
+    ) -> Tuple[StagedFile, Optional[int]]:
+        """Stage *oid* down the ladder: hit, link or reflink, copy.
 
-        The zero-copy export fast path: when any staged file's recorded
-        digest matches the payload being exported, the new staging path
-        becomes a hard link to it and no payload bytes are copied at all.
-        PR 5's verified-read semantics are preserved — the source is
-        re-hashed immediately before linking (a tool may have rewritten
-        it in place), and every later :meth:`read_staged` re-hashes
-        again, so an aliased mutation surfaces as an
-        :class:`IntegrityError` rather than silently shared garbage.
-        Returns ``False`` (caller copies) whenever linking is unsafe or
-        unsupported.
+        Returns the record and the payload bytes copied, or ``None``
+        when no bytes were copied; the caller charges the SimClock.
         """
-        if not self.copy_on_write or stat.digest == EMPTY_DIGEST:
-            return False
-        source = self._by_digest.get(stat.digest)
-        if source is None or source == path or not source.exists():
-            return False
-        if digest_bytes(source.read_bytes()) != stat.digest:
-            # the index went stale (in-place rewrite); drop the entry so
-            # later exports stop probing it
-            del self._by_digest[stat.digest]
-            return False
-        try:
-            if path.exists():
-                path.unlink()
-            os.link(source, path)
-        except OSError:  # pragma: no cover - filesystem without links
-            return False
-        return True
+        path = self._claim_path(oid, filename)
+        stat = self._payload_stat(oid)
+        copied: Optional[int] = None
+        if self._export_is_hit(path, stat, writable):
+            self.export_hits += 1
+        elif self._share_from_peer(path, stat, writable):
+            # zero-copy staging: another staged file already holds these
+            # exact bytes, so no payload bytes cross the file system
+            fault_point("staging.write")
+            if writable:
+                self.export_reflinks += 1
+            else:
+                self.export_links += 1
+        else:
+            payload = self._db.get(oid).payload or b""
+            self._write_breaking_links(
+                path, corruption_point("staging.file", payload)
+            )
+            # the staged file exists but is not yet recorded — a crash
+            # here leaves a staging orphan for recovery to reclaim
+            fault_point("staging.write")
+            copied = len(payload)
+            self.bytes_exported += copied
+            self.files_exported += 1
+        staged = StagedFile(oid=oid, path=path, size=stat.size, digest=stat.digest)
+        self._record(staged)
+        return staged, copied
 
-    def _reflink_from_peer(self, path: pathlib.Path, stat: BlobStat) -> bool:
-        """Reflink a peer staged file's bytes onto a private inode at *path*.
+    def _import_one(
+        self, oid: str, path: Optional[pathlib.Path]
+    ) -> Tuple[int, bool]:
+        """Read a staged file back into *oid*; ``(bytes, changed)``.
 
-        The writable-export sibling of :meth:`_link_from_peer`: the same
-        advisory digest index and the same re-hash guard, but instead of
-        aliasing the peer's inode the extents are shared copy-on-write,
-        so the caller gets a file it can edit in place without bleeding
-        into the peer.  Returns ``False`` (caller writes the payload)
-        when there is no usable peer, the index went stale, or the
-        filesystem cannot reflink.
+        An unchanged file (copy-on-write on) skips the database write;
+        the caller charges the SimClock.
+        """
+        path = self._resolve_import_path(oid, path)
+        fault_point("staging.import")
+        payload = path.read_bytes()
+        digest = digest_bytes(payload)
+        stat = self._payload_stat(oid)
+        changed = not (self.copy_on_write and digest == stat.digest)
+        if changed:
+            self._db.set_payload(oid, payload, payload_delta_base=stat.digest)
+            self.bytes_imported += len(payload)
+            self.files_imported += 1
+        else:
+            self.import_hits += 1
+        self._record(
+            StagedFile(oid=oid, path=path, size=len(payload), digest=digest)
+        )
+        return len(payload), changed
+
+    def _share_from_peer(
+        self, path: pathlib.Path, stat: BlobStat, writable: bool
+    ) -> bool:
+        """Give *path* the bytes of a staged peer holding the payload.
+
+        A read-only export becomes a hard link to the peer.  A writable
+        export needs a private inode, so it reflinks the peer instead:
+        the extents are shared copy-on-write, and editing the file in
+        place never bleeds into the peer.  The digest index is advisory,
+        so the peer is re-hashed first (a tool may have rewritten it in
+        place), and every later :meth:`read_staged` re-hashes again, so
+        an aliased mutation surfaces as an :class:`IntegrityError`
+        rather than silently shared garbage.  Returns ``False`` (caller
+        copies) when there is no usable peer, the index went stale, or
+        the filesystem cannot link or reflink.
         """
         if not self.copy_on_write or stat.digest == EMPTY_DIGEST:
             return False
@@ -613,7 +578,7 @@ class StagingArea:
         if source is None or source == path or not source.exists():
             return False
         # probed only once a peer exists: most exports never get here
-        if not probe_capabilities(self.root).reflink:
+        if writable and not probe_capabilities(self.root).reflink:
             return False
         if digest_bytes(source.read_bytes()) != stat.digest:
             # the index went stale (in-place rewrite); drop the entry so
@@ -621,11 +586,14 @@ class StagingArea:
             del self._by_digest[stat.digest]
             return False
         try:
-            if not reflink_file(source, path):
+            if not writable:
+                path.unlink(missing_ok=True)
+                os.link(source, path)
+            elif not reflink_file(source, path):
                 return False
-        except OSError:  # pragma: no cover - clone refused mid-flight
+        except OSError:  # pragma: no cover - filesystem refused mid-flight
             return False
-        if active_plan() is not None:
+        if writable and active_plan() is not None:
             # model damage landing on the cloned bytes at rest; the
             # destination is a private inode, so rewriting it can never
             # touch the peer

@@ -38,9 +38,6 @@ digest-only record: zero payload bytes rewritten.  A pack frame cut
 short at the end of the file is the residue of a crash mid-append:
 recovery truncates it like a torn record, provided no record names a
 payload the cut would delete (else a rotted header only looks torn).
-(Workspaces written before
-the pack kept one ``blobs/<digest>`` sidecar file per payload; those
-are still read, and the next checkpoint deletes them.)
 
 Replay is **idempotent**: ``create`` of an existing oid is a no-op,
 ``set_attr``/``set_payload`` overwrite, ``link`` is an idempotent add,
@@ -87,8 +84,6 @@ CHECKPOINT_NAME = "checkpoint.json"
 PREV_CHECKPOINT_NAME = "checkpoint.json.prev"
 CHECKPOINT_TMP_NAME = "checkpoint.json.tmp"
 PACK_NAME = "blobs.pack"
-#: per-payload sidecar directory of workspaces written before the pack
-LEGACY_BLOB_DIR_NAME = "blobs"
 
 #: first byte of every pack frame
 FRAME_MAGIC = 0xB7
@@ -155,8 +150,8 @@ class WriteAheadLog:
         self.durability_mode = durability_mode
         self._lock = threading.RLock()
         self._lsn = 0
-        #: digests already durable (pack frame, legacy sidecar or folded
-        #: checkpoint); commits referencing them write no payload bytes
+        #: digests already durable (pack frame or folded checkpoint);
+        #: commits referencing them write no payload bytes
         self._durable_digests: Set[str] = set()
         #: digest -> (offset, size) of its payload bytes in the pack
         self._pack_index: Dict[str, Tuple[int, int]] = {}
@@ -199,10 +194,6 @@ class WriteAheadLog:
     def pack_path(self) -> pathlib.Path:
         return self.root / PACK_NAME
 
-    @property
-    def legacy_blob_dir(self) -> pathlib.Path:
-        return self.root / LEGACY_BLOB_DIR_NAME
-
     @classmethod
     def present_at(cls, root: Union[str, pathlib.Path]) -> bool:
         """Does *root* look like a WAL directory? (what reopen requires)"""
@@ -220,13 +211,6 @@ class WriteAheadLog:
                 if record is not None:
                     self._lsn = max(self._lsn, int(record.get("lsn", 0)))
         self._adopt_pack_index(self._scan_pack()[0])
-        self._durable_digests.update(p.name for p in self._legacy_sidecars())
-
-    def _legacy_sidecars(self) -> List[pathlib.Path]:
-        """``blobs/<digest>`` files a workspace from before the pack left."""
-        if not self.legacy_blob_dir.is_dir():
-            return []
-        return sorted(p for p in self.legacy_blob_dir.iterdir() if p.is_file())
 
     # -- payload pack ---------------------------------------------------------
 
@@ -290,7 +274,7 @@ class WriteAheadLog:
         file (say, a flipped high byte) looks the same, but *records*
         still name the frames behind it.  A digest they name that is
         neither indexed before the cut nor durable in *held* (default:
-        legacy sidecars and the checkpoints) makes the damage
+        the checkpoints) makes the damage
         ``bit-rot``: cutting it would delete bytes the log needs.
         """
         if damage is None or damage[1] != "torn-tail":
@@ -310,8 +294,8 @@ class WriteAheadLog:
         return damage
 
     def _held_outside_pack(self) -> Set[str]:
-        """Digests durable without the pack: legacy sidecars, checkpoints."""
-        held = {p.name for p in self._legacy_sidecars()}
+        """Digests durable without the pack: those of the checkpoints."""
+        held: Set[str] = set()
         for path in (self.checkpoint_path, self.prev_checkpoint_path):
             data = self._verified_checkpoint(path)
             if data is not None:
@@ -632,10 +616,8 @@ class WriteAheadLog:
     def _gc_after_checkpoint(self, database: OMSDatabase) -> None:
         """Drop superseded artifacts once the new checkpoint verified."""
         for stale in (self.prev_log_path, self.prev_checkpoint_path,
-                      self.pack_path, *self._legacy_sidecars()):
+                      self.pack_path):
             stale.unlink(missing_ok=True)
-        if self.legacy_blob_dir.is_dir():
-            self.legacy_blob_dir.rmdir()
         durable.fsync_dir(self.root, mode=self.durability_mode)
         self._pack_index = {}
         self._pack_entry_synced = False
@@ -713,10 +695,10 @@ class WriteAheadLog:
             index, damage = self._scan_pack()
             if damage is not None:
                 # what replay reads besides the pack: the base state the
-                # payload cache resolves from, and legacy sidecars
-                held = set(database.payload_digests())
-                held.update(p.name for p in self._legacy_sidecars())
-                damage = self._classify_cut(index, damage, all_records, held)
+                # payload cache resolves from
+                damage = self._classify_cut(
+                    index, damage, all_records, set(database.payload_digests())
+                )
             if damage is not None and damage[1] != "torn-tail":
                 raise WALIntegrityError(
                     f"{self.pack_path}: frame header at byte {damage[0]} "
@@ -860,16 +842,6 @@ class WriteAheadLog:
         if located is not None:
             with open(self.pack_path, "rb") as handle:
                 return self._read_frame(handle, digest, *located)
-        sidecar = self.legacy_blob_dir / digest
-        if sidecar.is_file():
-            data = sidecar.read_bytes()
-            if digest_bytes(data) != digest:
-                raise WALIntegrityError(
-                    f"payload sidecar {digest} fails its digest",
-                    location=str(sidecar),
-                    classification="bit-rot",
-                )
-            return data
         try:
             return database.materialize_payload(digest, verify=True)
         except OMSError:
@@ -1004,9 +976,6 @@ class WriteAheadLog:
             for entry in opened:
                 if entry is not None:
                     entry[0].close()
-        for sidecar in self._legacy_sidecars():
-            if digest_bytes(sidecar.read_bytes()) != sidecar.name:
-                findings.append((str(sidecar), "bit-rot"))
         return findings
 
     def _pack_findings(

@@ -143,7 +143,6 @@ class TestAccounting:
             "active": 1,
             "granted": 1,
             "denied": 1,
-            "validated_working_files": 0,
             "cloned_working_files": stats["cloned_working_files"],
         }
         # whether the working file was cloned in-kernel or copied depends

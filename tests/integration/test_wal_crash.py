@@ -12,14 +12,19 @@ but before its one ``.meta`` write (``wave.before_meta``, also hit by a
 real ``os._exit`` in a child process), and after the ``.meta`` but
 before its WAL record.  The payload pack adds two more: after the
 pack's fsync but before the record append (orphan frames), and a torn
-final frame.
+final frame.  The version files' directory entries, and those of the
+view directories a run made, are fsynced before any ``.meta`` names
+them, also when the wave dies at ``wave.before_meta``.
 """
+
+import os
 
 import pytest
 
 from repro.core.coupling import HybridFramework
 from repro.core.scheduler import RunRequest
 from repro.faults import CrashFault, FaultPlan, inject
+from repro.oms import durable
 from repro.oms.snapshot import dump_snapshot
 from repro.oms.wal import FRAME_HEADER, FRAME_MAGIC
 from tests.conftest import (
@@ -298,6 +303,105 @@ class TestProcessDeathInAWave:
         result = hybrid.run_many(schematic_wave(project, library, ["cell2"]))
         assert all(o.ok for o in result.outcomes)
         assert_no_wave_leftovers(hybrid)
+
+
+@pytest.fixture
+def fsynced(monkeypatch):
+    """Every path fsynced under full durability, in call order."""
+    paths = []
+    real = os.fsync
+
+    def record(fd):
+        paths.append(os.readlink(f"/proc/self/fd/{fd}"))
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", record)
+    previous = durable.get_default_durability()
+    durable.set_default_durability(durable.DURABILITY_FULL)
+    yield paths
+    durable.set_default_durability(previous)
+
+
+def names_synced_before_meta(library, cells, fsynced, cell_syncs=1):
+    """Check the FMCAD fsyncs that precede the first ``.meta`` write.
+
+    Each run checks in a schematic and a symbol, whose view directories
+    the harvest makes: every version file is fsynced, then its view
+    directory once, and each cell directory (where the view directories
+    got their names) *cell_syncs* times.
+    """
+    meta = [i for i, path in enumerate(fsynced) if ".meta" in path]
+    before = fsynced[: meta[0]] if meta else fsynced
+    versions = [path for path in before if path.endswith(".dat")]
+    lib = str(library.directory)
+    cell_dirs = [f"{lib}/{cell}" for cell in cells]
+    view_dirs = [
+        f"{lib}/{cell}/{view}" for cell in cells
+        for view in ("schematic", "symbol")
+    ]
+    assert sorted(versions) == sorted(f"{d}/v0001.dat" for d in view_dirs)
+    for directory in view_dirs:
+        assert before.count(directory) == 1, directory
+    for directory in cell_dirs:
+        assert before.count(directory) == cell_syncs, directory
+    for view_dir in view_dirs:
+        assert (
+            before.index(f"{view_dir}/v0001.dat") < before.index(view_dir)
+        )
+
+
+class TestDirectoryEntriesDurable:
+    """New names in a library are durable before a ``.meta`` names them."""
+
+    def test_wave_syncs_each_directory_once(self, tmp_path, fsynced):
+        hybrid, project, library, cells = build_wave_environment(
+            tmp_path / "env"
+        )
+        del fsynced[:]
+        result = hybrid.run_many(
+            schematic_wave(project, library, cells), workers=4
+        )
+        assert all(o.ok for o in result.outcomes)
+        names_synced_before_meta(library, cells, fsynced)
+        assert hybrid.audit().clean
+
+    def test_wave_dead_before_meta_synced_its_names(
+        self, tmp_path, fsynced
+    ):
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root)
+        del fsynced[:]
+        with inject(FaultPlan.crash("wave.before_meta")):
+            with pytest.raises(CrashFault):
+                hybrid.run_many(schematic_wave(project, library, cells))
+        assert not any(".meta" in path for path in fsynced)
+        names_synced_before_meta(library, cells, fsynced)
+        assert restart_recover(root).audit().clean
+
+    def test_new_library_name_synced_before_its_meta(
+        self, tmp_path, fsynced
+    ):
+        hybrid = HybridFramework(tmp_path / "env")
+        del fsynced[:]
+        library = hybrid.fmcad.create_library("chiplib")
+        library.create_cell("cell0")
+        library.flush_meta("setup")
+        libs = str(library.directory.parent)
+        meta = next(i for i, path in enumerate(fsynced) if ".meta" in path)
+        assert fsynced[:meta].count(libs) == 1
+        assert fsynced[:meta].count(str(library.directory)) == 1
+
+    def test_unscheduled_run_syncs_inline(self, tmp_path, fsynced):
+        hybrid, project, library, cells = build_wave_environment(
+            tmp_path / "env"
+        )
+        del fsynced[:]
+        result = hybrid.run_schematic_entry(
+            "alice", project, library, cells[0], build_inverter_editor_fn(2)
+        )
+        assert result.success
+        # inline, each view directory made syncs the cell directory
+        names_synced_before_meta(library, cells[:1], fsynced, cell_syncs=2)
 
 
 def packed_orphans(wal):

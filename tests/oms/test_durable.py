@@ -85,3 +85,38 @@ class TestWrites:
 
     def test_fsync_dir_tolerates_missing_directory(self, tmp_path):
         durable.fsync_dir(tmp_path / "nope", mode="full")
+
+
+class TestNames:
+    """New names become durable through their directory's fsync."""
+
+    @pytest.fixture
+    def synced(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            durable, "fsync_dir",
+            lambda path, mode=None: calls.append(str(path)),
+        )
+        return calls
+
+    def test_make_dirs_syncs_each_created_name(self, tmp_path, synced):
+        durable.make_dirs(tmp_path / "a" / "b")
+        assert synced == [str(tmp_path), str(tmp_path / "a")]
+        del synced[:]
+        durable.make_dirs(tmp_path / "a" / "b")  # already there
+        assert synced == []
+
+    def test_deferred_names_sync_once_after_files(self, tmp_path, synced):
+        with durable.deferred_fsyncs() as pending:
+            durable.make_dirs(tmp_path / "a" / "b")
+            durable.make_dirs(tmp_path / "a" / "c")
+            durable.write_bytes(
+                tmp_path / "a" / "b" / "f", b"x", deferrable=True
+            )
+            durable.fsync_entry(tmp_path / "a" / "b" / "f")
+            assert synced == []
+        assert pending.files == [tmp_path / "a" / "b" / "f"]
+        pending.fsync()
+        assert synced == [
+            str(tmp_path), str(tmp_path / "a"), str(tmp_path / "a" / "b")
+        ]

@@ -2,8 +2,9 @@
 naive always-copy path.
 
 Two staging areas — one CoW, one naive — are driven through identical
-random interleavings of export / tool-mutate / import / release / direct
-payload writes.  After every step the payload bytes in both databases and
+random interleavings of export (single and batched, writable and
+read-only) / tool-mutate / import (single and batched) / release /
+direct payload writes.  After every step the payload bytes in both databases and
 the staged file bytes on both sides must match byte-for-byte, blob
 refcounts must satisfy every store invariant (never negative, delta
 chains reconstructing exactly), and at the end the dedup side must never
@@ -23,9 +24,10 @@ N_OBJECTS = 3
 # ops: (kind, object index, payload seed)
 _ops = st.lists(
     st.tuples(
-        st.sampled_from(
-            ["export", "mutate", "import", "release", "set_payload"]
-        ),
+        st.sampled_from([
+            "export", "export_ro", "export_many", "export_many_ro",
+            "mutate", "import", "import_many", "release", "set_payload",
+        ]),
         st.integers(min_value=0, max_value=N_OBJECTS - 1),
         st.integers(min_value=0, max_value=5),
     ),
@@ -60,20 +62,49 @@ class _Arm:
             self.db.create("Thing", {"name": str(i)}, payload=b"init").oid
             for i in range(N_OBJECTS)
         ]
+        #: oids whose staged file came from a read-only export
+        self.read_only = set()
+
+    def _export(self, oids, writable: bool) -> None:
+        if len(oids) == 1:
+            self.staging.export_object(oids[0], writable=writable)
+        else:
+            self.staging.export_objects(oids, writable=writable)
+        for oid in oids:
+            if writable:
+                self.read_only.discard(oid)
+            else:
+                self.read_only.add(oid)
 
     def apply(self, kind: str, index: int, seed: int) -> None:
         oid = self.oids[index]
+        # a batch: this object and the next one
+        pair = [oid, self.oids[(index + 1) % N_OBJECTS]]
         if kind == "export":
-            self.staging.export_object(oid)
+            self._export([oid], writable=True)
+        elif kind == "export_ro":
+            self._export([oid], writable=False)
+        elif kind == "export_many":
+            self._export(pair, writable=True)
+        elif kind == "export_many_ro":
+            self._export(pair, writable=False)
         elif kind == "mutate":
             staged = self.staging._staged.get(oid)
             if staged is not None and staged.path.exists():
+                if self.read_only:
+                    # read-only exports may share inodes, so a tool
+                    # saves to a new file instead of writing in place
+                    staged.path.unlink()
                 staged.path.write_bytes(_payload(seed))
         elif kind == "import":
             if self.staging.is_staged(oid):
                 self.staging.import_object(oid)
+        elif kind == "import_many":
+            staged = [o for o in pair if self.staging.is_staged(o)]
+            self.staging.import_objects(staged)
         elif kind == "release":
             self.staging.release(oid)
+            self.read_only.discard(oid)
         elif kind == "set_payload":
             self.db.set_payload(oid, _payload(seed))
 

@@ -385,3 +385,153 @@ class TestConcurrentRecordMutation:
         staging.reclaim_orphans()
         for oid in oids:
             assert staging.export_object(oid).path.exists()
+
+
+# -- one ladder: what each tier adds to the counters and the SimClock ---------
+
+def _tier_copy(db, staging, name, payload=None):
+    """No staged file and no peer: the payload is copied out."""
+    if payload is None:
+        payload = name.encode().ljust(1000, b"d")
+    return db.create("Thing", {"name": name}, payload=payload).oid
+
+
+def _tier_hit(db, staging, name):
+    """The staged file already holds the payload."""
+    oid = _tier_copy(db, staging, name)
+    staging.export_object(oid)
+    return oid
+
+
+def _tier_peer(db, staging, name):
+    """Another staged file holds the payload (link or reflink source)."""
+    payload = name.encode().ljust(1000, b"p")
+    staging.export_object(_tier_copy(db, staging, f"{name}-peer", payload))
+    return _tier_copy(db, staging, name, payload)
+
+
+_TIERS = {"copy": _tier_copy, "hit": _tier_hit, "peer": _tier_peer}
+
+
+def _charges(db, staging, call):
+    """The counter deltas, per-category charges and SimClock time of *call*."""
+    counters = staging.accounting()
+    categories = db.clock.elapsed_by_category()
+    start = db.clock.now_ms
+    call()
+    return (
+        {
+            key: value - counters[key]
+            for key, value in staging.accounting().items()
+            if value != counters[key]
+        },
+        {
+            key: value - categories.get(key, 0.0)
+            for key, value in db.clock.elapsed_by_category().items()
+            if value != categories.get(key, 0.0)
+        },
+        db.clock.now_ms - start,
+    )
+
+
+@pytest.mark.usefixtures("fake_reflink")
+class TestLadderCharges:
+    """Single and batched calls share one ladder, and each tier charges
+    exactly what it did before the ladder was merged.
+
+    A single call charges per file: one metadata operation for a hit, a
+    link or a reflink, one copy for a miss.  A batch charges one
+    metadata operation plus one aggregated copy of its misses.  The
+    copying stand-in for FICLONE makes the reflink tier run anywhere.
+    """
+
+    @pytest.mark.parametrize(
+        "tier, writable, counters, categories, elapsed",
+        [
+            ("copy", True, {"bytes_exported": 1000, "files_exported": 1},
+             {"copy": 20.5}, 20.5),
+            ("copy", False, {"bytes_exported": 1000, "files_exported": 1},
+             {"copy": 20.5}, 20.5),
+            ("hit", True, {"export_hits": 1}, {"metadata": 5.0}, 5.0),
+            ("hit", False, {"export_hits": 1}, {"metadata": 5.0}, 5.0),
+            ("peer", False, {"export_links": 1}, {"metadata": 5.0}, 5.0),
+            ("peer", True, {"export_reflinks": 1}, {"metadata": 5.0}, 5.0),
+        ],
+    )
+    def test_export_tier(
+        self, db, staging, tier, writable, counters, categories, elapsed
+    ):
+        oid = _TIERS[tier](db, staging, "x")
+        single = _charges(
+            db, staging,
+            lambda: staging.export_object(oid, writable=writable),
+        )
+        assert single == (counters, categories, elapsed)
+        batch_oid = _TIERS[tier](db, staging, "y")
+        batched = _charges(
+            db, staging,
+            lambda: staging.export_objects([batch_oid], writable=writable),
+        )
+        # a batch of one adds the request's metadata operation to a miss
+        expected = dict(categories)
+        expected["metadata"] = 5.0
+        assert batched == (counters, expected, sum(expected.values()))
+
+    @pytest.mark.parametrize(
+        "writable, counters",
+        [
+            (True, {"bytes_exported": 2000, "files_exported": 2,
+                    "export_hits": 1, "export_reflinks": 1}),
+            (False, {"bytes_exported": 2000, "files_exported": 2,
+                     "export_hits": 1, "export_links": 1}),
+        ],
+    )
+    def test_mixed_export_batch(self, db, staging, writable, counters):
+        oids = [
+            _TIERS[tier](db, staging, f"t{index}")
+            for index, tier in enumerate(("copy", "hit", "peer", "copy"))
+        ]
+        charged = _charges(
+            db, staging,
+            lambda: staging.export_objects(oids, writable=writable),
+        )
+        assert charged == (
+            counters, {"metadata": 5.0, "copy": 41.0}, 46.0
+        )
+
+    @pytest.mark.parametrize(
+        "edited, counters, categories",
+        [
+            (False, {"import_hits": 1}, {"metadata": 5.0}),
+            (True, {"bytes_imported": 500, "files_imported": 1},
+             {"copy": 20.25}),
+        ],
+    )
+    def test_import_tier(self, db, staging, edited, counters, categories):
+        def staged_oid(name):
+            oid = _tier_hit(db, staging, name)
+            if edited:
+                staging.staged()[-1].path.write_bytes(b"e" * 500)
+            return oid
+
+        oid = staged_oid("x")
+        single = _charges(db, staging, lambda: staging.import_object(oid))
+        assert single == (counters, categories, sum(categories.values()))
+        batch_oid = staged_oid("y")
+        batched = _charges(
+            db, staging, lambda: staging.import_objects([batch_oid])
+        )
+        expected = dict(categories)
+        expected["metadata"] = 5.0
+        assert batched == (counters, expected, sum(expected.values()))
+
+    def test_mixed_import_batch(self, db, staging):
+        oids = [_tier_hit(db, staging, f"t{index}") for index in range(3)]
+        for staged in staging.staged()[1:]:
+            staged.path.write_bytes(b"e" * 500)
+        charged = _charges(db, staging, lambda: staging.import_objects(oids))
+        assert charged == (
+            {"import_hits": 1, "bytes_imported": 1000, "files_imported": 2},
+            {"metadata": 5.0, "copy": 40.5},
+            45.5,
+        )

@@ -401,7 +401,7 @@ class TestPack:
         assert wal.pack_path.stat().st_size == sum(
             FRAME_HEADER.size + len(p) for p in set(payloads)
         )
-        assert not wal.legacy_blob_dir.exists()
+        assert not (root / "blobs").exists()
         assert reopened_dump(simple_schema, root) == dump_snapshot(db)
 
     def test_torn_final_frame_is_truncated(self, simple_schema, tmp_path):
@@ -506,33 +506,6 @@ class TestPack:
         db.create("Thing", {"name": "c"}, payload=b"two")
         assert wal.pack_path.stat().st_size == FRAME_HEADER.size + 3
         assert reopened_dump(simple_schema, root) == dump_snapshot(db)
-
-    def test_legacy_sidecars_read_until_checkpoint(
-        self, simple_schema, tmp_path
-    ):
-        """A workspace from before the pack keeps ``blobs/<digest>``."""
-        from repro.oms.blobs import digest_bytes
-
-        root = tmp_path / "wal"
-        wal, db, _ = open_wal(simple_schema, root)
-        db.create("Thing", {"name": "a"}, payload=b"old-style")
-        expected = dump_snapshot(db)
-        wal.pack_path.unlink()
-        wal.legacy_blob_dir.mkdir()
-        sidecar = wal.legacy_blob_dir / digest_bytes(b"old-style")
-        sidecar.write_bytes(b"old-style")
-        wal2, db2, _ = open_wal(simple_schema, root)
-        assert dump_snapshot(db2) == expected
-        assert wal2.verify() == []
-        # a legacy digest is durable: committing it again packs nothing
-        db2.create("Thing", {"name": "b"}, payload=b"old-style")
-        assert not wal2.pack_path.exists()
-        sidecar.write_bytes(b"rotted")
-        assert wal2.verify() == [(str(sidecar), "bit-rot")]
-        sidecar.write_bytes(b"old-style")
-        wal2.checkpoint(db2)
-        assert not wal2.legacy_blob_dir.exists()
-        assert reopened_dump(simple_schema, root) == dump_snapshot(db2)
 
 
 def fail_fsync_of(monkeypatch, name):
