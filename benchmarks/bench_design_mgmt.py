@@ -60,18 +60,15 @@ CORRUPTIONS = [
 
 class TestConsistencyPower:
     def test_e32_detection_asymmetry(self, benchmark, hybrid_env,
-                                     report_writer):
+                                     report_writer, tmp_path):
         hybrid = hybrid_env
         rows = []
-        for name, inject in CORRUPTIONS:
+        for index, (name, inject) in enumerate(CORRUPTIONS):
             # fresh sub-environment per corruption
             project, library = None, None
-            import tempfile, pathlib
-
             from repro.core import HybridFramework
 
-            env_root = pathlib.Path(tempfile.mkdtemp())
-            env = HybridFramework(env_root)
+            env = HybridFramework(tmp_path / f"corruption{index}")
             env.jcf.resources.define_user("admin", "alice")
             env.jcf.resources.define_team("admin", "team")
             env.jcf.resources.add_member("admin", "alice", "team")

@@ -22,12 +22,13 @@ persist ``benchmarks/results/fault_recovery.txt``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import pathlib
 import sys
 import tempfile
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 if __name__ == "__main__":  # standalone: make src/ importable without install
     _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -62,20 +63,22 @@ RESULTS_PATH = (
 )
 
 
-def build_environment():
-    root = pathlib.Path(tempfile.mkdtemp(prefix="bench_faults_"))
-    hybrid = HybridFramework(root)
-    resources = hybrid.jcf.resources
-    resources.define_user("admin", "alice")
-    resources.define_team("admin", "team1")
-    resources.add_member("admin", "alice", "team1")
-    hybrid.setup_standard_flow()
-    library = hybrid.fmcad.create_library("chiplib")
-    library.create_cell("inv2")
-    project = hybrid.adopt_library("alice", library, "chipA")
-    resources.assign_team_to_project("admin", "team1", project.oid)
-    hybrid.prepare_cell("alice", project, "inv2", team_name="team1")
-    return hybrid, project, library
+@contextlib.contextmanager
+def build_environment() -> Iterator[Tuple[HybridFramework, object, object]]:
+    """A coupled environment in a workspace removed when the block ends."""
+    with tempfile.TemporaryDirectory(prefix="bench_faults_") as root:
+        hybrid = HybridFramework(pathlib.Path(root))
+        resources = hybrid.jcf.resources
+        resources.define_user("admin", "alice")
+        resources.define_team("admin", "team1")
+        resources.add_member("admin", "alice", "team1")
+        hybrid.setup_standard_flow()
+        library = hybrid.fmcad.create_library("chiplib")
+        library.create_cell("inv2")
+        project = hybrid.adopt_library("alice", library, "chipA")
+        resources.assign_team_to_project("admin", "team1", project.oid)
+        hybrid.prepare_cell("alice", project, "inv2", team_name="team1")
+        yield hybrid, project, library
 
 
 def schematic_edit(editor):
@@ -132,8 +135,8 @@ def micro_disabled_ns(calls: int = MICRO_CALLS) -> float:
 
 def count_run_traversals() -> int:
     """Fault-point hits of one full coupled run (counted, none fired)."""
-    hybrid, project, library = build_environment()
-    with inject(FaultPlan()) as plan:  # no rules: pure hit counting
+    with build_environment() as (hybrid, project, library), \
+            inject(FaultPlan()) as plan:  # no rules: pure hit counting
         run_workload(hybrid, project, library)
     return sum(plan.hits.values())
 
@@ -142,10 +145,10 @@ def timed_run_seconds() -> float:
     """Real wall seconds of one full coupled run (best of RUN_REPEATS)."""
     best = float("inf")
     for _ in range(RUN_REPEATS):
-        hybrid, project, library = build_environment()
-        start = time.perf_counter()
-        run_workload(hybrid, project, library)
-        best = min(best, time.perf_counter() - start)
+        with build_environment() as (hybrid, project, library):
+            start = time.perf_counter()
+            run_workload(hybrid, project, library)
+            best = min(best, time.perf_counter() - start)
     return best
 
 
@@ -170,41 +173,41 @@ def run_recovery_latency() -> Tuple[List[List[str]], Dict[str, float]]:
     rows: List[List[str]] = []
     worst_ms = 0.0
     for point in RECOVERY_POINTS:
-        hybrid, project, library = build_environment()
-        try:
-            with inject(FaultPlan.crash(point)):
-                run_workload(hybrid, project, library)
-        except CrashFault:
-            pass
-        start = time.perf_counter()
-        report = hybrid.recovery.recover()
-        recover_ms = (time.perf_counter() - start) * 1e3
-        worst_ms = max(worst_ms, recover_ms)
-        audit = hybrid.guard.audit()
-        assert audit.clean, (
-            f"recovery after crash at {point} left a dirty audit:\n"
-            f"{audit.render()}"
-        )
-        repaired = sum(
-            len(items)
-            for items in (
-                report.cancelled_tickets,
-                report.deleted_fmcad_versions,
-                report.repaired_tags,
-                report.closed_sessions,
-                report.failed_executions,
-                report.reclaimed_staging_files,
+        with build_environment() as (hybrid, project, library):
+            try:
+                with inject(FaultPlan.crash(point)):
+                    run_workload(hybrid, project, library)
+            except CrashFault:
+                pass
+            start = time.perf_counter()
+            report = hybrid.recovery.recover()
+            recover_ms = (time.perf_counter() - start) * 1e3
+            worst_ms = max(worst_ms, recover_ms)
+            audit = hybrid.guard.audit()
+            assert audit.clean, (
+                f"recovery after crash at {point} left a dirty audit:\n"
+                f"{audit.render()}"
             )
-        )
-        rows.append([
-            point,
-            f"{len(report.cancelled_tickets)}",
-            f"{len(report.deleted_fmcad_versions)}",
-            f"{len(report.repaired_tags)}",
-            f"{repaired}",
-            f"{recover_ms:.2f}",
-            "clean",
-        ])
+            repaired = sum(
+                len(items)
+                for items in (
+                    report.cancelled_tickets,
+                    report.deleted_fmcad_versions,
+                    report.repaired_tags,
+                    report.closed_sessions,
+                    report.failed_executions,
+                    report.reclaimed_staging_files,
+                )
+            )
+            rows.append([
+                point,
+                f"{len(report.cancelled_tickets)}",
+                f"{len(report.deleted_fmcad_versions)}",
+                f"{len(report.repaired_tags)}",
+                f"{repaired}",
+                f"{recover_ms:.2f}",
+                "clean",
+            ])
     return rows, {"worst_recover_ms": worst_ms}
 
 

@@ -16,7 +16,9 @@ layout tool before simulation.  The experiment runs twice:
 
 import pathlib
 import random
+import shutil
 import tempfile
+import weakref
 
 from repro.core import HybridFramework
 from repro.core.mapping import WORKING_VARIANT
@@ -28,8 +30,10 @@ SEED = 21
 
 
 def make_env():
-    root = pathlib.Path(tempfile.mkdtemp())
-    hybrid = HybridFramework(root)
+    root = tempfile.mkdtemp()
+    hybrid = HybridFramework(pathlib.Path(root))
+    # the workspace goes with the framework (or at exit)
+    weakref.finalize(hybrid, shutil.rmtree, root, True)
     hybrid.jcf.resources.define_user("admin", "alice")
     hybrid.jcf.resources.define_team("admin", "team")
     hybrid.jcf.resources.add_member("admin", "alice", "team")
@@ -68,11 +72,13 @@ def layout_fn(editor):
 
 def run_fmcad_free(rng):
     """Free invocation: tools run in random order; only a flat log remains."""
-    root = pathlib.Path(tempfile.mkdtemp())
+    root = tempfile.mkdtemp()
     from repro.fmcad.framework import FMCADFramework
     from repro.tools.schematic.model import Schematic
 
-    fmcad = FMCADFramework(root)
+    fmcad = FMCADFramework(pathlib.Path(root))
+    # the workspace goes with the framework (or at exit)
+    weakref.finalize(fmcad, shutil.rmtree, root, True)
     library = fmcad.create_library("lib")
     quality_violations = 0
     for i in range(N_CELLS):

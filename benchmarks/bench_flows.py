@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import os
 import pathlib
-import shutil
 import sys
 import tempfile
 import time
@@ -103,49 +102,49 @@ def run_throughput(
     rows = []
     flows_per_sec: Dict[int, float] = {}
     for teams in team_counts:
-        root = pathlib.Path(tempfile.mkdtemp()) / "env"
-        hybrid, project, cells = build_environment(
-            root, teams, flows_per_team
-        )
-        enqueue_flows(hybrid, project, cells)
-        started = time.perf_counter()
-        report = hybrid.flow_queue.drain(workers=4)
-        elapsed = time.perf_counter() - started
-        completed = len(report.completed)
-        assert completed == teams * flows_per_team, (
-            f"{completed}/{teams * flows_per_team} flows completed"
-        )
-        assert not report.dead_lettered and not report.still_queued
-        flows_per_sec[teams] = completed / elapsed
-        rows.append(
-            [
-                teams,
-                completed,
-                report.waves,
-                report.activities_run,
-                f"{elapsed * 1000:.0f}",
-                f"{flows_per_sec[teams]:.1f}",
-            ]
-        )
-        shutil.rmtree(root.parent, ignore_errors=True)
+        with tempfile.TemporaryDirectory() as workdir:
+            root = pathlib.Path(workdir) / "env"
+            hybrid, project, cells = build_environment(
+                root, teams, flows_per_team
+            )
+            enqueue_flows(hybrid, project, cells)
+            started = time.perf_counter()
+            report = hybrid.flow_queue.drain(workers=4)
+            elapsed = time.perf_counter() - started
+            completed = len(report.completed)
+            assert completed == teams * flows_per_team, (
+                f"{completed}/{teams * flows_per_team} flows completed"
+            )
+            assert not report.dead_lettered and not report.still_queued
+            flows_per_sec[teams] = completed / elapsed
+            rows.append(
+                [
+                    teams,
+                    completed,
+                    report.waves,
+                    report.activities_run,
+                    f"{elapsed * 1000:.0f}",
+                    f"{flows_per_sec[teams]:.1f}",
+                ]
+            )
     return rows, flows_per_sec
 
 
 def run_flow_latency(samples: int) -> Tuple[List[List[str]], Dict[str, float]]:
     """Wall latency of whole single flows, reported as a p50/p95/p99
     tail — the per-designer view of the queue-throughput numbers."""
-    root = pathlib.Path(tempfile.mkdtemp()) / "env"
-    hybrid, project, cells = build_environment(root, 1, samples)
-    oids = enqueue_flows(hybrid, project, cells)
-    latencies_ms: List[float] = []
-    for oid in oids:
-        started = time.perf_counter()
-        state = hybrid.flows_orchestrator.run(
-            hybrid.flows_orchestrator.instance(oid)
-        )
-        latencies_ms.append((time.perf_counter() - started) * 1000)
-        assert state == FLOW_DONE
-    shutil.rmtree(root.parent, ignore_errors=True)
+    with tempfile.TemporaryDirectory() as workdir:
+        root = pathlib.Path(workdir) / "env"
+        hybrid, project, cells = build_environment(root, 1, samples)
+        oids = enqueue_flows(hybrid, project, cells)
+        latencies_ms: List[float] = []
+        for oid in oids:
+            started = time.perf_counter()
+            state = hybrid.flows_orchestrator.run(
+                hybrid.flows_orchestrator.instance(oid)
+            )
+            latencies_ms.append((time.perf_counter() - started) * 1000)
+            assert state == FLOW_DONE
     tail = percentiles(latencies_ms)
     rows = [[label, f"{value:.0f}"] for label, value in tail.items()]
     return rows, tail
@@ -156,46 +155,48 @@ def run_flow_latency(samples: int) -> Tuple[List[List[str]], Dict[str, float]]:
 
 def run_resume(flows_per_team: int) -> Tuple[List[List[str]], Dict[str, float]]:
     # control: an uncrashed flow, timed end to end
-    root = pathlib.Path(tempfile.mkdtemp()) / "env"
-    hybrid, project, cells = build_environment(root, 1, 1)
-    cell, user, team = cells[0]
-    oid = enqueue_flows(hybrid, project, [cells[0]])[0]
-    started = time.perf_counter()
-    state = hybrid.flows_orchestrator.run(hybrid.flows_orchestrator.instance(oid))
-    fresh_ms = (time.perf_counter() - started) * 1000
-    assert state == FLOW_DONE
-    shutil.rmtree(root.parent, ignore_errors=True)
+    with tempfile.TemporaryDirectory() as workdir:
+        root = pathlib.Path(workdir) / "env"
+        hybrid, project, cells = build_environment(root, 1, 1)
+        cell, user, team = cells[0]
+        oid = enqueue_flows(hybrid, project, [cells[0]])[0]
+        started = time.perf_counter()
+        state = hybrid.flows_orchestrator.run(
+            hybrid.flows_orchestrator.instance(oid)
+        )
+        fresh_ms = (time.perf_counter() - started) * 1000
+        assert state == FLOW_DONE
 
     # crash-kill mid-simulation, then reopen + recover + resume
-    root = pathlib.Path(tempfile.mkdtemp()) / "env"
-    hybrid, project, cells = build_environment(root, 1, 1)
-    oid = enqueue_flows(hybrid, project, [cells[0]])[0]
-    # hits 1+2 are the schematic+symbol checkins of activity one; hit 3
-    # tears the flow in the middle of digital simulation
-    plan = FaultPlan.crash("harvest.after_checkin", on_hit=3)
-    try:
-        with inject(plan):
-            hybrid.flows_orchestrator.run(
-                hybrid.flows_orchestrator.instance(oid)
-            )
-    except CrashFault:
-        pass
-    assert plan.crash_fired
+    with tempfile.TemporaryDirectory() as workdir:
+        root = pathlib.Path(workdir) / "env"
+        hybrid, project, cells = build_environment(root, 1, 1)
+        oid = enqueue_flows(hybrid, project, [cells[0]])[0]
+        # hits 1+2 are the schematic+symbol checkins of activity one; hit 3
+        # tears the flow in the middle of digital simulation
+        plan = FaultPlan.crash("harvest.after_checkin", on_hit=3)
+        try:
+            with inject(plan):
+                hybrid.flows_orchestrator.run(
+                    hybrid.flows_orchestrator.instance(oid)
+                )
+        except CrashFault:
+            pass
+        assert plan.crash_fired
 
-    started = time.perf_counter()
-    hybrid2 = HybridFramework.reopen(root)
-    hybrid2.recover()
-    reopen_ms = (time.perf_counter() - started) * 1000
-    durable_attempts = len(
-        hybrid2.flows_orchestrator.instance(oid).attempts()
-    )
-    started = time.perf_counter()
-    results = hybrid2.flows_orchestrator.resume_pending()
-    resume_ms = (time.perf_counter() - started) * 1000
-    assert results and all(s == FLOW_DONE for _, s in results)
-    instance = hybrid2.flows_orchestrator.instance(results[0][0])
-    resumed_attempts = len(instance.attempts()) - durable_attempts
-    shutil.rmtree(root.parent, ignore_errors=True)
+        started = time.perf_counter()
+        hybrid2 = HybridFramework.reopen(root)
+        hybrid2.recover()
+        reopen_ms = (time.perf_counter() - started) * 1000
+        durable_attempts = len(
+            hybrid2.flows_orchestrator.instance(oid).attempts()
+        )
+        started = time.perf_counter()
+        results = hybrid2.flows_orchestrator.resume_pending()
+        resume_ms = (time.perf_counter() - started) * 1000
+        assert results and all(s == FLOW_DONE for _, s in results)
+        instance = hybrid2.flows_orchestrator.instance(results[0][0])
+        resumed_attempts = len(instance.attempts()) - durable_attempts
 
     metrics = {
         "fresh_ms": fresh_ms,
@@ -258,23 +259,23 @@ class TestFlowBench:
         report, metrics = run_bench(TEAM_COUNTS, FLOWS_PER_TEAM)
         report_writer("e35b_durable_flows", report)
         # real wall time of the hot path: enqueueing one durable flow
-        root = pathlib.Path(tempfile.mkdtemp()) / "env"
-        hybrid, project, cells = build_environment(root, 1, 1)
-        cell, user, team = cells[0]
+        with tempfile.TemporaryDirectory() as workdir:
+            root = pathlib.Path(workdir) / "env"
+            hybrid, project, cells = build_environment(root, 1, 1)
+            cell, user, team = cells[0]
 
-        def enqueue():
-            hybrid.flows_orchestrator.start(
-                user=user,
-                project=project,
-                cell_name=cell,
-                flow_name="jcf_fmcad_flow",
-                script="inverter_flow",
-                library_name="chiplib",
-                team=team,
-            )
+            def enqueue():
+                hybrid.flows_orchestrator.start(
+                    user=user,
+                    project=project,
+                    cell_name=cell,
+                    flow_name="jcf_fmcad_flow",
+                    script="inverter_flow",
+                    library_name="chiplib",
+                    team=team,
+                )
 
-        benchmark(enqueue)
-        shutil.rmtree(root.parent, ignore_errors=True)
+            benchmark(enqueue)
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,9 @@ Three measurements:
 """
 
 import pathlib
+import shutil
 import tempfile
+import weakref
 
 import pytest
 
@@ -40,8 +42,10 @@ SIZES = [
 
 
 def fresh_env(strict=True):
-    root = pathlib.Path(tempfile.mkdtemp())
-    hybrid = HybridFramework(root, jcf3_strict=strict)
+    root = tempfile.mkdtemp()
+    hybrid = HybridFramework(pathlib.Path(root), jcf3_strict=strict)
+    # the workspace goes with the framework (or at exit)
+    weakref.finalize(hybrid, shutil.rmtree, root, True)
     hybrid.jcf.resources.define_user("admin", "alice")
     hybrid.jcf.resources.define_team("admin", "team")
     hybrid.jcf.resources.add_member("admin", "alice", "team")
@@ -202,10 +206,12 @@ def build_incrementally(procedural: bool, n_leaves: int = 4):
     desktop after the parent save; in procedural mode the schematic tool
     passes them to JCF automatically (Section 3.3 future work).
     """
-    root = pathlib.Path(tempfile.mkdtemp())
+    root = tempfile.mkdtemp()
     hybrid = HybridFramework(
-        root, enable_hierarchy_procedural_interface=procedural
+        pathlib.Path(root), enable_hierarchy_procedural_interface=procedural
     )
+    # the workspace goes with the framework (or at exit)
+    weakref.finalize(hybrid, shutil.rmtree, root, True)
     hybrid.jcf.resources.define_user("admin", "alice")
     hybrid.jcf.resources.define_team("admin", "team")
     hybrid.jcf.resources.add_member("admin", "alice", "team")

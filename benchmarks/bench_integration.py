@@ -15,7 +15,9 @@ level buys:
 """
 
 import pathlib
+import shutil
 import tempfile
+import weakref
 
 from repro.core import BlackBoxToolWrapper, HybridFramework
 from repro.core.mapping import WORKING_VARIANT
@@ -27,8 +29,10 @@ from repro.workloads.scripts import (
 
 
 def fresh_env():
-    root = pathlib.Path(tempfile.mkdtemp())
-    hybrid = HybridFramework(root)
+    root = tempfile.mkdtemp()
+    hybrid = HybridFramework(pathlib.Path(root))
+    # the workspace goes with the framework (or at exit)
+    weakref.finalize(hybrid, shutil.rmtree, root, True)
     hybrid.jcf.resources.define_user("admin", "alice")
     hybrid.jcf.resources.define_team("admin", "team")
     hybrid.jcf.resources.add_member("admin", "alice", "team")

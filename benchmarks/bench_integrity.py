@@ -189,25 +189,28 @@ def run_scrub() -> Dict[str, float]:
     from repro.fmcad.framework import FMCADFramework
     from repro.integrity import Scrubber
 
-    root = pathlib.Path(tempfile.mkdtemp())
-    jcf = JCFFramework(root / "jcf")
-    fmcad = FMCADFramework(root / "fmcad")
-    payloads = [
-        os.urandom(SCRUB_BYTES) for _ in range(SCRUB_PAYLOADS)
-    ]
-    # corrupt a deterministic subset of the interns as they land
-    plan = FaultPlan([])
-    for i in range(SCRUB_CORRUPTIONS):
-        hit = 1 + i * (SCRUB_PAYLOADS // SCRUB_CORRUPTIONS)
-        plan.add_corrupt("blobs.payload", mode=MODE_FLIP, on_hit=hit, seed=i)
-    with inject(plan):
-        setup_design_objects(jcf, payloads)
-    injected = len(plan.fired)
+    with tempfile.TemporaryDirectory() as workdir:
+        root = pathlib.Path(workdir)
+        jcf = JCFFramework(root / "jcf")
+        fmcad = FMCADFramework(root / "fmcad")
+        payloads = [
+            os.urandom(SCRUB_BYTES) for _ in range(SCRUB_PAYLOADS)
+        ]
+        # corrupt a deterministic subset of the interns as they land
+        plan = FaultPlan([])
+        for i in range(SCRUB_CORRUPTIONS):
+            hit = 1 + i * (SCRUB_PAYLOADS // SCRUB_CORRUPTIONS)
+            plan.add_corrupt(
+                "blobs.payload", mode=MODE_FLIP, on_hit=hit, seed=i
+            )
+        with inject(plan):
+            setup_design_objects(jcf, payloads)
+        injected = len(plan.fired)
 
-    scrubber = Scrubber(jcf, fmcad)
-    start = time.perf_counter()
-    report = scrubber.scrub()
-    elapsed = time.perf_counter() - start
+        scrubber = Scrubber(jcf, fmcad)
+        start = time.perf_counter()
+        report = scrubber.scrub()
+        elapsed = time.perf_counter() - start
     detected = sum(1 for f in report.findings if f.area == "blob")
     swept_mb = SCRUB_PAYLOADS * SCRUB_BYTES / 1e6
     return {

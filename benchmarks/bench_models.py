@@ -131,14 +131,14 @@ class TestFig2:
             rows.append([figure_name, reference])
 
         def exercise():
-            root = tempfile.mkdtemp()
-            framework = FMCADFramework(root)
-            library = framework.create_library("l")
-            library.create_cell("c")
-            cellview = library.create_cellview("c", "schematic")
-            library.write_version(cellview, b"design data", "u")
-            library.flush_meta("u")
-            return library.stats()
+            with tempfile.TemporaryDirectory() as root:
+                framework = FMCADFramework(root)
+                library = framework.create_library("l")
+                library.create_cell("c")
+                cellview = library.create_cellview("c", "schematic")
+                library.write_version(cellview, b"design data", "u")
+                library.flush_meta("u")
+                return library.stats()
 
         stats = benchmark(exercise)
         assert stats["versions"] == 1

@@ -18,7 +18,9 @@ model (deterministic) plus real wall time of the in-memory code paths:
 
 import os
 import pathlib
+import shutil
 import tempfile
+import weakref
 
 from repro.jcf.framework import JCFFramework
 from repro.workloads.metrics import format_table
@@ -32,8 +34,13 @@ if os.environ.get("REPRO_BENCH_SMOKE"):
 
 
 def fresh_jcf(procedural=False):
-    root = pathlib.Path(tempfile.mkdtemp())
-    return JCFFramework(root, enable_procedural_interface=procedural)
+    root = tempfile.mkdtemp()
+    jcf = JCFFramework(
+        pathlib.Path(root), enable_procedural_interface=procedural
+    )
+    # the workspace goes with the framework (or at exit)
+    weakref.finalize(jcf, shutil.rmtree, root, True)
+    return jcf
 
 
 def setup_design_object(jcf, size):
@@ -246,7 +253,9 @@ class TestRealIO:
 
         from repro.fmcad.library import Library
 
-        library = Library("lib", pathlib.Path(tempfile.mkdtemp()))
+        native_root = tempfile.mkdtemp()
+        library = Library("lib", pathlib.Path(native_root))
+        weakref.finalize(library, shutil.rmtree, native_root, True)
         library.create_cell("c")
         cellview = library.create_cellview("c", "schematic")
         library.write_version(cellview, b"x" * size, "u")

@@ -198,7 +198,7 @@ def run_scaling_arm() -> Tuple[List[List[str]], Dict[str, float]]:
 class _CopyOnlyCheckouts(CheckoutManager):
     """The working-file path without reflink: read()/write() via Python."""
 
-    def _reflink_working_file(self, base, working_path):
+    def _reflinks(self):
         return False
 
 
@@ -226,6 +226,8 @@ def run_checkout_arm() -> Dict[str, float]:
                 ticket = manager.checkout(
                     "alice", library, "alu", "schematic"
                 )
+                # the working copy this arm times is made on first read
+                assert ticket.working_path.is_file()
                 manager.cancel(ticket, library)
             results[f"{label}_wall_ms"] = (
                 (time.perf_counter() - start) * 1000 / CHECKOUT_ROUNDS

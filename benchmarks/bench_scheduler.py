@@ -14,10 +14,14 @@ scheduler exists to overlap — through three arms:
    same wave/gate/lane protocol, executed serially;
 3. **run_many(workers=WORKERS)** — the parallel arm.
 
+The two scheduler arms run as interleaved trial pairs that alternate
+which arm goes first, and every pair's ratio is printed.
+
 Asserted shape:
 
 * parallel wall time beats the sequential scheduler arm by at least
-  ``MIN_SPEEDUP``x (the external latencies really overlap);
+  ``MIN_SPEEDUP``x in the median pair (the external latencies really
+  overlap);
 * the workers=1 and workers=WORKERS arms end in **byte-identical** OMS
   snapshots (both environments are rebuilt at the same directory, since
   snapshots embed absolute tool paths);
@@ -41,10 +45,11 @@ import argparse
 import os
 import pathlib
 import shutil
+import statistics
 import sys
 import tempfile
 import time
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 if __name__ == "__main__":  # standalone: make src/ importable without install
     _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -63,11 +68,21 @@ WORKERS = 4
 TOOL_SLEEP_S = 0.25
 #: required wall-clock speedup of workers=WORKERS over workers=1
 MIN_SPEEDUP = 3.0
+#: interleaved sequential/parallel trial pairs; the speedup bound is
+#: asserted on the median of their ratios
+TRIALS = 3
+#: pairs at smoke size.  A smoke pair's parallel arm lasts ~140 ms, so
+#: one 40 ms stall sinks its ratio: single pairs on a 2-vCPU VM read
+#: 1.9x-4.6x, and one pair (the former gate) failed now and then.  The
+#: median of 7 pairs passed 19 of 20 runs (the miss, 2.89x, fell in a
+#: spell of slow pairs); the median of 15 read 3.26x-3.67x in 20 of 20
+SMOKE_TRIALS = 15
 #: the fixed schedule seed both scheduler arms share
 SEED = 7
 
 if os.environ.get("REPRO_BENCH_SMOKE"):
     TOOL_SLEEP_S = 0.06
+    TRIALS = SMOKE_TRIALS
 
 RESULTS_PATH = (
     pathlib.Path(__file__).parent / "results" / "scheduler_parallel.txt"
@@ -160,15 +175,31 @@ def run_scheduled(root: pathlib.Path, workers: int):
 # -- report + assertions ------------------------------------------------------
 
 
-def run_bench() -> Tuple[str, Dict[str, float]]:
-    root = pathlib.Path(tempfile.mkdtemp(prefix="bench_scheduler_")) / "env"
+def run_bench(trials: int = TRIALS) -> Tuple[str, Dict[str, float]]:
+    workdir = pathlib.Path(tempfile.mkdtemp(prefix="bench_scheduler_"))
+    root = workdir / "env"
+    arms: Dict[int, List] = {1: [], WORKERS: []}
+    try:
+        plain = run_plain_loop(root)
+        for trial in range(trials):
+            # interleaved so drift hits both arms alike, and alternating
+            # which arm runs first so neither always follows the other
+            for workers in ((1, WORKERS) if trial % 2 == 0 else (WORKERS, 1)):
+                arms[workers].append(run_scheduled(root, workers))
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
 
-    plain = run_plain_loop(root)
-    sequential, seq_snapshot = run_scheduled(root, workers=1)
-    parallel, par_snapshot = run_scheduled(root, workers=WORKERS)
-    shutil.rmtree(root.parent, ignore_errors=True)
-
-    speedup = sequential.wall_s / parallel.wall_s
+    # each back-to-back pair shares ambient conditions; the median
+    # paired ratio survives a scheduler hiccup in either arm
+    ratios = [
+        seq.wall_s / par.wall_s
+        for (seq, _), (par, _) in zip(arms[1], arms[WORKERS])
+    ]
+    speedup = statistics.median(ratios)
+    pairs = " ".join(f"{ratio:.2f}x" for ratio in ratios)
+    snapshots = {snapshot for _, snapshot in arms[1] + arms[WORKERS]}
+    sequential = arms[1][0][0]
+    parallel = arms[WORKERS][0][0]
     sim_speedup = (
         parallel.summed_ms / parallel.makespan_ms
         if parallel.makespan_ms
@@ -176,13 +207,16 @@ def run_bench() -> Tuple[str, Dict[str, float]]:
     )
     commits = parallel.commit_stats
 
+    def median_wall(workers: int) -> float:
+        return statistics.median(result.wall_s for result, _ in arms[workers])
+
     rows = [
         ["plain loop", "-", f"{plain['wall_s']:.2f} s",
          f"{plain['sim_ms']:.0f} ms", "-", "-"],
-        ["run_many", "1", f"{sequential.wall_s:.2f} s",
+        ["run_many", "1", f"{median_wall(1):.2f} s",
          f"{sequential.makespan_ms:.0f} ms",
          f"{sequential.summed_ms:.0f} ms", f"{len(sequential.waves)}"],
-        ["run_many", f"{WORKERS}", f"{parallel.wall_s:.2f} s",
+        ["run_many", f"{WORKERS}", f"{median_wall(WORKERS):.2f} s",
          f"{parallel.makespan_ms:.0f} ms",
          f"{parallel.summed_ms:.0f} ms", f"{len(parallel.waves)}"],
     ]
@@ -191,7 +225,8 @@ def run_bench() -> Tuple[str, Dict[str, float]]:
         "Parallel coupled-run scheduler: wall-clock speedup, determinism\n\n"
         f"batch: {N_RUNS} independent schematic-entry runs, each tool\n"
         f"step blocking {TOOL_SLEEP_S:.2f} s (external tool latency);\n"
-        f"schedule seed {SEED}\n\n"
+        f"schedule seed {SEED}; wall times are medians of {trials} "
+        "interleaved trial pairs\n\n"
     )
     report += format_table(
         ["arm", "workers", "wall", "sim makespan", "sim summed", "waves"],
@@ -199,11 +234,12 @@ def run_bench() -> Tuple[str, Dict[str, float]]:
     )
     report += (
         f"\n\nwall-clock speedup (workers={WORKERS} vs workers=1): "
-        f"{speedup:.2f}x (required >= {MIN_SPEEDUP:.1f}x)\n"
+        f"{speedup:.2f}x, median pair (required >= {MIN_SPEEDUP:.1f}x)\n"
+        f"each pair, workers=1 / workers={WORKERS}: {pairs}\n"
         f"simulated makespan vs summed cost: {sim_speedup:.2f}x "
         "(critical-path accounting)\n"
-        f"snapshots byte-identical across arms: "
-        f"{seq_snapshot == par_snapshot}\n"
+        f"snapshots byte-identical across arms and trials: "
+        f"{len(snapshots) == 1}\n"
         f"group-commit: {commits['commit_count']} commits -> "
         f"{commits['flush_count']} flushes "
         f"({commits['coalesced_commits']} coalesced)\n"
@@ -220,8 +256,8 @@ def run_bench() -> Tuple[str, Dict[str, float]]:
 
     metrics = {
         "plain_wall_s": plain["wall_s"],
-        "seq_wall_s": sequential.wall_s,
-        "par_wall_s": parallel.wall_s,
+        "seq_wall_s": median_wall(1),
+        "par_wall_s": median_wall(WORKERS),
         "speedup": speedup,
         "sim_speedup": sim_speedup,
         "makespan_ms": parallel.makespan_ms,
@@ -230,13 +266,14 @@ def run_bench() -> Tuple[str, Dict[str, float]]:
     }
 
     # -- shape assertions ---------------------------------------------------
-    assert seq_snapshot == par_snapshot, (
+    assert len(snapshots) == 1, (
         "parallel execution changed the committed OMS state: snapshots "
         "of the workers=1 and workers=%d arms differ" % WORKERS
     )
     assert speedup >= MIN_SPEEDUP, (
         f"wall-clock speedup {speedup:.2f}x below the required "
-        f"{MIN_SPEEDUP:.1f}x ({N_RUNS} runs, {WORKERS} workers)"
+        f"{MIN_SPEEDUP:.1f}x ({N_RUNS} runs, {WORKERS} workers; median "
+        f"of {trials} pairs: {pairs})"
     )
     # independent runs: one wave, makespan ~= the longest single run
     assert len(parallel.waves) == 1
@@ -286,14 +323,14 @@ def main(argv=None) -> int:
     if args.smoke:
         global TOOL_SLEEP_S
         TOOL_SLEEP_S = 0.06
-    report, metrics = run_bench()
+    report, metrics = run_bench(SMOKE_TRIALS if args.smoke else TRIALS)
     print(report)
     if not args.smoke:
         RESULTS_PATH.parent.mkdir(exist_ok=True)
         RESULTS_PATH.write_text(report + "\n", encoding="utf-8")
         print(f"\nwrote {RESULTS_PATH}")
     print(
-        f"OK: {metrics['speedup']:.2f}x wall speedup "
+        f"OK: {metrics['speedup']:.2f}x median wall speedup "
         f"(>= {MIN_SPEEDUP:.1f}x), snapshots identical, "
         f"{metrics['coalesced_commits']:.0f} commits coalesced"
     )

@@ -29,13 +29,14 @@ persist ``benchmarks/results/e31d_server.txt``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import pathlib
 import shutil
 import sys
 import tempfile
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 if __name__ == "__main__":  # standalone: make src/ importable without install
     _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -71,8 +72,11 @@ if os.environ.get("REPRO_BENCH_SMOKE"):
 RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "e31d_server.txt"
 
 
-def _fresh_root() -> pathlib.Path:
-    return pathlib.Path(tempfile.mkdtemp(prefix="repro-e31d-")) / "env"
+@contextlib.contextmanager
+def _fresh_root() -> Iterator[pathlib.Path]:
+    """A workspace path inside a directory removed when the block ends."""
+    with tempfile.TemporaryDirectory(prefix="repro-e31d-") as workdir:
+        yield pathlib.Path(workdir) / "env"
 
 
 # -- experiment 1: shard scaling at 10^3 sessions ----------------------------
@@ -85,34 +89,33 @@ def run_scaling(
     throughput: Dict[int, float] = {}
     tails: Dict[int, Dict[str, float]] = {}
     for shards in shard_counts:
-        root = _fresh_root()
-        hybrid, plans = build_scenario(root, spec)
-        engine = ServeEngine(
-            hybrid, shards=shards, max_batch=MAX_BATCH, window_ms=WINDOW_MS
-        )
-        started = time.perf_counter()
-        report = replay_engine(engine, plans, spec)
-        wall_s = time.perf_counter() - started
-        assert report.ok == spec.total_runs, (
-            f"{report.ok}/{spec.total_runs} checkins at {shards} shards"
-        )
-        audit = hybrid.audit()
-        assert audit.clean, f"dirty audit at {shards} shards"
-        throughput[shards] = report.checkins_per_sim_s
-        tails[shards] = report.latency_percentiles()
-        rows.append(
-            [
-                shards,
-                report.ok,
-                f"{report.makespan_ms / 1000.0:.1f}",
-                f"{throughput[shards]:.2f}",
-                f"{tails[shards]['p50'] / 1000.0:.1f}",
-                f"{tails[shards]['p95'] / 1000.0:.1f}",
-                f"{tails[shards]['p99'] / 1000.0:.1f}",
-                f"{wall_s:.0f}",
-            ]
-        )
-        shutil.rmtree(root.parent, ignore_errors=True)
+        with _fresh_root() as root:
+            hybrid, plans = build_scenario(root, spec)
+            engine = ServeEngine(
+                hybrid, shards=shards, max_batch=MAX_BATCH, window_ms=WINDOW_MS
+            )
+            started = time.perf_counter()
+            report = replay_engine(engine, plans, spec)
+            wall_s = time.perf_counter() - started
+            assert report.ok == spec.total_runs, (
+                f"{report.ok}/{spec.total_runs} checkins at {shards} shards"
+            )
+            audit = hybrid.audit()
+            assert audit.clean, f"dirty audit at {shards} shards"
+            throughput[shards] = report.checkins_per_sim_s
+            tails[shards] = report.latency_percentiles()
+            rows.append(
+                [
+                    shards,
+                    report.ok,
+                    f"{report.makespan_ms / 1000.0:.1f}",
+                    f"{throughput[shards]:.2f}",
+                    f"{tails[shards]['p50'] / 1000.0:.1f}",
+                    f"{tails[shards]['p95'] / 1000.0:.1f}",
+                    f"{tails[shards]['p99'] / 1000.0:.1f}",
+                    f"{wall_s:.0f}",
+                ]
+            )
     return rows, throughput, tails
 
 
@@ -126,28 +129,27 @@ def run_overload(
     half of it; the excess must be shed as typed rejections and the
     admitted tail must stay bounded."""
     shards = 4
-    root = _fresh_root()
-    hybrid, plans = build_scenario(root, spec)
-    # arrivals land 1ms apart, so the whole population is offered over
-    # total_runs ms; size each shard's bucket (burst + refill over that
-    # horizon) for half its fair share, making offered:sustainable 2:1
-    horizon_s = spec.total_runs / 1000.0
-    tokens_per_shard = max((spec.total_runs / 2.0) / shards, 2.0)
-    burst = max(int(tokens_per_shard / 8), 2)
-    per_shard_rate = max((tokens_per_shard - burst) / horizon_s, 1.0)
-    engine = ServeEngine(
-        hybrid,
-        shards=shards,
-        max_batch=MAX_BATCH,
-        window_ms=WINDOW_MS,
-        queue_depth=max(spec.sessions // shards, 8),
-        admission_rate_per_s=per_shard_rate,
-        admission_burst=burst,
-    )
-    report = replay_engine(engine, plans, spec)
-    audit = hybrid.audit()
-    assert audit.clean, "dirty audit under overload"
-    shutil.rmtree(root.parent, ignore_errors=True)
+    with _fresh_root() as root:
+        hybrid, plans = build_scenario(root, spec)
+        # arrivals land 1ms apart, so the whole population is offered over
+        # total_runs ms; size each shard's bucket (burst + refill over that
+        # horizon) for half its fair share, making offered:sustainable 2:1
+        horizon_s = spec.total_runs / 1000.0
+        tokens_per_shard = max((spec.total_runs / 2.0) / shards, 2.0)
+        burst = max(int(tokens_per_shard / 8), 2)
+        per_shard_rate = max((tokens_per_shard - burst) / horizon_s, 1.0)
+        engine = ServeEngine(
+            hybrid,
+            shards=shards,
+            max_batch=MAX_BATCH,
+            window_ms=WINDOW_MS,
+            queue_depth=max(spec.sessions // shards, 8),
+            admission_rate_per_s=per_shard_rate,
+            admission_burst=burst,
+        )
+        report = replay_engine(engine, plans, spec)
+        audit = hybrid.audit()
+        assert audit.clean, "dirty audit under overload"
 
     rejected = sum(report.rejected.values())
     assert rejected > 0, "2x overload produced no rejections"
@@ -187,19 +189,18 @@ def run_overload(
 def run_identity(spec: ScenarioSpec) -> Tuple[List[List[str]], bool]:
     """Same requests, same root path, workers=1 vs workers=4: the final
     WAL checkpoint must not differ by a byte."""
-    root = _fresh_root()
-    digests: List[bytes] = []
-    for workers in (1, 4):
-        hybrid, plans = build_scenario(root, spec)
-        engine = ServeEngine(
-            hybrid, shards=4, max_batch=MAX_BATCH, window_ms=WINDOW_MS,
-            workers=workers,
-        )
-        report = replay_engine(engine, plans, spec)
-        assert report.ok == spec.total_runs
-        digests.append(hybrid.save_state().read_bytes())
-        shutil.rmtree(root, ignore_errors=True)
-    shutil.rmtree(root.parent, ignore_errors=True)
+    with _fresh_root() as root:
+        digests: List[bytes] = []
+        for workers in (1, 4):
+            hybrid, plans = build_scenario(root, spec)
+            engine = ServeEngine(
+                hybrid, shards=4, max_batch=MAX_BATCH, window_ms=WINDOW_MS,
+                workers=workers,
+            )
+            report = replay_engine(engine, plans, spec)
+            assert report.ok == spec.total_runs
+            digests.append(hybrid.save_state().read_bytes())
+            shutil.rmtree(root, ignore_errors=True)
     identical = digests[0] == digests[1]
     rows = [
         ["workers=1", len(digests[0])],
@@ -270,25 +271,24 @@ class TestServerBench:
         report, metrics = run_bench(SHARD_COUNTS, SPEC)
         report_writer("e31d_server", report)
         # real wall time of the hot path: admit + coalesce one request
-        root = _fresh_root()
-        small = ScenarioSpec(teams=1, designers_per_team=1,
-                             runs_per_designer=1)
-        hybrid, plans = build_scenario(root, small)
-        engine = ServeEngine(hybrid, shards=1, max_batch=10**6,
-                             window_ms=1e12, queue_depth=10**7)
-        plan = plans[0]
-        session = engine.open_session(
-            plan.user, plan.team, plan.library, plan.project
-        )
-
-        def submit():
-            engine.submit(
-                session, plan.cells[0], "schematic_entry", kwargs={},
-                now_ms=0.0,
+        with _fresh_root() as root:
+            small = ScenarioSpec(teams=1, designers_per_team=1,
+                                 runs_per_designer=1)
+            hybrid, plans = build_scenario(root, small)
+            engine = ServeEngine(hybrid, shards=1, max_batch=10**6,
+                                 window_ms=1e12, queue_depth=10**7)
+            plan = plans[0]
+            session = engine.open_session(
+                plan.user, plan.team, plan.library, plan.project
             )
 
-        benchmark(submit)
-        shutil.rmtree(root.parent, ignore_errors=True)
+            def submit():
+                engine.submit(
+                    session, plan.cells[0], "schematic_entry", kwargs={},
+                    now_ms=0.0,
+                )
+
+            benchmark(submit)
 
 
 def main(argv=None) -> int:

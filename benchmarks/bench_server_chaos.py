@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import os
 import pathlib
 import random
-import shutil
 import sys
 import tempfile
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 if __name__ == "__main__":  # standalone: make src/ importable without install
     _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -75,8 +75,11 @@ RESULTS_PATH = (
 KWARGS = ScriptCatalog().resolve("schematic_entry", "idempotent_inverter", {})
 
 
-def _fresh_root() -> pathlib.Path:
-    return pathlib.Path(tempfile.mkdtemp(prefix="repro-e31e-")) / "env"
+@contextlib.contextmanager
+def _fresh_root() -> Iterator[pathlib.Path]:
+    """A workspace path inside a directory removed when the block ends."""
+    with tempfile.TemporaryDirectory(prefix="repro-e31e-") as workdir:
+        yield pathlib.Path(workdir) / "env"
 
 
 # -- experiment 1: availability with a wedged shard --------------------------
@@ -148,25 +151,23 @@ def _drive_with_fenced_shard(
 
 def run_availability(spec: ScenarioSpec):
     # baseline arm: same population, same shape, no chaos
-    root = _fresh_root()
-    hybrid, plans = build_scenario(root, spec)
-    engine = ServeEngine(
-        hybrid, shards=SHARDS, max_batch=MAX_BATCH, window_ms=WINDOW_MS
-    )
-    baseline = replay_engine(engine, plans, spec)
-    assert baseline.ok == spec.total_runs, "baseline replay lost runs"
-    baseline_p95 = percentiles(baseline.latencies_ms)["p95"]
-    shutil.rmtree(root.parent, ignore_errors=True)
+    with _fresh_root() as root:
+        hybrid, plans = build_scenario(root, spec)
+        engine = ServeEngine(
+            hybrid, shards=SHARDS, max_batch=MAX_BATCH, window_ms=WINDOW_MS
+        )
+        baseline = replay_engine(engine, plans, spec)
+        assert baseline.ok == spec.total_runs, "baseline replay lost runs"
+        baseline_p95 = percentiles(baseline.latencies_ms)["p95"]
 
     # chaos arm
-    root = _fresh_root()
-    hybrid, plans = build_scenario(root, spec)
-    tallies, fenced, healthy_ok = _drive_with_fenced_shard(
-        hybrid, plans, spec
-    )
-    audit = hybrid.audit()
-    assert audit.clean, "dirty audit after the fenced-shard replay"
-    shutil.rmtree(root.parent, ignore_errors=True)
+    with _fresh_root() as root:
+        hybrid, plans = build_scenario(root, spec)
+        tallies, fenced, healthy_ok = _drive_with_fenced_shard(
+            hybrid, plans, spec
+        )
+        audit = hybrid.audit()
+        assert audit.clean, "dirty audit after the fenced-shard replay"
 
     assert len(fenced) == 1, f"expected exactly one fenced shard: {fenced}"
     healthy_submitted = sum(
@@ -239,35 +240,34 @@ def run_soak(spec: ScenarioSpec, seeds: List[int]):
     totals = {"ok": 0, "retries": 0, "dedupe_hits": 0, "dropped": 0,
               "double_commits": 0}
     for seed in seeds:
-        root = _fresh_root()
-        hybrid, plans = build_scenario(root, spec)
-        before = snapshot_cell_versions(hybrid, plans)
+        with _fresh_root() as root:
+            hybrid, plans = build_scenario(root, spec)
+            before = snapshot_cell_versions(hybrid, plans)
 
-        async def exercise():
-            server = DesignServer(
-                hybrid, shards=2, max_batch=4, window_ms=10.0,
-                breaker_threshold=3, breaker_cooldown_ms=50.0,
+            async def exercise():
+                server = DesignServer(
+                    hybrid, shards=2, max_batch=4, window_ms=10.0,
+                    breaker_threshold=3, breaker_cooldown_ms=50.0,
+                )
+                host, port = await server.start()
+                try:
+                    with inject(_chaos_plan(seed)):
+                        return await replay_socket(
+                            host, port, plans, spec,
+                            retry_overload=5, seed=seed,
+                            ack_timeout_ms=1_000.0,
+                        )
+                finally:
+                    await server.stop()
+
+            report = asyncio.run(exercise())
+            after = snapshot_cell_versions(hybrid, plans)
+            double_commits = sum(
+                max(0, after[key] - before.get(key, 0) - 1) for key in after
             )
-            host, port = await server.start()
-            try:
-                with inject(_chaos_plan(seed)):
-                    return await replay_socket(
-                        host, port, plans, spec,
-                        retry_overload=5, seed=seed,
-                        ack_timeout_ms=1_000.0,
-                    )
-            finally:
-                await server.stop()
-
-        report = asyncio.run(exercise())
-        after = snapshot_cell_versions(hybrid, plans)
-        double_commits = sum(
-            max(0, after[key] - before.get(key, 0) - 1) for key in after
-        )
-        hybrid.recover()
-        audit = hybrid.audit()
-        assert audit.clean, f"dirty audit after chaos seed {seed}"
-        shutil.rmtree(root.parent, ignore_errors=True)
+            hybrid.recover()
+            audit = hybrid.audit()
+            assert audit.clean, f"dirty audit after chaos seed {seed}"
 
         rows.append([
             seed, report.ok, report.retries, report.dedupe_hits,

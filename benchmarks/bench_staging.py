@@ -27,8 +27,10 @@ from __future__ import annotations
 import argparse
 import os
 import pathlib
+import shutil
 import sys
 import tempfile
+import weakref
 from typing import Dict, List, Tuple
 
 if __name__ == "__main__":  # standalone: make src/ importable without install
@@ -69,7 +71,11 @@ RESULTS_PATH = (
 
 
 def fresh_jcf() -> JCFFramework:
-    return JCFFramework(pathlib.Path(tempfile.mkdtemp()))
+    root = tempfile.mkdtemp()
+    jcf = JCFFramework(pathlib.Path(root))
+    # the workspace goes with the framework (or at exit)
+    weakref.finalize(jcf, shutil.rmtree, root, True)
+    return jcf
 
 
 def setup_design_objects(jcf: JCFFramework, payloads: List[bytes]):

@@ -297,20 +297,19 @@ class TestWALBench:
         report_writer("e36e_wal_persistence", report)
         assert abs(metrics["wal_growth"] - 1.0) < 0.01
         # real wall time of the hot path: one logged checkin
-        root = pathlib.Path(tempfile.mkdtemp())
-        wal = WriteAheadLog(root)
-        db, _ = wal.recover(_schema())
-        db.attach_wal(wal)
-        _grow(db, 0, DB_SIZES[0])
-        target = db.select("Design")[0].oid
-        counter = [0]
+        with tempfile.TemporaryDirectory() as root:
+            wal = WriteAheadLog(pathlib.Path(root))
+            db, _ = wal.recover(_schema())
+            db.attach_wal(wal)
+            _grow(db, 0, DB_SIZES[0])
+            target = db.select("Design")[0].oid
+            counter = [0]
 
-        def checkin():
-            counter[0] += 1
-            db.set_payload(target, counter[0].to_bytes(8, "big"))
+            def checkin():
+                counter[0] += 1
+                db.set_payload(target, counter[0].to_bytes(8, "big"))
 
-        benchmark(checkin)
-        shutil.rmtree(root, ignore_errors=True)
+            benchmark(checkin)
 
 
 def main(argv=None) -> int:

@@ -23,7 +23,8 @@ cells and designers — onto a worker pool:
    byte-identical OMS snapshots; the speedup comes from overlapping the
    unordered middles (staging I/O and the tool step itself).
 4. **Isolation.**  Each run gets a private staging sandbox (no file-name
-   collisions, schedule-independent copy-on-write behaviour) and takes
+   collisions, schedule-independent copy-on-write behaviour; its
+   directory is made only if the run stages) and takes
    its declared read/write keys on the database's
    :class:`~repro.oms.locks.LockManager` — non-blocking, because the
    wave construction already serialised every declared conflict; a
@@ -51,8 +52,9 @@ cells and designers — onto a worker pool:
    every run's resource use.
 
 A run that raises :class:`~repro.faults.CrashFault` poisons its cell:
-later runs on the same ``(library, cell)`` are *blocked* (skipped), the
-sandbox is left on disk for :meth:`CouplingRecovery.recover`, and the
+later runs on the same ``(library, cell)`` are *blocked* (skipped), its
+sandbox (if it made one) is left on disk for
+:meth:`CouplingRecovery.recover`, and the
 rest of the batch proceeds.
 """
 
@@ -396,9 +398,9 @@ class BatchScheduler:
         # and their directory entries, must be durable before the wave
         # writes the .meta naming them (a crashed run's may stay named)
         written.fsync()
-        if outcome.status != RUN_CRASHED:
-            # a live run cleans its sandbox; a crashed one leaves its
-            # files on disk for the audit to flag and recover() to sweep
+        if outcome.status != RUN_CRASHED and sandbox.root_made:
+            # a live run cleans the sandbox it made; a crashed one leaves
+            # its files on disk for the audit to flag and recover() to sweep
             sandbox.clear()
             try:
                 sandbox.root.rmdir()

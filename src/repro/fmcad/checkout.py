@@ -9,6 +9,13 @@ different versions of a cellview in parallel."
 That single-writer-per-cellview rule — and the lock-wait it induces — is
 exactly what the Section 3.1 experiment contrasts with JCF's workspace
 reservation, so the manager counts every denied checkout.
+
+The rule is unchanged by when the working copy is made.
+:meth:`CheckoutManager.checkout` takes the lock and charges the copy of
+the base version at once; the private working file itself is made on
+demand, the first time :attr:`CheckoutTicket.working_path` is read.  A
+designer editing in place reads it; a coupled run's harvest checks the
+tool's bytes straight in and never makes one.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import dataclasses
 import pathlib
 from typing import Callable, Dict, List, Optional
 
-from repro.errors import CheckoutError, LockedError
+from repro.errors import CheckoutError, FMCADError, LockedError
 from repro.faults import fault_point
 from repro.fmcad.library import Library
 from repro.fmcad.objects import CellView, CellViewVersion
@@ -33,12 +40,29 @@ class CheckoutTicket:
     cell_name: str
     view_name: str
     base_version: Optional[int]
-    working_path: pathlib.Path
+    #: where the working file lives once made (see :attr:`working_path`)
+    path: pathlib.Path
     open: bool = True
+    #: the version the working file copies, ``None`` for an empty one
+    base: Optional[CellViewVersion] = dataclasses.field(
+        default=None, repr=False
+    )
+    #: makes the working file; cleared once it has run
+    make_working_file: Optional[Callable[["CheckoutTicket"], None]] = (
+        dataclasses.field(default=None, repr=False)
+    )
 
     @property
     def cellview_key(self) -> str:
         return f"{self.library_name}:{self.cell_name}/{self.view_name}"
+
+    @property
+    def working_path(self) -> pathlib.Path:
+        """The private working file, made on the first read while open."""
+        if self.open and self.make_working_file is not None:
+            self.make_working_file(self)
+            self.make_working_file = None
+        return self.path
 
 
 class CheckoutManager:
@@ -64,8 +88,10 @@ class CheckoutManager:
         #: accounting for bench_multiuser
         self.denied_checkouts = 0
         self.granted_checkouts = 0
-        #: working files materialised by reflinking the version file
-        #: instead of copying its bytes
+        #: working files actually made (a harvest makes none)
+        self.working_files = 0
+        #: of those, the ones made by reflinking the version file instead
+        #: of copying its bytes
         self.cloned_working_files = 0
 
     def set_checkin_guard(
@@ -97,10 +123,12 @@ class CheckoutManager:
     ) -> CheckoutTicket:
         """Take the exclusive write claim on a cellview.
 
-        The current default version is copied to a private working file.
-        Raises :class:`LockedError` when any other user holds the
-        cellview — there is no queueing, matching FMCAD's behaviour of
-        simply refusing.
+        The copy of the current default version to a private working
+        file is charged here; the file is made when the ticket's
+        :attr:`~CheckoutTicket.working_path` is first read.  Raises
+        :class:`LockedError` when any other user holds the cellview —
+        there is no queueing, matching FMCAD's behaviour of simply
+        refusing.
         """
         cellview = library.cellview(cell_name, view_name)
         key = f"{library.name}:{cellview.name}"
@@ -113,30 +141,31 @@ class CheckoutManager:
                 f"by {existing.user!r}"
             )
         base = cellview.default_version
-        working_path = (
-            self.workdir / user / library.name / cell_name / f"{view_name}.work"
-        )
-        working_path.parent.mkdir(parents=True, exist_ok=True)
+        copied = 0
         if base is not None:
-            if self._reflink_working_file(base, working_path):
-                # extents shared copy-on-write: no bytes moved, the
+            try:
+                copied = base.path.stat().st_size
+            except FileNotFoundError:
+                raise FMCADError(
+                    f"version file missing: {base.path}"
+                ) from None
+            if self._reflinks():
+                # extents shared copy-on-write: no bytes move, the
                 # private inode appears for a metadata-sized cost
-                library.clock.charge_native_io(0, files=1)
-                self.cloned_working_files += 1
-            else:
-                data = base.read_data()
-                working_path.write_bytes(data)
-                library.clock.charge_native_io(len(data), files=1)
-        else:
-            working_path.write_bytes(b"")
-            library.clock.charge_native_io(0, files=1)
+                copied = 0
+        library.clock.charge_native_io(copied, files=1)
         ticket = CheckoutTicket(
             user=user,
             library_name=library.name,
             cell_name=cell_name,
             view_name=view_name,
             base_version=base.number if base else None,
-            working_path=working_path,
+            path=(
+                self.workdir / user / library.name / cell_name
+                / f"{view_name}.work"
+            ),
+            base=base,
+            make_working_file=self._make_working_file,
         )
         self._active[key] = ticket
         cellview.locked_by = user
@@ -195,25 +224,32 @@ class CheckoutManager:
 
     # -- internals ------------------------------------------------------------------
 
-    def _reflink_working_file(
-        self, base: CellViewVersion, working_path: pathlib.Path
-    ) -> bool:
-        """Reflink the base version file onto the working path.
+    def _make_working_file(self, ticket: CheckoutTicket) -> None:
+        """Copy the ticket's base version to its private working file.
 
-        Returns ``False`` when the caller should fall back to the
-        read+write copy — the version file is missing or the filesystem
-        cannot reflink.  The working file always lands on a private
-        inode, so tool edits can never reach back into the library's
-        version file.
+        The copy reflinks the version file where the filesystem can.
+        Either way the working file is a private inode, so tool edits
+        can never reach back into the library's version file.
         """
-        if not base.path.exists():
-            return False
-        if not probe_capabilities(self.workdir).reflink:
-            return False
+        path, base = ticket.path, ticket.base
+        path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            return reflink_file(base.path, working_path)
-        except OSError:  # pragma: no cover - clone refused mid-flight
-            return False
+            cloned = (
+                base is not None
+                and self._reflinks()
+                and reflink_file(base.path, path)
+            )
+        except OSError:  # the version file vanished or refused the clone
+            cloned = False
+        if cloned:
+            self.cloned_working_files += 1
+        else:
+            path.write_bytes(base.read_data() if base is not None else b"")
+        self.working_files += 1
+
+    def _reflinks(self) -> bool:
+        """Can the filesystem under the working directory reflink?"""
+        return probe_capabilities(self.workdir).reflink
 
     def _require_open(self, ticket: CheckoutTicket) -> None:
         if not ticket.open:
@@ -229,8 +265,8 @@ class CheckoutManager:
         ticket.open = False
         cellview.locked_by = None
         self._active.pop(ticket.cellview_key, None)
-        if ticket.working_path.exists():
-            ticket.working_path.unlink()
+        if ticket.make_working_file is None:
+            ticket.path.unlink(missing_ok=True)
 
     # -- statistics -------------------------------------------------------------------
 
@@ -239,5 +275,6 @@ class CheckoutManager:
             "active": len(self._active),
             "granted": self.granted_checkouts,
             "denied": self.denied_checkouts,
+            "working_files": self.working_files,
             "cloned_working_files": self.cloned_working_files,
         }

@@ -12,12 +12,13 @@ import dataclasses
 import hashlib
 import os
 import pathlib
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.clock import SimClock
 from repro.errors import IntegrityError, LibraryError, MetaFileError
 from repro.faults import corruption_point
 from repro.fmcad.metafile import MetaFile, MetaRecord
+from repro.fmcad.properties import PersistentPropertyBag
 from repro.oms import durable
 from repro.fmcad.objects import (
     Cell,
@@ -51,6 +52,31 @@ class MetaSnapshot:
             for r in self.records
             if r.cell == cell and r.view == view
         )
+
+
+def _unlink_version_file(path: pathlib.Path) -> None:
+    """Unlink a version file and its sidecar, if there.
+
+    The sidecar goes first: it must never outlive its version file, or
+    the next version created at that number would inherit its tag.
+    """
+    path.with_name(path.name + ".props").unlink(missing_ok=True)
+    path.unlink(missing_ok=True)
+
+
+def _create_exclusive(path: pathlib.Path, create: Callable[[], None]) -> None:
+    """Run *create*, which makes *path* only if nothing is there.
+
+    A file already at a fresh version number is a dead run's leftover
+    that no ``.meta`` names.  Only then is it unlinked, with its sidecar,
+    and *create* retried once: writing through it could reach an older
+    version sharing its inode, and its sidecar would tag the new one.
+    """
+    try:
+        create()
+    except FileExistsError:
+        _unlink_version_file(path)
+        create()
 
 
 class Library:
@@ -190,6 +216,7 @@ class Library:
             for view in os.scandir(cell.path):
                 if not view.is_dir():
                     continue
+                doomed = []
                 for entry in os.scandir(view.path):
                     filename = entry.name
                     if filename.endswith(".props"):
@@ -198,8 +225,12 @@ class Library:
                         filename.startswith("v") and filename.endswith(".dat")
                     ) or (cell.name, view.name, filename) in named:
                         continue
-                    os.unlink(entry.path)
-                    reclaimed.append(pathlib.Path(entry.path))
+                    doomed.append(entry.path)
+                # sidecars first: one must never outlive its version file
+                doomed.sort(key=lambda path: not path.endswith(".props"))
+                for path in doomed:
+                    os.unlink(path)
+                    reclaimed.append(pathlib.Path(path))
         return sorted(reclaimed)
 
     # -- structure -------------------------------------------------------------
@@ -281,12 +312,6 @@ class Library:
         """
         number = cellview.next_version_number()
         path = self._version_path(cellview, number)
-        # a file already at a fresh number is a dead run's leftover that
-        # no .meta names: unlink it rather than write through it (it may
-        # share an inode with an older version) or let the new version
-        # load its sidecar's stale jcf_oid
-        for leftover in (path, path.with_name(path.name + ".props")):
-            leftover.unlink(missing_ok=True)
         digest = hashlib.sha256(data).hexdigest()
         previous = cellview.default_version
         linked = False
@@ -302,7 +327,7 @@ class Library:
             == digest
         ):
             try:
-                os.link(previous.path, path)
+                _create_exclusive(path, lambda: os.link(previous.path, path))
                 linked = True
             except OSError:
                 pass  # filesystem without hard links: fall back to a copy
@@ -315,10 +340,10 @@ class Library:
             # bytes must be durable before the .meta that references them
             # (a scheduled run defers the fsync past its commit turn; its
             # wave writes the .meta only after every run's fsyncs)
-            durable.write_bytes(
-                path, corruption_point("fmcad.version_file", data),
-                deferrable=True,
-            )
+            stored = corruption_point("fmcad.version_file", data)
+            _create_exclusive(path, lambda: durable.write_bytes(
+                path, stored, deferrable=True, exclusive=True
+            ))
             self.clock.charge_native_io(len(data), files=1)
         # the new name, linked or written, must be durable before a
         # .meta names it
@@ -326,6 +351,12 @@ class Library:
         version = CellViewVersion(
             number=number, path=path, created_tick=self.tick + 1, author=author
         )
+        if len(version.properties):
+            # a lone sidecar, left by a crash under the old unlink order
+            # (version file first): the new version starts untagged
+            sidecar = path.with_name(path.name + ".props")
+            sidecar.unlink()
+            version.properties = PersistentPropertyBag(sidecar)
         version._content_digest = digest
         version._content_size = len(data)
         cellview.add_version(version)
@@ -348,15 +379,8 @@ class Library:
                 f"version, not {number}"
             )
         version = cellview.remove_version(number)
-        try:
-            version.path.unlink()
-        except FileNotFoundError:
-            pass  # the crash may have happened before the file landed
-        sidecar = version.path.with_name(version.path.name + ".props")
-        try:
-            sidecar.unlink()
-        except FileNotFoundError:
-            pass
+        # the crash may have happened before the file landed
+        _unlink_version_file(version.path)
         self.clock.charge_native_io(0, files=1)
         self._bump()
 

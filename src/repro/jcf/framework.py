@@ -23,7 +23,7 @@ from repro.jcf.workspace import WorkspaceManager
 from repro.oms.database import OMSDatabase
 from repro.oms.objects import OMSObject
 from repro.oms.query import QueryEngine
-from repro.oms.storage import StagingArea
+from repro.oms.storage import Sandbox, StagingArea
 
 
 class JCFFramework:
@@ -108,12 +108,13 @@ class JCFFramework:
 
         The sandbox lives at ``<staging root>/<name>`` — inside the
         default area's root, so the crash audit and recovery sweeps can
-        find a crashed run's leavings by scanning subdirectories.  The
-        caller owns cleanup: the scheduler clears a sandbox after a
-        clean run and deliberately leaves crash leavings for
+        find a crashed run's leavings by scanning subdirectories.  Its
+        directory is made on the first export or import.  The caller
+        owns cleanup: the scheduler clears a sandbox a clean run made
+        and deliberately leaves crash leavings for
         ``CouplingRecovery.recover()``.
         """
-        sandbox = StagingArea(
+        sandbox = Sandbox(
             self.db,
             self._default_staging.root / name,
             copy_on_write=self._default_staging.copy_on_write,

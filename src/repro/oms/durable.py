@@ -218,15 +218,18 @@ def write_bytes(
     data: bytes,
     mode: Optional[str] = None,
     deferrable: bool = False,
+    exclusive: bool = False,
 ) -> None:
     """Write ``data`` to ``path`` and fsync the file.
 
     A *deferrable* write inside :func:`deferred_fsyncs` leaves the fsync
-    to the owner of that block.
+    to the owner of that block.  An *exclusive* write creates the file
+    with ``O_EXCL`` and raises :class:`FileExistsError` when one is
+    already there.
     """
     resolved = _resolved(mode)
     pending = getattr(_state, "deferred", None) if deferrable else None
-    with open(os.fspath(path), "wb") as handle:
+    with open(os.fspath(path), "xb" if exclusive else "wb") as handle:
         handle.write(data)
         handle.flush()
         if pending is not None:

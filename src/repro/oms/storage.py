@@ -76,6 +76,9 @@ def _synchronized(method):
 class StagingArea:
     """A UNIX directory through which design data enters and leaves OMS."""
 
+    #: make the root on the first export or import, not at construction
+    lazy_root = False
+
     def __init__(
         self,
         database: OMSDatabase,
@@ -84,7 +87,11 @@ class StagingArea:
     ) -> None:
         self._db = database
         self.root = pathlib.Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        #: whether this area has made (or found) its root directory
+        self.root_made = False
+        #: stale ``.partial``/``.tmp`` files swept from a root found
+        #: already there
+        self.swept_temps: List[pathlib.Path] = []
         self.copy_on_write = copy_on_write
         self._staged: Dict[str, StagedFile] = {}
         #: staging path -> owning oid; guards against two objects being
@@ -109,8 +116,8 @@ class StagingArea:
         #: database writes avoided because the tool left the file unchanged
         self.import_hits = 0
         self._lock = threading.RLock()
-        #: stale ``.partial``/``.tmp`` files swept away at startup
-        self.swept_temps: List[pathlib.Path] = self._sweep_stale_temps()
+        if not self.lazy_root:
+            self._make_root()
 
     # -- export: OMS -> file system (checkout for tool use) ---------------------
 
@@ -423,12 +430,23 @@ class StagingArea:
         if self._by_digest.get(staged.digest) == staged.path:
             del self._by_digest[staged.digest]
 
+    def _make_root(self) -> None:
+        """Make the root directory, sweeping it if it was already there."""
+        if self.root_made:
+            return
+        try:
+            self.root.mkdir(parents=True)
+        except FileExistsError:
+            self.swept_temps = self._sweep_stale_temps()
+        self.root_made = True
+
     def _sweep_stale_temps(self) -> List[pathlib.Path]:
         """Remove half-written ``.partial``/``.tmp`` files under the root.
 
         Crashed writers (and interrupted atomic renames) leave these
-        behind; they are never valid staged data, so the constructor
-        clears them before any record can claim their names.
+        behind; they are never valid staged data, so they are cleared
+        when the root is found, before any record can claim their names.
+        A root made just now cannot hold any.
         """
         swept: List[pathlib.Path] = []
         for path in sorted(self.root.iterdir()):
@@ -503,6 +521,7 @@ class StagingArea:
         Returns the record and the payload bytes copied, or ``None``
         when no bytes were copied; the caller charges the SimClock.
         """
+        self._make_root()
         path = self._claim_path(oid, filename)
         stat = self._payload_stat(oid)
         copied: Optional[int] = None
@@ -539,6 +558,7 @@ class StagingArea:
         An unchanged file (copy-on-write on) skips the database write;
         the caller charges the SimClock.
         """
+        self._make_root()
         path = self._resolve_import_path(oid, path)
         fault_point("staging.import")
         payload = path.read_bytes()
@@ -636,3 +656,15 @@ class StagingArea:
             except OSError:  # pragma: no cover - stat race
                 return False
         return digest_bytes(path.read_bytes()) == stat.digest
+
+
+class Sandbox(StagingArea):
+    """One scheduled run's private staging area.
+
+    Most runs stage nothing (a harvest checks the tool's bytes straight
+    in), so the directory appears with the first export or import.  A
+    run's sandbox name repeats across a restart, so finding it already
+    there still sweeps a crashed run's half-written files.
+    """
+
+    lazy_root = True

@@ -114,8 +114,8 @@ class TestReflinkCheckout:
         version_path = cellview.default_version.path
         native_before = clock.elapsed_by_category().get("native_io", 0.0)
         ticket = manager.checkout("alice", library, "alu", "schematic")
-        assert manager.stats()["cloned_working_files"] == 1
         assert ticket.working_path.read_bytes() == b"base version"
+        assert manager.stats()["cloned_working_files"] == 1
         assert (
             ticket.working_path.stat().st_ino != version_path.stat().st_ino
         )
@@ -143,6 +143,7 @@ class TestAccounting:
             "active": 1,
             "granted": 1,
             "denied": 1,
+            "working_files": 0,
             "cloned_working_files": stats["cloned_working_files"],
         }
         # whether the working file was cloned in-kernel or copied depends
@@ -150,6 +151,41 @@ class TestAccounting:
         assert stats["cloned_working_files"] in (0, 1)
         manager.checkin(ticket, library, b"x")
         assert manager.stats()["active"] == 0
+
+    def test_working_file_is_made_on_first_read(
+        self, manager, library, tmp_path
+    ):
+        ticket = manager.checkout("alice", library, "alu", "schematic")
+        assert manager.stats()["working_files"] == 0
+        assert not (tmp_path / "work" / "alice").exists()
+        path = ticket.working_path
+        assert path.read_bytes() == b"base version"
+        assert ticket.working_path == path
+        assert manager.stats()["working_files"] == 1
+        manager.checkin(ticket, library)
+        assert not path.exists()
+        assert manager.stats()["working_files"] == 1
+
+    def test_checkin_of_given_bytes_makes_no_working_file(
+        self, manager, library, tmp_path, clock
+    ):
+        """The harvest's checkout: lock and charge, but no file."""
+        native_before = clock.elapsed_by_category()["native_io"]
+        ticket = manager.checkout("alice", library, "alu", "schematic")
+        charged = clock.elapsed_by_category()["native_io"] - native_before
+        # the copy of the base version is charged all the same (a
+        # reflink-capable filesystem would clone it for no bytes)
+        copied = 0 if manager._reflinks() else len(b"base version")
+        model = clock.cost_model
+        assert charged == pytest.approx(
+            model.native_byte_ms * copied + model.native_file_ms
+        )
+        version = manager.checkin(ticket, library, b"tool output")
+        assert version.read_data() == b"tool output"
+        assert manager.stats()["working_files"] == 0
+        assert list((tmp_path / "work").iterdir()) == []
+        # a closed ticket names its path but never makes the file
+        assert not ticket.working_path.exists()
 
     def test_holder_of(self, manager, library):
         cellview = library.cellview("alu", "schematic")

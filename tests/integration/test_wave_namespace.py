@@ -1,0 +1,198 @@
+"""The filesystem namespace work of a scheduled wave, counted exactly.
+
+A served checkin reproduces FMCAD's copy-in/copy-out through the UNIX
+file system (Section 2.1), but only as SimClock charges; the files the
+reproduction itself creates around it cost real kernel work.  These
+tests record every namespace operation through an audit hook and pin
+down what one wave of schematic entries leaves behind: its view
+directories, version files and sidecars, and one ``.meta`` temp.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from typing import List, Optional, Tuple
+
+import pytest
+
+from repro.fmcad.library import Library
+from tests.conftest import build_wave_environment, schematic_wave
+
+#: audit events the namespace_ops fixture records, by kind
+_NAMESPACE_EVENTS = {
+    "os.mkdir": "mkdir",
+    "os.remove": "unlink",
+    "os.rmdir": "rmdir",
+    "os.listdir": "listdir",
+    "os.scandir": "listdir",
+    "os.rename": "rename",
+    "os.link": "link",
+}
+
+_record: Optional[List[Tuple[str, str]]] = None
+_hooked = False
+
+
+def _audit(event, args) -> None:
+    record = _record
+    if record is None:
+        return
+    if event == "open":
+        path, _mode, flags = args
+        # an O_CREAT open of a file already there creates no inode
+        if (
+            isinstance(path, (str, os.PathLike))
+            and flags & os.O_CREAT
+            and not os.path.exists(path)
+        ):
+            record.append(("create", os.fspath(path)))
+    elif event in _NAMESPACE_EVENTS:
+        record.append((_NAMESPACE_EVENTS[event], os.fspath(args[0])))
+
+
+@pytest.fixture
+def namespace_ops():
+    """A list that collects ``(kind, path)`` for the test's duration."""
+    global _record, _hooked
+    if not _hooked:
+        # audit hooks cannot be removed; this one is inert while
+        # _record is None
+        sys.addaudithook(_audit)
+        _hooked = True
+    _record = []
+    try:
+        yield _record
+    finally:
+        _record = None
+
+
+def _kinds(ops, root) -> List[Tuple[str, str]]:
+    return [(kind, os.path.relpath(path, root)) for kind, path in ops]
+
+
+class TestScheduledWave:
+    def test_wave_creates_only_what_fmcad_names(
+        self, tmp_path, namespace_ops
+    ):
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root, 16)
+        # a first wave makes what every later wave finds (the WAL's
+        # payload pack), so the counted one is a steady-state wave
+        warm = hybrid.run_many(schematic_wave(project, library, cells[:8]))
+        assert all(outcome.ok for outcome in warm.outcomes)
+        namespace_ops.clear()
+        granted = hybrid.fmcad.checkouts.stats()["granted"]
+        fresh = cells[8:]
+        result = hybrid.run_many(schematic_wave(project, library, fresh))
+        ops = _kinds(list(namespace_ops), root)
+        assert all(outcome.ok for outcome in result.outcomes)
+
+        # no working copy, no sandbox, no speculative unlink
+        assert not [path for _, path in ops if path.endswith(".work")]
+        assert [
+            op for op in ops
+            if op[0] in ("unlink", "rmdir", "listdir", "link")
+        ] == []
+        views = ("schematic", "symbol")
+        lib = "fmcad/libs/chiplib"
+        assert sorted(path for kind, path in ops if kind == "mkdir") == \
+            sorted(f"{lib}/{c}/{view}" for c in fresh for view in views)
+        assert sorted(path for kind, path in ops if kind == "create") == \
+            sorted(
+                [
+                    f"{lib}/{cell}/{view}/v0001.dat{suffix}"
+                    for cell in fresh
+                    for view in views
+                    for suffix in ("", ".props")
+                ]
+                + [f"{lib}/.meta.tmp"]
+            )
+        assert [op for op in ops if op[0] == "rename"] == [
+            ("rename", f"{lib}/.meta.tmp")
+        ]
+        stats = hybrid.fmcad.checkouts.stats()
+        assert stats["working_files"] == 0
+        assert stats["granted"] == granted + 2 * len(fresh)
+
+
+class TestWriteVersionOntoLeftovers:
+    """A dead run's files at a fresh version number; the next checkin.
+
+    Each row leaves something a run that died before its ``.meta``
+    could have left at ``v0003``.  The checkin that lands on that
+    number starts from no tag and never writes through a shared inode.
+    """
+
+    @staticmethod
+    def _library(tmp_path, clock) -> Library:
+        library = Library("persist", tmp_path / "libs", clock=clock)
+        library.create_cell("alu")
+        cellview = library.create_cellview("alu", "schematic")
+        for data in (b"v1 data", b"v2 data"):
+            version = library.write_version(cellview, data, "alice")
+            version.properties.set("jcf_oid", f"tag of {data!r}")
+        library.flush_meta("alice")
+        return library
+
+    @pytest.mark.parametrize("leftover", ["dat", "link", "props"])
+    def test_checkin_starts_from_no_tag(
+        self, tmp_path, clock, namespace_ops, leftover
+    ):
+        library = self._library(tmp_path, clock)
+        view_dir = tmp_path / "libs" / "persist" / "alu" / "schematic"
+        dead = view_dir / "v0003.dat"
+        if leftover == "dat":
+            dead.write_bytes(b"dead run")
+        elif leftover == "link":
+            # a dead dedup checkin: shares its inode with v2
+            os.link(view_dir / "v0002.dat", dead)
+        # "props" alone: a crash between the two unlinks of a drop under
+        # the old order (version file first) leaves a lone sidecar
+        (view_dir / "v0003.dat.props").write_text('{"jcf_oid": "dead tag"}')
+        reopened = Library.open("persist", tmp_path / "libs", clock=clock)
+        cellview = reopened.cellview("alu", "schematic")
+        namespace_ops.clear()
+        fresh = reopened.write_version(cellview, b"fresh", "bob")
+        ops = _kinds(list(namespace_ops), view_dir)
+
+        assert fresh.number == 3
+        assert fresh.properties.get("jcf_oid") is None
+        assert not (view_dir / "v0003.dat.props").exists()
+        assert reopened.read_version(cellview, 3) == b"fresh"
+        assert reopened.read_version(cellview, 2) == b"v2 data"
+        assert cellview.version(2).properties.get("jcf_oid")
+        if leftover == "props":
+            # the create finds nothing in its way; the stale sidecar is
+            # the one thing unlinked
+            assert ops == [
+                ("create", "v0003.dat"), ("unlink", "v0003.dat.props")
+            ]
+        else:
+            # the exclusive create fails once, then the leftover goes,
+            # its sidecar first
+            assert ops == [
+                ("unlink", "v0003.dat.props"),
+                ("unlink", "v0003.dat"),
+                ("create", "v0003.dat"),
+            ]
+
+    def test_clean_number_is_created_without_unlinks(
+        self, tmp_path, clock, namespace_ops
+    ):
+        library = self._library(tmp_path, clock)
+        namespace_ops.clear()
+        library.write_version(
+            library.cellview("alu", "schematic"), b"v3 data", "bob"
+        )
+        assert [kind for kind, _ in namespace_ops] == ["create"]
+
+    def test_drop_unlinks_the_sidecar_first(
+        self, tmp_path, clock, namespace_ops
+    ):
+        library = self._library(tmp_path, clock)
+        namespace_ops.clear()
+        library.drop_version(library.cellview("alu", "schematic"), 2)
+        assert [
+            (kind, os.path.basename(path)) for kind, path in namespace_ops
+        ] == [("unlink", "v0002.dat.props"), ("unlink", "v0002.dat")]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import OMSError
-from repro.oms.storage import StagingArea
+from repro.oms.storage import Sandbox, StagingArea
 
 
 @pytest.fixture
@@ -220,6 +220,52 @@ class TestBookkeeping:
             staging.export_object(obj.oid)
             oids.append(obj.oid)
         assert [s.oid for s in staging.staged()] == sorted(oids)
+
+
+class TestRootLifecycle:
+    """A default area makes its root at once; a sandbox on first use."""
+
+    def test_default_area_sweeps_only_a_root_it_found(self, db, tmp_path):
+        root = tmp_path / "staging"
+        fresh = StagingArea(db, root)
+        assert fresh.root_made and fresh.swept_temps == []
+        (root / "Thing_1.partial").write_bytes(b"torn")
+        (root / "keep.dat").write_bytes(b"not a temp")
+        found = StagingArea(db, root)
+        assert [p.name for p in found.swept_temps] == ["Thing_1.partial"]
+        assert sorted(p.name for p in root.iterdir()) == ["keep.dat"]
+
+    def test_sandbox_root_appears_with_the_first_export(self, db, tmp_path):
+        root = tmp_path / "staging" / "run_000"
+        sandbox = Sandbox(db, root)
+        assert not sandbox.root_made and not root.exists()
+        obj = db.create("Thing", {"name": "x"}, payload=b"design data")
+        staged = sandbox.export_object(obj.oid)
+        assert sandbox.root_made
+        assert staged.path.read_bytes() == b"design data"
+        assert sandbox.swept_temps == []
+
+    def test_sandbox_root_appears_with_the_first_import(self, db, tmp_path):
+        root = tmp_path / "staging" / "run_000"
+        sandbox = Sandbox(db, root)
+        obj = db.create("Thing", {"name": "x"}, payload=b"old")
+        tool_output = tmp_path / "tool.out"
+        tool_output.write_bytes(b"new")
+        sandbox.import_object(obj.oid, tool_output)
+        assert sandbox.root_made and root.is_dir()
+        assert db.get(obj.oid).payload == b"new"
+
+    def test_sandbox_found_after_a_crash_is_swept(self, db, tmp_path):
+        """Sandbox names repeat across a restart."""
+        root = tmp_path / "staging" / "run_000"
+        root.mkdir(parents=True)
+        (root / "Thing_1.tmp").write_bytes(b"half written")
+        sandbox = Sandbox(db, root)
+        assert sandbox.swept_temps == []  # nothing touched yet
+        obj = db.create("Thing", {"name": "x"}, payload=b"d")
+        sandbox.export_object(obj.oid)
+        assert [p.name for p in sandbox.swept_temps] == ["Thing_1.tmp"]
+        assert not (root / "Thing_1.tmp").exists()
 
 
 class TestAdoptExisting:
