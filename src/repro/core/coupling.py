@@ -66,10 +66,9 @@ class HybridFramework:
         Only ``"wal"`` is accepted: every commit is durable in the
         write-ahead log under ``<root>/jcf/wal`` and :meth:`save_state`
         compacts it.  The keyword remains for existing callers.
-    durability:
-        ``"full"`` (fsync files and directories on every durable write),
-        ``"relaxed"`` (same write sequence, fsyncs skipped) or ``None``
-        to follow the process default (see :mod:`repro.oms.durable`).
+
+    Every durable write fsyncs its file and the directory naming it
+    (see :mod:`repro.oms.durable`); no setting skips them.
     """
 
     def __init__(
@@ -82,7 +81,6 @@ class HybridFramework:
         allow_cross_project_sharing: bool = False,
         administrator: str = "admin",
         persistence: str = "wal",
-        durability: Optional[str] = None,
     ) -> None:
         if persistence != "wal":
             raise ValueError(
@@ -91,16 +89,13 @@ class HybridFramework:
             )
         self.root = pathlib.Path(root)
         self.clock = clock or SimClock()
-        self.durability = durability
         self.jcf = JCFFramework(
             self.root / "jcf",
             clock=self.clock,
             administrator=administrator,
             enable_procedural_interface=enable_procedural_interface,
             allow_cross_project_sharing=allow_cross_project_sharing,
-            wal=WriteAheadLog(
-                self.root / "jcf" / WAL_DIR_NAME, durability_mode=durability
-            ),
+            wal=WriteAheadLog(self.root / "jcf" / WAL_DIR_NAME),
         )
         self.fmcad = FMCADFramework(self.root / "fmcad", clock=self.clock)
         # wire the read path before opening any library so each one
@@ -313,35 +308,18 @@ class HybridFramework:
         return self.jcf.checkpoint()
 
     @classmethod
-    def reopen(
-        cls,
-        root: pathlib.Path,
-        clock: Optional[SimClock] = None,
-        jcf3_strict: bool = True,
-        enable_hierarchy_procedural_interface: bool = False,
-        administrator: str = "admin",
-        durability: Optional[str] = None,
-    ) -> "HybridFramework":
+    def reopen(cls, root: pathlib.Path, **settings: Any) -> "HybridFramework":
         """Restart a hybrid environment from its on-disk state: recover
         the JCF state from the write-ahead log, reopen every FMCAD
-        library from its ``.meta``, rehydrate flows.  Raises
-        :class:`FileNotFoundError` when *root* holds no WAL."""
-        root = pathlib.Path(root)
-        wal_root = root / "jcf" / WAL_DIR_NAME
+        library from its ``.meta``, rehydrate flows.  *settings* are the
+        constructor's keywords.  Raises :class:`FileNotFoundError` when
+        *root* holds no WAL."""
+        wal_root = pathlib.Path(root) / "jcf" / WAL_DIR_NAME
         if not WriteAheadLog.present_at(wal_root):
             raise FileNotFoundError(
                 f"no saved state at {wal_root}: not a hybrid workspace"
             )
-        return cls(
-            root,
-            clock=clock,
-            jcf3_strict=jcf3_strict,
-            enable_hierarchy_procedural_interface=(
-                enable_hierarchy_procedural_interface
-            ),
-            administrator=administrator,
-            durability=durability,
-        )
+        return cls(root, **settings)
 
     # -- crash recovery ---------------------------------------------------------------------
 

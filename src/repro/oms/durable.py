@@ -21,20 +21,12 @@ This module centralises the missing :func:`os.fsync` placement:
   scheduled run's version files, written inside its commit turn and
   fsynced after it).
 
-Durability modes
-----------------
-
-Real fsyncs dominate wall-clock in a test suite that creates thousands
-of tiny files, so every helper honours a process-wide durability mode:
-
-* ``"full"`` (default) — fsync file and parent directory as described;
-* ``"relaxed"`` — skip the fsyncs but keep the write/rename sequence
-  byte-identical, so crash-*consistency* (what a torn run leaves on
-  disk) is unchanged and only power-loss durability is waived.
-
-Callers may pin a mode per call site; the test suite switches the
-process default to ``"relaxed"`` and durability-specific tests opt back
-into ``"full"`` via the :func:`durability` context manager.
+Every helper always fsyncs: an acked write survives power loss in
+every configuration the library ships.  The test suite keeps its speed
+by replacing :func:`os.fsync` with a no-op for the session, not by
+switching this code; the helpers therefore look ``os.fsync`` up on the
+``os`` module at call time, so a wrapper installed there (a tracer, a
+recording test stub) sees every call.
 """
 
 from __future__ import annotations
@@ -43,65 +35,15 @@ import contextlib
 import os
 import pathlib
 import threading
-from typing import Dict, Iterator, List, Optional, Union
-
-DURABILITY_FULL = "full"
-DURABILITY_RELAXED = "relaxed"
-DURABILITY_MODES = (DURABILITY_FULL, DURABILITY_RELAXED)
+from typing import Dict, Iterator, List, Union
 
 _state = threading.local()
-_default_mode = DURABILITY_FULL
-_default_lock = threading.Lock()
 
 PathLike = Union[str, pathlib.Path]
 
 
-def _validate(mode: str) -> str:
-    if mode not in DURABILITY_MODES:
-        raise ValueError(
-            f"unknown durability mode {mode!r}; expected one of "
-            f"{DURABILITY_MODES}"
-        )
-    return mode
-
-
-def set_default_durability(mode: str) -> None:
-    """Set the process-wide default durability mode."""
-    global _default_mode
-    with _default_lock:
-        _default_mode = _validate(mode)
-
-
-def get_default_durability() -> str:
-    """The mode used when a helper is called with ``mode=None``."""
-    override = getattr(_state, "override", None)
-    if override is not None:
-        return override
-    return _default_mode
-
-
-@contextlib.contextmanager
-def durability(mode: str) -> Iterator[None]:
-    """Temporarily force a durability mode for the current thread."""
-    _validate(mode)
-    previous = getattr(_state, "override", None)
-    _state.override = mode
-    try:
-        yield
-    finally:
-        _state.override = previous
-
-
-def _resolved(mode: Optional[str]) -> str:
-    if mode is None:
-        return get_default_durability()
-    return _validate(mode)
-
-
-def fsync_file(path: PathLike, mode: Optional[str] = None) -> None:
-    """Force a file's contents to stable storage (no-op when relaxed)."""
-    if _resolved(mode) != DURABILITY_FULL:
-        return
+def fsync_file(path: PathLike) -> None:
+    """Force a file's contents to stable storage."""
     fd = os.open(os.fspath(path), os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -109,22 +51,13 @@ def fsync_file(path: PathLike, mode: Optional[str] = None) -> None:
         os.close(fd)
 
 
-def fsync_fd(fd: int, mode: Optional[str] = None) -> None:
-    """Fsync an open file descriptor (no-op when relaxed)."""
-    if _resolved(mode) != DURABILITY_FULL:
-        return
-    os.fsync(fd)
-
-
-def fsync_dir(path: PathLike, mode: Optional[str] = None) -> None:
+def fsync_dir(path: PathLike) -> None:
     """Force a directory entry table to stable storage.
 
     Needed after ``os.replace``/``os.link``/``unlink`` so the *name*
     survives power loss, not just the inode contents.  Platforms that
     refuse ``fsync`` on directories are tolerated.
     """
-    if _resolved(mode) != DURABILITY_FULL:
-        return
     try:
         fd = os.open(os.fspath(path), os.O_RDONLY)
     except OSError:
@@ -178,7 +111,7 @@ class Deferred:
         #: directories that gained an entry, each listed once
         self.directories: Dict[pathlib.Path, None] = {}
 
-    def fsync(self, mode: Optional[str] = None) -> None:
+    def fsync(self) -> None:
         """Fsync each file that still exists, then once each directory.
 
         A file gone by now was unlinked on purpose (a compensated
@@ -187,11 +120,11 @@ class Deferred:
         """
         for path in self.files:
             try:
-                fsync_file(path, mode=mode)
+                fsync_file(path)
             except FileNotFoundError:
                 pass
         for directory in self.directories:
-            fsync_dir(directory, mode=mode)
+            fsync_dir(directory)
 
 
 @contextlib.contextmanager
@@ -216,7 +149,6 @@ def deferred_fsyncs() -> Iterator[Deferred]:
 def write_bytes(
     path: PathLike,
     data: bytes,
-    mode: Optional[str] = None,
     deferrable: bool = False,
     exclusive: bool = False,
 ) -> None:
@@ -227,37 +159,31 @@ def write_bytes(
     with ``O_EXCL`` and raises :class:`FileExistsError` when one is
     already there.
     """
-    resolved = _resolved(mode)
     pending = getattr(_state, "deferred", None) if deferrable else None
     with open(os.fspath(path), "xb" if exclusive else "wb") as handle:
         handle.write(data)
         handle.flush()
         if pending is not None:
             pending.files.append(pathlib.Path(path))
-        elif resolved == DURABILITY_FULL:
+        else:
             os.fsync(handle.fileno())
 
 
-def replace(src: PathLike, dst: PathLike, mode: Optional[str] = None) -> None:
+def replace(src: PathLike, dst: PathLike) -> None:
     """``os.replace`` followed by a parent-directory fsync."""
     os.replace(os.fspath(src), os.fspath(dst))
-    fsync_dir(pathlib.Path(os.fspath(dst)).parent, mode=mode)
+    fsync_dir(pathlib.Path(os.fspath(dst)).parent)
 
 
-def atomic_replace(
-    path: PathLike,
-    data: bytes,
-    mode: Optional[str] = None,
-    tmp_suffix: str = ".tmp",
-) -> None:
+def atomic_replace(path: PathLike, data: bytes) -> None:
     """Durably publish ``data`` at ``path`` via temp-write + rename.
 
-    The temp file lives next to the target (same suffix convention as
-    the pre-existing call sites, so stale-temp sweeps keep working), is
-    fsynced before the rename, and the parent directory is fsynced
-    after — the full crash-safe publication sequence.
+    The temp file ``<name>.tmp`` lives next to the target (the suffix
+    stale-temp sweeps look for), is fsynced before the rename, and the
+    parent directory is fsynced after — the full crash-safe publication
+    sequence.
     """
     target = pathlib.Path(os.fspath(path))
-    tmp = target.with_name(target.name + tmp_suffix)
-    write_bytes(tmp, data, mode=mode)
-    replace(tmp, target, mode=mode)
+    tmp = target.with_name(target.name + ".tmp")
+    write_bytes(tmp, data)
+    replace(tmp, target)

@@ -626,14 +626,17 @@ class StagingArea:
         """Write *data* to *path* without mutating hard-link peers.
 
         An in-place ``write_bytes`` truncates the shared inode, which
-        would rewrite every staged file linked to it; unlinking first
-        gives this path a private inode and leaves peers untouched.
+        would rewrite every staged file linked to it.  The file is
+        created exclusively; only a path already there is unlinked, to
+        give this path a private inode, and the create retried once.
         """
         try:
+            handle = open(path, "xb")
+        except FileExistsError:
             path.unlink()
-        except FileNotFoundError:
-            pass
-        path.write_bytes(data)
+            handle = open(path, "xb")
+        with handle:
+            handle.write(data)
 
     def _export_is_hit(
         self, path: pathlib.Path, stat: BlobStat, writable: bool = True

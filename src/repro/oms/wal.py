@@ -139,15 +139,9 @@ class WriteAheadLog:
     primitives would be logged again.
     """
 
-    def __init__(
-        self,
-        root: Union[str, pathlib.Path],
-        durability_mode: Optional[str] = None,
-    ) -> None:
+    def __init__(self, root: Union[str, pathlib.Path]) -> None:
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        #: per-call-site durability override (None = process default)
-        self.durability_mode = durability_mode
         self._lock = threading.RLock()
         self._lsn = 0
         #: digests already durable (pack frame or folded checkpoint);
@@ -347,7 +341,7 @@ class WriteAheadLog:
                 os.ftruncate(fd, start)
                 raise
             try:
-                durable.fsync_fd(fd, mode=self.durability_mode)
+                os.fsync(fd)
             except OSError as exc:
                 raise WALSyncError(
                     f"{path.name}: appended but not synced ({exc})"
@@ -360,7 +354,7 @@ class WriteAheadLog:
         """Durably cut *path* back to *offset* bytes (drop a torn tail)."""
         with open(path, "r+b") as handle:
             handle.truncate(offset)
-            durable.fsync_fd(handle.fileno(), mode=self.durability_mode)
+            os.fsync(handle.fileno())
 
     # -- record encoding ------------------------------------------------------
 
@@ -470,7 +464,7 @@ class WriteAheadLog:
         except WALSyncError as exc:
             raise WALError(str(exc)) from exc  # no record names them yet
         if not self._pack_entry_synced:
-            durable.fsync_dir(self.root, mode=self.durability_mode)
+            durable.fsync_dir(self.root)
             self._pack_entry_synced = True
         for digest, data in payloads.items():
             offset += FRAME_HEADER.size
@@ -513,9 +507,9 @@ class WriteAheadLog:
 
         The record (not the whole database) is what pays the durable
         write: cost is O(change set).  New payloads go to the pack first
-        (one fsync), then the record (one fsync); both honour the WAL's
-        durability mode.  A record written whose fsync fails raises
-        :class:`~repro.errors.WALSyncError`: it may still reach the disk.
+        (one fsync), then the record (one fsync).  A record written whose
+        fsync fails raises :class:`~repro.errors.WALSyncError`: it may
+        still reach the disk.
         """
         if not ops:
             return None
@@ -578,27 +572,16 @@ class WriteAheadLog:
                     location=str(self.checkpoint_path),
                     classification=problem,
                 )
-            durable.write_bytes(
-                self.checkpoint_tmp_path, data, mode=self.durability_mode
-            )
+            durable.write_bytes(self.checkpoint_tmp_path, data)
             if self.checkpoint_path.exists():
                 durable.replace(
-                    self.checkpoint_path,
-                    self.prev_checkpoint_path,
-                    mode=self.durability_mode,
+                    self.checkpoint_path, self.prev_checkpoint_path
                 )
             fault_point("wal.checkpoint")  # window 2
-            durable.replace(
-                self.checkpoint_tmp_path,
-                self.checkpoint_path,
-                mode=self.durability_mode,
-            )
+            durable.replace(self.checkpoint_tmp_path, self.checkpoint_path)
             fault_point("wal.checkpoint")  # window 3
             if self.log_path.exists():
-                durable.replace(
-                    self.log_path, self.prev_log_path,
-                    mode=self.durability_mode,
-                )
+                durable.replace(self.log_path, self.prev_log_path)
             fault_point("wal.checkpoint")  # window 4
             ondisk = self.checkpoint_path.read_bytes()
             problem = verify_snapshot_bytes(ondisk)
@@ -618,7 +601,7 @@ class WriteAheadLog:
         for stale in (self.prev_log_path, self.prev_checkpoint_path,
                       self.pack_path):
             stale.unlink(missing_ok=True)
-        durable.fsync_dir(self.root, mode=self.durability_mode)
+        durable.fsync_dir(self.root)
         self._pack_index = {}
         self._pack_entry_synced = False
         # everything the checkpoint holds is durable by definition
@@ -733,7 +716,7 @@ class WriteAheadLog:
                     if stale.exists():
                         stale.unlink()
                         info.cleaned.append(f"completed truncation of {stale.name}")
-                durable.fsync_dir(self.root, mode=self.durability_mode)
+                durable.fsync_dir(self.root)
             self._durable_digests.update(database.payload_digests())
             return database, info
 

@@ -15,25 +15,29 @@ from repro.core.coupling import HybridFramework
 from repro.fmcad.framework import FMCADFramework
 from repro.jcf.flows import standard_encapsulation_flow
 from repro.jcf.framework import JCFFramework
-from repro.oms import durable, zerocopy
+from repro.oms import zerocopy
 from repro.oms.database import OMSDatabase
 from repro.oms.schema import AttributeDef, Schema
 
 
-@pytest.fixture(autouse=True, scope="session")
-def _relaxed_durability():
-    """Run the suite with fsyncs off.
+#: the real :func:`os.fsync`, for the few tests that need one issued
+REAL_FSYNC = os.fsync
 
-    Every durability test exercises the identical write/rename sequence;
-    only the physical flushes are skipped, which makes the suite
-    dramatically faster on real disks.  Tests that specifically assert
-    full-durability behaviour opt back in with
-    ``durable.durability("full")``.
+
+@pytest.fixture(autouse=True, scope="session")
+def _no_op_fsync():
+    """Run the suite with ``os.fsync`` a no-op.
+
+    The code always fsyncs; the suite swaps the disk's flush out instead
+    of switching the code, which keeps it fast on real disks.  Patched
+    directly rather than through ``monkeypatch``, whose ``undo()`` some
+    tests call mid-test.  Tests that record or fail fsyncs patch
+    ``os.fsync`` on top of this; tests that need a real one call
+    :data:`REAL_FSYNC`.
     """
-    previous = durable.get_default_durability()
-    durable.set_default_durability(durable.DURABILITY_RELAXED)
+    os.fsync = lambda fd: None
     yield
-    durable.set_default_durability(previous)
+    os.fsync = REAL_FSYNC
 
 
 def _copying_reflink(src_fd: int, dst_fd: int) -> bool:

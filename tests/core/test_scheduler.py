@@ -607,7 +607,7 @@ class TestWaveMeta:
 
 @pytest.fixture
 def fsyncs(monkeypatch, hybrid):
-    """Every fsync under full durability, in call order.
+    """Every fsync, in call order.
 
     Each entry is ``(path, scheduled, in_transaction)``: the file's path,
     whether the fsyncing thread was inside a scheduled run (a
@@ -617,7 +617,6 @@ def fsyncs(monkeypatch, hybrid):
     import os
 
     from repro.core import gates
-    from repro.oms import durable
 
     events = []
     real = os.fsync
@@ -631,10 +630,7 @@ def fsyncs(monkeypatch, hybrid):
         real(fd)
 
     monkeypatch.setattr(os, "fsync", spy)
-    previous = durable.get_default_durability()
-    durable.set_default_durability(durable.DURABILITY_FULL)
-    yield events
-    durable.set_default_durability(previous)
+    return events
 
 
 class TestVersionFileFsync:
@@ -693,7 +689,6 @@ class TestVersionFileFsync:
         import os
 
         from repro.core.coupling import HybridFramework
-        from repro.oms import durable
 
         root = tmp_path / "env"
         hybrid, project, library, cells = build_wave_environment(root)
@@ -708,13 +703,10 @@ class TestVersionFileFsync:
             real(fd)
 
         monkeypatch.setattr(os, "fsync", failing)
-        previous = durable.get_default_durability()
-        durable.set_default_durability(durable.DURABILITY_FULL)
         try:
             with pytest.raises(FailStop) as info:
                 hybrid.run_many(schematic_wave(project, library, cells))
         finally:
-            durable.set_default_durability(previous)
             monkeypatch.undo()
         assert isinstance(info.value.__cause__, OSError)
         # no .meta names the undurable files, no record logs the wave

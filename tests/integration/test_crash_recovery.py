@@ -10,7 +10,10 @@ A hypothesis suite does the same under seeded random schedules (crash or
 transient, random point, random hit) over a three-activity workload.
 """
 
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -214,27 +217,53 @@ class TestRandomFaultSchedules:
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_seeded_chaos_always_recoverable(self, seed):
-        root = tempfile.mkdtemp(prefix="crash_hyp_")
-        hybrid, project, library = build_environment(root)
-        plan = FaultPlan.random_plan(
-            seed,
-            points=WORKLOAD_POINTS,
-            max_hit=3,
-            transient_probability=0.3,
+        with tempfile.TemporaryDirectory(prefix="crash_hyp_") as root:
+            hybrid, project, library = build_environment(root)
+            plan = FaultPlan.random_plan(
+                seed,
+                points=WORKLOAD_POINTS,
+                max_hit=3,
+                transient_probability=0.3,
+            )
+            with inject(plan):
+                try:
+                    run_workload(hybrid, project, library, with_layout=True)
+                except FaultError:
+                    pass
+                except ReproError:
+                    pass  # a transient surfacing as an ordinary tool failure
+            hybrid.recover()
+            audit = hybrid.audit()
+            assert audit.clean, (
+                f"seed {seed} (plan {plan.points}) left a dirty audit:\n"
+                f"{audit.render()}"
+            )
+            results = run_workload(hybrid, project, library, with_layout=True)
+            assert all(result.success for result in results)
+            assert hybrid.recover().empty()
+
+    def test_seeded_chaos_leaves_temp_dir_empty(self, tmp_path):
+        """Every example's workspace is removed, crashed or not."""
+        repo = pathlib.Path(__file__).resolve().parents[2]
+        env = dict(
+            os.environ,
+            TMPDIR=str(tmp_path),
+            PYTHONPATH=os.pathsep.join(
+                [str(repo / "src"), os.environ.get("PYTHONPATH", "")]
+            ),
         )
-        with inject(plan):
-            try:
-                run_workload(hybrid, project, library, with_layout=True)
-            except FaultError:
-                pass
-            except ReproError:
-                pass  # a transient surfacing as an ordinary tool failure
-        hybrid.recover()
-        audit = hybrid.audit()
-        assert audit.clean, (
-            f"seed {seed} (plan {plan.points}) left a dirty audit:\n"
-            f"{audit.render()}"
+        test_id = (
+            "tests/integration/test_crash_recovery.py::"
+            "TestRandomFaultSchedules::test_seeded_chaos_always_recoverable"
         )
-        results = run_workload(hybrid, project, library, with_layout=True)
-        assert all(result.success for result in results)
-        assert hybrid.recover().empty()
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             test_id],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=env,
+            cwd=repo,
+        )
+        assert result.returncode == 0, result.stdout[-2000:]
+        assert sorted(p.name for p in tmp_path.iterdir()) == []

@@ -49,6 +49,21 @@ class TestReopen:
         with pytest.raises(FileNotFoundError):
             HybridFramework.reopen(tmp_path / "never_saved")
 
+    def test_reopen_takes_the_constructor_settings(self, tmp_path):
+        root = tmp_path / "ablated"
+        built = HybridFramework(root, enable_procedural_interface=True)
+        built.fmcad.create_library("lib")
+        built.adopt_library("admin", built.fmcad.library("lib"), "proj")
+        reopened = HybridFramework.reopen(
+            root, enable_procedural_interface=True
+        )
+        reopened.jcf.db.procedural_interface()  # must not raise
+        assert reopened.jcf.project("proj") is not None
+
+    def test_reopen_rejects_unknown_settings(self, saved_environment):
+        with pytest.raises(TypeError):
+            HybridFramework.reopen(saved_environment, bogus=1)
+
     def test_metadata_survives(self, saved_environment):
         hybrid = HybridFramework.reopen(saved_environment)
         project = hybrid.jcf.project("proj")

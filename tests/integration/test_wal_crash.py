@@ -24,7 +24,6 @@ import pytest
 from repro.core.coupling import HybridFramework
 from repro.core.scheduler import RunRequest
 from repro.faults import CrashFault, FaultPlan, inject
-from repro.oms import durable
 from repro.oms.snapshot import dump_snapshot
 from repro.oms.wal import FRAME_HEADER, FRAME_MAGIC
 from tests.conftest import (
@@ -307,7 +306,7 @@ class TestProcessDeathInAWave:
 
 @pytest.fixture
 def fsynced(monkeypatch):
-    """Every path fsynced under full durability, in call order."""
+    """Every path fsynced, in call order."""
     paths = []
     real = os.fsync
 
@@ -316,10 +315,7 @@ def fsynced(monkeypatch):
         real(fd)
 
     monkeypatch.setattr(os, "fsync", record)
-    previous = durable.get_default_durability()
-    durable.set_default_durability(durable.DURABILITY_FULL)
-    yield paths
-    durable.set_default_durability(previous)
+    return paths
 
 
 def names_synced_before_meta(library, cells, fsynced, cell_syncs=1):

@@ -1,47 +1,11 @@
 """Unit tests for the shared durability helpers (fsync-then-rename)."""
 
-import threading
+import os
 
 import pytest
 
 from repro.oms import durable
-
-
-class TestModes:
-    def test_default_mode_is_validated(self):
-        with pytest.raises(ValueError):
-            durable.set_default_durability("bogus")
-
-    def test_context_manager_is_thread_local(self):
-        # the suite-wide conftest fixture sets the default to relaxed;
-        # an override in one thread must not leak into another
-        assert durable.get_default_durability() == durable.DURABILITY_RELAXED
-        seen = {}
-
-        def probe():
-            seen["other"] = durable.get_default_durability()
-
-        with durable.durability(durable.DURABILITY_FULL):
-            assert (
-                durable.get_default_durability() == durable.DURABILITY_FULL
-            )
-            worker = threading.Thread(target=probe)
-            worker.start()
-            worker.join()
-        assert seen["other"] == durable.DURABILITY_RELAXED
-        assert durable.get_default_durability() == durable.DURABILITY_RELAXED
-
-    def test_context_manager_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with durable.durability(durable.DURABILITY_FULL):
-                raise RuntimeError("boom")
-        assert durable.get_default_durability() == durable.DURABILITY_RELAXED
-
-    def test_invalid_mode_rejected_everywhere(self, tmp_path):
-        with pytest.raises(ValueError):
-            durable.write_bytes(tmp_path / "f", b"x", mode="sorta")
-        with pytest.raises(ValueError):
-            durable.durability("sorta").__enter__()
+from tests.conftest import REAL_FSYNC
 
 
 class TestWrites:
@@ -65,26 +29,18 @@ class TestWrites:
         assert not src.exists()
         assert dst.read_bytes() == b"bytes"
 
-    def test_full_mode_writes_identical_bytes(self, tmp_path):
-        # "relaxed" only skips fsyncs; the visible file contents must be
-        # byte-identical between the two modes
-        relaxed = tmp_path / "relaxed.bin"
-        full = tmp_path / "full.bin"
-        durable.atomic_replace(relaxed, b"same", mode="relaxed")
-        with durable.durability(durable.DURABILITY_FULL):
-            durable.atomic_replace(full, b"same")
-        assert relaxed.read_bytes() == full.read_bytes()
-
-    def test_fsync_helpers_tolerate_full_mode(self, tmp_path):
+    def test_fsync_helpers_tolerate_full_mode(self, tmp_path, monkeypatch):
+        # the suite's fsync is a no-op: issue real ones here
+        monkeypatch.setattr(os, "fsync", REAL_FSYNC)
         target = tmp_path / "f"
-        target.write_bytes(b"x")
-        durable.fsync_file(target, mode="full")
-        durable.fsync_dir(tmp_path, mode="full")
-        with open(target, "rb") as handle:
-            durable.fsync_fd(handle.fileno(), mode="full")
+        durable.write_bytes(target, b"x")
+        durable.fsync_file(target)
+        durable.fsync_dir(tmp_path)
+        durable.atomic_replace(target, b"y")
+        assert target.read_bytes() == b"y"
 
     def test_fsync_dir_tolerates_missing_directory(self, tmp_path):
-        durable.fsync_dir(tmp_path / "nope", mode="full")
+        durable.fsync_dir(tmp_path / "nope")
 
 
 class TestNames:
@@ -95,7 +51,7 @@ class TestNames:
         calls = []
         monkeypatch.setattr(
             durable, "fsync_dir",
-            lambda path, mode=None: calls.append(str(path)),
+            lambda path: calls.append(str(path)),
         )
         return calls
 

@@ -245,6 +245,27 @@ class TestRootLifecycle:
         assert staged.path.read_bytes() == b"design data"
         assert sandbox.swept_temps == []
 
+    def test_copying_export_into_fresh_sandbox_unlinks_nothing(
+        self, db, tmp_path, monkeypatch
+    ):
+        import os
+
+        unlinked = []
+        real = os.unlink
+        monkeypatch.setattr(
+            os, "unlink",
+            lambda path, *a, **k: (unlinked.append(path), real(path, *a, **k)),
+        )
+        sandbox = Sandbox(db, tmp_path / "staging" / "run_000")
+        objs = [
+            db.create("Thing", {"name": n}, payload=n.encode() * 4)
+            for n in ("x", "y")
+        ]
+        sandbox.export_object(objs[0].oid)
+        sandbox.export_objects([objs[1].oid])
+        assert sandbox.accounting()["files_exported"] == 2
+        assert unlinked == []
+
     def test_sandbox_root_appears_with_the_first_import(self, db, tmp_path):
         root = tmp_path / "staging" / "run_000"
         sandbox = Sandbox(db, root)
@@ -330,6 +351,25 @@ class TestHardLinkFastPath:
         assert first.path.stat().st_nlink == 1
         assert second.path.stat().st_nlink == 1
         assert staging.accounting()["export_links"] == 0
+
+    def test_copying_export_over_a_linked_path_spares_the_peer(
+        self, db, staging
+    ):
+        a = db.create("Thing", {"name": "a"}, payload=b"shared bytes")
+        b = db.create("Thing", {"name": "b"}, payload=b"shared bytes")
+        peer = staging.export_object(a.oid, writable=False)
+        linked = staging.export_object(b.oid, writable=False)
+        assert linked.path.stat().st_nlink == 2
+        db.set_payload(b.oid, b"new bytes for b")
+        copied_before = staging.accounting()["bytes_exported"]
+        rewritten = staging.export_object(b.oid)
+        assert staging.accounting()["bytes_exported"] == (
+            copied_before + len(b"new bytes for b")
+        )
+        assert rewritten.path == linked.path
+        assert rewritten.path.read_bytes() == b"new bytes for b"
+        assert rewritten.path.stat().st_nlink == 1
+        assert peer.path.read_bytes() == b"shared bytes"
 
     def test_writable_reexport_breaks_the_alias(self, db, staging):
         a = db.create("Thing", {"name": "a"}, payload=b"shared bytes")

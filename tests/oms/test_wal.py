@@ -534,7 +534,7 @@ class TestFsyncFailures:
         from repro.faults import FailStop
 
         root = tmp_path / "wal"
-        wal = WriteAheadLog(root, durability_mode="full")
+        wal = WriteAheadLog(root)
         db, _ = wal.recover(simple_schema)
         db.attach_wal(wal)
         db.create("Thing", {"name": "before"}, payload=b"p0")
@@ -560,7 +560,7 @@ class TestFsyncFailures:
         self, simple_schema, tmp_path, monkeypatch, mode
     ):
         root = tmp_path / "wal"
-        wal = WriteAheadLog(root, durability_mode="full")
+        wal = WriteAheadLog(root)
         db, _ = wal.recover(simple_schema)
         db.attach_wal(wal)
         db.create("Thing", {"name": "before"}, payload=b"p0")
@@ -589,7 +589,7 @@ class TestFsyncFailures:
         from repro.oms import durable
 
         root = tmp_path / "wal"
-        wal = WriteAheadLog(root, durability_mode="full")
+        wal = WriteAheadLog(root)
         db, _ = wal.recover(simple_schema)
         db.attach_wal(wal)
         fail_fsync_of(monkeypatch, PACK_NAME)
@@ -601,7 +601,7 @@ class TestFsyncFailures:
         real = durable.fsync_dir
         monkeypatch.setattr(
             durable, "fsync_dir",
-            lambda path, mode=None: (synced.append(path), real(path, mode)),
+            lambda path: (synced.append(path), real(path)),
         )
         db.create("Thing", {"name": "a"}, payload=b"p0")
         db.create("Thing", {"name": "b"}, payload=b"p1")
