@@ -195,6 +195,9 @@ class HybridFramework:
         :class:`~repro.errors.NonIsomorphicHierarchyError` here.
         """
         project = self.mapper.import_library(library, user, project_name)
+        # the import tagged every version with its JCF oid: journal the
+        # tags now rather than at the library's next .meta flush
+        library.flush_props()
         if submit_hierarchy:
             self.hierarchy.submit_from_library(user, project, library)
         return project
@@ -301,8 +304,8 @@ class HybridFramework:
         and truncated, the previous checkpoint retained until the new one
         re-verifies from disk (see
         :meth:`repro.oms.wal.WriteAheadLog.checkpoint`).  FMCAD state
-        lives on disk already (libraries, version files, ``.meta``,
-        property sidecars); open ``.meta`` flushes are the caller's
+        lives on disk already (libraries, version files, ``.meta``, the
+        property journals); open ``.meta`` flushes are the caller's
         responsibility, exactly as they were the designer's.
         """
         return self.jcf.checkpoint()

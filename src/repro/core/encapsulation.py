@@ -256,6 +256,22 @@ class _ToolWrapper:
         fault_point("harvest.after_import")
         return fmcad_version, jcf_version, unchanged
 
+    def _place_tags(
+        self, harvested: List[Tuple[object, JCFDesignObjectVersion]]
+    ) -> None:
+        """Tag each harvested FMCAD version with its JCF version's oid.
+
+        Tag placement is idempotent, so glitches are simply retried.
+        """
+        for fmcad_version, version in harvested:
+            with_retries(
+                lambda fv=fmcad_version, v=version: (
+                    fault_point("harvest.before_tag"),
+                    fv.properties.set("jcf_oid", v.oid),
+                ),
+                clock=self.jcf.clock,
+            )
+
     def _compensate_checkins(
         self, user: str, library: Library, cell_name: str, completed: list
     ) -> None:
@@ -434,8 +450,11 @@ class _ToolWrapper:
                             # one .meta per run, after its version files
                             # and before its WAL record; a scheduled run
                             # leaves it to its wave, which writes it once
-                            # for all the wave's runs
+                            # for all the wave's runs.  The .meta flush
+                            # journals the tags first, so an unscheduled
+                            # run places them now
                             if not isinstance(gate, gates.RunGate):
+                                self._place_tags(harvested)
                                 publish_meta(library, user)
                     except CrashFault:
                         raise  # a dead process compensates nothing
@@ -449,19 +468,13 @@ class _ToolWrapper:
                         creates.clear()
                         changed_views = False
                         raise
-                    # the OMS transaction committed: both sides are durable.
-                    # Cross-tag the FMCAD versions now — a crash in this
-                    # window is the roll-forward case (recovery repairs the
-                    # tag from the matching payload digest).  Tag placement
-                    # is idempotent, so glitches are simply retried.
-                    for fmcad_version, version in harvested:
-                        with_retries(
-                            lambda fv=fmcad_version, v=version: (
-                                fault_point("harvest.before_tag"),
-                                fv.properties.set("jcf_oid", v.oid),
-                            ),
-                            clock=self.jcf.clock,
-                        )
+                    # a scheduled run's transaction committed into its
+                    # wave's group: cross-tag the FMCAD versions now, before
+                    # the wave journals them and writes its .meta.  A crash
+                    # in this window is the roll-forward case (recovery
+                    # repairs the tag from the matching payload digest)
+                    if isinstance(gate, gates.RunGate):
+                        self._place_tags(harvested)
                 # outputs durable and cross-tagged; derivation record pending
                 fault_point("run.before_finish")
                 self.jcf.engine.finish_activity(

@@ -34,9 +34,11 @@ wave therefore leaves no pending intent to settle:
 ==========================================  ================================
 crash point in the wave                     action
 ==========================================  ================================
-after the version files, before ``.meta``   reclaim: version files and
-                                            ``.props`` sidecars no record
-                                            names are deleted
+after the version files, before ``.meta``   reclaim: version files no
+(the property journal appended or not)      record names are deleted;
+                                            their journal lines match no
+                                            record, so the next open
+                                            drops them
 after ``.meta``, before the WAL record      roll back: ``.meta`` names
                                             versions whose ``jcf_oid`` tag
                                             no replayed OMS object backs;
@@ -167,7 +169,7 @@ class RecoveryReport:
     failed_executions: List[str] = dataclasses.field(default_factory=list)
     released_reservations: List[str] = dataclasses.field(default_factory=list)
     reclaimed_staging_files: List[str] = dataclasses.field(default_factory=list)
-    #: version files and sidecars a crash left that no ``.meta`` names
+    #: version files a crash left that no ``.meta`` names
     reclaimed_fmcad_files: List[str] = dataclasses.field(default_factory=list)
     #: corrupt payloads healed from verified peer copies (integrity scrub)
     repaired_payloads: List[str] = dataclasses.field(default_factory=list)

@@ -109,7 +109,9 @@ FAULT_POINTS: Tuple[str, ...] = (
     "harvest.after_checkin",  # FMCAD version exists, OMS import pending
     "harvest.before_import",  # ditto; .meta is written at the end
     "harvest.after_import",   # OMS version created (uncommitted)
-    "harvest.before_tag",     # both sides committed, cross-tag missing
+    "harvest.before_tag",     # cross-tags not placed; a scheduled run's
+                              # transaction committed into its wave, an
+                              # unscheduled run's not yet (nor its .meta)
     # scheduler wave (core/scheduler.py)
     "wave.before_meta",       # version files durable, no .meta names them
     # FMCAD checkout protocol (fmcad/checkout.py)

@@ -4,6 +4,9 @@ The library is the unit of design-data storage in FMCAD (Section 2.2) —
 there is no common database.  Version files are real files under the
 library directory; metadata lives in the single ``.meta`` file and in
 memory, and the two are reconciled only when a designer refreshes.
+Version properties (the coupling's ``jcf_oid`` tags among them) live in
+memory and in one property journal, ``.props.log``, that every ``.meta``
+flush appends to first.
 """
 
 from __future__ import annotations
@@ -12,13 +15,14 @@ import dataclasses
 import hashlib
 import os
 import pathlib
+import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.clock import SimClock
 from repro.errors import IntegrityError, LibraryError, MetaFileError
 from repro.faults import corruption_point
 from repro.fmcad.metafile import MetaFile, MetaRecord
-from repro.fmcad.properties import PersistentPropertyBag
+from repro.fmcad.properties import JournalKey, PropertyJournal, encode_line
 from repro.oms import durable
 from repro.fmcad.objects import (
     Cell,
@@ -54,28 +58,18 @@ class MetaSnapshot:
         )
 
 
-def _unlink_version_file(path: pathlib.Path) -> None:
-    """Unlink a version file and its sidecar, if there.
-
-    The sidecar goes first: it must never outlive its version file, or
-    the next version created at that number would inherit its tag.
-    """
-    path.with_name(path.name + ".props").unlink(missing_ok=True)
-    path.unlink(missing_ok=True)
-
-
 def _create_exclusive(path: pathlib.Path, create: Callable[[], None]) -> None:
     """Run *create*, which makes *path* only if nothing is there.
 
     A file already at a fresh version number is a dead run's leftover
-    that no ``.meta`` names.  Only then is it unlinked, with its sidecar,
-    and *create* retried once: writing through it could reach an older
-    version sharing its inode, and its sidecar would tag the new one.
+    that no ``.meta`` names.  Only then is it unlinked and *create*
+    retried once: writing through it could reach an older version
+    sharing its inode.
     """
     try:
         create()
     except FileExistsError:
-        _unlink_version_file(path)
+        path.unlink()
         create()
 
 
@@ -95,6 +89,16 @@ class Library:
         durable.make_dirs(self.directory)
         self.clock = clock or SimClock()
         self.metafile = MetaFile(self.directory / ".meta")
+        self.props_log = PropertyJournal(self.directory / ".props.log")
+        #: versions whose property bag changed since the last journal
+        #: flush, keyed by their journal key (insertion order is the
+        #: order their lines are written in)
+        self._unflushed_props: Dict[JournalKey, CellViewVersion] = {}
+        self._props_lock = threading.Lock()
+        #: ``(line number, classification)`` of the journal lines that
+        #: failed their checksum when the library was opened; never
+        #: applied, and reported by the scrubber until it rewrites them
+        self.damaged_props: List[Tuple[int, str]] = []
         self._cells: Dict[str, Cell] = {}
         #: monotone change counter; bumped on every metadata mutation.
         self.tick = 0
@@ -134,12 +138,20 @@ class Library:
         metadata was the designer's responsibility.  Cells come back
         even without a version: ``create_cell`` made their directory,
         and every non-dot directory under the library is a cell.
+
+        Properties come from the journal: a sound line applies only to
+        the version its key names (cell, view, number and created tick),
+        the last one winning.  Lines for versions no record names (a run
+        that died before its ``.meta``), damaged lines and a torn tail
+        are dropped by rewriting the journal without them, so a version
+        that later reuses a number can never inherit a stale tag.
         """
         library = cls(name, root, clock=clock)
         for entry in sorted(library.directory.iterdir()):
             if entry.is_dir() and not entry.name.startswith("."):
                 library.create_cell(entry.name)
         records, tick = library.metafile.read()
+        named: Dict[JournalKey, Tuple[CellView, CellViewVersion]] = {}
         for record in sorted(
             records, key=lambda r: (r.cell, r.view, r.version)
         ):
@@ -166,6 +178,24 @@ class Library:
                 # of this version stay verified across restarts
                 version._content_digest = record.digest
             cellview.add_version(version)
+            named[record.cell, record.view, record.version, record.tick] = (
+                cellview, version
+            )
+        entries, library.damaged_props, torn = library.props_log.read()
+        applied: Dict[JournalKey, Tuple[dict, bytes]] = {}
+        for key, props, line in entries:
+            if key in named:
+                applied.pop(key, None)  # the last line for a key wins
+                applied[key] = (props, line)
+        for key, (props, _line) in applied.items():
+            for name, value in props.items():
+                named[key][1].properties.set(name, value)
+        if torn or library.damaged_props or len(applied) != len(entries):
+            library.props_log.rewrite(
+                b"".join(line for _props, line in applied.values())
+            )
+        for cellview, version in named.values():
+            library._track(cellview, version)
         library.tick = library.flushed_tick = tick
         return library
 
@@ -187,7 +217,7 @@ class Library:
         return orphans
 
     def reclaim_orphans(self) -> List[pathlib.Path]:
-        """Delete version files and sidecars no record names; list them.
+        """Delete version files no record names; list them.
 
         A run that dies after writing its version files but before the
         ``.meta`` that would name them leaves both behind.  Nothing
@@ -216,21 +246,14 @@ class Library:
             for view in os.scandir(cell.path):
                 if not view.is_dir():
                     continue
-                doomed = []
                 for entry in os.scandir(view.path):
                     filename = entry.name
-                    if filename.endswith(".props"):
-                        filename = filename[: -len(".props")]
                     if not (
                         filename.startswith("v") and filename.endswith(".dat")
                     ) or (cell.name, view.name, filename) in named:
                         continue
-                    doomed.append(entry.path)
-                # sidecars first: one must never outlive its version file
-                doomed.sort(key=lambda path: not path.endswith(".props"))
-                for path in doomed:
-                    os.unlink(path)
-                    reclaimed.append(pathlib.Path(path))
+                    os.unlink(entry.path)
+                    reclaimed.append(pathlib.Path(entry.path))
         return sorted(reclaimed)
 
     # -- structure -------------------------------------------------------------
@@ -351,20 +374,15 @@ class Library:
         version = CellViewVersion(
             number=number, path=path, created_tick=self.tick + 1, author=author
         )
-        if len(version.properties):
-            # a lone sidecar, left by a crash under the old unlink order
-            # (version file first): the new version starts untagged
-            sidecar = path.with_name(path.name + ".props")
-            sidecar.unlink()
-            version.properties = PersistentPropertyBag(sidecar)
         version._content_digest = digest
         version._content_size = len(data)
         cellview.add_version(version)
+        self._track(cellview, version)
         self._bump()
         return version
 
     def drop_version(self, cellview: CellView, number: int) -> None:
-        """Destroy version *number* of *cellview*: record, file, sidecar.
+        """Destroy version *number* of *cellview*: record and file.
 
         This is the compensating action of crash recovery — FMCAD itself
         never deletes design data.  Only the newest version may be
@@ -379,8 +397,12 @@ class Library:
                 f"version, not {number}"
             )
         version = cellview.remove_version(number)
+        with self._props_lock:
+            self._unflushed_props.pop(
+                self._journal_key(cellview, version), None
+            )
         # the crash may have happened before the file landed
-        _unlink_version_file(version.path)
+        version.path.unlink(missing_ok=True)
         self.clock.charge_native_io(0, files=1)
         self._bump()
 
@@ -418,18 +440,96 @@ class Library:
         self.clock.charge_native_io(len(data), files=1)
         return data
 
+    # -- the property journal ------------------------------------------------------
+
+    @staticmethod
+    def _journal_key(
+        cellview: CellView, version: CellViewVersion
+    ) -> JournalKey:
+        return (
+            cellview.cell_name, cellview.view.name,
+            version.number, version.created_tick,
+        )
+
+    def _track(self, cellview: CellView, version: CellViewVersion) -> None:
+        """Queue *version*'s bag for the next journal flush on each change."""
+        key = self._journal_key(cellview, version)
+
+        def changed() -> None:
+            with self._props_lock:
+                self._unflushed_props[key] = version
+
+        version.properties.on_change = changed
+
+    def flush_props(self) -> None:
+        """Journal every bag changed since the last flush: one append.
+
+        Each changed version gets one line holding its whole bag.  A
+        failed append puts the bags back, so the next flush retries them.
+        """
+        with self._props_lock:
+            pending, self._unflushed_props = self._unflushed_props, {}
+        if not pending:
+            return
+        try:
+            self.props_log.append(b"".join(
+                encode_line(key, version.properties.as_dict())
+                for key, version in pending.items()
+            ))
+        except BaseException:
+            with self._props_lock:
+                self._unflushed_props = {**pending, **self._unflushed_props}
+            raise
+
+    def rewrite_props(self) -> None:
+        """Replace the journal with one line per tagged version in memory.
+
+        The repair for a damaged journal: memory holds every sound line
+        the library opened with, and every set since.
+        """
+        with self._props_lock:
+            self._unflushed_props = {}
+        self.props_log.rewrite(b"".join(
+            encode_line(self._journal_key(cellview, version),
+                        version.properties.as_dict())
+            for cellview in self.cellviews()
+            for version in cellview.versions
+            if len(version.properties)
+        ))
+        self.damaged_props = []
+
+    def verify_props(self) -> List[Tuple[str, str]]:
+        """``(location, classification)`` of each damaged journal line.
+
+        The lines dropped when the library was opened, and any whole line
+        on disk that fails its checksum now.
+        """
+        _entries, damaged, _torn = self.props_log.read()
+        return [
+            (f"{self.props_log.path}:{number}", classification)
+            for number, classification in self.damaged_props + damaged
+        ]
+
     # -- .meta maintenance ---------------------------------------------------------
 
     def _bump(self) -> None:
         self.tick += 1
 
     def meta_records(self) -> List[MetaRecord]:
-        """The records a faithful ``.meta`` of current state would hold."""
+        """The records a faithful ``.meta`` of current state would hold.
+
+        Each flush rewrites the whole ``.meta``, so a version's record is
+        built once and kept on the version; only a digest learnt since
+        (a version from a digest-less ``.meta``) builds it again.
+        """
         records: List[MetaRecord] = []
         for cellview in self.cellviews():
             for version in cellview.versions:
-                records.append(
-                    MetaRecord(
+                record = version._meta_record
+                if record is None or record.digest != (
+                    version._content_digest or ""
+                ):
+                    record = version._meta_record = MetaRecord(
                         cell=cellview.cell_name,
                         view=cellview.view.name,
                         viewtype=cellview.viewtype.name,
@@ -439,7 +539,7 @@ class Library:
                         tick=version.created_tick,
                         digest=version._content_digest or "",
                     )
-                )
+                records.append(record)
         return records
 
     def flush_meta(self, user: str) -> bool:
@@ -447,12 +547,15 @@ class Library:
 
         Returns False when the lock is held by another user (a contention
         event) — the caller must retry, exactly the explicit coordination
-        Section 3.1 complains about.
+        Section 3.1 complains about.  The property journal is flushed
+        first, so every line is durable before a ``.meta`` names its
+        version; it is not charged to the clock.
         """
         if not self.metafile.acquire(user):
             return False
         try:
             tick = self.tick
+            self.flush_props()
             written = self.metafile.write(self.meta_records(), tick, user)
             self.flushed_tick = tick
             self.clock.charge_native_io(written, files=1)

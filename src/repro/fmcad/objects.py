@@ -20,7 +20,7 @@ import pathlib
 from typing import Dict, List, Optional
 
 from repro.errors import FMCADError, ViewTypeError
-from repro.fmcad.properties import PersistentPropertyBag, PropertyBag
+from repro.fmcad.properties import PropertyBag
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,10 +125,11 @@ class CellViewVersion:
         # versions reconstructed from .meta, where mismatches default to
         # the bit-rot class
         self._content_size: Optional[int] = None
-        # properties live next to the design file and survive restarts
-        self.properties = PersistentPropertyBag(
-            self.path.with_name(self.path.name + ".props")
-        )
+        # made durable by the owning library's property journal
+        self.properties = PropertyBag()
+        #: this version's ``.meta`` record, built by the owning library
+        #: on its first flush
+        self._meta_record = None
 
     def read_data(self) -> bytes:
         """Read the design file for this version."""
@@ -229,7 +230,7 @@ class CellView:
 
         Metadata-only: the version file stays on disk — callers that
         mean to destroy data go through ``Library.drop_version``, which
-        also removes the file and the property sidecar.
+        also removes the file.
         """
         version = self.version(number)  # raises when absent
         self.versions.remove(version)

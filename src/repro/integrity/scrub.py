@@ -2,7 +2,8 @@
 
 The scrubber walks every at-rest representation the coupling owns —
 OMS blobs (including delta chains), staged files, FMCAD version files,
-``.meta`` files, the write-ahead log (checkpoints, logs, payload
+``.meta`` files, the libraries' property journals and the ``jcf_oid``
+tags they hold, the write-ahead log (checkpoints, logs, payload
 pack) — re-verifies each against its recorded checksum, and
 classifies what it finds:
 
@@ -16,7 +17,10 @@ In repair mode it heals findings from *verified* peers: the coupling
 mirrors every payload on both sides of the master/slave split (OMS blob
 <-> FMCAD version file, plus staged copies), so a damaged copy is
 re-written from a sibling that first re-proves its own content address;
-damaged WAL files are healed by a fresh checkpoint of the live database.
+damaged WAL files are healed by a fresh checkpoint of the live database,
+a damaged property journal is rewritten from the live library, and a
+version that lost its tag gets it back from the OMS version whose
+``directory_path`` names its file and whose payload matches it.
 Repair iterates to a fixpoint — healing a delta base heals every delta
 stacked on it — and whatever still fails afterwards is **quarantined**:
 blobs are flagged so reads raise :class:`QuarantinedError`, files are
@@ -57,7 +61,8 @@ NOTED = "noted"                # informational (orphans); never actionable
 class ScrubFinding:
     """One damaged (or noteworthy) artifact the scrubber saw."""
 
-    area: str            # blob | staging | fmcad-version | meta | wal | *-orphan
+    area: str            # blob | staging | fmcad-version | meta | props |
+                         # fmcad-tag | wal | *-orphan
     location: str        # stable key: blob:<digest> or an absolute path
     classification: str  # bit-rot | truncation | torn-write | missing | orphan
     action: str = DETECTED
@@ -148,6 +153,9 @@ class Scrubber:
         # routing indexes rebuilt by every _collect pass
         self._version_index: Dict[str, Tuple[Library, CellViewVersion]] = {}
         self._meta_owner: Dict[str, Optional[Library]] = {}
+        #: version file path -> (library, version, oid of the OMS version
+        #: whose tag it lost)
+        self._lost_tags: Dict[str, Tuple[Library, CellViewVersion, str]] = {}
 
     # -- the entry point -------------------------------------------------------
 
@@ -202,6 +210,7 @@ class Scrubber:
         findings: List[ScrubFinding] = []
         self._version_index = {}
         self._meta_owner = {}
+        self._lost_tags = {}
 
         for digest, classification in sorted(
             self.jcf.db.scrub_payloads().items()
@@ -251,6 +260,20 @@ class Scrubber:
                     )
             except MetaFileError:
                 pass  # already reported as a meta finding above
+            for location, classification in library.verify_props():
+                findings.append(
+                    ScrubFinding(
+                        "props", location, classification,
+                        detail=library.name,
+                    )
+                )
+        for location, entry in sorted(self._find_lost_tags(libraries).items()):
+            self._lost_tags[location] = entry
+            findings.append(
+                ScrubFinding(
+                    "fmcad-tag", location, "missing", detail=entry[0].name
+                )
+            )
         for name, classification in unopenable:
             meta_path = str(self.fmcad.root / "libs" / name / ".meta")
             self._meta_owner[meta_path] = None
@@ -263,6 +286,35 @@ class Scrubber:
                 findings.append(ScrubFinding("wal", location, classification))
 
         return [f for f in findings if f.location not in self._manifest]
+
+    def _find_lost_tags(
+        self, libraries: List[Library]
+    ) -> Dict[str, Tuple[Library, CellViewVersion, str]]:
+        """Untagged versions that an OMS version names, by file path.
+
+        The OMS version must name the file in its ``directory_path`` and
+        hold the same payload.  Untagged versions are rare (a damaged
+        journal line, a crash before a scheduled run placed its tags), so
+        the OMS side is read only when there is one.
+        """
+        untagged = {
+            str(version.path): (library, version)
+            for library in libraries
+            for cellview in library.cellviews()
+            for version in cellview.versions
+            if version.properties.get("jcf_oid") is None
+        }
+        if not untagged:
+            return {}
+        lost: Dict[str, Tuple[Library, CellViewVersion, str]] = {}
+        for obj in self.jcf.db.select("DesignObjectVersion"):
+            owner = untagged.get(obj.get("directory_path"))
+            if owner is None:
+                continue
+            library, version = owner
+            if obj.payload_digest == version._content_digest:
+                lost[str(version.path)] = (library, version, obj.oid)
+        return lost
 
     # -- repair ----------------------------------------------------------------
 
@@ -300,6 +352,15 @@ class Scrubber:
             if not library.flush_meta(self.user):
                 return False  # writer lock contended
             return library.metafile.verify() is None
+        if finding.area == "props":
+            library = self.fmcad.library(finding.detail)
+            library.rewrite_props()
+            return not library.verify_props()
+        if finding.area == "fmcad-tag":
+            library, version, oid = self._lost_tags[finding.location]
+            version.properties.set("jcf_oid", oid)
+            library.flush_props()
+            return True
         if finding.area == "wal":
             # the live database is the repair source: a checkpoint
             # rewrites the checkpoint durably and verified, and retires

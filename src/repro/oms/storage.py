@@ -607,8 +607,12 @@ class StagingArea:
             return False
         try:
             if not writable:
-                path.unlink(missing_ok=True)
-                os.link(source, path)
+                try:
+                    os.link(source, path)
+                except FileExistsError:
+                    # an earlier export of this oid: replace its name
+                    path.unlink()
+                    os.link(source, path)
             elif not reflink_file(source, path):
                 return False
         except OSError:  # pragma: no cover - filesystem refused mid-flight

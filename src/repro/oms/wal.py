@@ -59,6 +59,7 @@ import os
 import pathlib
 import struct
 import threading
+import weakref
 from typing import Any, BinaryIO, Dict, List, Optional, Set, Tuple, Union
 
 from repro.clock import SimClock
@@ -131,6 +132,12 @@ class WALRecoveryInfo:
         )
 
 
+def _close_fds(fds: Dict[pathlib.Path, int]) -> None:
+    """Close and forget every descriptor in *fds*."""
+    while fds:
+        os.close(fds.popitem()[1])
+
+
 class WriteAheadLog:
     """Append-only commit log with periodic compaction.
 
@@ -152,6 +159,11 @@ class WriteAheadLog:
         #: whether this WAL has fsynced the directory since the pack's
         #: file was created (or since it first appended to it)
         self._pack_entry_synced = False
+        #: append descriptors of the log and the pack, kept open across
+        #: commits; closed when a checkpoint rotates or retires a file
+        #: or a repair cuts one, and when this object is collected
+        self._fds: Dict[pathlib.Path, int] = {}
+        weakref.finalize(self, _close_fds, self._fds)
         # -- counters (bench/stats surface) --
         self.records_appended = 0
         self.ops_appended = 0
@@ -326,11 +338,16 @@ class WriteAheadLog:
     def _append(self, path: pathlib.Path, data: bytes) -> int:
         """Append *data* to *path*, fsync it; returns where it landed.
 
-        A write that fails is cut back off, so the next append never
-        lands behind a partial one.  A failed fsync raises
+        The file is opened on its first append and stays open.  A write
+        that fails is cut back off, so the next append never lands
+        behind a partial one.  A failed fsync raises
         :class:`~repro.errors.WALSyncError`: the bytes are in the file.
+        Either failure closes the descriptor.
         """
-        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        fd = self._fds.get(path)
+        if fd is None:
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            self._fds[path] = fd
         try:
             start = os.lseek(fd, 0, os.SEEK_END)
             try:
@@ -346,12 +363,16 @@ class WriteAheadLog:
                 raise WALSyncError(
                     f"{path.name}: appended but not synced ({exc})"
                 ) from exc
-        finally:
-            os.close(fd)
+        except BaseException:
+            os.close(self._fds.pop(path))
+            raise
         return start
 
     def _truncate(self, path: pathlib.Path, offset: int) -> None:
         """Durably cut *path* back to *offset* bytes (drop a torn tail)."""
+        fd = self._fds.pop(path, None)
+        if fd is not None:
+            os.close(fd)
         with open(path, "r+b") as handle:
             handle.truncate(offset)
             os.fsync(handle.fileno())
@@ -562,6 +583,9 @@ class WriteAheadLog:
         # checkpoint must not make them durable behind the log's back
         database.refuse_if_stopped()
         with self._lock:
+            # the log is rotated and the pack retired below: the next
+            # append opens the files anew
+            _close_fds(self._fds)
             fault_point("wal.checkpoint")  # window 1
             data = dump_snapshot(database)
             problem = verify_snapshot_bytes(data)

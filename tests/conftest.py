@@ -189,6 +189,58 @@ def adopted_cell(hybrid):
     return hybrid, project, library, "inv2"
 
 
+#: audit events the namespace_ops fixture records, by kind
+_NAMESPACE_EVENTS = {
+    "os.mkdir": "mkdir",
+    "os.remove": "unlink",
+    "os.rmdir": "rmdir",
+    "os.listdir": "listdir",
+    "os.scandir": "listdir",
+    "os.rename": "rename",
+    "os.link": "link",
+}
+
+_namespace_record = None
+_namespace_hooked = False
+
+
+def _namespace_audit(event, args) -> None:
+    record = _namespace_record
+    if record is None:
+        return
+    if event == "open":
+        path, _mode, flags = args
+        if not isinstance(path, (str, os.PathLike)):
+            return
+        # an O_CREAT open of a file already there creates no inode
+        if flags & os.O_CREAT and not os.path.exists(path):
+            record.append(("create", os.fspath(path)))
+        if flags & os.O_APPEND:
+            record.append(("append", os.fspath(path)))
+    elif event in _NAMESPACE_EVENTS:
+        record.append((_NAMESPACE_EVENTS[event], os.fspath(args[0])))
+
+
+@pytest.fixture
+def namespace_ops():
+    """A list that collects ``(kind, path)`` for the test's duration.
+
+    Kinds: ``create`` (an open that makes a new inode), ``append`` (an
+    ``O_APPEND`` open), and the namespace calls of ``_NAMESPACE_EVENTS``.
+    """
+    global _namespace_record, _namespace_hooked
+    if not _namespace_hooked:
+        # audit hooks cannot be removed; this one is inert while
+        # _namespace_record is None
+        sys.addaudithook(_namespace_audit)
+        _namespace_hooked = True
+    _namespace_record = []
+    try:
+        yield _namespace_record
+    finally:
+        _namespace_record = None
+
+
 def build_wave_environment(root, n_cells: int = 4):
     """A hybrid at *root* with cells ``cell0..`` of ``chiplib`` adopted.
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.mapping import WORKING_VARIANT
+from repro.core.scheduler import RUN_CRASHED, RunRequest
 from repro.errors import CouplingError
 from repro.faults import CrashFault, FaultPlan, TransientFault, inject
 from repro.jcf.model import (
@@ -191,11 +192,17 @@ class TestRollback:
 
 class TestRollForward:
     def test_crash_before_tag_repairs_cross_tag(self, adopted_cell):
+        """A scheduled run commits into its wave, then dies untagged."""
         hybrid, project, library, cell = adopted_cell
+        request = RunRequest(
+            "alice", project, library, cell, "schematic_entry",
+            kwargs={"edit_fn": build_inverter_editor_fn()},
+        )
         with inject(FaultPlan.crash("harvest.before_tag")):
-            with pytest.raises(CrashFault):
-                run_schematic(hybrid, project, library, cell)
-        # both sides committed; only the cross-tags are missing
+            result = hybrid.run_many([request])
+        assert result.outcomes[0].status == RUN_CRASHED
+        # the wave logged both sides and wrote its .meta; only the
+        # cross-tags are missing
         cellview = library.cellview(cell, "schematic")
         assert len(cellview.versions) == 1
         assert cellview.versions[0].properties.get("jcf_oid") is None
@@ -207,6 +214,22 @@ class TestRollForward:
         tag = cellview.versions[0].properties.get("jcf_oid")
         assert tag is not None and hybrid.jcf.db.exists(tag)
         assert hybrid.audit().clean
+
+    def test_unscheduled_crash_before_tag_rolls_back(self, adopted_cell):
+        """Unscheduled, the tags precede the run's .meta and commit."""
+        hybrid, project, library, cell = adopted_cell
+        with inject(FaultPlan.crash("harvest.before_tag")):
+            with pytest.raises(CrashFault):
+                run_schematic(hybrid, project, library, cell)
+        assert not library.meta_names(
+            library.cellview(cell, "schematic").versions[0]
+        )
+        report = hybrid.recover()
+        assert report.deleted_fmcad_versions
+        assert report.aborted_intents and not report.completed_intents
+        assert library.cellview(cell, "schematic").versions == []
+        assert hybrid.audit().clean
+        assert run_schematic(hybrid, project, library, cell).success
 
     def test_crash_before_finish_keeps_outputs(self, adopted_cell):
         hybrid, project, library, cell = adopted_cell

@@ -101,6 +101,25 @@ class TestMetaMaintenance:
         assert snapshot.versions_of("alu", "schematic") == [1]
         assert not snapshot.is_stale(library)
 
+    def test_flush_writes_a_digest_learnt_after_open(self, tmp_path, clock):
+        """A version-1 ``.meta`` has no digests; a later flush adds one."""
+        import hashlib
+
+        view_dir = tmp_path / "libs" / "old" / "alu" / "schematic"
+        view_dir.mkdir(parents=True)
+        (view_dir / "v0001.dat").write_bytes(b"old data")
+        (tmp_path / "libs" / "old" / ".meta").write_text(
+            "#FMCAD-META 1\ntick=3\n"
+            "alu|schematic|schematic|1|v0001.dat|alice|3\n"
+        )
+        library = Library.open("old", tmp_path / "libs", clock=clock)
+        assert library.flush_meta("alice")
+        assert library.metafile.read()[0][0].digest == ""
+        library.cellview("alu", "schematic").version(1).content_digest()
+        assert library.flush_meta("alice")
+        assert library.metafile.read()[0][0].digest == \
+            hashlib.sha256(b"old data").hexdigest()
+
     def test_snapshot_goes_stale_without_flush(self, library):
         library.create_cell("alu")
         cellview = library.create_cellview("alu", "schematic")
@@ -206,7 +225,7 @@ class TestReopenFromDisk:
         assert reopened.read_version(cellview) == b"v2 data"
         assert reopened.read_version(cellview, 1) == b"v1 data"
 
-    def test_open_recovers_property_sidecars(self, tmp_path, clock):
+    def test_open_recovers_properties_from_journal(self, tmp_path, clock):
         self.make_flushed_library(tmp_path, clock)
         reopened = Library.open("persist", tmp_path / "libs", clock=clock)
         version = reopened.cellview("alu", "schematic").version(1)
@@ -243,6 +262,32 @@ class TestReopenFromDisk:
         assert fresh.properties.get("jcf_oid") is None
         assert not fresh.path.with_name("v0003.dat.props").exists()
 
+    def test_journalled_tag_without_meta_is_not_inherited(
+        self, tmp_path, clock
+    ):
+        """The dead run's line reached the journal; its .meta did not."""
+        library = self.make_flushed_library(tmp_path, clock)
+        cellview = library.cellview("alu", "schematic")
+        dead = library.write_version(cellview, b"dead run", "bob")
+        dead.properties.set("jcf_oid", "DesignObjectVersion:000009")
+        library.flush_props()
+        reopened = Library.open("persist", tmp_path / "libs", clock=clock)
+        # the line matches no .meta record: the reopen drops it
+        assert [key[:3] for key, _, _ in reopened.props_log.read()[0]] == [
+            ("alu", "schematic", 1)
+        ]
+        cellview = reopened.cellview("alu", "schematic")
+        fresh = reopened.write_version(cellview, b"fresh", "alice")
+        # same number and same created tick as the dead version
+        assert (fresh.number, fresh.created_tick) == (3, dead.created_tick)
+        reopened.flush_meta("alice")
+        again = Library.open("persist", tmp_path / "libs", clock=clock)
+        version = again.cellview("alu", "schematic").version(3)
+        assert version.properties.get("jcf_oid") is None
+        assert again.cellview("alu", "schematic").version(1).properties.get(
+            "jcf_oid"
+        ) == "DesignObjectVersion:000001"
+
     def test_leftover_link_is_replaced_not_written_through(
         self, tmp_path, clock
     ):
@@ -267,9 +312,9 @@ class TestReopenFromDisk:
         dead.properties.set("jcf_oid", "DesignObjectVersion:000009")
         reopened = Library.open("persist", tmp_path / "libs", clock=clock)
         reclaimed = reopened.reclaim_orphans()
-        assert [p.name for p in reclaimed] == ["v0003.dat", "v0003.dat.props"]
+        assert [p.name for p in reclaimed] == ["v0003.dat"]
         assert reopened.orphaned_files() == []
-        # named versions and their sidecars stay
+        # named versions and their tags stay
         cellview = reopened.cellview("alu", "schematic")
         assert reopened.read_version(cellview, 1) == b"v1 data"
         assert cellview.version(1).properties.get("jcf_oid")
@@ -300,3 +345,88 @@ class TestReopenFromDisk:
         Library("fresh", tmp_path / "libs", clock=clock)
         reopened = Library.open("fresh", tmp_path / "libs", clock=clock)
         assert reopened.cells() == []
+
+
+class TestPropertyJournal:
+    def test_concurrent_sets_and_flushes_lose_no_line(self, tmp_path, clock):
+        """Tags set on many threads while another thread flushes."""
+        import sys
+        import threading
+
+        library = Library("busy", tmp_path / "libs", clock=clock)
+        versions = []
+        for cell in range(8):
+            library.create_cell(f"c{cell}")
+            cellview = library.create_cellview(f"c{cell}", "schematic")
+            for n in range(20):
+                versions.append(library.write_version(
+                    cellview, b"%d/%d" % (cell, n), "alice"
+                ))
+        done = threading.Event()
+
+        def tag(mine):
+            for version in mine:
+                version.properties.set("jcf_oid", f"oid-{version.path}")
+
+        def flush():
+            while not done.is_set():
+                library.flush_props()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            flusher = threading.Thread(target=flush)
+            flusher.start()
+            taggers = [
+                threading.Thread(target=tag, args=(versions[i::8],))
+                for i in range(8)
+            ]
+            for thread in taggers:
+                thread.start()
+            for thread in taggers:
+                thread.join(timeout=30)
+            done.set()
+            flusher.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not flusher.is_alive()
+        assert not any(thread.is_alive() for thread in taggers)
+        library.flush_meta("alice")
+        reopened = Library.open("busy", tmp_path / "libs", clock=clock)
+        for cellview in reopened.cellviews():
+            for version in cellview.versions:
+                assert version.properties.get("jcf_oid") == \
+                    f"oid-{version.path}"
+
+    def test_failed_append_leaves_no_partial_line(
+        self, tmp_path, clock, monkeypatch
+    ):
+        import os
+
+        library = Library("torn", tmp_path / "libs", clock=clock)
+        library.create_cell("alu")
+        cellview = library.create_cellview("alu", "schematic")
+        first = library.write_version(cellview, b"one", "alice")
+        first.properties.set("jcf_oid", "DesignObjectVersion:000001")
+        library.flush_meta("alice")
+        whole = library.props_log.path.read_bytes()
+        second = library.write_version(cellview, b"two", "alice")
+        second.properties.set("jcf_oid", "DesignObjectVersion:000002")
+        real_write = os.write
+
+        def half_then_fail(fd, data):
+            real_write(fd, bytes(data[: len(data) // 2]))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "write", half_then_fail)
+        with pytest.raises(OSError):
+            library.flush_props()
+        monkeypatch.setattr(os, "write", real_write)
+        assert library.props_log.path.read_bytes() == whole
+        # the bag stays queued: the next flush writes it
+        library.flush_meta("alice")
+        reopened = Library.open("torn", tmp_path / "libs", clock=clock)
+        assert [
+            v.properties.get("jcf_oid")
+            for v in reopened.cellview("alu", "schematic").versions
+        ] == ["DesignObjectVersion:000001", "DesignObjectVersion:000002"]

@@ -1,7 +1,7 @@
 """Integration: a hybrid environment survives a framework restart.
 
 JCF state persists as an OMS snapshot, FMCAD state as the on-disk
-library (version files, ``.meta``, property sidecars).  After
+library (version files, ``.meta``, the property journal).  After
 ``HybridFramework.reopen`` the flow continues exactly where it stopped:
 reservations hold, flow progress is remembered, derivation recording
 resumes, and the consistency scan still cross-checks both sides.
@@ -91,13 +91,16 @@ class TestReopen:
         assert cell.has_cellview("simulation")
         assert cell.cellview("schematic").default_version is not None
 
-    def test_property_sidecars_restore_jcf_tags(self, saved_environment):
+    def test_property_journal_restores_jcf_tags(self, saved_environment):
         hybrid = HybridFramework.reopen(saved_environment)
         library = hybrid.fmcad.library("lib")
         version = library.cellview("buf2", "schematic").version(1)
         oid = version.properties.get("jcf_oid")
         assert oid is not None
         assert hybrid.jcf.db.exists(oid)
+        # one journal per library, no file per version
+        assert library.props_log.path.exists()
+        assert list(library.directory.glob("*/*/*.props")) == []
 
     def test_design_payloads_match_after_restart(self, saved_environment):
         hybrid = HybridFramework.reopen(saved_environment)

@@ -14,7 +14,10 @@ before its WAL record.  The payload pack adds two more: after the
 pack's fsync but before the record append (orphan frames), and a torn
 final frame.  The version files' directory entries, and those of the
 view directories a run made, are fsynced before any ``.meta`` names
-them, also when the wave dies at ``wave.before_meta``.
+them, also when the wave dies at ``wave.before_meta``.  The property
+journal's lines are appended before the ``.meta`` naming their versions:
+a crash between the two, a torn journal tail and an emptied journal all
+reopen to a clean audit.
 """
 
 import os
@@ -262,11 +265,12 @@ class TestProcessDeathInAWave:
 
         hybrid = HybridFramework.reopen(root)
         library = hybrid.fmcad.library("chiplib")
-        # the dead wave's version files and tagged sidecars are on disk,
-        # named by no .meta record
+        # the dead wave's version files are on disk, named by no .meta
+        # record; it died before journalling their tags
         assert len(library.orphaned_files()) == 8
+        assert not library.props_log.path.exists()
         # a checkin that lands on a dead run's version number starts
-        # from nothing: it must not load the leftover sidecar's tag
+        # from nothing
         cellview = library.create_cellview("cell0", "schematic")
         fresh = library.write_version(cellview, b"fresh bytes", "alice")
         assert fresh.number == 1
@@ -275,7 +279,7 @@ class TestProcessDeathInAWave:
         library.drop_version(cellview, 1)
 
         report = hybrid.recover()
-        assert len(report.reclaimed_fmcad_files) == 14
+        assert len(report.reclaimed_fmcad_files) == 7
         assert library.orphaned_files() == []
         assert hybrid.audit().clean
 
@@ -479,3 +483,76 @@ class TestPackCrashes:
         hybrid3 = HybridFramework.reopen(root)
         assert dump_snapshot(hybrid3.jcf.db) == dump_snapshot(hybrid2.jcf.db)
         assert_no_wave_leftovers(hybrid3)
+
+
+class TestPropertyJournal:
+    """The library's ``.props.log`` across crashes and damage."""
+
+    def test_crash_after_journal_append_before_meta(self, tmp_path):
+        """Unscheduled: the run's tags are journalled, its .meta is not."""
+        root = tmp_path / "env"
+        hybrid = build_environment(root)
+        library = hybrid.fmcad.library("chiplib")
+        with inject(FaultPlan.crash("fmcad.meta")):
+            with pytest.raises(CrashFault):
+                run_workload(hybrid)
+        entries, _, _ = library.props_log.read()
+        assert entries  # the schematic run's tags reached the journal
+        assert not any(library.meta_names(v)
+                       for cv in library.cellviews() for v in cv.versions)
+
+        hybrid2 = restart_recover(root)
+        library2 = hybrid2.fmcad.library("chiplib")
+        assert library2.props_log.read() == ([], [], False)
+        assert library2.orphaned_files() == []
+        assert all(not cv.versions for cv in library2.cellviews())
+        results = run_workload(hybrid2)
+        assert all(result.success for result in results)
+        assert_no_wave_leftovers(hybrid2)
+        assert_no_wave_leftovers(HybridFramework.reopen(root))
+
+    def test_torn_journal_tail(self, tmp_path):
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root)
+        result = hybrid.run_many(schematic_wave(project, library, cells[:2]))
+        assert all(o.ok for o in result.outcomes)
+        journal = library.props_log.path
+        whole = journal.read_bytes()
+        # a crash mid-append leaves the head of a line at the end
+        journal.write_bytes(whole + whole.splitlines(True)[0][:20])
+
+        hybrid2 = HybridFramework.reopen(root)
+        assert journal.read_bytes() == whole
+        hybrid2.recover()
+        assert_no_wave_leftovers(hybrid2)
+        project2 = hybrid2.jcf.project("chipA")
+        library2 = hybrid2.fmcad.library("chiplib")
+        result = hybrid2.run_many(
+            schematic_wave(project2, library2, cells[2:])
+        )
+        assert all(o.ok for o in result.outcomes)
+        hybrid3 = HybridFramework.reopen(root)
+        assert len(hybrid3.fmcad.library("chiplib").props_log.read()[0]) == 8
+        assert_no_wave_leftovers(hybrid3)
+
+    def test_emptied_journal_reopens_and_recovers_tags(self, tmp_path):
+        """An emptied property store must not stop a reopen."""
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root)
+        result = hybrid.run_many(schematic_wave(project, library, cells))
+        assert all(o.ok for o in result.outcomes)
+        library.props_log.path.write_bytes(b"")
+
+        hybrid2 = HybridFramework.reopen(root)
+        audit = hybrid2.audit()
+        assert sum(
+            finding.category == "orphan-version"
+            for finding in audit.findings
+        ) == 8
+        report = hybrid2.recover()
+        # each tag comes back from the OMS version naming its file
+        assert sum(
+            "fmcad-tag" in finding for finding in report.repaired_payloads
+        ) == 8
+        assert_no_wave_leftovers(hybrid2)
+        assert_no_wave_leftovers(HybridFramework.reopen(root))

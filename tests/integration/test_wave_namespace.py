@@ -5,67 +5,19 @@ file system (Section 2.1), but only as SimClock charges; the files the
 reproduction itself creates around it cost real kernel work.  These
 tests record every namespace operation through an audit hook and pin
 down what one wave of schematic entries leaves behind: its view
-directories, version files and sidecars, and one ``.meta`` temp.
+directories, its version files, one ``.meta`` temp and one append to
+the library's property journal.
 """
 
 from __future__ import annotations
 
 import os
-import sys
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import pytest
 
 from repro.fmcad.library import Library
 from tests.conftest import build_wave_environment, schematic_wave
-
-#: audit events the namespace_ops fixture records, by kind
-_NAMESPACE_EVENTS = {
-    "os.mkdir": "mkdir",
-    "os.remove": "unlink",
-    "os.rmdir": "rmdir",
-    "os.listdir": "listdir",
-    "os.scandir": "listdir",
-    "os.rename": "rename",
-    "os.link": "link",
-}
-
-_record: Optional[List[Tuple[str, str]]] = None
-_hooked = False
-
-
-def _audit(event, args) -> None:
-    record = _record
-    if record is None:
-        return
-    if event == "open":
-        path, _mode, flags = args
-        # an O_CREAT open of a file already there creates no inode
-        if (
-            isinstance(path, (str, os.PathLike))
-            and flags & os.O_CREAT
-            and not os.path.exists(path)
-        ):
-            record.append(("create", os.fspath(path)))
-    elif event in _NAMESPACE_EVENTS:
-        record.append((_NAMESPACE_EVENTS[event], os.fspath(args[0])))
-
-
-@pytest.fixture
-def namespace_ops():
-    """A list that collects ``(kind, path)`` for the test's duration."""
-    global _record, _hooked
-    if not _hooked:
-        # audit hooks cannot be removed; this one is inert while
-        # _record is None
-        sys.addaudithook(_audit)
-        _hooked = True
-    _record = []
-    try:
-        yield _record
-    finally:
-        _record = None
-
 
 def _kinds(ops, root) -> List[Tuple[str, str]]:
     return [(kind, os.path.relpath(path, root)) for kind, path in ops]
@@ -101,15 +53,19 @@ class TestScheduledWave:
         assert sorted(path for kind, path in ops if kind == "create") == \
             sorted(
                 [
-                    f"{lib}/{cell}/{view}/v0001.dat{suffix}"
+                    f"{lib}/{cell}/{view}/v0001.dat"
                     for cell in fresh
                     for view in views
-                    for suffix in ("", ".props")
                 ]
                 + [f"{lib}/.meta.tmp"]
             )
         assert [op for op in ops if op[0] == "rename"] == [
             ("rename", f"{lib}/.meta.tmp")
+        ]
+        # the WAL keeps its log and pack open: the wave's one append
+        # open is the property journal's
+        assert [op for op in ops if op[0] == "append"] == [
+            ("append", f"{lib}/.props.log")
         ]
         stats = hybrid.fmcad.checkouts.stats()
         assert stats["working_files"] == 0
@@ -135,7 +91,7 @@ class TestWriteVersionOntoLeftovers:
         library.flush_meta("alice")
         return library
 
-    @pytest.mark.parametrize("leftover", ["dat", "link", "props"])
+    @pytest.mark.parametrize("leftover", ["dat", "link"])
     def test_checkin_starts_from_no_tag(
         self, tmp_path, clock, namespace_ops, leftover
     ):
@@ -144,12 +100,9 @@ class TestWriteVersionOntoLeftovers:
         dead = view_dir / "v0003.dat"
         if leftover == "dat":
             dead.write_bytes(b"dead run")
-        elif leftover == "link":
+        else:
             # a dead dedup checkin: shares its inode with v2
             os.link(view_dir / "v0002.dat", dead)
-        # "props" alone: a crash between the two unlinks of a drop under
-        # the old order (version file first) leaves a lone sidecar
-        (view_dir / "v0003.dat.props").write_text('{"jcf_oid": "dead tag"}')
         reopened = Library.open("persist", tmp_path / "libs", clock=clock)
         cellview = reopened.cellview("alu", "schematic")
         namespace_ops.clear()
@@ -158,24 +111,11 @@ class TestWriteVersionOntoLeftovers:
 
         assert fresh.number == 3
         assert fresh.properties.get("jcf_oid") is None
-        assert not (view_dir / "v0003.dat.props").exists()
         assert reopened.read_version(cellview, 3) == b"fresh"
         assert reopened.read_version(cellview, 2) == b"v2 data"
         assert cellview.version(2).properties.get("jcf_oid")
-        if leftover == "props":
-            # the create finds nothing in its way; the stale sidecar is
-            # the one thing unlinked
-            assert ops == [
-                ("create", "v0003.dat"), ("unlink", "v0003.dat.props")
-            ]
-        else:
-            # the exclusive create fails once, then the leftover goes,
-            # its sidecar first
-            assert ops == [
-                ("unlink", "v0003.dat.props"),
-                ("unlink", "v0003.dat"),
-                ("create", "v0003.dat"),
-            ]
+        # the exclusive create fails once, then the leftover goes
+        assert ops == [("unlink", "v0003.dat"), ("create", "v0003.dat")]
 
     def test_clean_number_is_created_without_unlinks(
         self, tmp_path, clock, namespace_ops
@@ -187,7 +127,7 @@ class TestWriteVersionOntoLeftovers:
         )
         assert [kind for kind, _ in namespace_ops] == ["create"]
 
-    def test_drop_unlinks_the_sidecar_first(
+    def test_drop_unlinks_only_the_version_file(
         self, tmp_path, clock, namespace_ops
     ):
         library = self._library(tmp_path, clock)
@@ -195,4 +135,4 @@ class TestWriteVersionOntoLeftovers:
         library.drop_version(library.cellview("alu", "schematic"), 2)
         assert [
             (kind, os.path.basename(path)) for kind, path in namespace_ops
-        ] == [("unlink", "v0002.dat.props"), ("unlink", "v0002.dat")]
+        ] == [("unlink", "v0002.dat")]

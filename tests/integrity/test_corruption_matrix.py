@@ -15,7 +15,8 @@ matrix asserts the three-step contract of the integrity layer:
 
 The ``fmcad.meta`` point is also hit on the one write a scheduled wave
 makes: by damage, and by a crash there, both in process and as a real
-process exit.
+process exit.  A bit-flipped line of a library's property journal is
+never applied, and the scrubber reports and repairs it.
 """
 
 import hashlib
@@ -375,10 +376,17 @@ class TestCrashAtWaveMetaWrite:
                 hybrid.run_many(schematic_wave(project, library, cells))
         assert library.metafile.path.read_bytes() == meta_before
 
+        # the crash came after the property journal append: its lines
+        # name versions no .meta record does
+        assert len(library.props_log.read()[0]) == 8
         reopened = HybridFramework.reopen(root)
+        # the reopen drops them, so no later version inherits a tag
+        assert reopened.fmcad.library("chiplib").props_log.read() == (
+            [], [], False
+        )
         report = reopened.recover()
-        # 4 runs x 2 views, each a version file plus its tag sidecar
-        assert len(report.reclaimed_fmcad_files) == 16
+        # 4 runs x 2 views, one version file each
+        assert len(report.reclaimed_fmcad_files) == 8
         assert_no_wave_leftovers(reopened)
 
     def test_process_exit_at_the_wave_write(self, tmp_path):
@@ -392,8 +400,65 @@ class TestCrashAtWaveMetaWrite:
         """)
         reopened = HybridFramework.reopen(root)
         report = reopened.recover()
-        assert len(report.reclaimed_fmcad_files) == 16
+        assert len(report.reclaimed_fmcad_files) == 8
         assert_no_wave_leftovers(reopened)
+
+
+def flip_journal_line(library, line_index=1):
+    """Flip one bit inside a line of *library*'s property journal."""
+    journal = library.props_log.path
+    data = bytearray(journal.read_bytes())
+    start = sum(
+        len(line) for line in bytes(data).splitlines(True)[:line_index]
+    )
+    data[start + 20] ^= 0x01
+    journal.write_bytes(bytes(data))
+
+
+class TestPropertyJournalLine:
+    """One bit-flipped line of a library's ``.props.log``."""
+
+    def test_live_damage_reported_and_rewritten(self, tmp_path):
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root)
+        result = hybrid.run_many(schematic_wave(project, library, cells))
+        assert all(outcome.ok for outcome in result.outcomes)
+        flip_journal_line(library)
+
+        report = Scrubber(hybrid.jcf, hybrid.fmcad).scrub()
+        assert [(f.area, f.classification) for f in report.findings] == [
+            ("props", "bit-rot")
+        ]
+        assert f"{library.props_log.path}:2" == report.findings[0].location
+        # the live library is the repair source
+        assert Scrubber(hybrid.jcf, hybrid.fmcad).scrub(repair=True).ok
+        assert Scrubber(hybrid.jcf, hybrid.fmcad).scrub().clean
+        assert_no_wave_leftovers(HybridFramework.reopen(root))
+
+    def test_closed_damage_never_applied(self, tmp_path):
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root)
+        result = hybrid.run_many(schematic_wave(project, library, cells))
+        assert all(outcome.ok for outcome in result.outcomes)
+        flip_journal_line(library)
+
+        reopened = HybridFramework.reopen(root)
+        library2 = reopened.fmcad.library("chiplib")
+        untagged = [
+            version for cv in library2.cellviews() for version in cv.versions
+            if version.properties.get("jcf_oid") is None
+        ]
+        assert len(untagged) == 1
+        report = Scrubber(reopened.jcf, reopened.fmcad).scrub()
+        assert sorted(f.area for f in report.findings) == [
+            "fmcad-tag", "props"
+        ]
+        assert not report.ok
+        # the OMS version whose directory_path names the file holds the tag
+        assert Scrubber(reopened.jcf, reopened.fmcad).scrub(repair=True).ok
+        assert untagged[0].properties.get("jcf_oid") is not None
+        assert_no_wave_leftovers(reopened)
+        assert_no_wave_leftovers(HybridFramework.reopen(root))
 
 
 # -- oms.snapshot -------------------------------------------------------------

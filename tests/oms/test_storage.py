@@ -343,6 +343,25 @@ class TestHardLinkFastPath:
         assert staging.accounting()["bytes_exported"] == exported_after_first
         assert second.path.read_bytes() == b"shared bytes"
 
+    def test_linking_export_into_fresh_area_unlinks_nothing(
+        self, db, staging, monkeypatch
+    ):
+        import os
+
+        unlinked = []
+        real = os.unlink
+        monkeypatch.setattr(
+            os, "unlink",
+            lambda path, *a, **k: (unlinked.append(path), real(path, *a, **k)),
+        )
+        a = db.create("Thing", {"name": "a"}, payload=b"shared bytes")
+        b = db.create("Thing", {"name": "b"}, payload=b"shared bytes")
+        staging.export_object(a.oid, writable=False)
+        second = staging.export_object(b.oid, writable=False)
+        assert staging.accounting()["export_links"] == 1
+        assert second.path.stat().st_nlink == 2
+        assert unlinked == []
+
     def test_writable_export_never_links(self, db, staging):
         a = db.create("Thing", {"name": "a"}, payload=b"shared bytes")
         b = db.create("Thing", {"name": "b"}, payload=b"shared bytes")

@@ -183,6 +183,28 @@ class TestAppend:
         assert stats["blob_writes"] == 1
         assert stats["blob_dedup_hits"] == 1
 
+    def test_log_and_pack_stay_open_across_commits(
+        self, simple_schema, tmp_path, namespace_ops
+    ):
+        root = tmp_path / "wal"
+        wal, db, _ = open_wal(simple_schema, root)
+        db.create("Thing", {"name": "first"}, payload=b"first payload")
+        namespace_ops.clear()
+        for n in range(5):
+            db.create("Thing", {"name": f"t{n}"}, payload=b"p%d" % n)
+        assert wal.stats()["records_appended"] == 6
+        assert list(namespace_ops) == []
+        # a checkpoint rotates the log and retires the pack: the next
+        # commit opens each anew, once
+        wal.checkpoint(db)
+        namespace_ops.clear()
+        for n in range(3):
+            db.create("Thing", {"name": f"u{n}"}, payload=b"q%d" % n)
+        assert sorted(
+            path for kind, path in namespace_ops if kind == "append"
+        ) == sorted([str(wal.log_path), str(wal.pack_path)])
+        assert reopened_dump(simple_schema, root) == dump_snapshot(db)
+
     def test_empty_ops_commit_is_a_noop(self, simple_schema, tmp_path):
         wal, _, _ = open_wal(simple_schema, tmp_path / "wal")
         assert wal.commit([]) is None
