@@ -195,9 +195,9 @@ class HybridFramework:
         :class:`~repro.errors.NonIsomorphicHierarchyError` here.
         """
         project = self.mapper.import_library(library, user, project_name)
-        # the import tagged every version with its JCF oid: journal the
-        # tags now rather than at the library's next .meta flush
-        library.flush_props()
+        # the import tagged every version with its JCF oid: append the
+        # tags to .meta now rather than at the library's next flush
+        library.flush_properties(user)
         if submit_hierarchy:
             self.hierarchy.submit_from_library(user, project, library)
         return project

@@ -35,10 +35,11 @@ wave therefore leaves no pending intent to settle:
 crash point in the wave                     action
 ==========================================  ================================
 after the version files, before ``.meta``   reclaim: version files no
-(the property journal appended or not)      record names are deleted;
-                                            their journal lines match no
-                                            record, so the next open
-                                            drops them
+(no batch appended, or a torn one)          record names are deleted,
+                                            unless an OMS version names
+                                            them; a torn batch is never
+                                            read, and the next write
+                                            cuts it
 after ``.meta``, before the WAL record      roll back: ``.meta`` names
                                             versions whose ``jcf_oid`` tag
                                             no replayed OMS object backs;
@@ -245,8 +246,9 @@ class CouplingRecovery:
         The record would have held the wave's intents too, so no intent
         describes these leftovers.  Versions ``.meta`` names with a dead
         ``jcf_oid`` tag are dropped (only a chain's newest versions can
-        be such leftovers); files no ``.meta`` names are reclaimed.
-        Intents are settled first, so every tag they could repair is.
+        be such leftovers); files no ``.meta`` names are reclaimed, but
+        never one an OMS version names.  Intents are settled first, so
+        every tag they could repair is.
         """
         libraries, _unopenable = self.fmcad.all_libraries()
         for library in libraries:
@@ -264,7 +266,10 @@ class CouplingRecovery:
             if dropped:
                 library.flush_meta(RECOVERY_USER)
             try:
-                reclaimed = library.reclaim_orphans()
+                reclaimed = library.reclaim_orphans(keep=lambda: {
+                    obj.get("directory_path")
+                    for obj in self.jcf.db.select("DesignObjectVersion")
+                })
             except MetaFileError:
                 continue  # a damaged .meta is the storage scrub's finding
             for path in reclaimed:

@@ -114,6 +114,9 @@ FAULT_POINTS: Tuple[str, ...] = (
                               # unscheduled run's not yet (nor its .meta)
     # scheduler wave (core/scheduler.py)
     "wave.before_meta",       # version files durable, no .meta names them
+    # durable publication (oms/durable.py atomic_replace)
+    "durable.before_rename",  # temp file durable, not renamed over its
+                              # target (a library .meta snapshot rewrite)
     # FMCAD checkout protocol (fmcad/checkout.py)
     "checkout.after_grant",   # ticket registered, cellview locked
     "checkout.after_checkin", # version written, ticket still open

@@ -5,8 +5,7 @@ there is no common database.  Version files are real files under the
 library directory; metadata lives in the single ``.meta`` file and in
 memory, and the two are reconciled only when a designer refreshes.
 Version properties (the coupling's ``jcf_oid`` tags among them) live in
-memory and in one property journal, ``.props.log``, that every ``.meta``
-flush appends to first.
+memory and in ``.meta``, each bag after the record of its version.
 """
 
 from __future__ import annotations
@@ -16,13 +15,12 @@ import hashlib
 import os
 import pathlib
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 from repro.clock import SimClock
 from repro.errors import IntegrityError, LibraryError, MetaFileError
 from repro.faults import corruption_point
-from repro.fmcad.metafile import MetaFile, MetaRecord
-from repro.fmcad.properties import JournalKey, PropertyJournal, encode_line
+from repro.fmcad.metafile import Bags, MetaFile, MetaRecord
 from repro.oms import durable
 from repro.fmcad.objects import (
     Cell,
@@ -89,16 +87,10 @@ class Library:
         durable.make_dirs(self.directory)
         self.clock = clock or SimClock()
         self.metafile = MetaFile(self.directory / ".meta")
-        self.props_log = PropertyJournal(self.directory / ".props.log")
-        #: versions whose property bag changed since the last journal
-        #: flush, keyed by their journal key (insertion order is the
-        #: order their lines are written in)
-        self._unflushed_props: Dict[JournalKey, CellViewVersion] = {}
-        self._props_lock = threading.Lock()
-        #: ``(line number, classification)`` of the journal lines that
-        #: failed their checksum when the library was opened; never
-        #: applied, and reported by the scrubber until it rewrites them
-        self.damaged_props: List[Tuple[int, str]] = []
+        #: versions whose property bag changed since it was last written
+        #: (insertion order is the order their lines are written in)
+        self._unflushed_props: Dict[CellViewVersion, CellView] = {}
+        self._lock = threading.Lock()
         self._cells: Dict[str, Cell] = {}
         #: monotone change counter; bumped on every metadata mutation.
         self.tick = 0
@@ -112,13 +104,6 @@ class Library:
         self.read_cache = None
         #: verified reads served straight from the shared cache
         self.cache_reads = 0
-        # a crash between the .meta temp write and its atomic rename
-        # leaves a stale .meta.tmp behind; it is never valid data
-        stale = self.directory / ".meta.tmp"
-        try:
-            stale.unlink()
-        except FileNotFoundError:
-            pass
 
     # -- opening an existing library from disk ----------------------------------
 
@@ -139,21 +124,18 @@ class Library:
         even without a version: ``create_cell`` made their directory,
         and every non-dot directory under the library is a cell.
 
-        Properties come from the journal: a sound line applies only to
-        the version its key names (cell, view, number and created tick),
-        the last one winning.  Lines for versions no record names (a run
-        that died before its ``.meta``), damaged lines and a torn tail
-        are dropped by rewriting the journal without them, so a version
-        that later reuses a number can never inherit a stale tag.
+        Each version gets the last sound property bag written after its
+        record.  A torn tail and damaged property lines are left out, and
+        the open writes nothing: the next ``.meta`` write cuts or
+        replaces them.
         """
         library = cls(name, root, clock=clock)
         for entry in sorted(library.directory.iterdir()):
             if entry.is_dir() and not entry.name.startswith("."):
                 library.create_cell(entry.name)
-        records, tick = library.metafile.read()
-        named: Dict[JournalKey, Tuple[CellView, CellViewVersion]] = {}
+        contents = library.metafile.load()
         for record in sorted(
-            records, key=lambda r: (r.cell, r.view, r.version)
+            contents.records, key=lambda r: (r.cell, r.view, r.version)
         ):
             if not library.has_cell(record.cell):
                 library.create_cell(record.cell)
@@ -173,30 +155,16 @@ class Library:
                 created_tick=record.tick,
                 author=record.author,
             )
-            if record.digest:
-                # the .meta record carries the content address, so reads
-                # of this version stay verified across restarts
-                version._content_digest = record.digest
+            # the .meta record carries the content address, so reads of
+            # this version stay verified across restarts
+            version._content_digest = record.digest or None
+            version._meta_record = record
+            bag = contents.bags.get((record.cell, record.view, record.version))
+            for prop, value in (bag or {}).items():
+                version.properties.set(prop, value)
             cellview.add_version(version)
-            named[record.cell, record.view, record.version, record.tick] = (
-                cellview, version
-            )
-        entries, library.damaged_props, torn = library.props_log.read()
-        applied: Dict[JournalKey, Tuple[dict, bytes]] = {}
-        for key, props, line in entries:
-            if key in named:
-                applied.pop(key, None)  # the last line for a key wins
-                applied[key] = (props, line)
-        for key, (props, _line) in applied.items():
-            for name, value in props.items():
-                named[key][1].properties.set(name, value)
-        if torn or library.damaged_props or len(applied) != len(entries):
-            library.props_log.rewrite(
-                b"".join(line for _props, line in applied.values())
-            )
-        for cellview, version in named.values():
             library._track(cellview, version)
-        library.tick = library.flushed_tick = tick
+        library.tick = library.flushed_tick = contents.tick
         return library
 
     def orphaned_files(self) -> List[pathlib.Path]:
@@ -216,14 +184,18 @@ class Library:
                 orphans.append(data_file)
         return orphans
 
-    def reclaim_orphans(self) -> List[pathlib.Path]:
+    def reclaim_orphans(
+        self, keep: Callable[[], Collection[str]] = frozenset
+    ) -> List[pathlib.Path]:
         """Delete version files no record names; list them.
 
         A run that dies after writing its version files but before the
         ``.meta`` that would name them leaves both behind.  Nothing
         refers to them (the OMS side of that run never reached the log
-        either), so recovery reclaims them.  A file the in-memory library
-        still holds is kept: it is only waiting for its flush.
+        either), so recovery reclaims them, with a stale ``.meta.tmp``.
+        A file the in-memory library still holds is only waiting for its
+        flush, and a path in ``keep()`` (asked only if there is an orphan)
+        is kept too: a ``.meta`` tail cut at rest reads like a torn one.
         """
         named = {
             (cv.cell_name, cv.view.name, v.path.name)
@@ -237,7 +209,7 @@ class Library:
                 (r.cell, r.view, r.filename)
                 for r in self.metafile.read()[0]
             )
-        reclaimed: List[pathlib.Path] = []
+        orphans: List[str] = []
         # os.scandir, not Path.glob: this runs over every file of every
         # library on each restart, and glob is several times slower
         for cell in os.scandir(self.directory):
@@ -248,13 +220,18 @@ class Library:
                     continue
                 for entry in os.scandir(view.path):
                     filename = entry.name
-                    if not (
-                        filename.startswith("v") and filename.endswith(".dat")
-                    ) or (cell.name, view.name, filename) in named:
-                        continue
-                    os.unlink(entry.path)
-                    reclaimed.append(pathlib.Path(entry.path))
-        return sorted(reclaimed)
+                    if filename.startswith("v") and filename.endswith(
+                        ".dat"
+                    ) and (cell.name, view.name, filename) not in named:
+                        orphans.append(entry.path)
+        kept = keep() if orphans else ()
+        orphans = [path for path in orphans if path not in kept]
+        stale = self.metafile.path.with_name(".meta.tmp")
+        if stale.exists():
+            orphans.append(str(stale))
+        for path in orphans:
+            os.unlink(path)
+        return sorted(pathlib.Path(path) for path in orphans)
 
     # -- structure -------------------------------------------------------------
 
@@ -397,10 +374,10 @@ class Library:
                 f"version, not {number}"
             )
         version = cellview.remove_version(number)
-        with self._props_lock:
-            self._unflushed_props.pop(
-                self._journal_key(cellview, version), None
-            )
+        with self._lock:
+            self._unflushed_props.pop(version, None)
+        # records are never un-appended: the next write is a snapshot
+        self.metafile.rewrite_next()
         # the crash may have happened before the file landed
         version.path.unlink(missing_ok=True)
         self.clock.charge_native_io(0, files=1)
@@ -440,128 +417,109 @@ class Library:
         self.clock.charge_native_io(len(data), files=1)
         return data
 
-    # -- the property journal ------------------------------------------------------
-
-    @staticmethod
-    def _journal_key(
-        cellview: CellView, version: CellViewVersion
-    ) -> JournalKey:
-        return (
-            cellview.cell_name, cellview.view.name,
-            version.number, version.created_tick,
-        )
+    # -- .meta maintenance ---------------------------------------------------------
 
     def _track(self, cellview: CellView, version: CellViewVersion) -> None:
-        """Queue *version*'s bag for the next journal flush on each change."""
-        key = self._journal_key(cellview, version)
+        """Queue *version*'s bag for the next ``.meta`` write on changes."""
 
         def changed() -> None:
-            with self._props_lock:
-                self._unflushed_props[key] = version
+            with self._lock:
+                self._unflushed_props[version] = cellview
 
         version.properties.on_change = changed
-
-    def flush_props(self) -> None:
-        """Journal every bag changed since the last flush: one append.
-
-        Each changed version gets one line holding its whole bag.  A
-        failed append puts the bags back, so the next flush retries them.
-        """
-        with self._props_lock:
-            pending, self._unflushed_props = self._unflushed_props, {}
-        if not pending:
-            return
-        try:
-            self.props_log.append(b"".join(
-                encode_line(key, version.properties.as_dict())
-                for key, version in pending.items()
-            ))
-        except BaseException:
-            with self._props_lock:
-                self._unflushed_props = {**pending, **self._unflushed_props}
-            raise
-
-    def rewrite_props(self) -> None:
-        """Replace the journal with one line per tagged version in memory.
-
-        The repair for a damaged journal: memory holds every sound line
-        the library opened with, and every set since.
-        """
-        with self._props_lock:
-            self._unflushed_props = {}
-        self.props_log.rewrite(b"".join(
-            encode_line(self._journal_key(cellview, version),
-                        version.properties.as_dict())
-            for cellview in self.cellviews()
-            for version in cellview.versions
-            if len(version.properties)
-        ))
-        self.damaged_props = []
-
-    def verify_props(self) -> List[Tuple[str, str]]:
-        """``(location, classification)`` of each damaged journal line.
-
-        The lines dropped when the library was opened, and any whole line
-        on disk that fails its checksum now.
-        """
-        _entries, damaged, _torn = self.props_log.read()
-        return [
-            (f"{self.props_log.path}:{number}", classification)
-            for number, classification in self.damaged_props + damaged
-        ]
-
-    # -- .meta maintenance ---------------------------------------------------------
 
     def _bump(self) -> None:
         self.tick += 1
 
-    def meta_records(self) -> List[MetaRecord]:
-        """The records a faithful ``.meta`` of current state would hold.
+    @staticmethod
+    def _record(cellview: CellView, version: CellViewVersion) -> MetaRecord:
+        """*version*'s ``.meta`` record, built once and kept on it."""
+        if version._meta_record is None:
+            version._meta_record = MetaRecord(
+                cellview.cell_name, cellview.view.name, cellview.viewtype.name,
+                version.number, version.path.name, version.author,
+                version.created_tick, version._content_digest or "",
+            )
+        return version._meta_record
 
-        Each flush rewrites the whole ``.meta``, so a version's record is
-        built once and kept on the version; only a digest learnt since
-        (a version from a digest-less ``.meta``) builds it again.
-        """
+    @staticmethod
+    def _bag(cellview: CellView, version: CellViewVersion):
+        key = (cellview.cell_name, cellview.view.name, version.number)
+        return key, version.properties.as_dict()
+
+    def _named(self, tick: int) -> Tuple[List[MetaRecord], Bags]:
+        """Records and non-empty bags of the versions *tick* names."""
         records: List[MetaRecord] = []
+        bags: Bags = []
         for cellview in self.cellviews():
             for version in cellview.versions:
-                record = version._meta_record
-                if record is None or record.digest != (
-                    version._content_digest or ""
-                ):
-                    record = version._meta_record = MetaRecord(
-                        cell=cellview.cell_name,
-                        view=cellview.view.name,
-                        viewtype=cellview.viewtype.name,
-                        version=version.number,
-                        filename=version.path.name,
-                        author=version.author,
-                        tick=version.created_tick,
-                        digest=version._content_digest or "",
-                    )
-                records.append(record)
-        return records
+                if version.created_tick <= tick:
+                    records.append(self._record(cellview, version))
+                    if len(version.properties):
+                        bags.append(self._bag(cellview, version))
+        return records, bags
+
+    def _flush(self, user: str, tick: int, charge: bool) -> bool:
+        """Write what ``.meta`` lacks of the versions *tick* names.
+
+        False when the writer lock is held by another user.  A failed
+        write puts the bags back, so the next one retries them.
+        """
+        if not self.metafile.acquire(user):
+            return False
+        try:
+            with self._lock:
+                changed = {
+                    version: cellview
+                    for version, cellview in self._unflushed_props.items()
+                    if version.created_tick <= tick
+                }
+                for version in changed:
+                    del self._unflushed_props[version]
+            added = [
+                self._record(cellview, version)
+                for cellview in self.cellviews()
+                for version in cellview.versions
+                if self.flushed_tick < version.created_tick <= tick
+            ]
+            try:
+                cost = self.metafile.flush(
+                    user, tick, added,
+                    [self._bag(cv, v) for v, cv in changed.items()],
+                    lambda: self._named(tick),
+                )
+            except BaseException:
+                with self._lock:
+                    self._unflushed_props = {
+                        **changed, **self._unflushed_props
+                    }
+                raise
+            self.flushed_tick = tick
+            if charge:
+                self.clock.charge_native_io(cost, files=1)
+        finally:
+            self.metafile.release(user)
+        return True
 
     def flush_meta(self, user: str) -> bool:
         """Write current metadata to ``.meta``; requires the writer lock.
 
         Returns False when the lock is held by another user (a contention
         event) — the caller must retry, exactly the explicit coordination
-        Section 3.1 complains about.  The property journal is flushed
-        first, so every line is durable before a ``.meta`` names its
-        version; it is not charged to the clock.
+        Section 3.1 complains about.  The new version records and every
+        changed property bag go out as one appended batch; the clock is
+        charged what a whole-file write of the records would cost.
         """
-        if not self.metafile.acquire(user):
-            return False
-        try:
-            tick = self.tick
-            self.flush_props()
-            written = self.metafile.write(self.meta_records(), tick, user)
-            self.flushed_tick = tick
-            self.clock.charge_native_io(written, files=1)
-        finally:
-            self.metafile.release(user)
-        return True
+        return self._flush(user, self.tick, charge=True)
+
+    def flush_properties(self, user: str) -> bool:
+        """Append the changed bags of versions ``.meta`` already names.
+
+        One batch of property lines only, and no clock charge.
+        """
+        return not self._unflushed_props or self._flush(
+            user, self.flushed_tick, charge=False
+        )
 
     def meta_names(self, version: CellViewVersion) -> bool:
         """Does the last flushed ``.meta`` record *version*?"""
@@ -594,7 +552,7 @@ class Library:
         except MetaFileError as exc:
             return [f"unreadable .meta: {exc}"]
         live = {
-            (r.cell, r.view, r.version): r for r in self.meta_records()
+            (r.cell, r.view, r.version): r for r in self._named(self.tick)[0]
         }
         for key in sorted(set(live) - set(on_disk)):
             problems.append(f"missing from .meta: {key[0]}/{key[1]} v{key[2]}")
@@ -612,9 +570,7 @@ class Library:
     def scrub_versions(self) -> List[Tuple[CellViewVersion, str]]:
         """Re-hash every version file; list ``(version, classification)``.
 
-        Only versions with a known content digest can fail — a version
-        reconstructed from a pre-digest ``.meta`` record has nothing to
-        be held against and is reported clean.
+        Only versions with a known content digest can fail.
         """
         findings: List[Tuple[CellViewVersion, str]] = []
         for cellview in self.cellviews():

@@ -11,34 +11,37 @@ consequences matter for the evaluation and are modelled exactly:
   a designer works with can be stale relative to the directory until they
   refresh (Section 2.2: "it is the responsibility of the designer to keep
   his design up to date").
+
+On disk the file is a checksummed snapshot followed by appended
+batches of CRC'd lines; DESIGN.md §7 gives the format and its rules.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
+import os
 import pathlib
-from typing import Dict, List, Optional, Tuple
+import threading
+import zlib
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import MetaFileError, MetaIntegrityError
 from repro.faults import corruption_point
 from repro.oms import durable
 
-_HEADER = "#FMCAD-META 1"
-#: version 2 adds a per-record content digest column and a whole-file
-#: checksum trailer; version-1 files (no digests, no trailer) still read
-_HEADER_V2 = "#FMCAD-META 2"
+_HEADER = b"#FMCAD-META 2\n"
 _TRAILER_PREFIX = b"#sha256="
+
+#: what a property line keys its bag by: cell, view and version number
+BagKey = Tuple[str, str, int]
+Bags = List[Tuple[BagKey, Dict[str, Any]]]
 
 
 @dataclasses.dataclass(frozen=True)
 class MetaRecord:
-    """One line of the ``.meta`` file: one cellview version on disk.
-
-    ``digest`` is the SHA-256 content address of the version file the
-    record describes — empty for records read from version-1 files that
-    predate verified reads.
-    """
+    """One cellview version on disk; ``digest`` addresses its file."""
 
     cell: str
     view: str
@@ -50,40 +53,55 @@ class MetaRecord:
     digest: str = ""
 
     def to_line(self) -> str:
-        return "|".join(
-            [
-                self.cell,
-                self.view,
-                self.viewtype,
-                str(self.version),
-                self.filename,
-                self.author,
-                str(self.tick),
-                self.digest,
-            ]
+        return (
+            f"{self.cell}|{self.view}|{self.viewtype}|{self.version}|"
+            f"{self.filename}|{self.author}|{self.tick}|{self.digest}"
         )
 
     @classmethod
     def from_line(cls, line: str) -> "MetaRecord":
-        parts = line.split("|")
-        if len(parts) == 7:
-            parts = parts + [""]  # version-1 record: no digest column
-        if len(parts) != 8:
-            raise MetaFileError(f"malformed .meta record: {line!r}")
-        cell, view, viewtype, version, filename, author, tick, digest = parts
         try:
-            return cls(
-                cell=cell,
-                view=view,
-                viewtype=viewtype,
-                version=int(version),
-                filename=filename,
-                author=author,
-                tick=int(tick),
-                digest=digest,
+            cell, view, viewtype, version, filename, author, tick, digest = (
+                line.split("|")
             )
+            return cls(cell, view, viewtype, int(version), filename, author,
+                       int(tick), digest)
         except ValueError as exc:
             raise MetaFileError(f"malformed .meta record: {line!r}") from exc
+
+
+@dataclasses.dataclass
+class MetaContents:
+    """What a read of ``.meta`` found."""
+
+    records: List[MetaRecord]
+    tick: int
+    #: the last sound bag written for each recorded version
+    bags: Dict[BagKey, Dict[str, Any]]
+    #: line numbers of property lines that failed their checksum
+    damaged: List[int]
+    #: bytes up to the last closing line: where the next batch goes
+    end: int
+    snapshot_size: int
+    #: whether a batch without its closing line follows *end*
+    torn: bool = False
+
+
+def _line(body: bytes) -> bytes:
+    return b"%08x %s\n" % (zlib.crc32(body), body)
+
+
+def _batch(records: List[MetaRecord], bags: Bags, tick: int) -> bytes:
+    lines = [_line(b"r " + r.to_line().encode("utf-8")) for r in records]
+    for (cell, view, number), props in bags:
+        bag = json.dumps(props, sort_keys=True, separators=(",", ":"))
+        lines.append(_line(f"p {cell}|{view}|{number}|{bag}".encode("utf-8")))
+    lines.append(_line(b"tick=%d versions=%d" % (tick, len(records))))
+    return b"".join(lines)
+
+
+def _record_bytes(records: List[MetaRecord]) -> int:
+    return sum(len(r.to_line().encode("utf-8")) + 1 for r in records)
 
 
 class MetaFile:
@@ -101,6 +119,16 @@ class MetaFile:
         #: contention accounting for bench_multiuser
         self.contended_acquires = 0
         self.total_acquires = 0
+        #: serialises this process's writes and the reads that check them
+        self._io = threading.RLock()
+        #: where the next batch goes; ``None`` when the next write must
+        #: be a snapshot (none known, records dropped, or damage seen)
+        self._end: Optional[int] = None
+        self._snapshot_size = 0
+        #: tick of the last write (or of the file when it was loaded)
+        self._tick = 0
+        #: bytes the version records take in a snapshot
+        self._records_size = 0
 
     # -- locking -------------------------------------------------------------
 
@@ -125,149 +153,257 @@ class MetaFile:
             )
         self._writer = None
 
-    # -- I/O -----------------------------------------------------------------
-
-    def write(self, records: List[MetaRecord], tick: int, user: str) -> int:
-        """Serialise *records*; caller must hold the writer lock.
-
-        Returns the number of bytes written.
-
-        The file is written version-2: a whole-file checksum trailer
-        (``#sha256=<hex>;bytes=<n>`` over everything before it) makes
-        torn writes and bit-rot detectable, and the bytes land via a
-        temp-file + atomic rename so a crash mid-write can never leave a
-        half-written ``.meta`` poisoning the whole library — readers see
-        either the old complete file or the new complete file.
-        """
+    def _check_writer(self, user: str) -> None:
         if self._writer != user:
             raise MetaFileError(
                 f"write to .meta without the writer lock (held by "
                 f"{self._writer!r}, writer {user!r})"
             )
-        lines = [_HEADER_V2, f"tick={tick}"]
-        lines.extend(
-            record.to_line()
+
+    # -- writing -------------------------------------------------------------
+
+    def write(
+        self, records: List[MetaRecord], tick: int, user: str,
+        bags: Bags = (),
+    ) -> int:
+        """Replace the file with a snapshot; returns the bytes written.
+
+        The caller holds the writer lock.  A temp file is fsynced and
+        renamed over ``.meta`` (then the directory is fsynced), so a
+        crash never leaves a half-written snapshot.
+        """
+        self._check_writer(user)
+        lines = [
+            record.to_line().encode("utf-8") + b"\n"
             for record in sorted(
                 records, key=lambda r: (r.cell, r.view, r.version)
             )
-        )
-        body = ("\n".join(lines) + "\n").encode("utf-8")
-        trailer = (
-            _TRAILER_PREFIX
-            + hashlib.sha256(body).hexdigest().encode("ascii")
-            + b";bytes=%d\n" % len(body)
-        )
-        encoded = corruption_point("fmcad.meta", body + trailer)
-        # fsync-then-rename through the shared durability helper: the
-        # temp file is flushed before the atomic rename and the directory
-        # entry after it, so a power cut can never publish a .meta whose
-        # bytes are still in the page cache ("relaxed" mode skips both
-        # fsyncs but keeps the same write sequence)
-        durable.atomic_replace(self.path, encoded)
-        return len(encoded)
-
-    def read(self) -> Tuple[List[MetaRecord], int]:
-        """Parse the ``.meta`` file; returns (records, tick).
-
-        Version-2 files carry a checksum trailer which is verified here:
-        a mismatch raises :class:`MetaIntegrityError` classified as
-        truncation (content shorter than recorded), torn-write (longer
-        or structurally wrong), or bit-rot (same length, wrong hash).
-        Version-1 files have no trailer and parse as before.
-        """
-        if not self.path.exists():
-            return [], 0
-        raw = self.path.read_bytes()
-        body = self._verified_body(raw)
-        lines = body.decode("utf-8", errors="replace").splitlines()
-        if not lines or lines[0] not in (_HEADER, _HEADER_V2):
-            raise MetaFileError(f"{self.path}: missing {_HEADER!r} header")
-        if len(lines) < 2 or not lines[1].startswith("tick="):
-            raise MetaFileError(f"{self.path}: missing tick line")
-        try:
-            tick = int(lines[1][len("tick="):])
-        except ValueError as exc:
-            raise MetaFileError(f"{self.path}: bad tick line {lines[1]!r}") from exc
-        records = [
-            MetaRecord.from_line(line)
-            for line in lines[2:]
-            if line and not line.startswith("#")
         ]
-        return records, tick
+        body = _HEADER + b"tick=%d\n" % tick + b"".join(lines)
+        data = body + _TRAILER_PREFIX + b"%s;bytes=%d\n" % (
+            hashlib.sha256(body).hexdigest().encode("ascii"), len(body)
+        )
+        if bags:
+            data += _batch([], list(bags), tick)
+        with self._io:
+            data = corruption_point("fmcad.meta", data)
+            durable.atomic_replace(self.path, data)
+            self._end = self._snapshot_size = len(data)
+            self._tick = tick
+            self._records_size = sum(map(len, lines))
+        return len(data)
 
-    def _verified_body(self, raw: bytes) -> bytes:
-        """Strip and verify the checksum trailer; returns the body bytes.
+    def flush(
+        self,
+        user: str,
+        tick: int,
+        records: List[MetaRecord],
+        bags: Bags,
+        everything: Callable[[], Tuple[List[MetaRecord], Bags]],
+    ) -> int:
+        """Append one batch of *records* and *bags* closed at *tick*.
 
-        A version-2 header promises a trailer, so its absence is itself a
-        truncation finding.  Version-1 files are passed through whole.
+        Rewrites the snapshot from ``everything()`` instead when no sound
+        snapshot is known, records were dropped, or the appended bytes
+        would pass the snapshot's size.  A flush with nothing to add
+        checks the file, and rewrites it if it is damaged.  Returns what
+        a snapshot of the records alone would take, the simulated cost.
         """
-        idx = raw.rfind(b"\n" + _TRAILER_PREFIX)
-        trailer = b""
-        if raw.startswith(_TRAILER_PREFIX):  # pathological: trailer only
-            idx, trailer, raw_body = -1, raw, b""
-        elif idx != -1:
-            raw_body, trailer = raw[:idx + 1], raw[idx + 1:]
-        else:
-            raw_body = raw
-        if not trailer:
-            if raw.startswith(_HEADER_V2.encode("ascii")):
-                raise MetaIntegrityError(
-                    f"{self.path}: version-2 .meta is missing its checksum "
-                    "trailer",
-                    location=str(self.path),
-                    classification="truncation",
-                )
-            return raw  # version-1 (or older) file: nothing to verify
-        fields = trailer[len(_TRAILER_PREFIX):].strip().split(b";bytes=")
-        if len(fields) != 2:
-            raise MetaIntegrityError(
-                f"{self.path}: unparseable checksum trailer",
-                location=str(self.path),
-                classification="torn-write",
-            )
+        self._check_writer(user)
+        with self._io:
+            if (records or bags or tick != self._tick or self._end is None
+                    or self.findings()):
+                batch = _batch(records, bags, tick)
+                appended = (self._end or 0) - self._snapshot_size
+                if self._end is None or not (
+                    appended + len(batch) <= self._snapshot_size
+                    and self._append(batch)
+                ):
+                    named, named_bags = everything()
+                    self.write(named, tick, user, named_bags)
+                else:
+                    self._tick = tick
+                    self._records_size += _record_bytes(records)
+            body = len(_HEADER) + len(b"tick=%d\n" % tick) + self._records_size
+            return body + len(_TRAILER_PREFIX + b";bytes=%d\n" % body) + 64
+
+    def _append(self, batch: bytes) -> bool:
+        """Append *batch* with one write and one fsync; False if it can't.
+
+        A torn tail past the known end is cut first, and a failed write
+        is cut back off.  A file shorter than the known end (cut at
+        rest, or gone) takes no batch.
+        """
         try:
-            expected_hex = fields[0].decode("ascii")
-            expected_len = int(fields[1])
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise MetaIntegrityError(
-                f"{self.path}: unparseable checksum trailer",
-                location=str(self.path),
-                classification="torn-write",
-            ) from exc
-        if hashlib.sha256(raw_body).hexdigest() != expected_hex:
-            if len(raw_body) < expected_len:
-                classification = "truncation"
-            elif len(raw_body) > expected_len:
-                classification = "torn-write"
-            else:
-                classification = "bit-rot"
-            raise MetaIntegrityError(
-                f"{self.path}: .meta content fails its checksum "
-                f"({classification}; {len(raw_body)} bytes, recorded "
-                f"{expected_len})",
-                location=str(self.path),
-                classification=classification,
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        except FileNotFoundError:
+            return False
+        try:
+            size = os.fstat(fd).st_size
+            if size < self._end:
+                return False
+            if size > self._end:
+                os.ftruncate(fd, self._end)
+            data = corruption_point("fmcad.meta", batch)
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+            except BaseException:
+                os.ftruncate(fd, self._end)
+                raise
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        self._end += len(data)
+        return True
+
+    def rewrite_next(self) -> None:
+        """Make the next write a snapshot (a version record was dropped)."""
+        self._end = None
+
+    # -- reading -------------------------------------------------------------
+
+    def contents(self) -> MetaContents:
+        """Parse the file; an absent file reads as empty.
+
+        A final batch without its closing line is a torn tail and is left
+        out.  A line failing its checksum in a batch whose sound records
+        still number ``k`` held properties and is skipped.  Other damage
+        raises :class:`MetaIntegrityError`, a snapshot failing its trailer
+        as truncation (shorter than recorded), torn-write (longer, or
+        malformed) or bit-rot (same length).
+        """
+        try:
+            raw = self.path.read_bytes()
+        except FileNotFoundError:
+            return MetaContents([], 0, {}, [], 0, 0)
+        text, end = self._verified_snapshot(raw)
+        try:
+            if text[0] != _HEADER.strip() or not text[1].startswith(b"tick="):
+                raise ValueError("no header and tick line")
+            records = {}
+            for line in text[2:]:
+                if not line.startswith(b"#"):
+                    r = MetaRecord.from_line(line.decode("utf-8"))
+                    records[r.cell, r.view, r.version] = r
+            found = MetaContents([], int(text[1][5:]), {}, [], end, end)
+        except (IndexError, ValueError, MetaFileError) as exc:
+            raise self._damage("a malformed snapshot", "torn-write") from exc
+        added: List[MetaRecord] = []
+        bags: Bags = []
+        damaged: List[int] = []
+        first = raw.count(b"\n", 0, end) + 1
+        for number, line in enumerate(raw[end:].split(b"\n")[:-1], first):
+            end += len(line) + 1
+            crc, _, body = line.partition(b" ")
+            if crc != b"%08x" % zlib.crc32(body):
+                damaged.append(number)
+                continue
+            kind, _, rest = body.partition(b" ")
+            try:
+                if kind == b"r":
+                    added.append(MetaRecord.from_line(rest.decode("utf-8")))
+                    continue
+                if kind == b"p":
+                    cell, view, version, bag = rest.decode().split("|", 3)
+                    bags.append(((cell, view, int(version)), json.loads(bag)))
+                    continue
+                closing = int(kind.split(b"tick=")[1])
+                count = int(rest.split(b"versions=")[1])
+            except (IndexError, ValueError, MetaFileError) as exc:
+                raise self._damage(f"line {number}", "torn-write") from exc
+            if count != len(added):
+                raise self._damage(
+                    f"line {number} closes {count} records, not "
+                    f"{len(added)}", "bit-rot",
+                )
+            records.update(((r.cell, r.view, r.version), r) for r in added)
+            found.bags.update((k, bag) for k, bag in bags if k in records)
+            found.tick, found.end = closing, end
+            found.damaged += damaged
+            added, bags, damaged = [], [], []
+        if damaged:
+            raise self._damage(
+                f"line {damaged[0]} of an unclosed batch", "bit-rot"
             )
-        return raw_body
+        found.torn = found.end < len(raw)
+        found.records = list(records.values())
+        return found
+
+    def _damage(self, what: str, classification: str) -> MetaIntegrityError:
+        return MetaIntegrityError(
+            f"{self.path}: {what} ({classification})",
+            location=str(self.path),
+            classification=classification,
+        )
+
+    def _verified_snapshot(self, raw: bytes) -> Tuple[List[bytes], int]:
+        """The snapshot's lines, and where its trailer line ends."""
+        cut = raw.find(b"\n" + _TRAILER_PREFIX) + 1
+        if cut == 0:
+            raise self._damage("no checksum trailer", "truncation")
+        end = raw.find(b"\n", cut) + 1
+        fields = raw[cut + len(_TRAILER_PREFIX):end or len(raw)].strip()
+        try:
+            expected_hex, expected_len = fields.split(b";bytes=")
+            expected_len = int(expected_len)
+        except ValueError as exc:
+            raise self._damage("a bad checksum trailer", "torn-write") from exc
+        body = raw[:cut]
+        if hashlib.sha256(body).hexdigest().encode("ascii") != expected_hex:
+            classification = (
+                "truncation" if len(body) < expected_len
+                else "torn-write" if len(body) > expected_len else "bit-rot"
+            )
+            raise self._damage(
+                f"a snapshot failing its checksum ({len(body)} bytes, "
+                f"recorded {expected_len})", classification,
+            )
+        if end == 0:
+            raise self._damage("a cut trailer line", "truncation")
+        return body.splitlines(), end
+
+    def load(self) -> MetaContents:
+        """:meth:`contents`, taken as where this writer's batches go."""
+        with self._io:
+            found = self.contents()
+            sound = found.snapshot_size and not found.damaged
+            self._end = found.end if sound else None
+            self._snapshot_size = found.snapshot_size
+            self._tick = found.tick
+            self._records_size = _record_bytes(found.records)
+        return found
+
+    def findings(self) -> List[Tuple[str, str]]:
+        """``(location, classification)`` of each damage on disk.
+
+        A damaged property line is at ``<path>:<line>``, other damage at
+        the file.  Damage but a torn tail makes the next write a snapshot.
+        """
+        with self._io:
+            try:
+                found = self.contents()
+            except MetaFileError as exc:
+                self._end = None
+                return [(str(self.path),
+                         getattr(exc, "classification", "") or "torn-write")]
+            if found.damaged:
+                self._end = None
+        located = [(f"{self.path}:{n}", "bit-rot") for n in found.damaged]
+        if found.torn:
+            located.append((str(self.path), "torn-write"))
+        return located
 
     def verify(self) -> Optional[str]:
-        """Damage classification of the on-disk file, ``None`` if clean.
+        """Damage classification of the on-disk file, ``None`` if clean."""
+        located = self.findings()
+        return located[0][1] if located else None
 
-        Structural damage an integrity check cannot name more precisely
-        (a broken header, a malformed record in a version-1 file) is
-        reported as torn-write — the scrubber treats both the same way.
-        """
-        try:
-            self.read()
-        except MetaIntegrityError as exc:
-            return exc.classification or "torn-write"
-        except MetaFileError:
-            return "torn-write"
-        return None
-
-    def tick(self) -> int:
-        """The tick recorded in the on-disk file (0 when absent)."""
-        return self.read()[1]
+    def read(self) -> Tuple[List[MetaRecord], int]:
+        """``(records, tick)`` of the file; see :meth:`contents`."""
+        found = self.contents()
+        return found.records, found.tick
 
     def index(self) -> Dict[Tuple[str, str, int], MetaRecord]:
         """Records keyed by (cell, view, version)."""

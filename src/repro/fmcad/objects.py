@@ -125,10 +125,10 @@ class CellViewVersion:
         # versions reconstructed from .meta, where mismatches default to
         # the bit-rot class
         self._content_size: Optional[int] = None
-        # made durable by the owning library's property journal
+        # made durable by the owning library's .meta
         self.properties = PropertyBag()
-        #: this version's ``.meta`` record, built by the owning library
-        #: on its first flush
+        #: this version's ``.meta`` record, built once by the owning
+        #: library
         self._meta_record = None
 
     def read_data(self) -> bytes:
@@ -146,10 +146,8 @@ class CellViewVersion:
     def classify_damage(self, data: bytes) -> Optional[str]:
         """``None`` when *data* matches the known digest, else a class.
 
-        Without a known digest (a version whose ``.meta`` record predates
-        the digest column) there is nothing to hold the bytes against, so
-        the answer is ``None`` — trust-on-first-read, the same boundary
-        the store had everywhere before verified reads existed.
+        Without a known digest there is nothing to hold the bytes
+        against, so the answer is ``None`` (trust-on-first-read).
         """
         expected = self._content_digest
         if expected is None:

@@ -2,10 +2,9 @@
 
 The scrubber walks every at-rest representation the coupling owns —
 OMS blobs (including delta chains), staged files, FMCAD version files,
-``.meta`` files, the libraries' property journals and the ``jcf_oid``
-tags they hold, the write-ahead log (checkpoints, logs, payload
-pack) — re-verifies each against its recorded checksum, and
-classifies what it finds:
+``.meta`` files and the ``jcf_oid`` tags they hold, the write-ahead log
+(checkpoints, logs, payload pack) — re-verifies each against its
+recorded checksum, and classifies what it finds:
 
 * **bit-rot** — same size, wrong bytes (a flipped bit at rest);
 * **truncation** — shorter than recorded (an interrupted write);
@@ -18,7 +17,7 @@ mirrors every payload on both sides of the master/slave split (OMS blob
 <-> FMCAD version file, plus staged copies), so a damaged copy is
 re-written from a sibling that first re-proves its own content address;
 damaged WAL files are healed by a fresh checkpoint of the live database,
-a damaged property journal is rewritten from the live library, and a
+a damaged ``.meta`` is rewritten from the live library, and a
 version that lost its tag gets it back from the OMS version whose
 ``directory_path`` names its file and whose payload matches it.
 Repair iterates to a fixpoint — healing a delta base heals every delta
@@ -61,9 +60,9 @@ NOTED = "noted"                # informational (orphans); never actionable
 class ScrubFinding:
     """One damaged (or noteworthy) artifact the scrubber saw."""
 
-    area: str            # blob | staging | fmcad-version | meta | props |
+    area: str            # blob | staging | fmcad-version | meta |
                          # fmcad-tag | wal | *-orphan
-    location: str        # stable key: blob:<digest> or an absolute path
+    location: str        # stable key: blob:<digest>, a path, <path>:<line>
     classification: str  # bit-rot | truncation | torn-write | missing | orphan
     action: str = DETECTED
     detail: str = ""     # owning oid / library name, for repair routing
@@ -232,13 +231,11 @@ class Scrubber:
 
         libraries, unopenable = self.fmcad.all_libraries()
         for library in libraries:
-            meta_path = str(library.metafile.path)
-            self._meta_owner[meta_path] = library
-            classification = library.metafile.verify()
-            if classification is not None:
+            for location, classification in library.metafile.findings():
+                self._meta_owner[location] = library
                 findings.append(
                     ScrubFinding(
-                        "meta", meta_path, classification, detail=library.name
+                        "meta", location, classification, detail=library.name
                     )
                 )
             for version, vclass in library.scrub_versions():
@@ -260,13 +257,6 @@ class Scrubber:
                     )
             except MetaFileError:
                 pass  # already reported as a meta finding above
-            for location, classification in library.verify_props():
-                findings.append(
-                    ScrubFinding(
-                        "props", location, classification,
-                        detail=library.name,
-                    )
-                )
         for location, entry in sorted(self._find_lost_tags(libraries).items()):
             self._lost_tags[location] = entry
             findings.append(
@@ -294,7 +284,8 @@ class Scrubber:
 
         The OMS version must name the file in its ``directory_path`` and
         hold the same payload.  Untagged versions are rare (a damaged
-        journal line, a crash before a scheduled run placed its tags), so
+        ``.meta`` property line, a crash before a scheduled run placed its
+        tags), so
         the OMS side is read only when there is one.
         """
         untagged = {
@@ -352,15 +343,10 @@ class Scrubber:
             if not library.flush_meta(self.user):
                 return False  # writer lock contended
             return library.metafile.verify() is None
-        if finding.area == "props":
-            library = self.fmcad.library(finding.detail)
-            library.rewrite_props()
-            return not library.verify_props()
         if finding.area == "fmcad-tag":
             library, version, oid = self._lost_tags[finding.location]
             version.properties.set("jcf_oid", oid)
-            library.flush_props()
-            return True
+            return library.flush_properties(self.user)
         if finding.area == "wal":
             # the live database is the repair source: a checkpoint
             # rewrites the checkpoint durably and verified, and retires

@@ -37,6 +37,8 @@ import pathlib
 import threading
 from typing import Dict, Iterator, List, Union
 
+from repro.faults import fault_point
+
 _state = threading.local()
 
 PathLike = Union[str, pathlib.Path]
@@ -186,4 +188,5 @@ def atomic_replace(path: PathLike, data: bytes) -> None:
     target = pathlib.Path(os.fspath(path))
     tmp = target.with_name(target.name + ".tmp")
     write_bytes(tmp, data)
+    fault_point("durable.before_rename")
     replace(tmp, target)

@@ -52,6 +52,7 @@ residue of a crash mid-append — is dropped and reported; damage
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -221,17 +222,23 @@ class WriteAheadLog:
     # -- payload pack ---------------------------------------------------------
 
     def _scan_pack(
-        self,
+        self, handle: Optional[BinaryIO] = None
     ) -> Tuple[Dict[str, Tuple[int, int]], Optional[Tuple[int, str]]]:
-        """Index the pack's frames; see :meth:`_index_frames`."""
+        """Index the frames *handle* (default: its own) reads.
+
+        See :meth:`_index_frames`.
+        """
+        if handle is None:
+            with self._reader() as handle:
+                return self._scan_pack(handle) if handle else ({}, None)
+        return self._index_frames(handle, os.fstat(handle.fileno()).st_size)
+
+    def _reader(self) -> contextlib.AbstractContextManager:
+        """A read handle on the pack, or a context of None without one."""
         try:
-            handle = open(self.pack_path, "rb")
+            return open(self.pack_path, "rb")
         except FileNotFoundError:
-            return {}, None
-        with handle:
-            return self._index_frames(
-                handle, os.fstat(handle.fileno()).st_size
-            )
+            return contextlib.nullcontext()
 
     @staticmethod
     def _index_frames(
@@ -646,7 +653,8 @@ class WriteAheadLog:
         **not** attached to this WAL yet — call ``db.attach_wal(wal)``
         after, so replayed primitives are not re-logged.
         """
-        with self._lock:
+        # one read handle on the pack serves the scan and the replay
+        with self._lock, self._reader() as pack:
             info = WALRecoveryInfo()
             if self.checkpoint_tmp_path.exists():
                 # an unpublished checkpoint temp is as good as absent
@@ -699,7 +707,7 @@ class WriteAheadLog:
                 all_records.extend(records)
 
             self._check_lsn_order(all_records)
-            index, damage = self._scan_pack()
+            index, damage = self._scan_pack(pack)
             if damage is not None:
                 # what replay reads besides the pack: the base state the
                 # payload cache resolves from
@@ -714,7 +722,7 @@ class WriteAheadLog:
                     classification=damage[1],
                 )
             self._adopt_pack_index(index)
-            applied, skipped = self.replay_into(database, all_records)
+            applied, skipped = self.replay_into(database, all_records, pack)
             if damage is not None:
                 # no record names the torn frames: cut them, so the next
                 # append cannot land behind a partial frame
@@ -795,9 +803,15 @@ class WriteAheadLog:
     # -- replay ---------------------------------------------------------------
 
     def replay_into(
-        self, database: OMSDatabase, records: List[Dict[str, Any]]
+        self,
+        database: OMSDatabase,
+        records: List[Dict[str, Any]],
+        pack: Optional[BinaryIO] = None,
     ) -> Tuple[int, int]:
         """Apply decoded records to *database*; ``(applied, skipped)``.
+
+        Packed payloads are read through *pack*, a read handle on the
+        payload pack (None when there is none).
 
         Idempotent and restartable: applying the same records again
         converges to the same state (the double-replay fixpoint the
@@ -809,7 +823,7 @@ class WriteAheadLog:
                 "replay_into: detach the WAL before replaying into the "
                 "database (replayed ops must not be re-logged)"
             )
-        cache = self._seed_payload_cache(database, records)
+        cache = self._seed_payload_cache(database, records, pack)
         applied = 0
         skipped = 0
         for record in records:
@@ -821,7 +835,10 @@ class WriteAheadLog:
         return applied, skipped
 
     def _seed_payload_cache(
-        self, database: OMSDatabase, records: List[Dict[str, Any]]
+        self,
+        database: OMSDatabase,
+        records: List[Dict[str, Any]],
+        pack: Optional[BinaryIO],
     ) -> Dict[str, bytes]:
         """Resolve every referenced payload digest up front.
 
@@ -837,18 +854,17 @@ class WriteAheadLog:
                 digest = op.get("payload_digest")
                 if not digest or digest in cache:
                     continue
-                data = self._resolve_payload(database, digest)
+                data = self._resolve_payload(database, digest, pack)
                 if data is not None:
                     cache[digest] = data
         return cache
 
     def _resolve_payload(
-        self, database: OMSDatabase, digest: str
+        self, database: OMSDatabase, digest: str, pack: Optional[BinaryIO]
     ) -> Optional[bytes]:
         located = self._pack_index.get(digest)
         if located is not None:
-            with open(self.pack_path, "rb") as handle:
-                return self._read_frame(handle, digest, *located)
+            return self._read_frame(pack, digest, *located)
         try:
             return database.materialize_payload(digest, verify=True)
         except OMSError:

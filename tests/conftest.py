@@ -280,6 +280,39 @@ def schematic_wave(project, library, cells):
     ]
 
 
+def appended_meta_lines(path):
+    """``(offset, line)`` of each line after ``.meta``'s snapshot trailer.
+
+    *line* keeps its newline; its first eight bytes are its CRC-32, then
+    a space and the kind (``r`` record, ``p`` property bag, ``tick=``
+    closing line).
+    """
+    data = pathlib.Path(path).read_bytes()
+    offset = data.index(b"\n", data.index(b"\n#sha256=") + 1) + 1
+    lines = []
+    for line in data[offset:].splitlines(True):
+        lines.append((offset, line))
+        offset += len(line)
+    return lines
+
+
+def flip_meta_line(path, kind, which=-1):
+    """Flip one bit inside the body of an appended ``.meta`` line.
+
+    *kind* is ``b"r"`` or ``b"p"``; *which* indexes the appended lines
+    of that kind (default: the last).  Returns the 1-based line number.
+    """
+    path = pathlib.Path(path)
+    data = bytearray(path.read_bytes())
+    offset, _line = [
+        (offset, line) for offset, line in appended_meta_lines(path)
+        if line[9:10] == kind
+    ][which]
+    data[offset + 20] ^= 0x01
+    path.write_bytes(bytes(data))
+    return data.count(b"\n", 0, offset) + 1
+
+
 def assert_no_wave_leftovers(hybrid):
     """What recovery must leave after a crash anywhere in a wave.
 

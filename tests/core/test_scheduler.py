@@ -427,13 +427,13 @@ def meta_writes(monkeypatch):
     from repro.fmcad.metafile import MetaFile
 
     writes = []
-    original = MetaFile.write
+    original = MetaFile.flush
 
-    def spy(self, records, tick, user):
+    def spy(self, *args):
         writes.append(self.path.parent.name)
-        return original(self, records, tick, user)
+        return original(self, *args)
 
-    monkeypatch.setattr(MetaFile, "write", spy)
+    monkeypatch.setattr(MetaFile, "flush", spy)
     return writes
 
 

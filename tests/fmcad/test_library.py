@@ -101,25 +101,6 @@ class TestMetaMaintenance:
         assert snapshot.versions_of("alu", "schematic") == [1]
         assert not snapshot.is_stale(library)
 
-    def test_flush_writes_a_digest_learnt_after_open(self, tmp_path, clock):
-        """A version-1 ``.meta`` has no digests; a later flush adds one."""
-        import hashlib
-
-        view_dir = tmp_path / "libs" / "old" / "alu" / "schematic"
-        view_dir.mkdir(parents=True)
-        (view_dir / "v0001.dat").write_bytes(b"old data")
-        (tmp_path / "libs" / "old" / ".meta").write_text(
-            "#FMCAD-META 1\ntick=3\n"
-            "alu|schematic|schematic|1|v0001.dat|alice|3\n"
-        )
-        library = Library.open("old", tmp_path / "libs", clock=clock)
-        assert library.flush_meta("alice")
-        assert library.metafile.read()[0][0].digest == ""
-        library.cellview("alu", "schematic").version(1).content_digest()
-        assert library.flush_meta("alice")
-        assert library.metafile.read()[0][0].digest == \
-            hashlib.sha256(b"old data").hexdigest()
-
     def test_snapshot_goes_stale_without_flush(self, library):
         library.create_cell("alu")
         cellview = library.create_cellview("alu", "schematic")
@@ -235,7 +216,7 @@ class TestReopenFromDisk:
     def test_open_preserves_tick(self, tmp_path, clock):
         original = self.make_flushed_library(tmp_path, clock)
         reopened = Library.open("persist", tmp_path / "libs", clock=clock)
-        assert reopened.tick == original.metafile.tick()
+        assert reopened.tick == original.metafile.read()[1]
         assert reopened.verify_meta() == []
 
     def test_unflushed_versions_become_orphans(self, tmp_path, clock):
@@ -265,15 +246,15 @@ class TestReopenFromDisk:
     def test_journalled_tag_without_meta_is_not_inherited(
         self, tmp_path, clock
     ):
-        """The dead run's line reached the journal; its .meta did not."""
+        """The dead run's tag was set and flushed; its record was not."""
         library = self.make_flushed_library(tmp_path, clock)
         cellview = library.cellview("alu", "schematic")
         dead = library.write_version(cellview, b"dead run", "bob")
         dead.properties.set("jcf_oid", "DesignObjectVersion:000009")
-        library.flush_props()
+        assert library.flush_properties("bob")
         reopened = Library.open("persist", tmp_path / "libs", clock=clock)
-        # the line matches no .meta record: the reopen drops it
-        assert [key[:3] for key, _, _ in reopened.props_log.read()[0]] == [
+        # a bag is only written after its version's record
+        assert list(reopened.metafile.contents().bags) == [
             ("alu", "schematic", 1)
         ]
         cellview = reopened.cellview("alu", "schematic")
@@ -348,6 +329,8 @@ class TestReopenFromDisk:
 
 
 class TestPropertyJournal:
+    """Property bags appended to ``.meta`` as they change."""
+
     def test_concurrent_sets_and_flushes_lose_no_line(self, tmp_path, clock):
         """Tags set on many threads while another thread flushes."""
         import sys
@@ -362,6 +345,7 @@ class TestPropertyJournal:
                 versions.append(library.write_version(
                     cellview, b"%d/%d" % (cell, n), "alice"
                 ))
+        library.flush_meta("alice")
         done = threading.Event()
 
         def tag(mine):
@@ -370,7 +354,7 @@ class TestPropertyJournal:
 
         def flush():
             while not done.is_set():
-                library.flush_props()
+                library.flush_properties("alice")
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -409,7 +393,7 @@ class TestPropertyJournal:
         first = library.write_version(cellview, b"one", "alice")
         first.properties.set("jcf_oid", "DesignObjectVersion:000001")
         library.flush_meta("alice")
-        whole = library.props_log.path.read_bytes()
+        whole = library.metafile.path.read_bytes()
         second = library.write_version(cellview, b"two", "alice")
         second.properties.set("jcf_oid", "DesignObjectVersion:000002")
         real_write = os.write
@@ -420,10 +404,10 @@ class TestPropertyJournal:
 
         monkeypatch.setattr(os, "write", half_then_fail)
         with pytest.raises(OSError):
-            library.flush_props()
+            library.flush_meta("alice")
         monkeypatch.setattr(os, "write", real_write)
-        assert library.props_log.path.read_bytes() == whole
-        # the bag stays queued: the next flush writes it
+        assert library.metafile.path.read_bytes() == whole
+        # the record and the bag stay queued: the next flush writes them
         library.flush_meta("alice")
         reopened = Library.open("torn", tmp_path / "libs", clock=clock)
         assert [

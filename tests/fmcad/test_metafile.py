@@ -95,3 +95,36 @@ class TestWriterLock:
         metafile.acquire("alice")
         with pytest.raises(MetaFileError):
             metafile.release("bob")
+
+
+class TestAppendAndCompaction:
+    def test_appends_stay_under_the_snapshot(self, tmp_path):
+        """200 one-version flushes: append, compact, total bytes linear."""
+        from repro.fmcad.library import Library
+
+        library = Library("deep", tmp_path / "libs")
+        library.create_cell("alu")
+        cellview = library.create_cellview("alu", "schematic")
+        path = library.metafile.path
+        previous = b""
+        snapshot = written = batches = 0
+        for n in range(200):
+            version = library.write_version(cellview, b"v%d" % n, "alice")
+            version.properties.set("jcf_oid", f"DesignObjectVersion:{n:06d}")
+            assert library.flush_meta("alice")
+            data = path.read_bytes()
+            if previous and data.startswith(previous):
+                written += len(data) - len(previous)
+                batches += len(data) - len(previous)
+            else:  # a snapshot rewrite
+                written += len(data)
+                snapshot = len(data)
+            assert len(data) - snapshot <= snapshot
+            previous = data
+        assert written < 3 * (batches + len(previous))
+        assert batches  # most flushes appended
+        reopened = Library.open("deep", tmp_path / "libs")
+        versions = reopened.cellview("alu", "schematic").versions
+        assert [v.properties.get("jcf_oid") for v in versions] == [
+            f"DesignObjectVersion:{n:06d}" for n in range(200)
+        ]

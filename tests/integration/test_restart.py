@@ -98,8 +98,9 @@ class TestReopen:
         oid = version.properties.get("jcf_oid")
         assert oid is not None
         assert hybrid.jcf.db.exists(oid)
-        # one journal per library, no file per version
-        assert library.props_log.path.exists()
+        # the tags live in .meta: no other metadata file, none per version
+        assert [p.name for p in library.directory.iterdir() if p.is_file()] \
+            == [".meta"]
         assert list(library.directory.glob("*/*/*.props")) == []
 
     def test_design_payloads_match_after_restart(self, saved_environment):

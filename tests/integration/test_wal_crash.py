@@ -14,10 +14,11 @@ before its WAL record.  The payload pack adds two more: after the
 pack's fsync but before the record append (orphan frames), and a torn
 final frame.  The version files' directory entries, and those of the
 view directories a run made, are fsynced before any ``.meta`` names
-them, also when the wave dies at ``wave.before_meta``.  The property
-journal's lines are appended before the ``.meta`` naming their versions:
-a crash between the two, a torn journal tail and an emptied journal all
-reopen to a clean audit.
+them, also when the wave dies at ``wave.before_meta``.  ``.meta``'s
+appended batches add three more: a batch torn at any byte reopens to the
+batch before it, a crash inside a compaction keeps the old snapshot and
+its tail, and a batch cut at rest never gets its logged version files
+reclaimed.
 """
 
 import os
@@ -26,7 +27,9 @@ import pytest
 
 from repro.core.coupling import HybridFramework
 from repro.core.scheduler import RunRequest
-from repro.faults import CrashFault, FaultPlan, inject
+from repro.faults import CrashFault, FaultPlan, MODE_TRUNCATE, inject
+from repro.fmcad.library import Library
+from repro.integrity import Scrubber
 from repro.oms.snapshot import dump_snapshot
 from repro.oms.wal import FRAME_HEADER, FRAME_MAGIC
 from tests.conftest import (
@@ -266,9 +269,8 @@ class TestProcessDeathInAWave:
         hybrid = HybridFramework.reopen(root)
         library = hybrid.fmcad.library("chiplib")
         # the dead wave's version files are on disk, named by no .meta
-        # record; it died before journalling their tags
+        # record
         assert len(library.orphaned_files()) == 8
-        assert not library.props_log.path.exists()
         # a checkin that lands on a dead run's version number starts
         # from nothing
         cellview = library.create_cellview("cell0", "schematic")
@@ -485,74 +487,136 @@ class TestPackCrashes:
         assert_no_wave_leftovers(hybrid3)
 
 
-class TestPropertyJournal:
-    """The library's ``.props.log`` across crashes and damage."""
+class TestMetaAppend:
+    """``.meta``'s appended batches across crashes and damage."""
 
-    def test_crash_after_journal_append_before_meta(self, tmp_path):
-        """Unscheduled: the run's tags are journalled, its .meta is not."""
-        root = tmp_path / "env"
-        hybrid = build_environment(root)
-        library = hybrid.fmcad.library("chiplib")
-        with inject(FaultPlan.crash("fmcad.meta")):
-            with pytest.raises(CrashFault):
-                run_workload(hybrid)
-        entries, _, _ = library.props_log.read()
-        assert entries  # the schematic run's tags reached the journal
-        assert not any(library.meta_names(v)
-                       for cv in library.cellviews() for v in cv.versions)
+    def two_waves(self, root, n_cells=6):
+        """A library whose last wave's ``.meta`` write was an append.
 
-        hybrid2 = restart_recover(root)
-        library2 = hybrid2.fmcad.library("chiplib")
-        assert library2.props_log.read() == ([], [], False)
-        assert library2.orphaned_files() == []
-        assert all(not cv.versions for cv in library2.cellviews())
-        results = run_workload(hybrid2)
-        assert all(result.success for result in results)
-        assert_no_wave_leftovers(hybrid2)
-        assert_no_wave_leftovers(HybridFramework.reopen(root))
-
-    def test_torn_journal_tail(self, tmp_path):
-        root = tmp_path / "env"
-        hybrid, project, library, cells = build_wave_environment(root)
-        result = hybrid.run_many(schematic_wave(project, library, cells[:2]))
-        assert all(o.ok for o in result.outcomes)
-        journal = library.props_log.path
-        whole = journal.read_bytes()
-        # a crash mid-append leaves the head of a line at the end
-        journal.write_bytes(whole + whole.splitlines(True)[0][:20])
-
-        hybrid2 = HybridFramework.reopen(root)
-        assert journal.read_bytes() == whole
-        hybrid2.recover()
-        assert_no_wave_leftovers(hybrid2)
-        project2 = hybrid2.jcf.project("chipA")
-        library2 = hybrid2.fmcad.library("chiplib")
-        result = hybrid2.run_many(
-            schematic_wave(project2, library2, cells[2:])
+        Returns the hybrid, the library, the file's bytes before that
+        append, and the appended batch.
+        """
+        hybrid, project, library, cells = build_wave_environment(
+            root, n_cells
         )
-        assert all(o.ok for o in result.outcomes)
-        hybrid3 = HybridFramework.reopen(root)
-        assert len(hybrid3.fmcad.library("chiplib").props_log.read()[0]) == 8
-        assert_no_wave_leftovers(hybrid3)
+        half = n_cells - 2
+        assert all(o.ok for o in hybrid.run_many(
+            schematic_wave(project, library, cells[:half])
+        ).outcomes)
+        before = library.metafile.path.read_bytes()
+        assert all(o.ok for o in hybrid.run_many(
+            schematic_wave(project, library, cells[half:])
+        ).outcomes)
+        after = library.metafile.path.read_bytes()
+        assert after.startswith(before)
+        return hybrid, library, before, after[len(before):]
 
-    def test_emptied_journal_reopens_and_recovers_tags(self, tmp_path):
-        """An emptied property store must not stop a reopen."""
+    def test_torn_append_at_every_offset(self, tmp_path):
+        """Each cut reopens to the previous batch; the next flush cuts it."""
+        hybrid, library, before, batch = self.two_waves(tmp_path / "env")
+        libs = library.directory.parent
+        meta = library.metafile.path
+        for cut in range(len(batch)):
+            meta.write_bytes(before + batch[:cut])
+            reopened = Library.open("chiplib", libs)
+            # the open reads the batch before, and writes nothing
+            assert meta.read_bytes() == before + batch[:cut]
+            versions = [
+                v for cv in reopened.cellviews() for v in cv.versions
+            ]
+            assert len(versions) == 8
+            assert all(v.properties.get("jcf_oid") for v in versions)
+            assert reopened.metafile.verify() == (
+                "torn-write" if cut else None
+            )
+            cellview = reopened.cellview("cell0", "schematic")
+            reopened.write_version(cellview, b"next", "alice")
+            assert reopened.flush_meta("alice")
+            data = meta.read_bytes()
+            assert data.startswith(before) and len(data) > len(before)
+            assert reopened.metafile.verify() is None
+            again = Library.open("chiplib", libs)
+            assert again.cellview("cell0", "schematic").version(2) is not None
+
+    def test_torn_append_in_a_crashed_wave(self, tmp_path):
+        """The wave's append lands cut short, then the process dies."""
         root = tmp_path / "env"
-        hybrid, project, library, cells = build_wave_environment(root)
-        result = hybrid.run_many(schematic_wave(project, library, cells))
-        assert all(o.ok for o in result.outcomes)
-        library.props_log.path.write_bytes(b"")
+        hybrid, project, library, cells = build_wave_environment(root, 6)
+        assert all(o.ok for o in hybrid.run_many(
+            schematic_wave(project, library, cells[:4])
+        ).outcomes)
+        before = library.metafile.path.read_bytes()
+        plan = FaultPlan.corrupt(
+            "fmcad.meta", mode=MODE_TRUNCATE, seed=3
+        ).add_crash("wal.append")
+        with inject(plan):
+            with pytest.raises(CrashFault):
+                hybrid.run_many(schematic_wave(project, library, cells[4:]))
+        torn = library.metafile.path.read_bytes()
+        assert torn.startswith(before) and len(torn) > len(before)
 
         hybrid2 = HybridFramework.reopen(root)
-        audit = hybrid2.audit()
-        assert sum(
-            finding.category == "orphan-version"
-            for finding in audit.findings
-        ) == 8
+        assert library.metafile.path.read_bytes() == torn
         report = hybrid2.recover()
-        # each tag comes back from the OMS version naming its file
-        assert sum(
-            "fmcad-tag" in finding for finding in report.repaired_payloads
-        ) == 8
+        # 2 runs x 2 views the WAL never logged
+        assert len(report.reclaimed_fmcad_files) == 4
+        assert hybrid2.fmcad.library("chiplib").metafile.verify() is None
         assert_no_wave_leftovers(hybrid2)
         assert_no_wave_leftovers(HybridFramework.reopen(root))
+
+    def test_crash_between_compaction_temp_and_rename(self, tmp_path):
+        """The old snapshot and its tail stay; recovery drops the temp."""
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root, 12)
+        for wave in (cells[:4], cells[4:6]):
+            assert all(o.ok for o in hybrid.run_many(
+                schematic_wave(project, library, wave)
+            ).outcomes)
+        meta = library.metafile.path
+        old = meta.read_bytes()
+        # six more runs: a batch that would pass the snapshot's size
+        with inject(FaultPlan.crash("durable.before_rename")) as plan:
+            with pytest.raises(CrashFault):
+                hybrid.run_many(schematic_wave(project, library, cells[6:]))
+        assert plan.crash_fired
+        assert meta.read_bytes() == old
+        stale = meta.with_name(".meta.tmp")
+        assert stale.exists()
+
+        hybrid2 = HybridFramework.reopen(root)
+        library2 = hybrid2.fmcad.library("chiplib")
+        assert sum(len(cv.versions) for cv in library2.cellviews()) == 12
+        assert stale.exists()
+        report = hybrid2.recover()
+        assert "chiplib/.meta.tmp" in report.reclaimed_fmcad_files
+        assert not stale.exists()
+        assert_no_wave_leftovers(hybrid2)
+        assert_no_wave_leftovers(HybridFramework.reopen(root))
+
+    def test_truncated_batch_of_logged_versions_is_never_reclaimed(
+        self, tmp_path
+    ):
+        """Cut at rest, a logged batch reads like a torn one."""
+        root = tmp_path / "env"
+        hybrid, library, before, batch = self.two_waves(root)
+        meta = library.metafile.path
+        meta.write_bytes(before + batch[: len(batch) // 2])
+        files = sorted(library.directory.glob("cell[45]/*/v*.dat"))
+        assert len(files) == 4
+
+        hybrid2 = HybridFramework.reopen(root)
+        report = Scrubber(hybrid2.jcf, hybrid2.fmcad).scrub()
+        assert ("meta", str(meta), "torn-write") in [
+            (f.area, f.location, f.classification) for f in report.findings
+        ]
+        assert not hybrid2.audit().clean
+        recovery = hybrid2.recover()
+        assert recovery.reclaimed_fmcad_files == []
+        assert all(path.exists() for path in files)
+        # the kept files stay listed for an administrator
+        report = Scrubber(hybrid2.jcf, hybrid2.fmcad).scrub()
+        assert sorted(
+            f.location for f in report.findings if f.area == "fmcad-orphan"
+        ) == [str(path) for path in files]
+
+

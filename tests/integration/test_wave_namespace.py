@@ -5,8 +5,8 @@ file system (Section 2.1), but only as SimClock charges; the files the
 reproduction itself creates around it cost real kernel work.  These
 tests record every namespace operation through an audit hook and pin
 down what one wave of schematic entries leaves behind: its view
-directories, its version files, one ``.meta`` temp and one append to
-the library's property journal.
+directories, its version files and one append to the library's
+``.meta``.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ class TestScheduledWave:
         self, tmp_path, namespace_ops
     ):
         root = tmp_path / "env"
-        hybrid, project, library, cells = build_wave_environment(root, 16)
+        hybrid, project, library, cells = build_wave_environment(root, 12)
         # a first wave makes what every later wave finds (the WAL's
-        # payload pack), so the counted one is a steady-state wave
+        # payload pack, a .meta snapshot larger than the next batch), so
+        # the counted one is a steady-state wave
         warm = hybrid.run_many(schematic_wave(project, library, cells[:8]))
         assert all(outcome.ok for outcome in warm.outcomes)
         namespace_ops.clear()
@@ -52,20 +53,15 @@ class TestScheduledWave:
             sorted(f"{lib}/{c}/{view}" for c in fresh for view in views)
         assert sorted(path for kind, path in ops if kind == "create") == \
             sorted(
-                [
-                    f"{lib}/{cell}/{view}/v0001.dat"
-                    for cell in fresh
-                    for view in views
-                ]
-                + [f"{lib}/.meta.tmp"]
+                f"{lib}/{cell}/{view}/v0001.dat"
+                for cell in fresh
+                for view in views
             )
-        assert [op for op in ops if op[0] == "rename"] == [
-            ("rename", f"{lib}/.meta.tmp")
-        ]
-        # the WAL keeps its log and pack open: the wave's one append
-        # open is the property journal's
+        # no .meta temp and no rename: the wave's metadata is one
+        # append, and the WAL keeps its log and pack open
+        assert [op for op in ops if op[0] == "rename"] == []
         assert [op for op in ops if op[0] == "append"] == [
-            ("append", f"{lib}/.props.log")
+            ("append", f"{lib}/.meta")
         ]
         stats = hybrid.fmcad.checkouts.stats()
         assert stats["working_files"] == 0

@@ -15,8 +15,9 @@ matrix asserts the three-step contract of the integrity layer:
 
 The ``fmcad.meta`` point is also hit on the one write a scheduled wave
 makes: by damage, and by a crash there, both in process and as a real
-process exit.  A bit-flipped line of a library's property journal is
-never applied, and the scrubber reports and repairs it.
+process exit.  A flipped bit in ``.meta``'s snapshot or in an appended
+version record makes the file unreadable; one in an appended property
+line loses only that bag, which the scrubber reports and repairs.
 """
 
 import hashlib
@@ -49,12 +50,14 @@ from repro.oms.snapshot import (
     restore_snapshot,
     verify_snapshot_bytes,
 )
+from repro.fmcad.library import Library
 from repro.integrity import Scrubber
 from repro.oms.storage import StagingArea
 from tests.conftest import (
     assert_no_wave_leftovers,
     build_wave_environment,
     die_in_child,
+    flip_meta_line,
     schematic_wave,
 )
 
@@ -376,14 +379,7 @@ class TestCrashAtWaveMetaWrite:
                 hybrid.run_many(schematic_wave(project, library, cells))
         assert library.metafile.path.read_bytes() == meta_before
 
-        # the crash came after the property journal append: its lines
-        # name versions no .meta record does
-        assert len(library.props_log.read()[0]) == 8
         reopened = HybridFramework.reopen(root)
-        # the reopen drops them, so no later version inherits a tag
-        assert reopened.fmcad.library("chiplib").props_log.read() == (
-            [], [], False
-        )
         report = reopened.recover()
         # 4 runs x 2 views, one version file each
         assert len(report.reclaimed_fmcad_files) == 8
@@ -404,43 +400,58 @@ class TestCrashAtWaveMetaWrite:
         assert_no_wave_leftovers(reopened)
 
 
-def flip_journal_line(library, line_index=1):
-    """Flip one bit inside a line of *library*'s property journal."""
-    journal = library.props_log.path
-    data = bytearray(journal.read_bytes())
-    start = sum(
-        len(line) for line in bytes(data).splitlines(True)[:line_index]
-    )
-    data[start + 20] ^= 0x01
-    journal.write_bytes(bytes(data))
-
-
-class TestPropertyJournalLine:
-    """One bit-flipped line of a library's ``.props.log``."""
-
-    def test_live_damage_reported_and_rewritten(self, tmp_path):
-        root = tmp_path / "env"
-        hybrid, project, library, cells = build_wave_environment(root)
-        result = hybrid.run_many(schematic_wave(project, library, cells))
+def wave_with_an_appended_batch(root):
+    """Two waves; the second one's ``.meta`` write is an append."""
+    hybrid, project, library, cells = build_wave_environment(root, 6)
+    for wave in (cells[:4], cells[4:]):
+        before = library.metafile.path.read_bytes()
+        result = hybrid.run_many(schematic_wave(project, library, wave))
         assert all(outcome.ok for outcome in result.outcomes)
-        flip_journal_line(library)
+    assert library.metafile.path.read_bytes().startswith(before)
+    return hybrid, library
+
+
+class TestMetaBitFlip:
+    """One flipped bit in ``.meta``: in the snapshot, an appended version
+    record, or an appended property line."""
+
+    def test_snapshot_flip_raises(self, tmp_path):
+        hybrid, library = wave_with_an_appended_batch(tmp_path / "env")
+        data = bytearray(library.metafile.path.read_bytes())
+        data[data.index(b"cell0|schematic") + 2] ^= 0x01
+        library.metafile.path.write_bytes(bytes(data))
+        with pytest.raises(MetaIntegrityError) as exc_info:
+            Library.open("chiplib", library.directory.parent)
+        assert exc_info.value.classification == "bit-rot"
+        assert library.metafile.verify() == "bit-rot"
+
+    def test_appended_record_flip_raises(self, tmp_path):
+        hybrid, library = wave_with_an_appended_batch(tmp_path / "env")
+        flip_meta_line(library.metafile.path, b"r")
+        with pytest.raises(MetaIntegrityError) as exc_info:
+            Library.open("chiplib", library.directory.parent)
+        assert exc_info.value.classification == "bit-rot"
+        assert library.metafile.verify() == "bit-rot"
+
+    def test_live_property_line_reported_and_rewritten(self, tmp_path):
+        root = tmp_path / "env"
+        hybrid, library = wave_with_an_appended_batch(root)
+        number = flip_meta_line(library.metafile.path, b"p")
 
         report = Scrubber(hybrid.jcf, hybrid.fmcad).scrub()
-        assert [(f.area, f.classification) for f in report.findings] == [
-            ("props", "bit-rot")
+        assert [(f.area, f.location, f.classification)
+                for f in report.findings] == [
+            ("meta", f"{library.metafile.path}:{number}", "bit-rot")
         ]
-        assert f"{library.props_log.path}:2" == report.findings[0].location
         # the live library is the repair source
         assert Scrubber(hybrid.jcf, hybrid.fmcad).scrub(repair=True).ok
         assert Scrubber(hybrid.jcf, hybrid.fmcad).scrub().clean
         assert_no_wave_leftovers(HybridFramework.reopen(root))
 
-    def test_closed_damage_never_applied(self, tmp_path):
+    def test_closed_property_line_healed_from_the_oms(self, tmp_path):
         root = tmp_path / "env"
-        hybrid, project, library, cells = build_wave_environment(root)
-        result = hybrid.run_many(schematic_wave(project, library, cells))
-        assert all(outcome.ok for outcome in result.outcomes)
-        flip_journal_line(library)
+        hybrid, library = wave_with_an_appended_batch(root)
+        flip_meta_line(library.metafile.path, b"p")
 
         reopened = HybridFramework.reopen(root)
         library2 = reopened.fmcad.library("chiplib")
@@ -451,12 +462,13 @@ class TestPropertyJournalLine:
         assert len(untagged) == 1
         report = Scrubber(reopened.jcf, reopened.fmcad).scrub()
         assert sorted(f.area for f in report.findings) == [
-            "fmcad-tag", "props"
+            "fmcad-tag", "meta"
         ]
         assert not report.ok
         # the OMS version whose directory_path names the file holds the tag
         assert Scrubber(reopened.jcf, reopened.fmcad).scrub(repair=True).ok
         assert untagged[0].properties.get("jcf_oid") is not None
+        assert library2.metafile.verify() is None
         assert_no_wave_leftovers(reopened)
         assert_no_wave_leftovers(HybridFramework.reopen(root))
 

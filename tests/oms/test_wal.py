@@ -426,6 +426,31 @@ class TestPack:
         assert not (root / "blobs").exists()
         assert reopened_dump(simple_schema, root) == dump_snapshot(db)
 
+    def test_recover_opens_the_pack_once(
+        self, simple_schema, tmp_path, monkeypatch
+    ):
+        """The scan and the replay of every packed payload share a handle."""
+        import builtins
+
+        import repro.oms.wal as wal_module
+
+        root = tmp_path / "wal"
+        wal, db, _ = open_wal(simple_schema, root)
+        for i in range(4):
+            db.create("Thing", {"name": f"t{i}"}, payload=b"payload %d" % i)
+        reopened = WriteAheadLog(root)
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return builtins.open(path, *args, **kwargs)
+
+        monkeypatch.setattr(wal_module, "open", counting_open, raising=False)
+        fresh, info = reopened.recover(simple_schema)
+        assert info.records_applied == 4
+        assert opened.count(str(reopened.pack_path)) == 1
+        assert dump_snapshot(fresh) == dump_snapshot(db)
+
     def test_torn_final_frame_is_truncated(self, simple_schema, tmp_path):
         root = tmp_path / "wal"
         wal, db, _ = open_wal(simple_schema, root)
