@@ -444,18 +444,6 @@ class ConsistencyGuard:
                 "staging-orphan",
                 f"unrecorded staging file {path.name}",
             ))
-        # per-run scheduler sandboxes live in subdirectories of the
-        # staging root; a clean run removes its own, so any file found
-        # down there is a crashed run's leaving
-        root = self.jcf.staging.root
-        for subdir in sorted(p for p in root.iterdir() if p.is_dir()):
-            for path in sorted(subdir.rglob("*")):
-                if path.is_file():
-                    report.findings.append(AuditFinding(
-                        "staging-orphan",
-                        "unrecorded staging file "
-                        f"{subdir.name}/{path.name}",
-                    ))
 
     def _audit_blobs(self, report: AuditReport) -> None:
         for problem in self.jcf.db.verify_payload_refcounts():

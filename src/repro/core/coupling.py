@@ -283,7 +283,8 @@ class HybridFramework:
         *commit_scope* and *sandbox_prefix* exist for callers running
         several batches concurrently (the design server's shards): each
         concurrent batch needs its own commit-group scope and a distinct
-        sandbox namespace.  Single-batch callers leave the defaults.
+        prefix for its runs' staged file names.  Single-batch callers
+        leave the defaults.
         """
         scheduler = BatchScheduler(
             self,

@@ -49,7 +49,9 @@ after ``.meta``, before the WAL record      roll back: ``.meta`` names
 Around that core decision, recovery also cancels dangling checkout
 tickets, closes leaked tool sessions, fails executions left ``running``,
 releases orphaned workspace reservations, reclaims unrecorded staging
-files, and settles every pending intent as ``done`` or ``aborted``.
+files (a crashed scheduled run's staged files among them: they sit in
+the one staging root under the run's name prefix, and no record claims
+them), and settles every pending intent as ``done`` or ``aborted``.
 
 Recovery assumes a *quiesced* system — it is the restart path, run
 before any new coupled work begins, exactly like a database's crash
@@ -61,7 +63,6 @@ equality).
 from __future__ import annotations
 
 import dataclasses
-import shutil
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -234,7 +235,6 @@ class CouplingRecovery:
         self._sweep_flow_instances(report)
         for path in self.jcf.staging.reclaim_orphans():
             report.reclaimed_staging_files.append(path.name)
-        self._sweep_staging_sandboxes(report)
         self._sweep_wal(report)
         self._sweep_leases(report)
         self._scrub_storage(report)
@@ -364,25 +364,6 @@ class CouplingRecovery:
                 report.repaired_payloads.append(str(finding))
             elif finding.action == "quarantined":
                 report.quarantined_payloads.append(str(finding))
-
-    def _sweep_staging_sandboxes(self, report: RecoveryReport) -> None:
-        """Remove sandbox directories crashed scheduled runs left behind.
-
-        Each scheduled run stages through a private subdirectory of the
-        staging root (``JCFFramework.staging_sandbox``); a clean run
-        removes its own.  Whatever directories survive a crash hold only
-        export copies — the bytes are all safely inside OMS — so they
-        are reclaimed wholesale.
-        """
-        root = self.jcf.staging.root
-        for subdir in sorted(p for p in root.iterdir() if p.is_dir()):
-            for path in sorted(subdir.rglob("*")):
-                if path.is_file():
-                    path.unlink()
-                    report.reclaimed_staging_files.append(
-                        f"{subdir.name}/{path.name}"
-                    )
-            shutil.rmtree(subdir, ignore_errors=True)
 
     # -- per-intent repair -----------------------------------------------------
 

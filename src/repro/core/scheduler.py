@@ -22,9 +22,10 @@ cells and designers — onto a worker pool:
    batch and ``seed``, ``workers=1`` and ``workers=8`` produce
    byte-identical OMS snapshots; the speedup comes from overlapping the
    unordered middles (staging I/O and the tool step itself).
-4. **Isolation.**  Each run gets a private staging sandbox (no file-name
-   collisions, schedule-independent copy-on-write behaviour; its
-   directory is made only if the run stages) and takes
+4. **Isolation.**  Each run gets its own staging area in the one
+   staging root: its records are private (schedule-independent
+   copy-on-write behaviour) and its file names start with the run's
+   name (no file-name collisions, no directory of its own).  It takes
    its declared read/write keys on the database's
    :class:`~repro.oms.locks.LockManager` — non-blocking, because the
    wave construction already serialised every declared conflict; a
@@ -52,10 +53,10 @@ cells and designers — onto a worker pool:
    every run's resource use.
 
 A run that raises :class:`~repro.faults.CrashFault` poisons its cell:
-later runs on the same ``(library, cell)`` are *blocked* (skipped), its
-sandbox (if it made one) is left on disk for
-:meth:`CouplingRecovery.recover`, and the
-rest of the batch proceeds.
+later runs on the same ``(library, cell)`` are *blocked* (skipped), the
+files it staged stay in the staging root, unrecorded, for the audit to
+list and :meth:`CouplingRecovery.recover` to reclaim, and the rest of
+the batch proceeds.
 """
 
 from __future__ import annotations
@@ -183,8 +184,8 @@ class BatchScheduler:
         #: gives each shard its own scope so shard batches may run
         #: concurrently, each coalescing its own wave of commits
         self.commit_scope = commit_scope
-        #: prepended to per-run staging sandbox names so concurrent
-        #: batches never collide on ``run_NNN`` directories
+        #: prepended to per-run staging names so concurrent batches
+        #: never collide on ``run_NNN`` file-name prefixes
         self.sandbox_prefix = sandbox_prefix
         self.clock = hybrid.clock
         self.db = hybrid.jcf.db
@@ -398,12 +399,8 @@ class BatchScheduler:
         # and their directory entries, must be durable before the wave
         # writes the .meta naming them (a crashed run's may stay named)
         written.fsync()
-        if outcome.status != RUN_CRASHED and sandbox.root_made:
-            # a live run cleans the sandbox it made; a crashed one leaves
-            # its files on disk for the audit to flag and recover() to sweep
+        if outcome.status != RUN_CRASHED:
+            # a live run removes what it staged; a crashed one leaves its
+            # files on disk for the audit to flag and recover() to reclaim
             sandbox.clear()
-            try:
-                sandbox.root.rmdir()
-            except OSError:  # pragma: no cover - unexpected leftovers
-                pass
         return outcome

@@ -23,7 +23,7 @@ from repro.jcf.workspace import WorkspaceManager
 from repro.oms.database import OMSDatabase
 from repro.oms.objects import OMSObject
 from repro.oms.query import QueryEngine
-from repro.oms.storage import Sandbox, StagingArea
+from repro.oms.storage import StagingArea
 
 
 class JCFFramework:
@@ -96,28 +96,29 @@ class JCFFramework:
 
         Normally the framework-wide default area; inside a
         :meth:`staging_sandbox` block (one per scheduled run) it is that
-        run's private sandbox, so concurrent runs can never collide on
-        staged file names.
+        run's own area, whose file names carry the run's name, so
+        concurrent runs can never collide on staged file names.
         """
         override = getattr(self._staging_local, "area", None)
         return override if override is not None else self._default_staging
 
     @contextlib.contextmanager
     def staging_sandbox(self, name: str) -> Iterator[StagingArea]:
-        """Bind a private staging directory to the calling thread.
+        """Bind a run's own staging area to the calling thread.
 
-        The sandbox lives at ``<staging root>/<name>`` — inside the
-        default area's root, so the crash audit and recovery sweeps can
-        find a crashed run's leavings by scanning subdirectories.  Its
-        directory is made on the first export or import.  The caller
-        owns cleanup: the scheduler clears a sandbox a clean run made
-        and deliberately leaves crash leavings for
+        The area stages into the default area's root, and every file it
+        stages is named ``<name>-<file>``, so the crash audit and
+        recovery find a crashed run's leavings among the root's
+        unrecorded files.  It makes no directory.  The caller owns
+        cleanup: the scheduler clears the area of a run that did not
+        crash and deliberately leaves crash leavings for
         ``CouplingRecovery.recover()``.
         """
-        sandbox = Sandbox(
+        sandbox = StagingArea(
             self.db,
-            self._default_staging.root / name,
+            self._default_staging.root,
             copy_on_write=self._default_staging.copy_on_write,
+            prefix=f"{name}-",
         )
         previous = getattr(self._staging_local, "area", None)
         self._staging_local.area = sandbox

@@ -60,9 +60,9 @@ class StagedFile:
 def _synchronized(method):
     """Serialise one staging operation on the area's reentrant lock.
 
-    Concurrent scheduler workers share one default area (plus private
-    sandboxes); the lock keeps the staged-file records, path claims and
-    accounting counters coherent under that sharing.
+    Concurrent scheduler workers share one default area (and each run
+    has its own); the lock keeps the staged-file records, path claims
+    and accounting counters coherent under that sharing.
     """
 
     @functools.wraps(method)
@@ -74,21 +74,26 @@ def _synchronized(method):
 
 
 class StagingArea:
-    """A UNIX directory through which design data enters and leaves OMS."""
+    """A UNIX directory through which design data enters and leaves OMS.
 
-    #: make the root on the first export or import, not at construction
-    lazy_root = False
+    The default area (no *prefix*) makes its root at construction.  An
+    area with a *prefix* is one scheduled run's: it stages into a root
+    the default area made, every file name it picks starts with
+    *prefix*, and it never makes, sweeps or lists the directory.  Its
+    records are its own, so its copy-on-write decisions do not depend
+    on what concurrent runs stage.
+    """
 
     def __init__(
         self,
         database: OMSDatabase,
         root: pathlib.Path,
         copy_on_write: bool = True,
+        prefix: str = "",
     ) -> None:
         self._db = database
         self.root = pathlib.Path(root)
-        #: whether this area has made (or found) its root directory
-        self.root_made = False
+        self.prefix = prefix
         #: stale ``.partial``/``.tmp`` files swept from a root found
         #: already there
         self.swept_temps: List[pathlib.Path] = []
@@ -116,8 +121,11 @@ class StagingArea:
         #: database writes avoided because the tool left the file unchanged
         self.import_hits = 0
         self._lock = threading.RLock()
-        if not self.lazy_root:
-            self._make_root()
+        if not prefix:
+            try:
+                self.root.mkdir(parents=True)
+            except FileExistsError:
+                self.swept_temps = self._sweep_stale_temps()
 
     # -- export: OMS -> file system (checkout for tool use) ---------------------
 
@@ -266,8 +274,9 @@ class StagingArea:
         """Files under the staging root that no staging record claims.
 
         These are the leavings of a crash between writing a staged file
-        and recording it (the ``staging.write`` window) — the bytes are
-        all safely in OMS, so the files are pure waste.
+        and recording it (the ``staging.write`` window), and every file
+        a crashed scheduled run staged under its name prefix — the bytes
+        are all safely in OMS, so the files are pure waste.
         """
         claimed = set(self._by_path)
         return sorted(
@@ -430,16 +439,6 @@ class StagingArea:
         if self._by_digest.get(staged.digest) == staged.path:
             del self._by_digest[staged.digest]
 
-    def _make_root(self) -> None:
-        """Make the root directory, sweeping it if it was already there."""
-        if self.root_made:
-            return
-        try:
-            self.root.mkdir(parents=True)
-        except FileExistsError:
-            self.swept_temps = self._sweep_stale_temps()
-        self.root_made = True
-
     def _sweep_stale_temps(self) -> List[pathlib.Path]:
         """Remove half-written ``.partial``/``.tmp`` files under the root.
 
@@ -476,7 +475,7 @@ class StagingArea:
 
     def _claim_path(self, oid: str, filename: Optional[str]) -> pathlib.Path:
         name = filename or oid.replace(":", "_")
-        path = self.root / name
+        path = self.root / f"{self.prefix}{name}"
         owner = self._by_path.get(path)
         if owner is not None and owner != oid:
             raise OMSError(
@@ -521,7 +520,6 @@ class StagingArea:
         Returns the record and the payload bytes copied, or ``None``
         when no bytes were copied; the caller charges the SimClock.
         """
-        self._make_root()
         path = self._claim_path(oid, filename)
         stat = self._payload_stat(oid)
         copied: Optional[int] = None
@@ -558,7 +556,6 @@ class StagingArea:
         An unchanged file (copy-on-write on) skips the database write;
         the caller charges the SimClock.
         """
-        self._make_root()
         path = self._resolve_import_path(oid, path)
         fault_point("staging.import")
         payload = path.read_bytes()
@@ -664,14 +661,3 @@ class StagingArea:
                 return False
         return digest_bytes(path.read_bytes()) == stat.digest
 
-
-class Sandbox(StagingArea):
-    """One scheduled run's private staging area.
-
-    Most runs stage nothing (a harvest checks the tool's bytes straight
-    in), so the directory appears with the first export or import.  A
-    run's sandbox name repeats across a restart, so finding it already
-    there still sweeps a crashed run's half-written files.
-    """
-
-    lazy_root = True

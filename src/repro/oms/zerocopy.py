@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import pathlib
+import threading
 from typing import Dict
 
 #: ioctl request number of FICLONE on Linux (_IOW(0x94, 9, int))
@@ -37,6 +38,7 @@ class FsCapabilities:
 #: probe results cached per resolved root — the probe costs two scratch
 #: files and a few syscalls, and a filesystem does not change its mind
 _probed: Dict[str, FsCapabilities] = {}
+_probe_lock = threading.Lock()
 
 
 def reflink_supported(src_fd: int, dst_fd: int) -> bool:
@@ -57,10 +59,13 @@ def probe_capabilities(root: pathlib.Path) -> FsCapabilities:
     root = pathlib.Path(root)
     root.mkdir(parents=True, exist_ok=True)
     key = str(root.resolve())
-    caps = _probed.get(key)
-    if caps is None:
-        caps = _probe(root)
-        _probed[key] = caps
+    # concurrent runs stage into one root: one probe at a time, or two
+    # would race on the same scratch names
+    with _probe_lock:
+        caps = _probed.get(key)
+        if caps is None:
+            caps = _probe(root)
+            _probed[key] = caps
     return caps
 
 

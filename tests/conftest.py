@@ -280,6 +280,19 @@ def schematic_wave(project, library, cells):
     ]
 
 
+def simulation_wave(project, library, cells):
+    """One simulation per cell over its schematic: stages one need each."""
+    from repro.core.scheduler import RunRequest
+
+    return [
+        RunRequest(
+            "alice", project, library, cell, "digital_simulation",
+            kwargs={"testbench_fn": inverter_testbench_fn(2)},
+        )
+        for cell in cells
+    ]
+
+
 def appended_meta_lines(path):
     """``(offset, line)`` of each line after ``.meta``'s snapshot trailer.
 

@@ -294,27 +294,37 @@ class TestFaultPaths:
             result = hybrid.run_many(requests, workers=1)
         assert result.outcomes[0].status == RUN_CRASHED
         staging_root = hybrid.jcf.staging.root
-        leavings = [p for p in staging_root.iterdir() if p.is_dir()]
-        assert leavings, "crashed run should leave its sandbox on disk"
-        assert any(
-            f.category == "staging-orphan" and "/" in f.detail
-            for f in hybrid.audit().findings
+        # the run staged its needs directly in the root, named after it
+        leavings = sorted(
+            p.name for p in staging_root.iterdir()
+            if p.name.startswith("run_000-")
         )
+        assert leavings, "crashed run should leave its staged files"
+        assert all((staging_root / name).is_file() for name in leavings)
+        orphans = sorted(
+            f.detail.rpartition(" ")[2] for f in hybrid.audit().findings
+            if f.category == "staging-orphan"
+        )
+        assert orphans == leavings
         report = hybrid.recover()
-        assert any(
-            "/" in name for name in report.reclaimed_staging_files
-        ), "recovery should reclaim sandbox files"
-        assert not any(p.is_dir() for p in staging_root.iterdir())
+        assert sorted(report.reclaimed_staging_files) == leavings, (
+            "recovery should reclaim the crashed run's files"
+        )
+        assert list(staging_root.iterdir()) == []
         assert hybrid.audit().clean
 
     def test_clean_batch_leaves_no_sandboxes(self, adopted_cells):
         hybrid, project, library, cells = adopted_cells
+        staging_root = hybrid.jcf.staging.root
+        before = sorted(staging_root.iterdir())
         result = hybrid.run_many(
             full_flow_batch(project, library, cells), workers=4
         )
         assert all(o.ok for o in result.outcomes)
-        staging_root = hybrid.jcf.staging.root
-        assert not any(p.is_dir() for p in staging_root.iterdir())
+        # simulation and layout staged their needs; every run cleared
+        # what it staged and made no directory
+        assert hybrid.jcf.staging.accounting()["files_exported"] > 0
+        assert sorted(staging_root.iterdir()) == before
 
 
 class TestInLaneBatches:

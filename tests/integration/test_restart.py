@@ -222,3 +222,73 @@ class TestLibraryDefault:
         users = {user.get("name") for user in reopened.jcf.resources.users()}
         assert {"before_save", "after_save"} <= users
         assert reopened.audit().clean
+
+
+class TestCrashedRunStagingAcrossRestart:
+    """A scheduled run's staging names repeat after a restart.
+
+    The design server numbers its batches from 1 again after a restart,
+    so a crashed run's prefix comes back: its leftover files must stay
+    orphans until ``recover()`` reclaims them, and the run that reuses
+    the prefix must still succeed.
+    """
+
+    def test_crashed_simulation_files_are_reclaimed_not_adopted(
+        self, tmp_path
+    ):
+        from repro.core.scheduler import RUN_CRASHED
+        from repro.faults import FaultPlan, inject
+        from tests.conftest import (
+            build_wave_environment,
+            schematic_wave,
+            simulation_wave,
+        )
+
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root, 2)
+        entered = hybrid.run_many(schematic_wave(project, library, cells))
+        assert all(outcome.ok for outcome in entered.outcomes)
+        prefix = "s0b0001_"
+        with inject(FaultPlan.crash("run.before_finish")):
+            crashed = hybrid.run_many(
+                simulation_wave(project, library, cells[:1]),
+                sandbox_prefix=prefix,
+            )
+        assert crashed.outcomes[0].status == RUN_CRASHED
+        staging_root = hybrid.jcf.staging.root
+        leavings = sorted(
+            p for p in staging_root.iterdir()
+            if p.name.startswith(f"{prefix}run_000-")
+        )
+        assert leavings
+
+        reopened = HybridFramework.reopen(root)
+        staging = reopened.jcf.staging
+        # reopen already tried adopting; a second pass adopts nothing
+        # either, because a prefixed name maps to no object id
+        assert staging.staged() == []
+        assert staging.adopt_existing() == []
+        assert staging.orphan_files() == leavings
+        findings = [
+            f for f in reopened.audit().findings
+            if f.category == "staging-orphan"
+        ]
+        assert len(findings) == len(leavings)
+
+        report = reopened.recover()
+        assert sorted(report.reclaimed_staging_files) == [
+            p.name for p in leavings
+        ]
+        assert reopened.audit().clean
+
+        library = reopened.fmcad.library(library.name)
+        project = reopened.jcf.project(project.name)
+        again = reopened.run_many(
+            simulation_wave(project, library, cells), sandbox_prefix=prefix
+        )
+        assert all(outcome.ok for outcome in again.outcomes), [
+            str(outcome.error) for outcome in again.outcomes
+        ]
+        assert list(staging_root.iterdir()) == []
+        assert reopened.audit().clean
+

@@ -4,9 +4,9 @@ A served checkin reproduces FMCAD's copy-in/copy-out through the UNIX
 file system (Section 2.1), but only as SimClock charges; the files the
 reproduction itself creates around it cost real kernel work.  These
 tests record every namespace operation through an audit hook and pin
-down what one wave of schematic entries leaves behind: its view
+down what one wave of schematic entries leaves behind (its view
 directories, its version files and one append to the library's
-``.meta``.
+``.meta``) and what a wave of simulations does in the staging root.
 """
 
 from __future__ import annotations
@@ -17,7 +17,11 @@ from typing import List, Tuple
 import pytest
 
 from repro.fmcad.library import Library
-from tests.conftest import build_wave_environment, schematic_wave
+from tests.conftest import (
+    build_wave_environment,
+    schematic_wave,
+    simulation_wave,
+)
 
 def _kinds(ops, root) -> List[Tuple[str, str]]:
     return [(kind, os.path.relpath(path, root)) for kind, path in ops]
@@ -66,6 +70,41 @@ class TestScheduledWave:
         stats = hybrid.fmcad.checkouts.stats()
         assert stats["working_files"] == 0
         assert stats["granted"] == granted + 2 * len(fresh)
+
+
+class TestSimulationWaveStaging:
+    def test_each_run_stages_one_file_and_makes_no_directory(
+        self, tmp_path, namespace_ops
+    ):
+        """The design_cycle shape: simulations over existing schematics."""
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root, 4)
+        entered = hybrid.run_many(schematic_wave(project, library, cells))
+        assert all(outcome.ok for outcome in entered.outcomes)
+        staging_root = hybrid.jcf.staging.root
+        namespace_ops.clear()
+        result = hybrid.run_many(
+            simulation_wave(project, library, cells), sandbox_prefix="s0b0002_"
+        )
+        assert all(outcome.ok for outcome in result.outcomes)
+        ops = [
+            (kind, os.path.relpath(path, staging_root))
+            for kind, path in namespace_ops
+            if os.path.commonpath([path, staging_root]) == str(staging_root)
+        ]
+        # one staged schematic per run, named after the run, created in
+        # the root and unlinked when the run clears its area
+        assert not [
+            op for op in ops if op[0] in ("mkdir", "rmdir", "listdir")
+        ]
+        for index in range(len(cells)):
+            mine = [
+                kind for kind, name in ops
+                if name.startswith(f"s0b0002_run_{index:03d}-")
+            ]
+            assert sorted(mine) == ["create", "unlink"]
+        assert len(ops) == 2 * len(cells)
+        assert list(staging_root.iterdir()) == []
 
 
 class TestWriteVersionOntoLeftovers:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import OMSError
-from repro.oms.storage import Sandbox, StagingArea
+from repro.oms.storage import StagingArea
 
 
 @pytest.fixture
@@ -223,30 +223,136 @@ class TestBookkeeping:
 
 
 class TestRootLifecycle:
-    """A default area makes its root at once; a sandbox on first use."""
+    """A default area makes its root at once; a run area never does."""
 
     def test_default_area_sweeps_only_a_root_it_found(self, db, tmp_path):
         root = tmp_path / "staging"
         fresh = StagingArea(db, root)
-        assert fresh.root_made and fresh.swept_temps == []
+        assert root.is_dir() and fresh.swept_temps == []
         (root / "Thing_1.partial").write_bytes(b"torn")
         (root / "keep.dat").write_bytes(b"not a temp")
         found = StagingArea(db, root)
         assert [p.name for p in found.swept_temps] == ["Thing_1.partial"]
         assert sorted(p.name for p in root.iterdir()) == ["keep.dat"]
 
-    def test_sandbox_root_appears_with_the_first_export(self, db, tmp_path):
-        root = tmp_path / "staging" / "run_000"
-        sandbox = Sandbox(db, root)
-        assert not sandbox.root_made and not root.exists()
+    def test_run_area_makes_no_directory(
+        self, db, tmp_path, namespace_ops
+    ):
+        root = tmp_path / "staging"
+        StagingArea(db, root / "unmade", prefix="run_000-")
+        assert not (root / "unmade").exists()
+        StagingArea(db, root)
+        obj = db.create("Thing", {"name": "x"}, payload=b"old")
+        tool_output = tmp_path / "tool.out"
+        tool_output.write_bytes(b"new")
+        namespace_ops.clear()
+        run = StagingArea(db, root, prefix="run_000-")
+        run.export_object(obj.oid)
+        run.import_object(obj.oid, tool_output)
+        run.export_objects([obj.oid], writable=False)
+        run.clear()
+        assert [
+            op for op in namespace_ops
+            if op[0] in ("mkdir", "rmdir", "listdir")
+        ] == []
+        assert db.get(obj.oid).payload == b"new"
+
+    def test_run_area_files_carry_its_prefix(self, db, staging):
+        run = StagingArea(db, staging.root, prefix="s0b0001_run_002-")
         obj = db.create("Thing", {"name": "x"}, payload=b"design data")
-        staged = sandbox.export_object(obj.oid)
-        assert sandbox.root_made
+        named = db.create("Thing", {"name": "y"}, payload=b"other")
+        staged = run.export_object(obj.oid)
+        custom = run.export_object(named.oid, filename="work.dat")
+        assert staged.path == (
+            staging.root / f"s0b0001_run_002-{obj.oid.replace(':', '_')}"
+        )
+        assert custom.path == staging.root / "s0b0001_run_002-work.dat"
         assert staged.path.read_bytes() == b"design data"
-        assert sandbox.swept_temps == []
+        # the default area records none of them: to it they are orphans
+        assert staging.orphan_files() == sorted([staged.path, custom.path])
+
+    def test_clear_leaves_the_root_as_it_found_it(
+        self, db, staging, namespace_ops
+    ):
+        obj = db.create("Thing", {"name": "x"}, payload=b"shared")
+        twin = db.create("Thing", {"name": "y"}, payload=b"shared")
+        staging.export_object(obj.oid)
+        (staging.root / "notes.txt").write_bytes(b"not staged")
+        before = sorted(
+            (p.name, p.read_bytes()) for p in staging.root.iterdir()
+        )
+        idle = StagingArea(db, staging.root, prefix="run_000-")
+        namespace_ops.clear()
+        idle.clear()
+        assert list(namespace_ops) == []
+        run = StagingArea(db, staging.root, prefix="run_001-")
+        run.export_objects([obj.oid, twin.oid], writable=False)
+        assert run.accounting()["export_links"] == 1
+        run.clear()
+        assert sorted(
+            (p.name, p.read_bytes()) for p in staging.root.iterdir()
+        ) == before
+        assert staging.is_staged(obj.oid)
+
+    def test_run_areas_exporting_one_oid_do_not_collide(
+        self, db, staging, fake_reflink
+    ):
+        """More run areas than cores stage the same oids into one root.
+
+        Twin payloads make every writable export after the first share
+        from a peer, so the areas also meet in the capability probe.
+        """
+        import sys
+        import threading
+
+        objs = [
+            db.create("Thing", {"name": n}, payload=p * 64)
+            for n, p in (("a", b"a"), ("b", b"b"), ("twin", b"a"))
+        ]
+        runs = [
+            StagingArea(db, staging.root, prefix=f"run_{i:03d}-")
+            for i in range(4)
+        ]
+        errors = []
+
+        def stage(run):
+            try:
+                for round_ in range(20):
+                    for obj in objs:
+                        staged = run.export_object(
+                            obj.oid, writable=round_ % 2 == 0
+                        )
+                        assert staged.path.name.startswith(run.prefix)
+                        assert run.read_staged(obj.oid) == obj.payload
+                    run.clear()
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=stage, args=(r,)) for r in runs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for run in runs:
+            counts = run.accounting()
+            assert counts["files_exported"] + counts["export_links"] \
+                + counts["export_reflinks"] + counts["export_hits"] == 60
+        staged = [run.export_object(objs[0].oid) for run in runs]
+        assert len({s.path for s in staged}) == len(runs)
+        assert all(s.path.read_bytes() == b"a" * 64 for s in staged)
+        for run in runs:
+            run.clear()
+        assert list(staging.root.iterdir()) == []
 
     def test_copying_export_into_fresh_sandbox_unlinks_nothing(
-        self, db, tmp_path, monkeypatch
+        self, db, staging, monkeypatch
     ):
         import os
 
@@ -256,37 +362,15 @@ class TestRootLifecycle:
             os, "unlink",
             lambda path, *a, **k: (unlinked.append(path), real(path, *a, **k)),
         )
-        sandbox = Sandbox(db, tmp_path / "staging" / "run_000")
+        run = StagingArea(db, staging.root, prefix="run_000-")
         objs = [
             db.create("Thing", {"name": n}, payload=n.encode() * 4)
             for n in ("x", "y")
         ]
-        sandbox.export_object(objs[0].oid)
-        sandbox.export_objects([objs[1].oid])
-        assert sandbox.accounting()["files_exported"] == 2
+        run.export_object(objs[0].oid)
+        run.export_objects([objs[1].oid])
+        assert run.accounting()["files_exported"] == 2
         assert unlinked == []
-
-    def test_sandbox_root_appears_with_the_first_import(self, db, tmp_path):
-        root = tmp_path / "staging" / "run_000"
-        sandbox = Sandbox(db, root)
-        obj = db.create("Thing", {"name": "x"}, payload=b"old")
-        tool_output = tmp_path / "tool.out"
-        tool_output.write_bytes(b"new")
-        sandbox.import_object(obj.oid, tool_output)
-        assert sandbox.root_made and root.is_dir()
-        assert db.get(obj.oid).payload == b"new"
-
-    def test_sandbox_found_after_a_crash_is_swept(self, db, tmp_path):
-        """Sandbox names repeat across a restart."""
-        root = tmp_path / "staging" / "run_000"
-        root.mkdir(parents=True)
-        (root / "Thing_1.tmp").write_bytes(b"half written")
-        sandbox = Sandbox(db, root)
-        assert sandbox.swept_temps == []  # nothing touched yet
-        obj = db.create("Thing", {"name": "x"}, payload=b"d")
-        sandbox.export_object(obj.oid)
-        assert [p.name for p in sandbox.swept_temps] == ["Thing_1.tmp"]
-        assert not (root / "Thing_1.tmp").exists()
 
 
 class TestAdoptExisting:
