@@ -1,4 +1,4 @@
-"""Fault harness overhead and two-phase recovery latency.
+"""Fault harness overhead and crash recovery latency.
 
 The fault-injection points are woven permanently through the coupling's
 hot paths (staging writes, payload interning, the checkout protocol), so
@@ -219,7 +219,7 @@ def run_bench() -> Tuple[str, Dict[str, float]]:
     recovery_rows, recovery = run_recovery_latency()
 
     report = (
-        "Fault harness overhead and two-phase recovery latency\n\n"
+        "Fault harness overhead and crash recovery latency\n\n"
         "1. disabled fault points — harness share of one coupled run\n"
         "   (schematic entry + simulation + layout entry, real time)\n\n"
     )

@@ -16,7 +16,7 @@ Commands
     Cross-framework crash-consistency audit of a saved workspace (or a
     fresh demo environment); exits non-zero when findings remain.
 ``recover``
-    Run two-phase crash recovery on a saved workspace, print what was
+    Run crash recovery on a saved workspace, print what was
     repaired, then re-audit; exits non-zero when the audit stays dirty.
 ``scrub``
     Verify every stored payload against its content address and report

@@ -18,7 +18,6 @@ from repro.core.hierarchy import HierarchyManager
 from repro.errors import IntegrityError
 from repro.integrity.scrub import Scrubber
 from repro.core.mapping import DataModelMapper
-from repro.core.recovery import IntentJournal
 from repro.fmcad.framework import FMCADFramework
 from repro.fmcad.itc import ITCMessage
 from repro.fmcad.library import Library
@@ -116,7 +115,6 @@ class ConsistencyGuard:
         self.fmcad = fmcad
         self.mapper = mapper
         self.hierarchy = hierarchy
-        self.intents = IntentJournal(jcf.db)
         self._interceptor_installed = False
         fmcad.interpreter.run(GUARD_PROGRAM)
 
@@ -273,9 +271,9 @@ class ConsistencyGuard:
         library, the audit sweeps every invariant a crashed coupled run
         can break: untagged or mistagged FMCAD versions, dangling
         checkout tickets, leaked tool sessions, executions stuck
-        ``running``, intents never settled, reservations that outlived
-        their legitimacy, unrecorded staging files, and payload
-        refcounts that disagree with the live object graph.  A clean
+        ``running``, reservations that outlived their legitimacy,
+        unrecorded staging files, and payload refcounts that disagree
+        with the live object graph.  A clean
         report is the definition of "recovered".
         """
         report = AuditReport()
@@ -283,7 +281,6 @@ class ConsistencyGuard:
         self._audit_tickets(report)
         self._audit_sessions(report)
         self._audit_executions(report)
-        self._audit_intents(report)
         self._audit_reservations(report)
         self._audit_staging(report)
         self._audit_blobs(report)
@@ -404,15 +401,6 @@ class ConsistencyGuard:
             report.findings.append(AuditFinding(
                 "stale-execution",
                 f"execution {obj.oid} still running",
-            ))
-
-    def _audit_intents(self, report: AuditReport) -> None:
-        for intent in self.intents.pending():
-            report.findings.append(AuditFinding(
-                "pending-intent",
-                f"intent {intent.oid} ({intent.get('kind')} on "
-                f"{intent.get('cell')!r} by {intent.get('user')}) never "
-                "settled",
             ))
 
     def _audit_reservations(self, report: AuditReport) -> None:

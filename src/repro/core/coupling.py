@@ -22,7 +22,7 @@ from repro.core.encapsulation import (
 )
 from repro.core.hierarchy import HierarchyManager
 from repro.core.mapping import DataModelMapper
-from repro.core.recovery import CouplingRecovery, IntentJournal, RecoveryReport
+from repro.core.recovery import CouplingRecovery, RecoveryReport
 from repro.core.scheduler import BatchResult, BatchScheduler, RunRequest
 from repro.fmcad.framework import FMCADFramework
 from repro.fmcad.library import Library
@@ -123,7 +123,6 @@ class HybridFramework:
         self.layout_entry = LayoutEntryWrapper(
             self.jcf, self.fmcad, self.mapper, self.guard
         )
-        self.intents = IntentJournal(self.jcf.db)
         self.recovery = CouplingRecovery(self.jcf, self.fmcad)
         self._wire_flow_orchestration()
         # staged files from a previous process are a durable CoW cache:

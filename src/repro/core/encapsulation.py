@@ -26,7 +26,6 @@ from typing import Callable, List, Optional, Tuple
 from repro.core import gates
 from repro.core.consistency import ConsistencyGuard
 from repro.core.mapping import WORKING_VARIANT, DataModelMapper
-from repro.core.recovery import IntentJournal
 from repro.errors import (
     EncapsulationError,
     FlowOrderError,
@@ -36,7 +35,7 @@ from repro.errors import (
 from repro.faults import CrashFault, fault_point, with_retries
 from repro.fmcad.framework import FMCADFramework
 from repro.fmcad.library import Library
-from repro.jcf.model import EXEC_RUNNING, INTENT_ABORTED, INTENT_DONE
+from repro.jcf.model import EXEC_RUNNING
 from repro.jcf.framework import JCFFramework
 from repro.oms.blobs import digest_bytes
 from repro.jcf.project import (
@@ -101,7 +100,6 @@ class _ToolWrapper:
         self.fmcad = fmcad
         self.mapper = mapper
         self.guard = guard
-        self.intents = IntentJournal(jcf.db)
         #: diff harvested outputs against the parent version's digest and
         #: re-intern only changed views; False forces the seed's
         #: paper-faithful full harvest (the ablation the equivalence
@@ -342,34 +340,12 @@ class _ToolWrapper:
             except FlowOrderError:
                 raise  # out-of-order without supervision: rejected outright
 
-            # the window between starting the activity and journalling the
-            # intent: a crash here leaves a running execution no intent
-            # describes — recovery's generic execution sweep covers it
+            # the running execution is the run's in-flight record: from
+            # here on a crash leaves it running, and recovery settles the
+            # cell it names before failing it
             fault_point("run.after_start")
 
-            # phase one: journal the intent — durable before any FMCAD side
-            # effect, carrying the per-view version baseline recovery needs
-            # to tell this run's half-work from pre-existing state
             try:
-                intent_oid = self.intents.begin(
-                    kind=self.ACTIVITY,
-                    user=user,
-                    library=library.name,
-                    cell=cell_name,
-                    activity=self.ACTIVITY,
-                    execution_oid=execution.oid,
-                    variant_oid=variant.oid,
-                    fmcad_base=[
-                        [
-                            cv.view.name,
-                            cv.default_version.number
-                            if cv.default_version
-                            else 0,
-                        ]
-                        for cv in library.cell(cell_name).cellviews()
-                    ],
-                )
-
                 session = self.fmcad.open_session(self.TOOL, user)
                 if self.GUARD_MENUS:
                     self.guard.guard_session(session)
@@ -379,11 +355,10 @@ class _ToolWrapper:
                         "predecessor finished — results are provisional"
                     )
             except CrashFault:
-                raise  # dead process: the generic execution sweep repairs
+                raise  # dead process: recovery fails the execution
             except Exception:
-                # the process is alive but the run never got going (e.g.
-                # the cell vanished between workspace check and intent):
-                # don't leak a running execution nothing will ever finish
+                # the process is alive but the run never got going: don't
+                # leak a running execution nothing will ever finish
                 if execution.status == EXEC_RUNNING:
                     self.jcf.engine.finish_activity(execution, success=False)
                 raise
@@ -421,9 +396,9 @@ class _ToolWrapper:
                         if isinstance(data, dict)
                         else {self.VIEWTYPE: data}
                     )
-                    # phase two: harvest every view inside ONE OMS
-                    # transaction, compensating completed FMCAD checkins if
-                    # it aborts — no more half-harvested multi-view runs
+                    # harvest every view inside ONE OMS transaction,
+                    # compensating completed FMCAD checkins if it aborts —
+                    # no more half-harvested multi-view runs
                     completed: List[Tuple[str, object]] = []
                     try:
                         with self.jcf.db.transaction():
@@ -472,7 +447,8 @@ class _ToolWrapper:
                     # wave's group: cross-tag the FMCAD versions now, before
                     # the wave journals them and writes its .meta.  A crash
                     # in this window is the roll-forward case (recovery
-                    # repairs the tag from the matching payload digest)
+                    # gives the tag back from the OMS version naming the
+                    # file)
                     if isinstance(gate, gates.RunGate):
                         self._place_tags(harvested)
                 # outputs durable and cross-tagged; derivation record pending
@@ -486,7 +462,6 @@ class _ToolWrapper:
                 self.fmcad.log_invocation(
                     self.TOOL, user, cell_name, self.VIEWTYPE
                 )
-                self.intents.finish(intent_oid, INTENT_DONE)
                 if (
                     self.triggers is not None
                     and success
@@ -508,7 +483,8 @@ class _ToolWrapper:
             )
         except CrashFault:
             # simulated process death: no application-level cleanup may
-            # run — recovery repairs the wreckage from the intent record
+            # run — recovery repairs the wreckage from the execution the
+            # run left running
             crashed = True
             raise
         except Exception:
@@ -522,11 +498,6 @@ class _ToolWrapper:
             if execution.status == EXEC_RUNNING:
                 self.jcf.engine.finish_activity(execution, success=False)
             self._cancel_dangling_tickets(library, cell_name)
-            self.intents.finish(
-                intent_oid,
-                INTENT_DONE if harvested else INTENT_ABORTED,
-                note="failed after outputs committed" if harvested else "",
-            )
             raise
         finally:
             if not crashed:

@@ -4,9 +4,9 @@ The parallel scheduler promises a snapshot **bit-identical** to the
 sequential execution of the same batch.  Everything snapshot-visible
 that a coupled run produces — oid allocation order, link insertion,
 attribute timestamps — happens in two narrow windows of the run
-protocol: the *open* section (start activity, journal the intent, open
-the tool session) and the *commit* section (harvest transaction,
-cross-tags, finish activity).  The long middle — staging file I/O and
+protocol: the *open* section (start activity, open the tool session)
+and the *commit* section (harvest transaction, cross-tags, finish
+activity).  The long middle — staging file I/O and
 the tool step itself — allocates nothing snapshot-visible.
 
 A :class:`Turnstile` is a condition-variable counter that admits run 0,

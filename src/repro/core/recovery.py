@@ -1,4 +1,4 @@
-"""Two-phase recovery for interrupted coupled runs.
+"""Recovery for interrupted coupled runs.
 
 The coupled protocol touches two systems with very different crash
 behaviour.  OMS is transactional: open transactions self-abort when the
@@ -7,51 +7,46 @@ a crash.  FMCAD is files-and-locks: version files, checkout tickets,
 tool sessions and ``.meta`` flushes have no transaction around them, so
 a crash leaves whatever half-state the process died in.
 
-The bridge is the **coupling intent**: a durable OMS record
-(``CouplingIntent``) journalled by :class:`IntentJournal` *before* the
-run performs any cross-framework side effect.  After a crash,
-:class:`CouplingRecovery` scans the pending intents and both frameworks
-and repairs the slave to match the master:
+A run's in-flight record is its JCF execution: ``start_activity``
+commits it ``running`` before the run has any FMCAD side effect, and
+``finish_activity`` settles it.  On a quiesced system a ``running``
+execution names a run a crash interrupted.  :class:`CouplingRecovery`
+finds that run's cell (execution, variant, cell, then the library the
+cell's project was imported from, Table 1) and walks each of its
+cellviews newest-first.  A scheduled wave writes each touched library's
+``.meta`` once after all its runs and then appends one WAL record for
+the whole wave; a wave that died before that record left no execution
+behind, so two more rows cover it:
 
 ==========================================  ================================
-observed state of an FMCAD version          action
-(newer than the intent's recorded base)
+observed state                              action
 ==========================================  ================================
-``jcf_oid`` tag names a live OMS version    keep — the run got far enough
-no/dead tag, but the OMS design object's    roll forward: repair the tag
-latest payload digest matches the file      (both writes happened, the
-                                            cross-tag was the casualty)
-no/dead tag and no matching OMS payload     roll back: drop the FMCAD
+**cell of a running execution**, version's  keep, and stop the walk: the
+``jcf_oid`` tag names a live OMS version    run got far enough
+... no live tag, but an OMS version names   roll forward: give the tag back
+the file (``directory_path``) and holds     (both writes happened, the
+the same payload                            cross-tag was the casualty)
+... no live tag, no such OMS version        roll back: drop the FMCAD
                                             version (the OMS import never
                                             committed)
-==========================================  ================================
-
-Two more rows cover a scheduled wave, which writes each touched
-library's ``.meta`` once after all its runs and then appends one WAL
-record for the whole wave — its intents included.  A crash inside the
-wave therefore leaves no pending intent to settle:
-
-==========================================  ================================
-crash point in the wave                     action
-==========================================  ================================
-after the version files, before ``.meta``   reclaim: version files no
-(no batch appended, or a torn one)          record names are deleted,
-                                            unless an OMS version names
+**wave** died after its version files,      reclaim: version files no
+before ``.meta`` (no batch appended, or     record names are deleted,
+a torn one)                                 unless an OMS version names
                                             them; a torn batch is never
                                             read, and the next write
                                             cuts it
-after ``.meta``, before the WAL record      roll back: ``.meta`` names
-                                            versions whose ``jcf_oid`` tag
+**wave** died after ``.meta``, before the   roll back: ``.meta`` names
+WAL record                                  versions whose ``jcf_oid`` tag
                                             no replayed OMS object backs;
                                             drop them newest-first
 ==========================================  ================================
 
-Around that core decision, recovery also cancels dangling checkout
-tickets, closes leaked tool sessions, fails executions left ``running``,
-releases orphaned workspace reservations, reclaims unrecorded staging
-files (a crashed scheduled run's staged files among them: they sit in
-the one staging root under the run's name prefix, and no record claims
-them), and settles every pending intent as ``done`` or ``aborted``.
+Around that core decision, recovery also fails executions left
+``running``, closes every tool session, cancels dangling checkout
+tickets, releases orphaned workspace reservations and reclaims
+unrecorded staging files (a crashed scheduled run's staged files among
+them: they sit in the one staging root under the run's name prefix,
+and no record claims them).
 
 Recovery assumes a *quiesced* system — it is the restart path, run
 before any new coupled work begins, exactly like a database's crash
@@ -63,7 +58,7 @@ equality).
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
     CouplingError,
@@ -82,88 +77,17 @@ from repro.jcf.model import (
     FLOW_QUEUED,
     FLOW_RUNNING,
     FLOW_TERMINAL_STATES,
-    INTENT_ABORTED,
-    INTENT_DONE,
-    INTENT_PENDING,
 )
-from repro.jcf.project import JCFCellVersion, JCFVariant
-from repro.oms.objects import OMSObject
+from repro.jcf.project import JCFCellVersion
 
 #: author recorded on ``.meta`` flushes performed by recovery
 RECOVERY_USER = "recovery"
-
-
-class IntentJournal:
-    """Durable begin/finish records for coupled runs.
-
-    An intent is only worth anything if it survives the crash it is
-    meant to describe, so :meth:`begin` refuses to run inside an open
-    transaction — an aborting transaction would take the intent with it.
-    """
-
-    def __init__(self, db) -> None:
-        self._db = db
-
-    def begin(
-        self,
-        kind: str,
-        user: str,
-        library: str,
-        cell: str,
-        activity: str = "",
-        execution_oid: str = "",
-        variant_oid: str = "",
-        fmcad_base: Optional[Sequence[Sequence[Any]]] = None,
-        note: str = "",
-    ) -> str:
-        """Journal a pending intent; returns its oid."""
-        if self._db.in_transaction:
-            raise CouplingError(
-                "intent records must be journalled outside transactions — "
-                "an abort would erase the evidence recovery depends on"
-            )
-        obj = self._db.create(
-            "CouplingIntent",
-            {
-                "kind": kind,
-                "state": INTENT_PENDING,
-                "user": user,
-                "library": library,
-                "cell": cell,
-                "activity": activity,
-                "execution_oid": execution_oid,
-                "variant_oid": variant_oid,
-                "fmcad_base": [list(pair) for pair in (fmcad_base or [])],
-                "started_ms": self._db.clock.now_ms,
-                "note": note,
-            },
-        )
-        return obj.oid
-
-    def finish(self, oid: str, state: str, note: str = "") -> None:
-        """Settle an intent as ``done`` or ``aborted``."""
-        if state not in (INTENT_DONE, INTENT_ABORTED):
-            raise CouplingError(f"invalid terminal intent state {state!r}")
-        self._db.set_attr(oid, "state", state)
-        self._db.set_attr(oid, "finished_ms", self._db.clock.now_ms)
-        if note:
-            self._db.set_attr(oid, "note", note)
-
-    def pending(self) -> List[OMSObject]:
-        return self._db.select(
-            "CouplingIntent", lambda o: o.get("state") == INTENT_PENDING
-        )
-
-    def all(self) -> List[OMSObject]:
-        return self._db.select("CouplingIntent")
 
 
 @dataclasses.dataclass
 class RecoveryReport:
     """Everything one :meth:`CouplingRecovery.recover` pass repaired."""
 
-    completed_intents: List[str] = dataclasses.field(default_factory=list)
-    aborted_intents: List[str] = dataclasses.field(default_factory=list)
     cancelled_tickets: List[str] = dataclasses.field(default_factory=list)
     deleted_fmcad_versions: List[str] = dataclasses.field(default_factory=list)
     repaired_tags: List[str] = dataclasses.field(default_factory=list)
@@ -206,12 +130,11 @@ class RecoveryReport:
 
 
 class CouplingRecovery:
-    """Scans intents plus both frameworks; rolls forward or back."""
+    """Settles the runs left running, then sweeps both frameworks."""
 
     def __init__(self, jcf: JCFFramework, fmcad: FMCADFramework) -> None:
         self.jcf = jcf
         self.fmcad = fmcad
-        self.intents = IntentJournal(jcf.db)
         self.scrubber = Scrubber(jcf, fmcad)
 
     # -- the recovery pass -----------------------------------------------------
@@ -226,10 +149,10 @@ class CouplingRecovery:
         if self.jcf.db.in_transaction:
             raise CouplingError("recovery cannot run inside a transaction")
         report = RecoveryReport()
-        for intent in self.intents.pending():
-            self._recover_intent(intent, report)
-        self._sweep_wave_leftovers(report)
+        self._settle_running_cells(report)
         self._sweep_executions(report)
+        self._sweep_sessions(report)
+        self._sweep_wave_leftovers(report)
         self._sweep_tickets(report)
         self._sweep_reservations(report)
         self._sweep_flow_instances(report)
@@ -240,15 +163,71 @@ class CouplingRecovery:
         self._scrub_storage(report)
         return report
 
+    def _settle_running_cells(self, report: RecoveryReport) -> None:
+        """Keep, retag or drop the newest versions of each running cell.
+
+        Each cellview is walked newest-first down to its first version
+        with a live ``jcf_oid`` tag; the versions above it are the
+        interrupted run's.  One that an OMS version names by
+        ``directory_path`` with the same payload gets its tag back (the
+        scrubber's lost-tag rule) and ends the walk; any other is
+        dropped.  The OMS versions are read only when a walk is
+        non-empty.
+        """
+        walks = []
+        for library, cell_name in self._running_cells():
+            for cellview in library.cell(cell_name).cellviews():
+                newest = []
+                for version in reversed(list(cellview.versions)):
+                    tag = version.properties.get("jcf_oid")
+                    if tag and self.jcf.db.exists(tag):
+                        break
+                    newest.append(version)
+                if newest:
+                    walks.append((library, cellview, newest))
+        named = self.scrubber.oms_names({
+            str(version.path): version
+            for _library, _cellview, newest in walks
+            for version in newest
+        })
+        touched: Dict[str, Library] = {}
+        for library, cellview, newest in walks:
+            touched[library.name] = library
+            for version in newest:
+                where = f"{library.name}:{cellview.name} v{version.number}"
+                oid = named.get(str(version.path))
+                if oid is not None:
+                    version.properties.set("jcf_oid", oid)
+                    report.repaired_tags.append(f"{where} -> {oid}")
+                    break
+                library.drop_version(cellview, version.number)
+                report.deleted_fmcad_versions.append(where)
+        for library in touched.values():
+            library.flush_meta(RECOVERY_USER)
+
+    def _running_cells(self) -> List[Tuple[Library, str]]:
+        """``(library, cell name)`` of every execution left running."""
+        db = self.jcf.db
+        cells: Dict[Tuple[str, str], Tuple[Library, str]] = {}
+        for obj in db.select(
+            "ActiveExecVersion", lambda o: o.get("status") == EXEC_RUNNING
+        ):
+            cell = JCFExecution(db, obj).variant.cell_version.cell
+            project = db.get(cell.project_oid)
+            library = self._library(project.get("library"))
+            if library is not None and library.has_cell(cell.name):
+                cells[(library.name, cell.name)] = (library, cell.name)
+        return list(cells.values())
+
     def _sweep_wave_leftovers(self, report: RecoveryReport) -> None:
         """Undo what a wave that died before its WAL record left in FMCAD.
 
-        The record would have held the wave's intents too, so no intent
-        describes these leftovers.  Versions ``.meta`` names with a dead
-        ``jcf_oid`` tag are dropped (only a chain's newest versions can
-        be such leftovers); files no ``.meta`` names are reclaimed, but
-        never one an OMS version names.  Intents are settled first, so
-        every tag they could repair is.
+        The record would have held the wave's executions too, so none is
+        left running to describe these leftovers.  Versions ``.meta``
+        names with a dead ``jcf_oid`` tag are dropped (only a chain's
+        newest versions can be such leftovers); files no ``.meta`` names
+        are reclaimed, but never one an OMS version names.  The running
+        cells are settled first, so every tag they could repair is.
         """
         libraries, _unopenable = self.fmcad.all_libraries()
         for library in libraries:
@@ -365,143 +344,32 @@ class CouplingRecovery:
             elif finding.action == "quarantined":
                 report.quarantined_payloads.append(str(finding))
 
-    # -- per-intent repair -----------------------------------------------------
-
-    def _recover_intent(
-        self, intent: OMSObject, report: RecoveryReport
-    ) -> None:
-        library = self._library(intent.get("library"))
-        cell_name = intent.get("cell") or ""
-        durable_outputs = 0
-        touched_library = False
-
-        if library is not None and library.has_cell(cell_name):
-            self._cancel_tickets(
-                report,
-                lambda t: t.library_name == library.name
-                and t.cell_name == cell_name,
-            )
-            base: Dict[str, int] = {
-                str(view): int(number)
-                for view, number in (intent.get("fmcad_base") or [])
-            }
-            variant = self._variant(intent.get("variant_oid"))
-            for cellview in library.cell(cell_name).cellviews():
-                kept, dropped, repaired = self._settle_cellview(
-                    library, cellview,
-                    base.get(cellview.view.name, 0),
-                    variant, report,
-                )
-                durable_outputs += kept + repaired
-                touched_library = touched_library or dropped or repaired
-
-        for session in list(self.fmcad.sessions()):
-            if session.user == intent.get("user"):
-                self.fmcad.close_session(session.session_id)
-                report.closed_sessions.append(session.session_id)
-
-        self._fail_execution(intent.get("execution_oid"), report)
-
-        if touched_library and library is not None:
-            # the crash interrupted before (or between) .meta flushes;
-            # republish faithful metadata under the recovery identity
-            library.flush_meta(RECOVERY_USER)
-
-        if durable_outputs:
-            self.intents.finish(
-                intent.oid, INTENT_DONE,
-                note=f"recovered: {durable_outputs} durable output(s)",
-            )
-            report.completed_intents.append(intent.oid)
-        else:
-            self.intents.finish(
-                intent.oid, INTENT_ABORTED, note="recovered: rolled back"
-            )
-            report.aborted_intents.append(intent.oid)
-
-    def _settle_cellview(
-        self,
-        library: Library,
-        cellview,
-        base_number: int,
-        variant: Optional[JCFVariant],
-        report: RecoveryReport,
-    ) -> Tuple[int, int, int]:
-        """Apply the decision table to every version newer than the base.
-
-        Returns ``(kept, dropped, repaired)`` counts.  Versions are
-        settled newest-first because only the newest version of a chain
-        can be dropped; the scan stops at the first version it keeps —
-        everything older was durable before the crashed run began or was
-        kept by an earlier recovery pass.
-        """
-        kept = dropped = repaired = 0
-        dobj = (
-            variant.find_design_object(cellview.view.name)
-            if variant is not None
-            else None
-        )
-        latest_jcf = dobj.latest_version() if dobj is not None else None
-        for version in reversed(list(cellview.versions)):
-            if version.number <= base_number:
-                break
-            tag = version.properties.get("jcf_oid")
-            if tag and self.jcf.db.exists(tag):
-                kept += 1
-                break
-            if (
-                latest_jcf is not None
-                and version.path.exists()
-                and latest_jcf.payload_digest == version.content_digest()
-            ):
-                # both writes landed; only the cross-tag was lost
-                version.properties.set("jcf_oid", latest_jcf.oid)
-                repaired += 1
-                report.repaired_tags.append(
-                    f"{library.name}:{cellview.name} v{version.number} -> "
-                    f"{latest_jcf.oid}"
-                )
-                break
-            library.drop_version(cellview, version.number)
-            dropped += 1
-            report.deleted_fmcad_versions.append(
-                f"{library.name}:{cellview.name} v{version.number}"
-            )
-        return kept, dropped, repaired
-
     # -- generic sweeps --------------------------------------------------------
 
     def _sweep_executions(self, report: RecoveryReport) -> None:
         """Fail every execution still marked running.
 
-        On a quiesced system a ``running`` execution is always stale —
-        including the crash window between ``start_activity`` and the
-        intent journal entry, which no intent describes.
+        On a quiesced system a ``running`` execution is always stale;
+        its cell was settled first.
         """
-        for obj in self.jcf.db.select(
+        db = self.jcf.db
+        for obj in db.select(
             "ActiveExecVersion", lambda o: o.get("status") == EXEC_RUNNING
         ):
-            self._fail_execution(obj.oid, report)
+            self.jcf.engine.finish_activity(
+                JCFExecution(db, obj), success=False
+            )
+            report.failed_executions.append(obj.oid)
 
-    def _fail_execution(
-        self, oid: Optional[str], report: RecoveryReport
-    ) -> None:
-        if not oid or not self.jcf.db.exists(oid):
-            return
-        execution = JCFExecution(self.jcf.db, self.jcf.db.get(oid))
-        if execution.status != EXEC_RUNNING:
-            return
-        self.jcf.engine.finish_activity(execution, success=False)
-        report.failed_executions.append(oid)
+    def _sweep_sessions(self, report: RecoveryReport) -> None:
+        """Close every tool session: quiesced means none is live."""
+        for session in list(self.fmcad.sessions()):
+            self.fmcad.close_session(session.session_id)
+            report.closed_sessions.append(session.session_id)
 
     def _sweep_tickets(self, report: RecoveryReport) -> None:
         """Cancel every remaining ticket: quiesced means none is live."""
-        self._cancel_tickets(report, lambda ticket: True)
-
-    def _cancel_tickets(self, report: RecoveryReport, match) -> None:
         for ticket in self.fmcad.checkouts.active_tickets():
-            if not match(ticket):
-                continue
             try:
                 self.fmcad.checkouts.cancel(ticket)
             except (FMCADError, LibraryError):  # pragma: no cover - defensive
@@ -550,8 +418,3 @@ class CouplingRecovery:
             if name in self.fmcad.known_library_names():
                 return self.fmcad.open_library(name)
             return None
-
-    def _variant(self, oid: Optional[str]) -> Optional[JCFVariant]:
-        if not oid or not self.jcf.db.exists(oid):
-            return None
-        return JCFVariant(self.jcf.db, self.jcf.db.get(oid))

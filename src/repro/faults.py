@@ -103,7 +103,7 @@ CORRUPTION_MODES: Tuple[str, ...] = (MODE_FLIP, MODE_TRUNCATE, MODE_ZERO)
 #: a test schedules a fault that can never fire loudly, not silently.
 FAULT_POINTS: Tuple[str, ...] = (
     # coupled tool run (core/encapsulation.py)
-    "run.after_start",        # activity started, intent not yet journalled
+    "run.after_start",        # activity started, no tool session yet
     "run.before_finish",      # outputs durable+tagged, derivation not recorded
     "harvest.after_checkout", # ticket held, nothing written
     "harvest.after_checkin",  # FMCAD version exists, OMS import pending

@@ -282,11 +282,9 @@ class Scrubber:
     ) -> Dict[str, Tuple[Library, CellViewVersion, str]]:
         """Untagged versions that an OMS version names, by file path.
 
-        The OMS version must name the file in its ``directory_path`` and
-        hold the same payload.  Untagged versions are rare (a damaged
-        ``.meta`` property line, a crash before a scheduled run placed its
-        tags), so
-        the OMS side is read only when there is one.
+        Untagged versions are rare (a damaged ``.meta`` property line, a
+        crash before a scheduled run placed its tags), so the OMS side
+        is read only when there is one.
         """
         untagged = {
             str(version.path): (library, version)
@@ -295,17 +293,34 @@ class Scrubber:
             for version in cellview.versions
             if version.properties.get("jcf_oid") is None
         }
-        if not untagged:
+        named = self.oms_names({
+            path: version for path, (_library, version) in untagged.items()
+        })
+        return {
+            path: (*untagged[path], oid) for path, oid in named.items()
+        }
+
+    def oms_names(
+        self, versions: Dict[str, CellViewVersion]
+    ) -> Dict[str, str]:
+        """The OMS version naming each of *versions* (keyed by file path).
+
+        The OMS version must name the file in its ``directory_path`` and
+        hold the same payload.  Reads the OMS side only when *versions*
+        is non-empty.
+        """
+        if not versions:
             return {}
-        lost: Dict[str, Tuple[Library, CellViewVersion, str]] = {}
+        named: Dict[str, str] = {}
         for obj in self.jcf.db.select("DesignObjectVersion"):
-            owner = untagged.get(obj.get("directory_path"))
-            if owner is None:
-                continue
-            library, version = owner
-            if obj.payload_digest == version._content_digest:
-                lost[str(version.path)] = (library, version, obj.oid)
-        return lost
+            path = obj.get("directory_path")
+            version = versions.get(path)
+            if (
+                version is not None
+                and obj.payload_digest == version._content_digest
+            ):
+                named[path] = obj.oid
+        return named
 
     # -- repair ----------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Durable, crash-resumable flow orchestration.
 
-The 1995 coupling made single tool runs recoverable (intent journal +
-two-phase recovery); a *flow* — the fixed activity DAG of Section 2.1 —
-still lived only in the head of whichever designer was driving it.  This
+The 1995 coupling made single tool runs recoverable (recovery settles
+the cell of each execution a crash left running); a *flow* — the fixed
+activity DAG of Section 2.1 — still lived only in the head of whichever
+designer was driving it.  This
 module persists the flow execution itself as first-class OMS objects
 (:class:`FlowInstance` plus per-activity :class:`FlowAttempt` records),
 so a crash-killed flow rolls forward from its last durably-completed

@@ -20,11 +20,6 @@ EXEC_RUNNING = "running"
 EXEC_DONE = "done"
 EXEC_FAILED = "failed"
 
-#: Coupling-intent lifecycle (two-phase coupled runs, DESIGN.md §10).
-INTENT_PENDING = "pending"
-INTENT_DONE = "done"
-INTENT_ABORTED = "aborted"
-
 #: Durable flow-instance lifecycle (DESIGN.md §15).
 FLOW_QUEUED = "queued"            # persisted, waiting for a worker
 FLOW_RUNNING = "running"          # a process is (was) driving it
@@ -102,7 +97,11 @@ def build_jcf_schema() -> Schema:
     # -- Project structure partition ------------------------------------------
     schema.define_entity(
         "Project",
-        [AttributeDef("name", "str", required=True)],
+        [
+            AttributeDef("name", "str", required=True),
+            # the FMCAD library the project was imported from (Table 1)
+            AttributeDef("library", "str"),
+        ],
         doc="Top-level container; FMCAD libraries map onto projects (Table 1)",
     )
     schema.define_entity(
@@ -168,30 +167,6 @@ def build_jcf_schema() -> Schema:
         "Workspace",
         [AttributeDef("owner", "str", required=True)],
         doc="A user's private workspace (the multi-user kernel, Section 2.1)",
-    )
-
-    # -- Coupling recovery (two-phase protocol) --------------------------------
-    schema.define_entity(
-        "CouplingIntent",
-        [
-            AttributeDef("kind", "str", required=True),
-            AttributeDef("state", "str", default=INTENT_PENDING),
-            AttributeDef("user", "str", required=True),
-            AttributeDef("library", "str"),
-            AttributeDef("cell", "str"),
-            AttributeDef("activity", "str"),
-            AttributeDef("execution_oid", "str"),
-            AttributeDef("variant_oid", "str"),
-            # [[view_name, latest_fmcad_version_number], ...] at intent time;
-            # views absent from the list had no cellview yet (base 0)
-            AttributeDef("fmcad_base", "list"),
-            AttributeDef("started_ms", "float"),
-            AttributeDef("finished_ms", "float"),
-            AttributeDef("note", "str"),
-        ],
-        doc="Durable intent record journalled before any cross-framework "
-            "side effect; CouplingRecovery rolls pending intents forward "
-            "or back after a crash (DESIGN.md §10)",
     )
 
     # -- Durable flow orchestration (DESIGN.md §15) -----------------------------

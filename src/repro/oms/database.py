@@ -261,9 +261,9 @@ class OMSDatabase:
     def in_transaction(self) -> bool:
         """True while a transaction block is active **on this thread**.
 
-        Durability-sensitive writers (the coupling intent journal) check
-        this: an intent written inside somebody's transaction would
-        vanish on abort, defeating its purpose.
+        Passes that must be as durable as the damage they repair (crash
+        recovery) check this: a repair written inside somebody's
+        transaction would vanish on abort.
         """
         return self._active_txn is not None
 

@@ -1,19 +1,18 @@
-"""Two-phase recovery: intents, compensation, roll-forward/back, audit."""
+"""Recovery: compensation, roll-forward/back of running runs, audit."""
 
 import pytest
 
+from repro.core.coupling import HybridFramework
 from repro.core.mapping import WORKING_VARIANT
-from repro.core.scheduler import RUN_CRASHED, RunRequest
+from repro.core.scheduler import RUN_CRASHED, RUN_OK, RunRequest
 from repro.errors import CouplingError
 from repro.faults import CrashFault, FaultPlan, TransientFault, inject
-from repro.jcf.model import (
-    INTENT_ABORTED,
-    INTENT_DONE,
-    INTENT_PENDING,
-)
+from repro.jcf.model import EXEC_DONE, EXEC_FAILED, EXEC_RUNNING
 from tests.conftest import (
     build_inverter_editor_fn,
+    build_wave_environment,
     inverter_testbench_fn,
+    schematic_wave,
 )
 
 
@@ -23,47 +22,40 @@ def run_schematic(hybrid, project, library, cell):
     )
 
 
-class TestIntentJournal:
-    def test_begin_finish_lifecycle(self, adopted_cell):
-        hybrid, project, library, cell = adopted_cell
-        journal = hybrid.intents
-        oid = journal.begin(
-            "schematic_entry", "alice", library.name, cell,
-            fmcad_base=[("schematic", 0)],
-        )
-        (pending,) = journal.pending()
-        assert pending.oid == oid
-        assert pending.get("state") == INTENT_PENDING
-        assert pending.get("fmcad_base") == [["schematic", 0]]
-        journal.finish(oid, INTENT_DONE, note="done")
-        assert journal.pending() == []
-        assert hybrid.jcf.db.get(oid).get("state") == INTENT_DONE
+def execution_states(hybrid):
+    return [
+        obj.get("status")
+        for obj in hybrid.jcf.db.select("ActiveExecVersion")
+    ]
 
-    def test_begin_refuses_open_transaction(self, adopted_cell):
-        hybrid, _project, library, cell = adopted_cell
-        with hybrid.jcf.db.transaction():
-            with pytest.raises(CouplingError, match="outside transactions"):
-                hybrid.intents.begin(
-                    "schematic_entry", "alice", library.name, cell
-                )
 
-    def test_finish_rejects_non_terminal_state(self, adopted_cell):
-        hybrid, _project, library, cell = adopted_cell
-        oid = hybrid.intents.begin(
-            "schematic_entry", "alice", library.name, cell
-        )
-        with pytest.raises(CouplingError, match="terminal"):
-            hybrid.intents.finish(oid, INTENT_PENDING)
+def version_state(hybrid, library):
+    """``{cellview: [(number, tag is live), ...]}`` over *library*."""
+    return {
+        cellview.name: [
+            (
+                version.number,
+                hybrid.jcf.db.exists(version.properties.get("jcf_oid") or ""),
+            )
+            for version in cellview.versions
+        ]
+        for cellview in library.cellviews()
+    }
 
-    def test_successful_run_settles_intent_done(self, adopted_cell):
+
+class TestRunOutcome:
+    def test_successful_run_leaves_nothing_in_flight(self, adopted_cell):
         hybrid, project, library, cell = adopted_cell
         result = run_schematic(hybrid, project, library, cell)
         assert result.success
-        assert hybrid.intents.pending() == []
-        states = [i.get("state") for i in hybrid.intents.all()]
-        assert states == [INTENT_DONE]
+        assert execution_states(hybrid) == [EXEC_DONE]
+        assert hybrid.fmcad.sessions() == []
+        assert hybrid.audit().clean
+        assert hybrid.recover().empty()
 
-    def test_failed_run_settles_intent_aborted(self, adopted_cell):
+    def test_failed_run_fails_execution_and_closes_session(
+        self, adopted_cell
+    ):
         hybrid, project, library, cell = adopted_cell
 
         def broken_edit(editor):
@@ -73,8 +65,12 @@ class TestIntentJournal:
             hybrid.run_schematic_entry(
                 "alice", project, library, cell, broken_edit
             )
-        states = [i.get("state") for i in hybrid.intents.all()]
-        assert states == [INTENT_ABORTED]
+        assert execution_states(hybrid) == [EXEC_FAILED]
+        assert hybrid.fmcad.sessions() == []
+        assert hybrid.fmcad.checkouts.active_tickets() == []
+        assert version_state(hybrid, library) == {}
+        assert hybrid.audit().clean
+        assert hybrid.recover().empty()
 
 
 class TestTicketLeakRegression:
@@ -142,18 +138,22 @@ class TestRollback:
             with pytest.raises(CrashFault):
                 run_schematic(hybrid, project, library, cell)
         assert plan.crash_fired
-        # the wreckage: open session, running execution, pending intent,
-        # an FMCAD version with no OMS counterpart (the import aborted)
+        # the wreckage: open session, running execution, an FMCAD
+        # version with no OMS counterpart (the import aborted)
         assert hybrid.fmcad.sessions() != []
-        assert len(hybrid.intents.pending()) == 1
+        assert execution_states(hybrid) == [EXEC_RUNNING]
         assert len(library.cellview(cell, "schematic").versions) == 1
         assert not hybrid.audit().clean
 
         report = hybrid.recover()
-        assert report.deleted_fmcad_versions  # rolled back
-        assert report.closed_sessions
-        assert report.failed_executions
-        assert report.aborted_intents and not report.completed_intents
+        assert report.deleted_fmcad_versions == [
+            f"{library.name}:{cell}/schematic v1"
+        ]
+        assert report.repaired_tags == []
+        assert len(report.closed_sessions) == 1
+        assert hybrid.fmcad.sessions() == []
+        assert len(report.failed_executions) == 1
+        assert execution_states(hybrid) == [EXEC_FAILED]
         assert library.cellview(cell, "schematic").versions == []
         assert hybrid.audit().clean
         # the flow is runnable again after recovery
@@ -208,9 +208,10 @@ class TestRollForward:
         assert cellview.versions[0].properties.get("jcf_oid") is None
 
         report = hybrid.recover()
-        assert report.repaired_tags
+        # both views (schematic and symbol) get their tags back
+        assert len(report.repaired_tags) == 2
         assert not report.deleted_fmcad_versions
-        assert report.completed_intents and not report.aborted_intents
+        assert execution_states(hybrid) == [EXEC_FAILED]
         tag = cellview.versions[0].properties.get("jcf_oid")
         assert tag is not None and hybrid.jcf.db.exists(tag)
         assert hybrid.audit().clean
@@ -226,7 +227,7 @@ class TestRollForward:
         )
         report = hybrid.recover()
         assert report.deleted_fmcad_versions
-        assert report.aborted_intents and not report.completed_intents
+        assert report.repaired_tags == []
         assert library.cellview(cell, "schematic").versions == []
         assert hybrid.audit().clean
         assert run_schematic(hybrid, project, library, cell).success
@@ -237,10 +238,11 @@ class TestRollForward:
             with pytest.raises(CrashFault):
                 run_schematic(hybrid, project, library, cell)
         report = hybrid.recover()
-        # outputs were durable and tagged: nothing dropped, intent done
+        # outputs were durable and tagged: nothing dropped or retagged
         assert not report.deleted_fmcad_versions
-        assert report.completed_intents
+        assert report.repaired_tags == []
         assert report.failed_executions  # the derivation record was lost
+        assert len(report.closed_sessions) == 1
         assert len(library.cellview(cell, "schematic").versions) == 1
         assert hybrid.audit().clean
 
@@ -327,7 +329,6 @@ class TestAuditDetection:
         assert "dangling-ticket" in categories
         assert "leaked-session" in categories
         assert "stale-execution" in categories
-        assert "pending-intent" in categories
         assert "orphan-version" in categories
 
     def test_audit_render_mentions_counts(self, adopted_cell):
@@ -348,3 +349,147 @@ class TestAuditDetection:
         hybrid.recover()
         # the dropped version is gone from .meta too — recovery reflushed
         assert library.verify_meta() == []
+
+
+def adopted_at(root):
+    """The ``adopted_cell`` set-up at *root*, with ``.meta`` flushed so a
+    reopen finds the cell."""
+    hybrid = HybridFramework(root)
+    resources = hybrid.jcf.resources
+    resources.define_user("admin", "alice")
+    resources.define_team("admin", "team1")
+    resources.add_member("admin", "alice", "team1")
+    hybrid.setup_standard_flow()
+    library = hybrid.fmcad.create_library("chiplib")
+    library.create_cell("inv2")
+    project = hybrid.adopt_library("alice", library, "chipA")
+    resources.assign_team_to_project("admin", "team1", project.oid)
+    hybrid.prepare_cell("alice", project, "inv2", team_name="team1")
+    library.flush_meta("setup")
+    return hybrid, project, library, "inv2"
+
+
+class TestRecoveryAfterReopen:
+    """A restarted process settles a crashed run as the crashed one would.
+
+    The reopened library knows only what ``.meta`` names.  A run that
+    died before its ``.meta`` flush left a version file no record names,
+    so recovery reclaims the file where the same process would drop the
+    version; either way the same versions survive with the same tags.
+    """
+
+    @pytest.mark.parametrize("point", [
+        "checkout.after_checkin",
+        "harvest.after_checkin",
+        "harvest.before_tag",
+        "run.before_finish",
+    ])
+    def test_reopen_matches_same_process(self, tmp_path, point):
+        outcomes = []
+        for reopen in (False, True):
+            root = tmp_path / f"reopen-{reopen}"
+            hybrid, project, library, cell = adopted_at(root)
+            with inject(FaultPlan.crash(point)):
+                with pytest.raises(CrashFault):
+                    run_schematic(hybrid, project, library, cell)
+            if reopen:
+                hybrid = HybridFramework.reopen(root)
+                library = hybrid.fmcad.library("chiplib")
+            report = hybrid.recover()
+            audit = hybrid.audit()
+            assert audit.clean, audit.render()
+            assert hybrid.recover().empty()
+            assert execution_states(hybrid) == [EXEC_FAILED]
+            assert hybrid.fmcad.sessions() == []
+            outcomes.append((
+                {
+                    view: kept
+                    for view, kept in version_state(hybrid, library).items()
+                    if kept
+                },
+                len(report.deleted_fmcad_versions)
+                + len(report.reclaimed_fmcad_files),
+                report.repaired_tags,
+            ))
+        assert outcomes[0] == outcomes[1]
+
+    def test_scheduled_run_retagged_after_reopen(self, tmp_path):
+        """The wave logged both sides; only the dead run's tags are gone."""
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root, 1)
+        with inject(FaultPlan.crash("harvest.before_tag")):
+            result = hybrid.run_many(schematic_wave(project, library, cells))
+        assert result.outcomes[0].status == RUN_CRASHED
+        hybrid = HybridFramework.reopen(root)
+        library = hybrid.fmcad.library("chiplib")
+        report = hybrid.recover()
+        assert len(report.repaired_tags) == 2
+        assert report.deleted_fmcad_versions == []
+        assert version_state(hybrid, library) == {
+            f"{cells[0]}/schematic": [(1, True)],
+            f"{cells[0]}/symbol": [(1, True)],
+        }
+        assert hybrid.audit().clean
+        assert hybrid.recover().empty()
+
+
+class TestScheduledRunDeath:
+    @pytest.mark.parametrize("reopen", [False, True])
+    def test_dead_run_version_named_by_wave_meta_is_dropped(
+        self, tmp_path, reopen
+    ):
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root, 2)
+        with inject(FaultPlan.crash("harvest.after_checkin")):
+            result = hybrid.run_many(schematic_wave(project, library, cells))
+        statuses = sorted(outcome.status for outcome in result.outcomes)
+        assert statuses == sorted([RUN_CRASHED, RUN_OK])
+        (dead,) = [
+            outcome.index for outcome in result.outcomes
+            if outcome.status == RUN_CRASHED
+        ]
+        dead_cell = cells[dead]
+        (version,) = library.cellview(dead_cell, "schematic").versions
+        # the wave's .meta names the dead run's version, untagged
+        assert library.meta_names(version)
+        assert version.properties.get("jcf_oid") is None
+        if reopen:
+            hybrid = HybridFramework.reopen(root)
+            library = hybrid.fmcad.library("chiplib")
+        report = hybrid.recover()
+        assert report.deleted_fmcad_versions == [
+            f"chiplib:{dead_cell}/schematic v1"
+        ]
+        assert report.repaired_tags == []
+        assert library.cellview(dead_cell, "schematic").versions == []
+        (live_cell,) = [cell for cell in cells if cell != dead_cell]
+        assert version_state(hybrid, library)[f"{live_cell}/schematic"] == [
+            (1, True)
+        ]
+        assert hybrid.audit().clean
+        assert hybrid.recover().empty()
+
+
+class TestRecoveryScope:
+    def test_untagged_version_outside_running_cells_left_alone(
+        self, adopted_cell
+    ):
+        hybrid, project, library, cell = adopted_cell
+        # written through FMCAD directly, in a cell no run touches
+        library.create_cell("buf1")
+        cellview = library.create_cellview("buf1", "schematic")
+        library.write_version(cellview, b"hand-drawn", author="bob")
+        library.flush_meta("bob")
+        with inject(FaultPlan.crash("harvest.after_checkin")):
+            with pytest.raises(CrashFault):
+                run_schematic(hybrid, project, library, cell)
+        report = hybrid.recover()
+        assert report.deleted_fmcad_versions == [
+            f"{library.name}:{cell}/schematic v1"
+        ]
+        (version,) = library.cellview("buf1", "schematic").versions
+        assert version.properties.get("jcf_oid") is None
+        assert version.read_data() == b"hand-drawn"
+        findings = hybrid.audit().by_category()
+        assert list(findings) == ["orphan-version"]
+        assert "buf1/schematic v1" in findings["orphan-version"][0].detail

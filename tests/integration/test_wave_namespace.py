@@ -11,6 +11,7 @@ directories, its version files and one append to the library's
 
 from __future__ import annotations
 
+import json
 import os
 from typing import List, Tuple
 
@@ -70,6 +71,40 @@ class TestScheduledWave:
         stats = hybrid.fmcad.checkouts.stats()
         assert stats["working_files"] == 0
         assert stats["granted"] == granted + 2 * len(fresh)
+
+
+class TestScheduledWaveLog:
+    def test_wave_logs_one_record_of_seventeen_ops_per_run(self, tmp_path):
+        """A steady-state schematic wave's WAL record, op by op.
+
+        Per run, five for the execution (its create, its variant and
+        activity links, then its status and finish time) and six per
+        view (schematic, symbol): a design object and its version (two
+        creates, three links) and the execution's ``creates_version``
+        link.  The execution is the run's only in-flight record.
+        """
+        hybrid, project, library, cells = build_wave_environment(
+            tmp_path / "env", 12
+        )
+        warm = hybrid.run_many(schematic_wave(project, library, cells[:8]))
+        assert all(outcome.ok for outcome in warm.outcomes)
+        log = hybrid.jcf.wal.log_path
+        start = log.stat().st_size
+        fresh = cells[8:]
+        result = hybrid.run_many(schematic_wave(project, library, fresh))
+        assert all(outcome.ok for outcome in result.outcomes)
+
+        (record,) = [
+            json.loads(line)
+            for line in log.read_bytes()[start:].splitlines()
+        ]
+        ops = record["ops"]
+        assert len(ops) == 17 * len(fresh)
+        created = sorted(op["type"] for op in ops if op["op"] == "create")
+        assert created == sorted(
+            ["ActiveExecVersion"] * len(fresh)
+            + ["DesignObject", "DesignObjectVersion"] * 2 * len(fresh)
+        )
 
 
 class TestSimulationWaveStaging:
