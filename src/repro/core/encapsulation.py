@@ -335,7 +335,21 @@ class _ToolWrapper:
         with gate.ordered():
             try:
                 execution = self.jcf.engine.start_activity(
-                    variant, self.ACTIVITY, force_early=force_early
+                    variant, self.ACTIVITY, force_early=force_early,
+                    context={
+                        "library": library.name,
+                        # the per-view baseline that tells this run's
+                        # half-work from what was there before it
+                        "fmcad_base": [
+                            [
+                                cv.view.name,
+                                cv.default_version.number
+                                if cv.default_version
+                                else 0,
+                            ]
+                            for cv in library.cell(cell_name).cellviews()
+                        ],
+                    },
                 )
             except FlowOrderError:
                 raise  # out-of-order without supervision: rejected outright

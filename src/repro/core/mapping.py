@@ -97,7 +97,7 @@ class DataModelMapper:
                 f"project {name!r} already exists; re-import is not "
                 "supported — use synchronisation instead"
             )
-        project = self.jcf.desktop.create_project(user, name, library.name)
+        project = self.jcf.desktop.create_project(user, name)
         self._record("Project", project.oid, "Library", library.name)
         for cell in library.cells():
             self._import_cell(project, library, cell.name, user)

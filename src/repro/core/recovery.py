@@ -8,21 +8,28 @@ tool sessions and ``.meta`` flushes have no transaction around them, so
 a crash leaves whatever half-state the process died in.
 
 A run's in-flight record is its JCF execution: ``start_activity``
-commits it ``running`` before the run has any FMCAD side effect, and
-``finish_activity`` settles it.  On a quiesced system a ``running``
-execution names a run a crash interrupted.  :class:`CouplingRecovery`
-finds that run's cell (execution, variant, cell, then the library the
-cell's project was imported from, Table 1) and walks each of its
-cellviews newest-first.  A scheduled wave writes each touched library's
-``.meta`` once after all its runs and then appends one WAL record for
-the whole wave; a wave that died before that record left no execution
-behind, so two more rows cover it:
+commits it ``running`` before the run has any FMCAD side effect, with
+the run's library and the newest version number of each of the cell's
+views at that moment, and ``finish_activity`` settles it.  On a
+quiesced system a ``running`` execution names a run a crash
+interrupted.  :class:`CouplingRecovery` finds that run's cell
+(execution, variant, cell) and walks each of its cellviews
+newest-first, never below the version that was newest when the run
+started: older versions, tagged or not, are not the run's.  A
+scheduled wave writes each touched library's ``.meta`` once after all
+its runs and then appends one WAL record for the whole wave; a wave
+that died before that record left no execution behind, so two more
+rows cover it:
 
 ==========================================  ================================
 observed state                              action
 ==========================================  ================================
-**cell of a running execution**, version's  keep, and stop the walk: the
-``jcf_oid`` tag names a live OMS version    run got far enough
+**cell of a running execution**, version    keep, and stop the walk: it
+no newer than the view's newest when the    predates the run (a version
+run started                                 written through FMCAD directly
+                                            stays, for the audit to name)
+... version's ``jcf_oid`` tag names a       keep, and stop the walk: the
+live OMS version                            run got far enough
 ... no live tag, but an OMS version names   roll forward: give the tag back
 the file (``directory_path``) and holds     (both writes happened, the
 the same payload                            cross-tag was the casualty)
@@ -164,23 +171,28 @@ class CouplingRecovery:
         return report
 
     def _settle_running_cells(self, report: RecoveryReport) -> None:
-        """Keep, retag or drop the newest versions of each running cell.
+        """Keep, retag or drop the versions each running run could have made.
 
-        Each cellview is walked newest-first down to its first version
-        with a live ``jcf_oid`` tag; the versions above it are the
-        interrupted run's.  One that an OMS version names by
-        ``directory_path`` with the same payload gets its tag back (the
-        scrubber's lost-tag rule) and ends the walk; any other is
-        dropped.  The OMS versions are read only when a walk is
-        non-empty.
+        Each cellview of a running cell is walked newest-first down to
+        the version that was newest when the run started, stopping early
+        at a version with a live ``jcf_oid`` tag.  One that an OMS
+        version names by ``directory_path`` with the same payload gets
+        its tag back (the scrubber's lost-tag rule) and ends the walk;
+        any other is dropped.  The OMS versions are read only when a
+        walk is non-empty.
         """
         walks = []
-        for library, cell_name in self._running_cells():
+        for library, cell_name, bases in self._running_cells():
             for cellview in library.cell(cell_name).cellviews():
+                floor = min(
+                    base.get(cellview.view.name, 0) for base in bases
+                )
                 newest = []
                 for version in reversed(list(cellview.versions)):
                     tag = version.properties.get("jcf_oid")
-                    if tag and self.jcf.db.exists(tag):
+                    if version.number <= floor or (
+                        tag and self.jcf.db.exists(tag)
+                    ):
                         break
                     newest.append(version)
                 if newest:
@@ -205,18 +217,34 @@ class CouplingRecovery:
         for library in touched.values():
             library.flush_meta(RECOVERY_USER)
 
-    def _running_cells(self) -> List[Tuple[Library, str]]:
-        """``(library, cell name)`` of every execution left running."""
+    def _running_cells(
+        self,
+    ) -> List[Tuple[Library, str, List[Dict[str, int]]]]:
+        """``(library, cell name, per-view bases)`` of each running cell.
+
+        One base per running execution in the cell: the newest version
+        number of each view when it started (a view absent had none).
+        An execution without a library is no coupled run and names no
+        FMCAD state.
+        """
         db = self.jcf.db
-        cells: Dict[Tuple[str, str], Tuple[Library, str]] = {}
+        cells: Dict[
+            Tuple[str, str], Tuple[Library, str, List[Dict[str, int]]]
+        ] = {}
         for obj in db.select(
             "ActiveExecVersion", lambda o: o.get("status") == EXEC_RUNNING
         ):
-            cell = JCFExecution(db, obj).variant.cell_version.cell
-            project = db.get(cell.project_oid)
-            library = self._library(project.get("library"))
-            if library is not None and library.has_cell(cell.name):
-                cells[(library.name, cell.name)] = (library, cell.name)
+            library = self._library(obj.get("library"))
+            cell_name = JCFExecution(db, obj).variant.cell_version.cell.name
+            if library is None or not library.has_cell(cell_name):
+                continue
+            _, _, bases = cells.setdefault(
+                (library.name, cell_name), (library, cell_name, [])
+            )
+            bases.append({
+                str(view): int(number)
+                for view, number in obj.get("fmcad_base") or []
+            })
         return list(cells.values())
 
     def _sweep_wave_leftovers(self, report: RecoveryReport) -> None:

@@ -41,18 +41,12 @@ class JCFDesktop:
 
     # -- project structure ----------------------------------------------------
 
-    def create_project(
-        self, user: str, name: str, library: Optional[str] = None
-    ) -> JCFProject:
-        """Create a project (one dialog).
-
-        *library* names the FMCAD library the project is imported from
-        (Table 1); recovery finds a crashed run's library through it.
-        """
+    def create_project(self, user: str, name: str) -> JCFProject:
+        """Create a project (one dialog)."""
         self._interact(user)
         if self._db.by_name("Project", name):
             raise ProjectError(f"duplicate project {name!r}")
-        obj = self._db.create("Project", {"name": name, "library": library})
+        obj = self._db.create("Project", {"name": name})
         return JCFProject(self._db, obj)
 
     def find_project(self, name: str) -> Optional[JCFProject]:

@@ -15,7 +15,7 @@ consistency guard can show its extra windows.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import FlowError, FlowOrderError
 from repro.jcf.flows import FlowRegistry
@@ -210,11 +210,14 @@ class FlowEngine:
         variant: JCFVariant,
         activity_name: str,
         force_early: bool = False,
+        context: Optional[Dict[str, Any]] = None,
     ) -> JCFExecution:
         """Begin one activity on *variant*.
 
         Raises :class:`FlowOrderError` when a predecessor has not finished,
         unless *force_early* — the coupling's supervised early start.
+        *context* holds the coupled run's FMCAD attributes (``library``,
+        ``fmcad_base``); they ride in the execution's own create.
         """
         flow_name = self._flow_name_of(variant)
         flow_def = self._flows.definition(flow_name)
@@ -247,6 +250,7 @@ class FlowEngine:
                     "status": EXEC_RUNNING,
                     "started_ms": self._db.clock.now_ms,
                     "forced_early": forced,
+                    **(context or {}),
                 },
             )
             self._db.link("exec_of_activity", activity_obj.oid, exec_obj.oid)

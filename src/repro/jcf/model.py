@@ -97,11 +97,7 @@ def build_jcf_schema() -> Schema:
     # -- Project structure partition ------------------------------------------
     schema.define_entity(
         "Project",
-        [
-            AttributeDef("name", "str", required=True),
-            # the FMCAD library the project was imported from (Table 1)
-            AttributeDef("library", "str"),
-        ],
+        [AttributeDef("name", "str", required=True)],
         doc="Top-level container; FMCAD libraries map onto projects (Table 1)",
     )
     schema.define_entity(
@@ -149,6 +145,11 @@ def build_jcf_schema() -> Schema:
             AttributeDef("started_ms", "float"),
             AttributeDef("finished_ms", "float"),
             AttributeDef("forced_early", "bool", default=False),
+            # a coupled run's FMCAD side: its library and, per view, the
+            # newest version number when it started (views absent had no
+            # cellview yet); recovery settles nothing at or below it
+            AttributeDef("library", "str"),
+            AttributeDef("fmcad_base", "list"),
         ],
         doc="One execution of an activity on a variant",
     )

@@ -8,6 +8,7 @@ from repro.core.scheduler import RUN_CRASHED, RUN_OK, RunRequest
 from repro.errors import CouplingError
 from repro.faults import CrashFault, FaultPlan, TransientFault, inject
 from repro.jcf.model import EXEC_DONE, EXEC_FAILED, EXEC_RUNNING
+from repro.tools.schematic.model import Component, Schematic
 from tests.conftest import (
     build_inverter_editor_fn,
     build_wave_environment,
@@ -493,3 +494,74 @@ class TestRecoveryScope:
         findings = hybrid.audit().by_category()
         assert list(findings) == ["orphan-version"]
         assert "buf1/schematic v1" in findings["orphan-version"][0].detail
+
+    @pytest.mark.parametrize("reopen", [False, True])
+    @pytest.mark.parametrize("point", [
+        "run.after_start",
+        "harvest.after_checkin",
+    ])
+    def test_untagged_versions_predating_the_run_left_alone(
+        self, tmp_path, point, reopen
+    ):
+        """A crashed run's cell is settled only above where the run began."""
+        root = tmp_path / "env"
+        hybrid, project, library, cell = adopted_at(root)
+        run_schematic(hybrid, project, library, cell)
+        # written through FMCAD directly, in the run's cell: a new head
+        # of a view the run writes, and a view the run never touches
+        rogue = Schematic(cell)
+        rogue.add_port("a", "in")
+        rogue.add_port("y", "out")
+        rogue.add_component(Component("g", "NOT", ninputs=1))
+        rogue.connect("a", "g", "in0")
+        rogue.connect("y", "g", "out")
+        library.write_version(
+            library.cellview(cell, "schematic"), rogue.to_bytes(),
+            author="mallory",
+        )
+        layout = library.create_cellview(cell, "layout")
+        library.write_version(layout, b"hand-drawn", author="mallory")
+        library.flush_meta("mallory")
+        with inject(FaultPlan.crash(point)):
+            with pytest.raises(CrashFault):
+                hybrid.run_schematic_entry(
+                    "alice", project, library, cell,
+                    lambda editor: None,  # saves the head as it is
+                )
+        if reopen:
+            hybrid = HybridFramework.reopen(root)
+            library = hybrid.fmcad.library("chiplib")
+        report = hybrid.recover()
+        crashed_late = point == "harvest.after_checkin"
+        # the run's own v3: a dropped version in the same process, a
+        # file no .meta names after a reopen
+        assert report.deleted_fmcad_versions == (
+            [f"chiplib:{cell}/schematic v3"]
+            if crashed_late and not reopen
+            else []
+        )
+        assert len(report.reclaimed_fmcad_files) == (
+            1 if crashed_late and reopen else 0
+        )
+        assert report.repaired_tags == []
+        assert execution_states(hybrid) == [EXEC_DONE, EXEC_FAILED]
+        assert version_state(hybrid, library) == {
+            f"{cell}/schematic": [(1, True), (2, False)],
+            f"{cell}/symbol": [(1, True)],
+            f"{cell}/layout": [(1, False)],
+        }
+        assert library.read_version(
+            library.cellview(cell, "schematic")
+        ) == rogue.to_bytes()
+        assert library.read_version(
+            library.cellview(cell, "layout")
+        ) == b"hand-drawn"
+        findings = hybrid.audit().by_category()
+        assert list(findings) == ["orphan-version"]
+        details = sorted(
+            finding.detail for finding in findings["orphan-version"]
+        )
+        assert len(details) == 2
+        assert f"{cell}/layout v1" in details[0]
+        assert f"{cell}/schematic v2" in details[1]
+        assert hybrid.recover().empty()
