@@ -15,6 +15,12 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from repro.core.hierarchy import HierarchyManager
+from repro.core.leftovers import (
+    FLOW_GONE,
+    FLOW_PARKED,
+    FLOW_STRANDED,
+    Leftovers,
+)
 from repro.errors import IntegrityError
 from repro.integrity.scrub import Scrubber
 from repro.core.mapping import DataModelMapper
@@ -23,13 +29,7 @@ from repro.fmcad.itc import ITCMessage
 from repro.fmcad.library import Library
 from repro.fmcad.session import ToolSession
 from repro.jcf.framework import JCFFramework
-from repro.jcf.model import (
-    EXEC_RUNNING,
-    FLOW_DEAD_LETTER,
-    FLOW_RUNNING,
-    FLOW_TERMINAL_STATES,
-)
-from repro.jcf.project import JCFCellVersion, JCFProject
+from repro.jcf.project import JCFProject
 
 #: Menu points the guard locks in every coupled tool session: versioning
 #: and hierarchy manipulation belong to the master framework now.
@@ -115,6 +115,7 @@ class ConsistencyGuard:
         self.fmcad = fmcad
         self.mapper = mapper
         self.hierarchy = hierarchy
+        self.leftovers = Leftovers(jcf, fmcad)
         self._interceptor_installed = False
         fmcad.interpreter.run(GUARD_PROGRAM)
 
@@ -311,73 +312,35 @@ class ConsistencyGuard:
                     f"but never reclaimed",
                 ))
 
-    def _each_library(self) -> List[Library]:
-        """Every library: the open ones plus any still closed on disk."""
-        libraries = list(self.fmcad.libraries())
-        open_names = {library.name for library in libraries}
-        for name in self.fmcad.known_library_names():
-            if name not in open_names:
-                libraries.append(self.fmcad.open_library(name))
-        return libraries
-
     def _audit_flow_instances(self, report: AuditReport) -> None:
-        """Tenth sweep: orphaned or stranded durable flow state.
-
-        A ``running`` instance on a quiesced system means a crash
-        interrupted its driver (recovery adopts it back to ``queued``);
-        an instance whose variant no longer resolves is an orphan
-        (recovery compensates it to ``aborted``); a ``dead_letter``
-        instance is parked work an operator must look at — surfaced
-        here so ``audit()`` is the one place that lists everything
-        unfinished.
-        """
-        db = self.jcf.db
-        for obj in db.select("FlowInstance"):
-            status = obj.get("status")
-            ident = (
+        """Stranded flow instances, and dead-lettered ones an operator
+        must look at: ``audit()`` lists everything unfinished."""
+        for obj, state in self.leftovers.stranded_flows():
+            detail = {
+                FLOW_PARKED: f"dead-lettered: {obj.get('note') or '?'}",
+                FLOW_GONE: "references a variant that no longer exists",
+                FLOW_STRANDED: "still marked running on a quiesced system",
+            }[state]
+            report.findings.append(AuditFinding(
+                "dead-letter-flow" if state == FLOW_PARKED else "flow-orphan",
                 f"flow instance {obj.oid} ({obj.get('flow_name')} on "
-                f"{obj.get('cell')!r})"
-            )
-            if status == FLOW_DEAD_LETTER:
-                report.findings.append(AuditFinding(
-                    "dead-letter-flow",
-                    f"{ident} dead-lettered: {obj.get('note') or '?'}",
-                ))
-                continue
-            if status in FLOW_TERMINAL_STATES:
-                continue
-            try:
-                db.get(obj.get("variant_oid") or "")
-            except Exception:
-                report.findings.append(AuditFinding(
-                    "flow-orphan",
-                    f"{ident} references a variant that no longer exists",
-                ))
-                continue
-            if status == FLOW_RUNNING:
-                report.findings.append(AuditFinding(
-                    "flow-orphan",
-                    f"{ident} still marked running on a quiesced system",
-                ))
+                f"{obj.get('cell')!r}) {detail}",
+            ))
 
     def _audit_versions(self, report: AuditReport) -> None:
-        for library in self._each_library():
-            for cellview in library.cellviews():
-                for version in cellview.versions:
-                    oid = version.properties.get("jcf_oid")
-                    where = (
-                        f"{library.name}:{cellview.name} v{version.number}"
-                    )
-                    if oid is None:
-                        report.findings.append(AuditFinding(
-                            "orphan-version",
-                            f"{where} carries no jcf_oid cross-tag",
-                        ))
-                    elif not self.jcf.db.exists(oid):
-                        report.findings.append(AuditFinding(
-                            "unpaired-tag",
-                            f"{where} tags dead OMS object {oid}",
-                        ))
+        for library, cellview, strays in self.leftovers.stray_versions():
+            for version in strays:
+                oid = version.properties.get("jcf_oid")
+                where = f"{library.name}:{cellview.name} v{version.number}"
+                if oid is None:
+                    report.findings.append(AuditFinding(
+                        "orphan-version",
+                        f"{where} carries no jcf_oid cross-tag",
+                    ))
+                else:
+                    report.findings.append(AuditFinding(
+                        "unpaired-tag", f"{where} tags dead OMS object {oid}"
+                    ))
 
     def _audit_tickets(self, report: AuditReport) -> None:
         for ticket in self.fmcad.checkouts.active_tickets():
@@ -395,36 +358,24 @@ class ConsistencyGuard:
             ))
 
     def _audit_executions(self, report: AuditReport) -> None:
-        for obj in self.jcf.db.select(
-            "ActiveExecVersion", lambda o: o.get("status") == EXEC_RUNNING
-        ):
+        for obj in self.leftovers.running_executions():
             report.findings.append(AuditFinding(
                 "stale-execution",
                 f"execution {obj.oid} still running",
             ))
 
     def _audit_reservations(self, report: AuditReport) -> None:
-        db = self.jcf.db
-        for workspace in db.select("Workspace"):
-            owner = workspace.get("owner")
-            try:
-                self.jcf.resources.user(owner)
-                owner_known = True
-            except Exception:
-                owner_known = False
-            for cv_oid in db.target_oids("reserves", workspace.oid):
-                cell_version = JCFCellVersion(db, db.get(cv_oid))
-                if owner_known and not cell_version.published:
-                    continue
-                reason = (
-                    "already published" if cell_version.published
-                    else "unknown owner"
-                )
-                report.findings.append(AuditFinding(
-                    "orphan-reservation",
-                    f"{owner} reserves cell version {cell_version.number} "
-                    f"of {cell_version.cell.name!r} ({reason})",
-                ))
+        for workspace, cell_version in self.leftovers.orphan_reservations():
+            reason = (
+                "already published" if cell_version.published
+                else "unknown owner"
+            )
+            report.findings.append(AuditFinding(
+                "orphan-reservation",
+                f"{workspace.get('owner')} reserves cell version "
+                f"{cell_version.number} of {cell_version.cell.name!r} "
+                f"({reason})",
+            ))
 
     def _audit_staging(self, report: AuditReport) -> None:
         for path in self.jcf.staging.orphan_files():

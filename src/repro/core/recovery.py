@@ -10,42 +10,34 @@ a crash leaves whatever half-state the process died in.
 A run's in-flight record is its JCF execution: ``start_activity``
 commits it ``running`` before the run has any FMCAD side effect, with
 the run's library and the newest version number of each of the cell's
-views at that moment, and ``finish_activity`` settles it.  On a
-quiesced system a ``running`` execution names a run a crash
-interrupted.  :class:`CouplingRecovery` finds that run's cell
-(execution, variant, cell) and walks each of its cellviews
-newest-first, never below the version that was newest when the run
-started: older versions, tagged or not, are not the run's.  A
-scheduled wave writes each touched library's ``.meta`` once after all
-its runs and then appends one WAL record for the whole wave; a wave
-that died before that record left no execution behind, so two more
-rows cover it:
+views at that moment (``fmcad_base``), and ``finish_activity`` settles
+it.  On a quiesced system a ``running`` execution names a run a crash
+interrupted.  A scheduled wave writes each touched library's ``.meta``
+once after all its runs and then appends one WAL record for the whole
+wave; a wave that died before that record left no execution behind.
+
+:class:`CouplingRecovery` settles both in one newest-first walk per
+cellview over the versions without a live ``jcf_oid`` tag.  A *running
+cell* is the cell (execution, variant, cell) of a running execution;
+its views' ``fmcad_base`` is the walk's floor there:
 
 ==========================================  ================================
-observed state                              action
+version the walk reaches                    action
 ==========================================  ================================
-**cell of a running execution**, version    keep, and stop the walk: it
-no newer than the view's newest when the    predates the run (a version
-run started                                 written through FMCAD directly
-                                            stays, for the audit to name)
-... version's ``jcf_oid`` tag names a       keep, and stop the walk: the
-live OMS version                            run got far enough
-... no live tag, but an OMS version names   roll forward: give the tag back
-the file (``directory_path``) and holds     (both writes happened, the
-the same payload                            cross-tag was the casualty)
-... no live tag, no such OMS version        roll back: drop the FMCAD
-                                            version (the OMS import never
-                                            committed)
-**wave** died after its version files,      reclaim: version files no
-before ``.meta`` (no batch appended, or     record names are deleted,
-a torn one)                                 unless an OMS version names
-                                            them; a torn batch is never
-                                            read, and the next write
-                                            cuts it
-**wave** died after ``.meta``, before the   roll back: ``.meta`` names
-WAL record                                  versions whose ``jcf_oid`` tag
-                                            no replayed OMS object backs;
-                                            drop them newest-first
+``jcf_oid`` tag names a live OMS version    keep, and stop the walk: the
+                                            run got far enough
+in a running cell, above the floor, and     roll forward: give the tag back
+an OMS version names the file               and stop (both writes happened,
+(``directory_path``) with the same payload  the cross-tag was the casualty)
+untagged, outside a running cell or at or   keep, and stop the walk: written
+below the floor                             through FMCAD directly, for the
+                                            audit to name
+any other (the OMS import never             roll back: drop the FMCAD
+committed, or the wave's WAL record never   version
+landed)
+version file no record names (the wave      reclaim, unless an OMS version
+died before its ``.meta`` batch closed)     names it; a torn batch is never
+                                            read, and the next write cuts it
 ==========================================  ================================
 
 Around that core decision, recovery also fails executions left
@@ -53,7 +45,10 @@ Around that core decision, recovery also fails executions left
 tickets, releases orphaned workspace reservations and reclaims
 unrecorded staging files (a crashed scheduled run's staged files among
 them: they sit in the one staging root under the run's name prefix,
-and no record claims them).
+and no record claims them).  What counts as a leftover in each
+category is decided once, in :mod:`repro.core.leftovers`, which the
+audit reads too.  A version file an OMS version names but ``.meta``
+lost at rest is rolled forward by the storage scrub, the last pass.
 
 Recovery assumes a *quiesced* system — it is the restart path, run
 before any new coupled work begins, exactly like a database's crash
@@ -67,6 +62,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.leftovers import FLOW_GONE, FLOW_STRANDED, Leftovers
 from repro.errors import (
     CouplingError,
     FMCADError,
@@ -78,14 +74,8 @@ from repro.fmcad.library import Library
 from repro.integrity.scrub import Scrubber
 from repro.jcf.flow_engine import JCFExecution
 from repro.jcf.framework import JCFFramework
-from repro.jcf.model import (
-    EXEC_RUNNING,
-    FLOW_ABORTED,
-    FLOW_QUEUED,
-    FLOW_RUNNING,
-    FLOW_TERMINAL_STATES,
-)
-from repro.jcf.project import JCFCellVersion
+from repro.jcf.model import FLOW_ABORTED, FLOW_QUEUED
+from repro.oms.objects import OMSObject
 
 #: author recorded on ``.meta`` flushes performed by recovery
 RECOVERY_USER = "recovery"
@@ -143,6 +133,7 @@ class CouplingRecovery:
         self.jcf = jcf
         self.fmcad = fmcad
         self.scrubber = Scrubber(jcf, fmcad)
+        self.leftovers = Leftovers(jcf, fmcad)
 
     # -- the recovery pass -----------------------------------------------------
 
@@ -156,56 +147,85 @@ class CouplingRecovery:
         if self.jcf.db.in_transaction:
             raise CouplingError("recovery cannot run inside a transaction")
         report = RecoveryReport()
-        self._settle_running_cells(report)
-        self._sweep_executions(report)
-        self._sweep_sessions(report)
-        self._sweep_wave_leftovers(report)
-        self._sweep_tickets(report)
-        self._sweep_reservations(report)
+        # first: every repair below that writes OMS appends to the log
+        self._sweep_wal(report)
+        executions = self.leftovers.running_executions()
+        self._settle_versions(executions, report)
+        for obj in executions:
+            self.jcf.engine.finish_activity(
+                JCFExecution(self.jcf.db, obj), success=False
+            )
+            report.failed_executions.append(obj.oid)
+        for session in list(self.fmcad.sessions()):
+            self.fmcad.close_session(session.session_id)
+            report.closed_sessions.append(session.session_id)
+        for ticket in self.fmcad.checkouts.active_tickets():
+            try:
+                self.fmcad.checkouts.cancel(ticket)
+            except (FMCADError, LibraryError):  # pragma: no cover - defensive
+                continue
+            report.cancelled_tickets.append(
+                f"{ticket.cellview_key} ({ticket.user})"
+            )
+        for workspace, cell_version in self.leftovers.orphan_reservations():
+            self.jcf.db.unlink("reserves", workspace.oid, cell_version.oid)
+            reason = (
+                "published" if cell_version.published else "unknown owner"
+            )
+            report.released_reservations.append(
+                f"{workspace.get('owner')}: cell version "
+                f"{cell_version.number} of {cell_version.cell.name!r} "
+                f"({reason})"
+            )
         self._sweep_flow_instances(report)
         for path in self.jcf.staging.reclaim_orphans():
             report.reclaimed_staging_files.append(path.name)
-        self._sweep_wal(report)
         self._sweep_leases(report)
         self._scrub_storage(report)
         return report
 
-    def _settle_running_cells(self, report: RecoveryReport) -> None:
-        """Keep, retag or drop the versions each running run could have made.
+    def _settle_versions(
+        self, executions: List[OMSObject], report: RecoveryReport
+    ) -> None:
+        """Keep, retag or drop each cellview's newest stray versions.
 
-        Each cellview of a running cell is walked newest-first down to
-        the version that was newest when the run started, stopping early
-        at a version with a live ``jcf_oid`` tag.  One that an OMS
-        version names by ``directory_path`` with the same payload gets
-        its tag back (the scrubber's lost-tag rule) and ends the walk;
-        any other is dropped.  The OMS versions are read only when a
-        walk is non-empty.
+        One newest-first walk per cellview, by the table above; the OMS
+        versions are read only when a running cell has a version to look
+        up.  Then every library's version files no record names are
+        reclaimed, but never one an OMS version names.
         """
+        db = self.jcf.db
+        bases: Dict[Tuple[str, str], List[Dict[str, int]]] = {}
+        for obj in executions:
+            cell_name = JCFExecution(db, obj).variant.cell_version.cell.name
+            bases.setdefault((obj.get("library"), cell_name), []).append({
+                str(view): int(number)
+                for view, number in obj.get("fmcad_base") or []
+            })
         walks = []
-        for library, cell_name, bases in self._running_cells():
-            for cellview in library.cell(cell_name).cellviews():
-                floor = min(
-                    base.get(cellview.view.name, 0) for base in bases
-                )
-                newest = []
-                for version in reversed(list(cellview.versions)):
-                    tag = version.properties.get("jcf_oid")
-                    if version.number <= floor or (
-                        tag and self.jcf.db.exists(tag)
-                    ):
-                        break
-                    newest.append(version)
-                if newest:
-                    walks.append((library, cellview, newest))
-        named = self.scrubber.oms_names({
-            str(version.path): version
-            for _library, _cellview, newest in walks
-            for version in newest
-        })
+        #: file path -> digest of each version the walk may give a tag back
+        lookups: Dict[str, Optional[str]] = {}
+        for library, cellview, strays in self.leftovers.stray_versions():
+            runs = bases.get((library.name, cellview.cell_name))
+            floor = None if runs is None else min(
+                base.get(cellview.view.name, 0) for base in runs
+            )
+            walk = []
+            for version in reversed(cellview.versions):
+                if not strays or strays.pop() is not version:
+                    break  # a live tag: the versions below are settled
+                if floor is not None and version.number > floor:
+                    lookups[str(version.path)] = version._content_digest
+                elif not version.properties.get("jcf_oid"):
+                    break
+                walk.append(version)
+            if walk:
+                walks.append((library, cellview, walk))
+        named = self.scrubber.oms_names(lookups)
         touched: Dict[str, Library] = {}
-        for library, cellview, newest in walks:
+        for library, cellview, walk in walks:
             touched[library.name] = library
-            for version in newest:
+            for version in walk:
                 where = f"{library.name}:{cellview.name} v{version.number}"
                 oid = named.get(str(version.path))
                 if oid is not None:
@@ -216,67 +236,11 @@ class CouplingRecovery:
                 report.deleted_fmcad_versions.append(where)
         for library in touched.values():
             library.flush_meta(RECOVERY_USER)
-
-    def _running_cells(
-        self,
-    ) -> List[Tuple[Library, str, List[Dict[str, int]]]]:
-        """``(library, cell name, per-view bases)`` of each running cell.
-
-        One base per running execution in the cell: the newest version
-        number of each view when it started (a view absent had none).
-        An execution without a library is no coupled run and names no
-        FMCAD state.
-        """
-        db = self.jcf.db
-        cells: Dict[
-            Tuple[str, str], Tuple[Library, str, List[Dict[str, int]]]
-        ] = {}
-        for obj in db.select(
-            "ActiveExecVersion", lambda o: o.get("status") == EXEC_RUNNING
-        ):
-            library = self._library(obj.get("library"))
-            cell_name = JCFExecution(db, obj).variant.cell_version.cell.name
-            if library is None or not library.has_cell(cell_name):
-                continue
-            _, _, bases = cells.setdefault(
-                (library.name, cell_name), (library, cell_name, [])
-            )
-            bases.append({
-                str(view): int(number)
-                for view, number in obj.get("fmcad_base") or []
-            })
-        return list(cells.values())
-
-    def _sweep_wave_leftovers(self, report: RecoveryReport) -> None:
-        """Undo what a wave that died before its WAL record left in FMCAD.
-
-        The record would have held the wave's executions too, so none is
-        left running to describe these leftovers.  Versions ``.meta``
-        names with a dead ``jcf_oid`` tag are dropped (only a chain's
-        newest versions can be such leftovers); files no ``.meta`` names
-        are reclaimed, but never one an OMS version names.  The running
-        cells are settled first, so every tag they could repair is.
-        """
-        libraries, _unopenable = self.fmcad.all_libraries()
-        for library in libraries:
-            dropped = False
-            for cellview in library.cellviews():
-                for version in reversed(list(cellview.versions)):
-                    tag = version.properties.get("jcf_oid")
-                    if not tag or self.jcf.db.exists(tag):
-                        break
-                    library.drop_version(cellview, version.number)
-                    dropped = True
-                    report.deleted_fmcad_versions.append(
-                        f"{library.name}:{cellview.name} v{version.number}"
-                    )
-            if dropped:
-                library.flush_meta(RECOVERY_USER)
+        for library in self.fmcad.all_libraries()[0]:
             try:
-                reclaimed = library.reclaim_orphans(keep=lambda: {
-                    obj.get("directory_path")
-                    for obj in self.jcf.db.select("DesignObjectVersion")
-                })
+                reclaimed = library.reclaim_orphans(
+                    keep=self.scrubber.oms_paths
+                )
             except MetaFileError:
                 continue  # a damaged .meta is the storage scrub's finding
             for path in reclaimed:
@@ -285,31 +249,14 @@ class CouplingRecovery:
                 )
 
     def _sweep_flow_instances(self, report: RecoveryReport) -> None:
-        """Adopt or compensate flow instances a crash stranded.
-
-        On a quiesced system a ``running`` instance is a lie — the
-        process driving it is dead.  If its variant (the design context
-        every later step needs) still resolves, the instance is adopted
-        back to ``queued`` so ``resume_pending()`` can roll it forward
-        from its last durably-completed activity; an instance whose
-        variant is gone can never make progress, so it is compensated to
-        the terminal ``aborted`` state instead of haunting the queue.
-        The executions sweep above has already failed the interrupted
-        activity execution, which is exactly what makes the re-run
-        admissible under the flow engine's ordering rules.
-        """
+        """Compensate to ``aborted`` each instance whose variant is gone;
+        adopt each ``running`` one back to ``queued``, for
+        ``resume_pending()`` to roll forward from its last durably
+        completed activity (the failed execution makes the re-run
+        admissible)."""
         db = self.jcf.db
-        for obj in db.select("FlowInstance"):
-            status = obj.get("status")
-            if status in FLOW_TERMINAL_STATES:
-                continue
-            variant_oid = obj.get("variant_oid") or ""
-            try:
-                db.get(variant_oid)
-                context_alive = True
-            except Exception:
-                context_alive = False
-            if not context_alive:
+        for obj, state in self.leftovers.stranded_flows():
+            if state == FLOW_GONE:
                 db.set_attr(obj.oid, "status", FLOW_ABORTED)
                 db.set_attr(
                     obj.oid, "note",
@@ -317,7 +264,7 @@ class CouplingRecovery:
                 )
                 db.set_attr(obj.oid, "updated_ms", db.clock.now_ms)
                 report.compensated_flows.append(obj.oid)
-            elif status == FLOW_RUNNING:
+            elif state == FLOW_STRANDED:
                 db.set_attr(obj.oid, "status", FLOW_QUEUED)
                 db.set_attr(obj.oid, "updated_ms", db.clock.now_ms)
                 report.adopted_flows.append(obj.oid)
@@ -371,78 +318,3 @@ class CouplingRecovery:
                 report.repaired_payloads.append(str(finding))
             elif finding.action == "quarantined":
                 report.quarantined_payloads.append(str(finding))
-
-    # -- generic sweeps --------------------------------------------------------
-
-    def _sweep_executions(self, report: RecoveryReport) -> None:
-        """Fail every execution still marked running.
-
-        On a quiesced system a ``running`` execution is always stale;
-        its cell was settled first.
-        """
-        db = self.jcf.db
-        for obj in db.select(
-            "ActiveExecVersion", lambda o: o.get("status") == EXEC_RUNNING
-        ):
-            self.jcf.engine.finish_activity(
-                JCFExecution(db, obj), success=False
-            )
-            report.failed_executions.append(obj.oid)
-
-    def _sweep_sessions(self, report: RecoveryReport) -> None:
-        """Close every tool session: quiesced means none is live."""
-        for session in list(self.fmcad.sessions()):
-            self.fmcad.close_session(session.session_id)
-            report.closed_sessions.append(session.session_id)
-
-    def _sweep_tickets(self, report: RecoveryReport) -> None:
-        """Cancel every remaining ticket: quiesced means none is live."""
-        for ticket in self.fmcad.checkouts.active_tickets():
-            try:
-                self.fmcad.checkouts.cancel(ticket)
-            except (FMCADError, LibraryError):  # pragma: no cover - defensive
-                continue
-            report.cancelled_tickets.append(
-                f"{ticket.cellview_key} ({ticket.user})"
-            )
-
-    def _sweep_reservations(self, report: RecoveryReport) -> None:
-        """Release reservations that can no longer be legitimate.
-
-        A ``reserves`` link is orphaned when its target cell version is
-        already published (publish releases atomically, so this only
-        happens when the protocol was bypassed) or when its workspace's
-        owner is no longer a registered user.
-        """
-        db = self.jcf.db
-        for workspace in db.select("Workspace"):
-            owner = workspace.get("owner")
-            owner_known = True
-            try:
-                self.jcf.resources.user(owner)
-            except Exception:
-                owner_known = False
-            for cv_oid in list(db.target_oids("reserves", workspace.oid)):
-                cell_version = JCFCellVersion(db, db.get(cv_oid))
-                if owner_known and not cell_version.published:
-                    continue
-                db.unlink("reserves", workspace.oid, cv_oid)
-                reason = (
-                    "published" if cell_version.published else "unknown owner"
-                )
-                report.released_reservations.append(
-                    f"{owner}: cell version {cell_version.number} of "
-                    f"{cell_version.cell.name!r} ({reason})"
-                )
-
-    # -- internals -------------------------------------------------------------
-
-    def _library(self, name: Optional[str]) -> Optional[Library]:
-        if not name:
-            return None
-        try:
-            return self.fmcad.library(name)
-        except LibraryError:
-            if name in self.fmcad.known_library_names():
-                return self.fmcad.open_library(name)
-            return None

@@ -168,34 +168,12 @@ class Library:
         return library
 
     def orphaned_files(self) -> List[pathlib.Path]:
-        """Version files on disk that ``.meta`` does not describe.
+        """Version files on disk that no record names.
 
-        These are the casualties of designers who forgot to flush before
-        the restart — listed so an administrator can recover them.
-        """
-        described = {
-            (r.cell, r.view, r.filename) for r in self.metafile.read()[0]
-        }
-        orphans: List[pathlib.Path] = []
-        for data_file in sorted(self.directory.glob("*/*/v*.dat")):
-            view_dir = data_file.parent
-            key = (view_dir.parent.name, view_dir.name, data_file.name)
-            if key not in described:
-                orphans.append(data_file)
-        return orphans
-
-    def reclaim_orphans(
-        self, keep: Callable[[], Collection[str]] = frozenset
-    ) -> List[pathlib.Path]:
-        """Delete version files no record names; list them.
-
-        A run that dies after writing its version files but before the
-        ``.meta`` that would name them leaves both behind.  Nothing
-        refers to them (the OMS side of that run never reached the log
-        either), so recovery reclaims them, with a stale ``.meta.tmp``.
-        A file the in-memory library still holds is only waiting for its
-        flush, and a path in ``keep()`` (asked only if there is an orphan)
-        is kept too: a ``.meta`` tail cut at rest reads like a torn one.
+        These are the casualties of a run that died after writing its
+        version files but before the ``.meta`` that would name them, or
+        of designers who forgot to flush before the restart.  A file the
+        in-memory library holds is only waiting for its flush.
         """
         named = {
             (cv.cell_name, cv.view.name, v.path.name)
@@ -209,7 +187,7 @@ class Library:
                 (r.cell, r.view, r.filename)
                 for r in self.metafile.read()[0]
             )
-        orphans: List[str] = []
+        orphans: List[pathlib.Path] = []
         # os.scandir, not Path.glob: this runs over every file of every
         # library on each restart, and glob is several times slower
         for cell in os.scandir(self.directory):
@@ -223,15 +201,56 @@ class Library:
                     if filename.startswith("v") and filename.endswith(
                         ".dat"
                     ) and (cell.name, view.name, filename) not in named:
-                        orphans.append(entry.path)
+                        orphans.append(pathlib.Path(entry.path))
+        return sorted(orphans)
+
+    def reclaim_orphans(
+        self, keep: Callable[[], Collection[str]] = frozenset
+    ) -> List[pathlib.Path]:
+        """Delete the :meth:`orphaned_files`; list them.
+
+        Nothing refers to them (the OMS side of that run never reached
+        the log either), so recovery reclaims them, with a stale
+        ``.meta.tmp``.  A path in ``keep()`` (asked only if there is an
+        orphan) is kept: a ``.meta`` tail cut at rest reads like a torn
+        one.
+        """
+        orphans = self.orphaned_files()
         kept = keep() if orphans else ()
-        orphans = [path for path in orphans if path not in kept]
+        orphans = [path for path in orphans if str(path) not in kept]
         stale = self.metafile.path.with_name(".meta.tmp")
         if stale.exists():
-            orphans.append(str(stale))
+            orphans.append(stale)
         for path in orphans:
             os.unlink(path)
-        return sorted(pathlib.Path(path) for path in orphans)
+        return sorted(orphans)
+
+    def restorable(self, path: pathlib.Path) -> bool:
+        """Would version file *path* extend its cellview's chain?"""
+        cell, view = path.parent.parent.name, path.parent.name
+        held = self.has_cell(cell) and self.cell(cell).has_cellview(view)
+        return not held or int(path.stem[1:]) >= self.cellview(
+            cell, view
+        ).next_version_number()
+
+    def restore_version(
+        self, path: pathlib.Path, digest: str, author: str
+    ) -> CellViewVersion:
+        """Record the :meth:`orphaned_files` entry *path* as a version.
+
+        The roll-forward of a record ``.meta`` lost while an OMS version
+        still names the file: it must be :meth:`restorable`, and
+        *digest* is its content address.
+        """
+        cell, view = path.parent.parent.name, path.parent.name
+        if not self.has_cell(cell):
+            self.create_cell(cell)
+        if not self.cell(cell).has_cellview(view):
+            self.create_cellview(cell, view)
+        return self._add_version(
+            self.cellview(cell, view), int(path.stem[1:]), path, digest,
+            path.stat().st_size, author,
+        )
 
     # -- structure -------------------------------------------------------------
 
@@ -348,11 +367,24 @@ class Library:
         # the new name, linked or written, must be durable before a
         # .meta names it
         durable.fsync_entry(path)
+        return self._add_version(
+            cellview, number, path, digest, len(data), author
+        )
+
+    def _add_version(
+        self,
+        cellview: CellView,
+        number: int,
+        path: pathlib.Path,
+        digest: str,
+        size: int,
+        author: str,
+    ) -> CellViewVersion:
         version = CellViewVersion(
             number=number, path=path, created_tick=self.tick + 1, author=author
         )
         version._content_digest = digest
-        version._content_size = len(data)
+        version._content_size = size
         cellview.add_version(version)
         self._track(cellview, version)
         self._bump()

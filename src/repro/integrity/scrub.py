@@ -45,6 +45,7 @@ from repro.fmcad.framework import FMCADFramework
 from repro.fmcad.library import Library
 from repro.fmcad.objects import CellViewVersion
 from repro.jcf.framework import JCFFramework
+from repro.oms.objects import OMSObject
 
 #: author recorded on ``.meta`` flushes performed by the scrubber
 SCRUB_USER = "scrubber"
@@ -155,6 +156,9 @@ class Scrubber:
         #: version file path -> (library, version, oid of the OMS version
         #: whose tag it lost)
         self._lost_tags: Dict[str, Tuple[Library, CellViewVersion, str]] = {}
+        #: version file path -> (library, its digest, oid of the OMS
+        #: version naming it) for files whose ``.meta`` record was lost
+        self._lost_records: Dict[str, Tuple[Library, str, str]] = {}
 
     # -- the entry point -------------------------------------------------------
 
@@ -210,6 +214,7 @@ class Scrubber:
         self._version_index = {}
         self._meta_owner = {}
         self._lost_tags = {}
+        self._lost_records = {}
 
         for digest, classification in sorted(
             self.jcf.db.scrub_payloads().items()
@@ -230,6 +235,7 @@ class Scrubber:
             )
 
         libraries, unopenable = self.fmcad.all_libraries()
+        unrecorded: Dict[str, Library] = {}
         for library in libraries:
             for location, classification in library.metafile.findings():
                 self._meta_owner[location] = library
@@ -249,21 +255,10 @@ class Scrubber:
                 )
             try:
                 for path in library.orphaned_files():
-                    findings.append(
-                        ScrubFinding(
-                            "fmcad-orphan", str(path), "orphan",
-                            action=NOTED, detail=library.name,
-                        )
-                    )
+                    unrecorded[str(path)] = library
             except MetaFileError:
                 pass  # already reported as a meta finding above
-        for location, entry in sorted(self._find_lost_tags(libraries).items()):
-            self._lost_tags[location] = entry
-            findings.append(
-                ScrubFinding(
-                    "fmcad-tag", location, "missing", detail=entry[0].name
-                )
-            )
+        findings.extend(self._find_lost_records(libraries, unrecorded))
         for name, classification in unopenable:
             meta_path = str(self.fmcad.root / "libs" / name / ".meta")
             self._meta_owner[meta_path] = None
@@ -277,14 +272,16 @@ class Scrubber:
 
         return [f for f in findings if f.location not in self._manifest]
 
-    def _find_lost_tags(
-        self, libraries: List[Library]
-    ) -> Dict[str, Tuple[Library, CellViewVersion, str]]:
-        """Untagged versions that an OMS version names, by file path.
-
-        Untagged versions are rare (a damaged ``.meta`` property line, a
-        crash before a scheduled run placed its tags), so the OMS side
-        is read only when there is one.
+    def _find_lost_records(
+        self,
+        libraries: List[Library],
+        unrecorded: Dict[str, Library],
+    ) -> List[ScrubFinding]:
+        """Versions that lost their ``jcf_oid`` tag (``fmcad-tag``) and
+        version files that lost their ``.meta`` record (``fmcad-record``)
+        while an OMS version names the file with the same payload: acked
+        checkins.  Other unrecorded files are noted ``fmcad-orphan``s.
+        Both are rare, so the OMS side is read only when there is one.
         """
         untagged = {
             str(version.path): (library, version)
@@ -293,34 +290,65 @@ class Scrubber:
             for version in cellview.versions
             if version.properties.get("jcf_oid") is None
         }
-        named = self.oms_names({
-            path: version for path, (_library, version) in untagged.items()
-        })
-        return {
-            path: (*untagged[path], oid) for path, oid in named.items()
+        digests = {
+            path: hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+            for path in unrecorded
         }
+        named = self.oms_names({
+            **{
+                path: version._content_digest
+                for path, (_library, version) in untagged.items()
+            },
+            **digests,
+        })
+        findings: List[ScrubFinding] = []
+        for path, (library, version) in sorted(untagged.items()):
+            if path in named:
+                self._lost_tags[path] = (library, version, named[path])
+                findings.append(ScrubFinding(
+                    "fmcad-tag", path, "missing", detail=library.name
+                ))
+        for path, library in sorted(unrecorded.items()):
+            if path in named and library.restorable(pathlib.Path(path)):
+                self._lost_records[path] = (
+                    library, digests[path], named[path]
+                )
+                findings.append(ScrubFinding(
+                    "fmcad-record", path, "missing", detail=library.name
+                ))
+            else:
+                findings.append(ScrubFinding(
+                    "fmcad-orphan", path, "orphan",
+                    action=NOTED, detail=library.name,
+                ))
+        return findings
 
-    def oms_names(
-        self, versions: Dict[str, CellViewVersion]
-    ) -> Dict[str, str]:
-        """The OMS version naming each of *versions* (keyed by file path).
+    def oms_names(self, digests: Dict[str, Optional[str]]) -> Dict[str, str]:
+        """The OMS version naming each file path of *digests*.
 
         The OMS version must name the file in its ``directory_path`` and
-        hold the same payload.  Reads the OMS side only when *versions*
-        is non-empty.
+        hold the payload with the given digest.  Reads the OMS side only
+        when *digests* is non-empty.
         """
-        if not versions:
+        if not digests:
             return {}
-        named: Dict[str, str] = {}
-        for obj in self.jcf.db.select("DesignObjectVersion"):
-            path = obj.get("directory_path")
-            version = versions.get(path)
-            if (
-                version is not None
-                and obj.payload_digest == version._content_digest
-            ):
-                named[path] = obj.oid
-        return named
+        return {
+            path: obj.oid
+            for path, obj in self.oms_paths().items()
+            if path in digests and obj.payload_digest == digests[path]
+        }
+
+    def oms_paths(self) -> Dict[str, OMSObject]:
+        """Every OMS version by the version file its ``directory_path``
+        names, spelled the way this workspace's root is: the OMS keeps
+        the spelling of the process that checked the file in."""
+        libs = self.fmcad.root / "libs"
+        return {
+            str(libs.joinpath(*pathlib.PurePath(
+                obj.get("directory_path") or ""
+            ).parts[-4:])): obj
+            for obj in self.jcf.db.select("DesignObjectVersion")
+        }
 
     # -- repair ----------------------------------------------------------------
 
@@ -362,6 +390,13 @@ class Scrubber:
             library, version, oid = self._lost_tags[finding.location]
             version.properties.set("jcf_oid", oid)
             return library.flush_properties(self.user)
+        if finding.area == "fmcad-record":
+            library, digest, oid = self._lost_records[finding.location]
+            version = library.restore_version(
+                pathlib.Path(finding.location), digest, self.user
+            )
+            version.properties.set("jcf_oid", oid)
+            return library.flush_meta(self.user)
         if finding.area == "wal":
             # the live database is the repair source: a checkpoint
             # rewrites the checkpoint durably and verified, and retires

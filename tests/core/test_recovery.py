@@ -8,6 +8,8 @@ from repro.core.scheduler import RUN_CRASHED, RUN_OK, RunRequest
 from repro.errors import CouplingError
 from repro.faults import CrashFault, FaultPlan, TransientFault, inject
 from repro.jcf.model import EXEC_DONE, EXEC_FAILED, EXEC_RUNNING
+from repro.jcf.model import FLOW_RUNNING
+from repro.server.leases import LeaseTable
 from repro.tools.schematic.model import Component, Schematic
 from tests.conftest import (
     build_inverter_editor_fn,
@@ -331,6 +333,64 @@ class TestAuditDetection:
         assert "leaked-session" in categories
         assert "stale-execution" in categories
         assert "orphan-version" in categories
+
+    def test_recovery_repairs_each_item_the_audit_lists(self, tmp_path):
+        """One repair per audit finding, in every repairable category."""
+        hybrid, project, library, cells = build_wave_environment(
+            tmp_path / "env", 3
+        )
+        # ticket, session, execution and version: a run dies holding
+        # its ticket, after its version file
+        with inject(FaultPlan.crash("checkout.after_checkin")):
+            with pytest.raises(CrashFault):
+                run_schematic(hybrid, project, library, cells[0])
+        # reservation: published behind the workspace protocol's back
+        project.cell(cells[1]).latest_version().publish()
+        # flow: an instance whose driver died
+        instance = hybrid.flows_orchestrator.start(
+            user="alice", project=project, cell_name=cells[2],
+            flow_name="jcf_fmcad_flow", script="inverter_flow",
+            library_name="chiplib", team="team1",
+        )
+        hybrid.jcf.db.set_attr(instance.oid, "status", FLOW_RUNNING)
+        # staging file: written, never recorded
+        (hybrid.jcf.staging.root / "stray.dat").write_bytes(b"stray")
+        # lease: expired, never reclaimed
+        leases = LeaseTable(ttl_ms=100.0, now_fn=lambda: 500.0)
+        leases.acquire("s1", "alice", "chiplib", cells[2], now_ms=0.0)
+        hybrid.jcf.db.lease_table = leases
+        # WAL: a torn tail
+        with open(hybrid.jcf.wal.log_path, "ab") as handle:
+            handle.write(b"half a record")
+
+        repairs_of = {
+            "dangling-ticket": ["cancelled_tickets"],
+            "leaked-session": ["closed_sessions"],
+            "stale-execution": ["failed_executions"],
+            "orphan-version": ["deleted_fmcad_versions", "repaired_tags"],
+            "orphan-reservation": ["released_reservations"],
+            "flow-orphan": ["adopted_flows", "compensated_flows"],
+            "staging-orphan": ["reclaimed_staging_files"],
+            "stale-lease": ["reclaimed_leases"],
+            "wal-integrity": ["wal_repairs"],
+        }
+        audit = hybrid.audit()
+        listed = {
+            category: len(findings)
+            for category, findings in audit.by_category().items()
+        }
+        assert listed == dict.fromkeys(repairs_of, 1), audit.render()
+        report = hybrid.recover()
+        assert {
+            category: sum(len(getattr(report, name)) for name in names)
+            for category, names in repairs_of.items()
+        } == listed, report.summary()
+        assert sum(
+            len(items) for items in vars(report).values()
+        ) == len(audit.findings)
+        after = hybrid.audit()
+        assert after.clean, after.render()
+        assert hybrid.recover().empty()
 
     def test_audit_render_mentions_counts(self, adopted_cell):
         hybrid, project, library, cell = adopted_cell

@@ -22,6 +22,7 @@ reclaimed.
 """
 
 import os
+import pathlib
 
 import pytest
 
@@ -598,7 +599,12 @@ class TestMetaAppend:
     def test_truncated_batch_of_logged_versions_is_never_reclaimed(
         self, tmp_path
     ):
-        """Cut at rest, a logged batch reads like a torn one."""
+        """Cut at rest, a logged batch reads like a torn one.
+
+        Its version files are acked checkins: the OMS versions name
+        them with the same payload, so recovery records them again
+        instead of reclaiming them, and the next wave writes past them.
+        """
         root = tmp_path / "env"
         hybrid, library, before, batch = self.two_waves(root)
         meta = library.metafile.path
@@ -608,17 +614,63 @@ class TestMetaAppend:
 
         hybrid2 = HybridFramework.reopen(root)
         report = Scrubber(hybrid2.jcf, hybrid2.fmcad).scrub()
-        assert ("meta", str(meta), "torn-write") in [
+        found = [
             (f.area, f.location, f.classification) for f in report.findings
         ]
-        assert not hybrid2.audit().clean
+        assert ("meta", str(meta), "torn-write") in found
+        assert [
+            (area, location) for area, location, _ in found
+            if area.startswith("fmcad-")
+        ] == [("fmcad-record", str(path)) for path in files]
+        audit = hybrid2.audit()
+        assert len(audit.by_category()["integrity"]) == 5, audit.render()
         recovery = hybrid2.recover()
         assert recovery.reclaimed_fmcad_files == []
+        assert len(recovery.repaired_payloads) == 5
         assert all(path.exists() for path in files)
-        # the kept files stay listed for an administrator
-        report = Scrubber(hybrid2.jcf, hybrid2.fmcad).scrub()
-        assert sorted(
-            f.location for f in report.findings if f.area == "fmcad-orphan"
-        ) == [str(path) for path in files]
+        assert hybrid2.audit().clean
+        assert Scrubber(hybrid2.jcf, hybrid2.fmcad).scrub().clean
 
+        library2 = hybrid2.fmcad.library("chiplib")
+        project2 = hybrid2.jcf.project("chipA")
+        # the edit saves the schematic as it is, once it has ports
+        assert all(o.ok for o in hybrid2.run_many([
+            RunRequest(
+                "alice", project2, library2, cell, "schematic_entry",
+                kwargs={"edit_fn": idempotent_schematic_edit},
+            )
+            for cell in ("cell4", "cell5")
+        ]).outcomes)
+        assert [
+            v.number for v in library2.cellview("cell4", "schematic").versions
+        ] == [1, 2]
+        paths = [
+            obj.get("directory_path")
+            for obj in hybrid2.jcf.db.select("DesignObjectVersion")
+        ]
+        assert len(paths) == len(set(paths)) == 16
+        assert_no_wave_leftovers(hybrid2)
+        assert_no_wave_leftovers(HybridFramework.reopen(root))
 
+    def test_cut_batch_rolled_forward_under_another_root_spelling(
+        self, tmp_path, monkeypatch
+    ):
+        """The OMS keeps each file's path as the process that checked it
+        in spelt the root; a reopen through a relative root still finds
+        the cut batch's files named, and never reclaims them."""
+        hybrid, library, before, batch = self.two_waves(tmp_path / "env")
+        library.metafile.path.write_bytes(before + batch[: len(batch) // 2])
+        files = sorted(library.directory.glob("cell[45]/*/v*.dat"))
+        monkeypatch.chdir(tmp_path)
+        hybrid2 = HybridFramework.reopen(pathlib.Path("env"))
+        recovery = hybrid2.recover()
+        assert recovery.reclaimed_fmcad_files == []
+        assert len(recovery.repaired_payloads) == 5
+        assert all(path.exists() for path in files)
+        assert hybrid2.audit().clean
+        library2 = hybrid2.fmcad.library("chiplib")
+        assert all(
+            v.properties.get("jcf_oid")
+            for cv in library2.cellviews() for v in cv.versions
+        )
+        assert sum(len(cv.versions) for cv in library2.cellviews()) == 12

@@ -368,6 +368,21 @@ class TestRecoveryAndAuditWiring:
         assert not report.clean
         assert any(f.category == "integrity" for f in report.findings)
 
+    def test_audit_reports_an_unopenable_closed_library(self, adopted_cell):
+        """A closed library too damaged to open is a finding, not a raise."""
+        hybrid, _project, _library, _ = adopted_cell
+        cold = FMCADFramework(hybrid.fmcad.root).create_library("coldstore")
+        cold.create_cell("alu")
+        cold.write_version(
+            cold.create_cellview("alu", "schematic"), b"design", "alice"
+        )
+        cold.flush_meta("alice")
+        meta_path = cold.metafile.path
+        meta_path.write_bytes(damaged_copy(meta_path.read_bytes(), seed=4))
+        findings = hybrid.audit().by_category()
+        assert list(findings) == ["integrity"]
+        assert str(meta_path) in findings["integrity"][0].detail
+
     def test_recover_leaves_a_verified_store(self, adopted_cell):
         hybrid, project, library, _ = adopted_cell
         run_flow(hybrid, project, library)
