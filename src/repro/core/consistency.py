@@ -6,30 +6,40 @@ points in order to prevent data inconsistency."  The guard here is
 written *in* the FMCAD extension language (menu locking), installs an ITC
 interceptor (wrapper mediation), and provides the cross-checks that make
 the hybrid framework's "more powerful data consistency check" (Section
-3.2) measurable.
+3.2) measurable.  Its crash-consistency audit is the one list crash
+recovery works from: each finding names the item and the rule that
+repairs it (:mod:`repro.core.recovery`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+import pathlib
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.hierarchy import HierarchyManager
-from repro.core.leftovers import (
-    FLOW_GONE,
-    FLOW_PARKED,
-    FLOW_STRANDED,
-    Leftovers,
-)
 from repro.errors import IntegrityError
-from repro.integrity.scrub import Scrubber
+from repro.integrity.scrub import Scrubber, ScrubFinding
 from repro.core.mapping import DataModelMapper
 from repro.fmcad.framework import FMCADFramework
 from repro.fmcad.itc import ITCMessage
 from repro.fmcad.library import Library
 from repro.fmcad.session import ToolSession
+from repro.jcf.flow_engine import JCFExecution
 from repro.jcf.framework import JCFFramework
-from repro.jcf.project import JCFProject
+from repro.jcf.model import (
+    EXEC_RUNNING,
+    FLOW_ABORTED,
+    FLOW_DEAD_LETTER,
+    FLOW_QUEUED,
+    FLOW_RUNNING,
+    FLOW_TERMINAL_STATES,
+)
+from repro.jcf.project import JCFCellVersion, JCFProject
+from repro.oms.objects import OMSObject
+
+#: the ``settle-version`` item of a version recovery drops
+DROP = "drop"
 
 #: Menu points the guard locks in every coupled tool session: versioning
 #: and hierarchy manipulation belong to the master framework now.
@@ -53,10 +63,17 @@ GUARD_PROGRAM = """
 
 @dataclasses.dataclass(frozen=True)
 class AuditFinding:
-    """One cross-framework invariant violation found by :meth:`audit`."""
+    """One cross-framework invariant violation found by :meth:`audit`.
+
+    *rule* names the repair :class:`~repro.core.recovery.CouplingRecovery`
+    applies to *item*, the object the finding names; a finding without a
+    rule is noted, not repaired.
+    """
 
     category: str
     detail: str
+    item: Any = dataclasses.field(default=None, compare=False, repr=False)
+    rule: Optional[str] = None
 
     def __str__(self) -> str:
         return f"[{self.category}] {self.detail}"
@@ -115,7 +132,7 @@ class ConsistencyGuard:
         self.fmcad = fmcad
         self.mapper = mapper
         self.hierarchy = hierarchy
-        self.leftovers = Leftovers(jcf, fmcad)
+        self.scrubber = Scrubber(jcf, fmcad)
         self._interceptor_installed = False
         fmcad.interpreter.run(GUARD_PROGRAM)
 
@@ -266,146 +283,233 @@ class ConsistencyGuard:
     # -- crash-consistency audit (recovery's acceptance check) ----------------------
 
     def audit(self) -> AuditReport:
-        """Audit the whole coupling for crash leavings.
+        """Audit the whole coupling for crash leavings, each with its repair.
 
         Unlike :meth:`scan`, which compares one project against one
         library, the audit sweeps every invariant a crashed coupled run
-        can break: untagged or mistagged FMCAD versions, dangling
-        checkout tickets, leaked tool sessions, executions stuck
-        ``running``, reservations that outlived their legitimacy,
-        unrecorded staging files, and payload refcounts that disagree
-        with the live object graph.  A clean
-        report is the definition of "recovered".
+        can break.  Each finding names the rule
+        :meth:`~repro.core.recovery.CouplingRecovery.recover` repairs it
+        by, or none: then it is noted.  A clean report is the definition
+        of "recovered".
         """
         report = AuditReport()
-        self._audit_versions(report)
-        self._audit_tickets(report)
-        self._audit_sessions(report)
-        self._audit_executions(report)
+        db = self.jcf.db
+        # first: its lost tags settle versions, and it lists the files
+        # no record names
+        scrubbed = self.scrubber.scrub().findings
+        executions = db.select(
+            "ActiveExecVersion", lambda o: o.get("status") == EXEC_RUNNING
+        )
+        dropped = self._audit_versions(report, executions)
+        for obj in executions:
+            report.findings.append(AuditFinding(
+                "stale-execution", f"execution {obj.oid} still running",
+                obj, "fail-execution",
+            ))
+        for session in self.fmcad.sessions():
+            report.findings.append(AuditFinding(
+                "leaked-session",
+                f"tool session {session.session_id} ({session.tool_name}, "
+                f"user {session.user}) still open",
+                session, "close-session",
+            ))
+        for ticket in self.fmcad.checkouts.active_tickets():
+            report.findings.append(AuditFinding(
+                "dangling-ticket",
+                f"open checkout of {ticket.cellview_key} by {ticket.user}",
+                ticket, "cancel-ticket",
+            ))
         self._audit_reservations(report)
-        self._audit_staging(report)
-        self._audit_blobs(report)
-        self._audit_leases(report)
-        self._audit_integrity(report)
         self._audit_flow_instances(report)
-        return report
-
-    def _audit_leases(self, report: AuditReport) -> None:
-        """Flag expired checkout leases nobody reclaimed, when attached.
-
-        A lease table (published by a serving engine, probed like the
-        WAL) should never hold an expired lease on a quiesced system —
-        recovery's lease sweep or the engine pump reclaims them.  One
-        still live here means a dead session's write claim is blocking
-        successors: a ``stale-lease`` finding.
-        """
-        table = getattr(self.jcf.db, "lease_table", None)
-        if table is None:
-            return
-        now = table.now()
-        for lease in table.live_leases():
+        # a lease table (attached by a serving engine, like the WAL) holds
+        # no expired lease on a quiesced system: recovery or the engine
+        # pump reclaims them.  One still live is a dead session's write
+        # claim blocking successors
+        table = getattr(db, "lease_table", None)
+        now = table.now() if table else 0.0
+        for lease in table.live_leases() if table else []:
             if lease.expired(now):
                 report.findings.append(AuditFinding(
                     "stale-lease",
                     f"{lease.key}: expired at {lease.expires_ms:.0f}ms "
                     f"(session {lease.session_id}, token {lease.token}) "
                     f"but never reclaimed",
+                    lease, "reclaim-lease",
+                ))
+        for problem in db.verify_payload_refcounts():
+            report.findings.append(AuditFinding("blob-refcount", problem))
+        self._audit_storage(report, scrubbed, dropped)
+        return report
+
+    def _audit_versions(
+        self, report: AuditReport, executions: List[OMSObject]
+    ) -> Set[str]:
+        """Each version without a live ``jcf_oid`` tag, and how recovery
+        settles it; returns the files of the versions it drops.
+
+        Each cellview is walked newest first.  A *running cell* is the
+        cell of a running execution (execution, variant, cell, in the
+        library the execution names); there each view's ``fmcad_base``
+        is the walk's floor (several runs: the lowest of their bases; a
+        view a base lacks: 0).  A lost tag is the scrub's: an OMS
+        version names the file (``directory_path``) with its payload.
+
+        ====================================  ============================
+        version the walk reaches              ``settle-version`` item
+        ====================================  ============================
+        a live tag                            no finding; stops the walk
+        untagged, with a lost tag             its tag back; stops the walk
+        a dead tag, or in a running cell      :data:`DROP`: the run's OMS
+        above the floor, while the walk goes  side never committed
+        untagged, outside a running cell or   noted, and stops the walk:
+        at or below the floor                 written through FMCAD
+        any other, below where it stopped     noted: only the newest
+                                              version can be dropped
+        ====================================  ============================
+        """
+        db = self.jcf.db
+        lost_tags = self.scrubber.lost_tags
+        bases: Dict[Tuple[str, str], List[Dict[str, int]]] = {}
+        for obj in executions:
+            cell_name = JCFExecution(db, obj).variant.cell_version.cell.name
+            bases.setdefault((obj.get("library"), cell_name), []).append({
+                str(view): int(number)
+                for view, number in obj.get("fmcad_base") or []
+            })
+        dropped: Set[str] = set()
+        for library in self.fmcad.all_libraries()[0]:
+            for cellview in library.cellviews():
+                runs = bases.get((library.name, cellview.cell_name))
+                floor = None if runs is None else min(
+                    base.get(cellview.view.name, 0) for base in runs
+                )
+                stopped = False
+                for version in reversed(cellview.versions):
+                    tag = version.properties.get("jcf_oid")
+                    if db.exists(tag or ""):
+                        stopped = True
+                        continue
+                    settle = None if tag else lost_tags.get(str(version.path))
+                    if settle is None and not stopped and (
+                        tag or (floor is not None and version.number > floor)
+                    ):
+                        settle = DROP
+                        dropped.add(str(version.path))
+                    stopped = stopped or settle != DROP
+                    where = f"{library.name}:{cellview.name} v{version.number}"
+                    report.findings.append(AuditFinding(
+                        "unpaired-tag" if tag else "orphan-version",
+                        f"{where} tags dead OMS object {tag}" if tag
+                        else f"{where} carries no jcf_oid cross-tag",
+                        (library, cellview, version, settle),
+                        None if settle is None else "settle-version",
+                    ))
+        return dropped
+
+    def _audit_reservations(self, report: AuditReport) -> None:
+        """A ``reserves`` link is orphaned when its target cell version is
+        already published (publish releases atomically, so this only
+        happens when the protocol was bypassed) or when its workspace's
+        owner is no longer a registered user."""
+        db = self.jcf.db
+        for workspace in db.select("Workspace"):
+            try:
+                self.jcf.resources.user(workspace.get("owner"))
+                owner_known = True
+            except Exception:
+                owner_known = False
+            for cv_oid in db.target_oids("reserves", workspace.oid):
+                cell_version = JCFCellVersion(db, db.get(cv_oid))
+                if owner_known and not cell_version.published:
+                    continue
+                reason = (
+                    "already published" if cell_version.published
+                    else "unknown owner"
+                )
+                report.findings.append(AuditFinding(
+                    "orphan-reservation",
+                    f"{workspace.get('owner')} reserves cell version "
+                    f"{cell_version.number} of {cell_version.cell.name!r} "
+                    f"({reason})",
+                    (workspace, cell_version), "release-reservation",
                 ))
 
     def _audit_flow_instances(self, report: AuditReport) -> None:
-        """Stranded flow instances, and dead-lettered ones an operator
-        must look at: ``audit()`` lists everything unfinished."""
-        for obj, state in self.leftovers.stranded_flows():
-            detail = {
-                FLOW_PARKED: f"dead-lettered: {obj.get('note') or '?'}",
-                FLOW_GONE: "references a variant that no longer exists",
-                FLOW_STRANDED: "still marked running on a quiesced system",
-            }[state]
+        """Flow instances left unfinished, with the state recovery puts
+        them in.
+
+        A ``running`` instance on a quiesced system means a crash
+        interrupted its driver: recovery adopts it back to ``queued``.
+        One whose variant no longer resolves can never make progress:
+        recovery compensates it to ``aborted``.  A ``dead_letter`` one
+        is parked work an operator must look at: noted.
+        """
+        db = self.jcf.db
+        for obj in db.select("FlowInstance"):
+            status = obj.get("status")
+            if status == FLOW_DEAD_LETTER:
+                detail = f"dead-lettered: {obj.get('note') or '?'}"
+                settle = None
+            elif status in FLOW_TERMINAL_STATES:
+                continue
+            elif not db.exists(obj.get("variant_oid") or ""):
+                detail = "references a variant that no longer exists"
+                settle = FLOW_ABORTED
+            elif status == FLOW_RUNNING:
+                detail = "still marked running on a quiesced system"
+                settle = FLOW_QUEUED
+            else:
+                continue
             report.findings.append(AuditFinding(
-                "dead-letter-flow" if state == FLOW_PARKED else "flow-orphan",
+                "dead-letter-flow" if settle is None else "flow-orphan",
                 f"flow instance {obj.oid} ({obj.get('flow_name')} on "
                 f"{obj.get('cell')!r}) {detail}",
+                (obj, settle), None if settle is None else "settle-flow",
             ))
 
-    def _audit_versions(self, report: AuditReport) -> None:
-        for library, cellview, strays in self.leftovers.stray_versions():
-            for version in strays:
-                oid = version.properties.get("jcf_oid")
-                where = f"{library.name}:{cellview.name} v{version.number}"
-                if oid is None:
-                    report.findings.append(AuditFinding(
-                        "orphan-version",
-                        f"{where} carries no jcf_oid cross-tag",
-                    ))
-                else:
-                    report.findings.append(AuditFinding(
-                        "unpaired-tag", f"{where} tags dead OMS object {oid}"
-                    ))
-
-    def _audit_tickets(self, report: AuditReport) -> None:
-        for ticket in self.fmcad.checkouts.active_tickets():
-            report.findings.append(AuditFinding(
-                "dangling-ticket",
-                f"open checkout of {ticket.cellview_key} by {ticket.user}",
-            ))
-
-    def _audit_sessions(self, report: AuditReport) -> None:
-        for session in self.fmcad.sessions():
-            report.findings.append(AuditFinding(
-                "leaked-session",
-                f"tool session {session.session_id} ({session.tool_name}, "
-                f"user {session.user}) still open",
-            ))
-
-    def _audit_executions(self, report: AuditReport) -> None:
-        for obj in self.leftovers.running_executions():
-            report.findings.append(AuditFinding(
-                "stale-execution",
-                f"execution {obj.oid} still running",
-            ))
-
-    def _audit_reservations(self, report: AuditReport) -> None:
-        for workspace, cell_version in self.leftovers.orphan_reservations():
-            reason = (
-                "already published" if cell_version.published
-                else "unknown owner"
-            )
-            report.findings.append(AuditFinding(
-                "orphan-reservation",
-                f"{workspace.get('owner')} reserves cell version "
-                f"{cell_version.number} of {cell_version.cell.name!r} "
-                f"({reason})",
-            ))
-
-    def _audit_staging(self, report: AuditReport) -> None:
-        for path in self.jcf.staging.orphan_files():
-            report.findings.append(AuditFinding(
-                "staging-orphan",
-                f"unrecorded staging file {path.name}",
-            ))
-
-    def _audit_blobs(self, report: AuditReport) -> None:
-        for problem in self.jcf.db.verify_payload_refcounts():
-            report.findings.append(AuditFinding("blob-refcount", problem))
-
-    def _audit_integrity(self, report: AuditReport) -> None:
-        """Report-only integrity scrub over every storage area.
-
-        Only *actionable* damage counts: informational orphans are
-        covered by the dedicated sweeps above, and known-quarantined
-        losses were already surfaced by the recovery pass that
-        quarantined them — re-reporting forever would make a recovered
-        store permanently un-auditable.  Damage to the write-ahead log
-        (a torn tail recovery has not dropped yet, a checkpoint failing
-        its checksum, a payload pack frame no longer proving its digest)
-        is reported as ``wal-integrity``.
+    def _audit_storage(
+        self, report: AuditReport, scrubbed: List[ScrubFinding],
+        dropped: Set[str],
+    ) -> None:
+        """The storage scrub's findings recovery acts on: unrecorded
+        staging files (noted by the scrub) and FMCAD files no OMS version
+        names are reclaimed, a torn tail of the live WAL log or the pack
+        is cut, other damage is the scrub's to repair.  A version
+        recovery drops needs no repair of its file, and known-quarantined
+        losses were surfaced by the recovery that quarantined them:
+        re-reporting them forever would make a recovered store
+        permanently un-auditable.
         """
-        for finding in Scrubber(self.jcf, self.fmcad).scrub().findings:
-            if finding.actionable:
-                category = (
-                    "wal-integrity" if finding.area == "wal" else "integrity"
+        wal = self.jcf.wal
+        libs = self.fmcad.root / "libs"
+        for finding in scrubbed:
+            path = pathlib.Path(finding.location)
+            if finding.area == "staging-orphan":
+                report.findings.append(AuditFinding(
+                    "staging-orphan", f"unrecorded staging file {path.name}",
+                    path, "reclaim-staging-file",
+                ))
+            elif not finding.actionable or finding.location in dropped:
+                continue
+            elif finding.area == "fmcad-orphan":
+                name = str(path.relative_to(libs))
+                report.findings.append(AuditFinding(
+                    "fmcad-orphan", f"unrecorded FMCAD file {name}",
+                    (path, name), "reclaim-fmcad-file",
+                ))
+            elif finding.area != "wal":
+                report.findings.append(
+                    AuditFinding("integrity", str(finding), finding, "scrub")
                 )
-                report.findings.append(AuditFinding(category, str(finding)))
+            else:
+                tail = finding.classification == "torn-tail" and (
+                    finding.location == str(wal.log_path)
+                    or finding.location.startswith(f"{wal.pack_path}@")
+                )
+                report.findings.append(AuditFinding(
+                    "wal-integrity", str(finding), finding,
+                    "cut-wal-tail" if tail else "scrub",
+                ))
 
     # -- the FMCAD baseline (what the slave notices by itself) ----------------------
 

@@ -123,7 +123,7 @@ class HybridFramework:
         self.layout_entry = LayoutEntryWrapper(
             self.jcf, self.fmcad, self.mapper, self.guard
         )
-        self.recovery = CouplingRecovery(self.jcf, self.fmcad)
+        self.recovery = CouplingRecovery(self.guard)
         self._wire_flow_orchestration()
         # staged files from a previous process are a durable CoW cache:
         # re-adopt the ones that still match a live payload, leave true

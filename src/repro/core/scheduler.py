@@ -401,6 +401,7 @@ class BatchScheduler:
         written.fsync()
         if outcome.status != RUN_CRASHED:
             # a live run removes what it staged; a crashed one leaves its
-            # files on disk for the audit to flag and recover() to reclaim
+            # files on disk: the audit lists each as a staging-orphan,
+            # and recover() reclaims exactly those
             sandbox.clear()
         return outcome

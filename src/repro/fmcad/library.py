@@ -15,7 +15,7 @@ import hashlib
 import os
 import pathlib
 import threading
-from typing import Callable, Collection, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.clock import SimClock
 from repro.errors import IntegrityError, LibraryError, MetaFileError
@@ -168,11 +168,13 @@ class Library:
         return library
 
     def orphaned_files(self) -> List[pathlib.Path]:
-        """Version files on disk that no record names.
+        """Version files on disk that no record names, and a stale
+        ``.meta.tmp``.
 
         These are the casualties of a run that died after writing its
         version files but before the ``.meta`` that would name them, or
-        of designers who forgot to flush before the restart.  A file the
+        of designers who forgot to flush before the restart, and of a
+        ``.meta`` compaction that died before its rename.  A file the
         in-memory library holds is only waiting for its flush.
         """
         named = {
@@ -202,27 +204,9 @@ class Library:
                         ".dat"
                     ) and (cell.name, view.name, filename) not in named:
                         orphans.append(pathlib.Path(entry.path))
-        return sorted(orphans)
-
-    def reclaim_orphans(
-        self, keep: Callable[[], Collection[str]] = frozenset
-    ) -> List[pathlib.Path]:
-        """Delete the :meth:`orphaned_files`; list them.
-
-        Nothing refers to them (the OMS side of that run never reached
-        the log either), so recovery reclaims them, with a stale
-        ``.meta.tmp``.  A path in ``keep()`` (asked only if there is an
-        orphan) is kept: a ``.meta`` tail cut at rest reads like a torn
-        one.
-        """
-        orphans = self.orphaned_files()
-        kept = keep() if orphans else ()
-        orphans = [path for path in orphans if str(path) not in kept]
         stale = self.metafile.path.with_name(".meta.tmp")
         if stale.exists():
             orphans.append(stale)
-        for path in orphans:
-            os.unlink(path)
         return sorted(orphans)
 
     def restorable(self, path: pathlib.Path) -> bool:

@@ -10,7 +10,8 @@ recorded checksum, and classifies what it finds:
 * **truncation** — shorter than recorded (an interrupted write);
 * **torn-write** — longer or structurally wrong (interleaved writers);
 * **missing** — the record survived, the file did not;
-* **orphan** — the file survived, no record claims it (informational).
+* **orphan** — the file survived, no record claims it (a staging
+  file's is informational).
 
 In repair mode it heals findings from *verified* peers: the coupling
 mirrors every payload on both sides of the master/slave split (OMS blob
@@ -18,8 +19,10 @@ mirrors every payload on both sides of the master/slave split (OMS blob
 re-written from a sibling that first re-proves its own content address;
 damaged WAL files are healed by a fresh checkpoint of the live database,
 a damaged ``.meta`` is rewritten from the live library, and a
-version that lost its tag gets it back from the OMS version whose
-``directory_path`` names its file and whose payload matches it.
+version file that lost its ``.meta`` record is recorded again from the
+OMS version whose ``directory_path`` names it and whose payload
+matches it; a version that lost its tag while such an OMS version
+names its file is listed in :attr:`Scrubber.lost_tags` for the audit.
 Repair iterates to a fixpoint — healing a delta base heals every delta
 stacked on it — and whatever still fails afterwards is **quarantined**:
 blobs are flagged so reads raise :class:`QuarantinedError`, files are
@@ -33,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import pathlib
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from repro.errors import (
     IntegrityError,
@@ -54,7 +57,7 @@ SCRUB_USER = "scrubber"
 DETECTED = "detected"          # damage found, not (yet) handled
 REPAIRED = "repaired"          # healed from a verified peer, re-verified
 QUARANTINED = "quarantined"    # unrepairable; flagged/moved, never served
-NOTED = "noted"                # informational (orphans); never actionable
+NOTED = "noted"                # informational (staging orphans)
 
 
 @dataclasses.dataclass
@@ -62,7 +65,7 @@ class ScrubFinding:
     """One damaged (or noteworthy) artifact the scrubber saw."""
 
     area: str            # blob | staging | fmcad-version | meta |
-                         # fmcad-tag | wal | *-orphan
+                         # fmcad-record | wal | *-orphan
     location: str        # stable key: blob:<digest>, a path, <path>:<line>
     classification: str  # bit-rot | truncation | torn-write | missing | orphan
     action: str = DETECTED
@@ -153,9 +156,9 @@ class Scrubber:
         # routing indexes rebuilt by every _collect pass
         self._version_index: Dict[str, Tuple[Library, CellViewVersion]] = {}
         self._meta_owner: Dict[str, Optional[Library]] = {}
-        #: version file path -> (library, version, oid of the OMS version
-        #: whose tag it lost)
-        self._lost_tags: Dict[str, Tuple[Library, CellViewVersion, str]] = {}
+        #: untagged version's file -> oid of the OMS version naming it
+        #: with the same payload: the tags the audit gives back
+        self.lost_tags: Dict[str, str] = {}
         #: version file path -> (library, its digest, oid of the OMS
         #: version naming it) for files whose ``.meta`` record was lost
         self._lost_records: Dict[str, Tuple[Library, str, str]] = {}
@@ -164,13 +167,24 @@ class Scrubber:
 
     def scrub(self, repair: bool = False) -> ScrubReport:
         """One full sweep; with *repair*, iterate to a verified fixpoint."""
+        detected = self._collect()
         if not repair:
-            return ScrubReport(self._collect(), rounds=1, repaired=False)
+            return ScrubReport(detected, rounds=1, repaired=False)
+        return self.repair(detected)
+
+    def repair(self, detected: List[ScrubFinding]) -> ScrubReport:
+        """Heal *detected*, findings of this scrubber's last sweep.
+
+        Each round repairs what it can; a round with no progress
+        quarantines what is left.  The store is swept again only after
+        a round that repaired or quarantined something.
+        """
         outcome: Dict[str, ScrubFinding] = {}
         rounds = 0
         while rounds < self.MAX_ROUNDS:
             rounds += 1
-            detected = self._collect()
+            if rounds > 1:
+                detected = self._collect()
             for finding in detected:
                 if not finding.actionable and finding.location not in outcome:
                     outcome[finding.location] = finding
@@ -213,8 +227,10 @@ class Scrubber:
         findings: List[ScrubFinding] = []
         self._version_index = {}
         self._meta_owner = {}
-        self._lost_tags = {}
+        self.lost_tags = {}
         self._lost_records = {}
+        # another scrubber may have quarantined since this one's last sweep
+        self._manifest = self._load_manifest()
 
         for digest, classification in sorted(
             self.jcf.db.scrub_payloads().items()
@@ -277,14 +293,16 @@ class Scrubber:
         libraries: List[Library],
         unrecorded: Dict[str, Library],
     ) -> List[ScrubFinding]:
-        """Versions that lost their ``jcf_oid`` tag (``fmcad-tag``) and
+        """Versions that lost their ``jcf_oid`` tag (:attr:`lost_tags`) and
         version files that lost their ``.meta`` record (``fmcad-record``)
         while an OMS version names the file with the same payload: acked
-        checkins.  Other unrecorded files are noted ``fmcad-orphan``s.
-        Both are rare, so the OMS side is read only when there is one.
+        checkins.  Other unrecorded files are ``fmcad-orphan``s, noted
+        only when an OMS version names the file (its bytes or its place
+        in the chain disagree).  Both are rare, so the OMS side is read
+        only when there is one.
         """
         untagged = {
-            str(version.path): (library, version)
+            str(version.path): version._content_digest
             for library in libraries
             for cellview in library.cellviews()
             for version in cellview.versions
@@ -294,61 +312,45 @@ class Scrubber:
             path: hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
             for path in unrecorded
         }
-        named = self.oms_names({
-            **{
-                path: version._content_digest
-                for path, (_library, version) in untagged.items()
-            },
-            **digests,
-        })
+        named = self._oms_versions(untagged.keys() | digests.keys())
+        for path, digest in untagged.items():
+            obj = named.get(path)
+            if obj is not None and obj.payload_digest == digest:
+                self.lost_tags[path] = obj.oid
         findings: List[ScrubFinding] = []
-        for path, (library, version) in sorted(untagged.items()):
-            if path in named:
-                self._lost_tags[path] = (library, version, named[path])
-                findings.append(ScrubFinding(
-                    "fmcad-tag", path, "missing", detail=library.name
-                ))
         for path, library in sorted(unrecorded.items()):
-            if path in named and library.restorable(pathlib.Path(path)):
-                self._lost_records[path] = (
-                    library, digests[path], named[path]
-                )
+            obj = named.get(path)
+            if obj is not None and obj.payload_digest == digests[path] and (
+                library.restorable(pathlib.Path(path))
+            ):
+                self._lost_records[path] = (library, digests[path], obj.oid)
                 findings.append(ScrubFinding(
                     "fmcad-record", path, "missing", detail=library.name
                 ))
             else:
                 findings.append(ScrubFinding(
-                    "fmcad-orphan", path, "orphan",
-                    action=NOTED, detail=library.name,
+                    "fmcad-orphan", path, "orphan", detail=library.name,
+                    action=DETECTED if obj is None else NOTED,
                 ))
         return findings
 
-    def oms_names(self, digests: Dict[str, Optional[str]]) -> Dict[str, str]:
-        """The OMS version naming each file path of *digests*.
-
-        The OMS version must name the file in its ``directory_path`` and
-        hold the payload with the given digest.  Reads the OMS side only
-        when *digests* is non-empty.
+    def _oms_versions(self, paths: Collection[str]) -> Dict[str, OMSObject]:
+        """The OMS version naming each file of *paths* in its
+        ``directory_path``, compared below the libraries root: the OMS
+        keeps the spelling of the workspace root of the process that
+        checked the file in.  Reads the OMS only for non-empty *paths*.
         """
-        if not digests:
+        if not paths:
             return {}
-        return {
-            path: obj.oid
-            for path, obj in self.oms_paths().items()
-            if path in digests and obj.payload_digest == digests[path]
-        }
-
-    def oms_paths(self) -> Dict[str, OMSObject]:
-        """Every OMS version by the version file its ``directory_path``
-        names, spelled the way this workspace's root is: the OMS keeps
-        the spelling of the process that checked the file in."""
         libs = self.fmcad.root / "libs"
-        return {
-            str(libs.joinpath(*pathlib.PurePath(
+        named = {}
+        for obj in self.jcf.db.select("DesignObjectVersion"):
+            path = str(libs.joinpath(*pathlib.PurePath(
                 obj.get("directory_path") or ""
-            ).parts[-4:])): obj
-            for obj in self.jcf.db.select("DesignObjectVersion")
-        }
+            ).parts[-4:]))
+            if path in paths:
+                named[path] = obj
+        return named
 
     # -- repair ----------------------------------------------------------------
 
@@ -386,10 +388,6 @@ class Scrubber:
             if not library.flush_meta(self.user):
                 return False  # writer lock contended
             return library.metafile.verify() is None
-        if finding.area == "fmcad-tag":
-            library, version, oid = self._lost_tags[finding.location]
-            version.properties.set("jcf_oid", oid)
-            return library.flush_properties(self.user)
         if finding.area == "fmcad-record":
             library, digest, oid = self._lost_records[finding.location]
             version = library.restore_version(

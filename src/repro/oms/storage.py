@@ -313,17 +313,6 @@ class StagingArea:
         return adopted
 
     @_synchronized
-    def reclaim_orphans(self) -> List[pathlib.Path]:
-        """Delete and return every orphaned staging file."""
-        orphans = self.orphan_files()
-        for path in orphans:
-            try:
-                path.unlink()
-            except FileNotFoundError:  # pragma: no cover - race tolerance
-                pass
-        return orphans
-
-    @_synchronized
     def accounting(self) -> Dict[str, int]:
         """Cumulative staging traffic (bytes, file counts, CoW hits)."""
         return {

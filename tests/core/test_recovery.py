@@ -339,6 +339,14 @@ class TestAuditDetection:
         hybrid, project, library, cells = build_wave_environment(
             tmp_path / "env", 3
         )
+        # a lost tag: an acked version's jcf_oid removed and flushed
+        assert run_schematic(hybrid, project, library, cells[1]).success
+        acked = library.cellview(cells[1], "schematic").versions[-1]
+        acked.properties.delete("jcf_oid")
+        library.flush_meta("alice")
+        # an unrecorded version file no OMS version names
+        stray = library.directory / cells[1] / "schematic" / "v0009.dat"
+        stray.write_bytes(b"stray")
         # ticket, session, execution and version: a run dies holding
         # its ticket, after its version file
         with inject(FaultPlan.crash("checkout.after_checkin")):
@@ -373,14 +381,21 @@ class TestAuditDetection:
             "staging-orphan": ["reclaimed_staging_files"],
             "stale-lease": ["reclaimed_leases"],
             "wal-integrity": ["wal_repairs"],
+            "fmcad-orphan": ["reclaimed_fmcad_files"],
         }
         audit = hybrid.audit()
         listed = {
             category: len(findings)
             for category, findings in audit.by_category().items()
         }
-        assert listed == dict.fromkeys(repairs_of, 1), audit.render()
+        # the crashed run's version and the lost tag
+        assert listed == {
+            **dict.fromkeys(repairs_of, 1), "orphan-version": 2
+        }, audit.render()
         report = hybrid.recover()
+        # the lost tag is given back, the crashed run's version dropped
+        assert len(report.repaired_tags) == 1
+        assert acked.properties.get("jcf_oid") is not None
         assert {
             category: sum(len(getattr(report, name)) for name in names)
             for category, names in repairs_of.items()

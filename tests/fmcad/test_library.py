@@ -286,27 +286,31 @@ class TestReopenFromDisk:
         assert reopened.read_version(cellview, 2) == b"v2 data"
         assert reopened.read_version(cellview, 3) == b"new bytes"
 
-    def test_reclaim_orphans(self, tmp_path, clock):
+    def test_orphaned_files_lists_dead_runs_and_stale_temp(
+        self, tmp_path, clock
+    ):
         library = self.make_flushed_library(tmp_path, clock)
         cellview = library.cellview("alu", "schematic")
         dead = library.write_version(cellview, b"dead run", "bob")
         dead.properties.set("jcf_oid", "DesignObjectVersion:000009")
+        # a .meta compaction that died before its rename
+        library.metafile.path.with_name(".meta.tmp").write_bytes(b"tick=")
         reopened = Library.open("persist", tmp_path / "libs", clock=clock)
-        reclaimed = reopened.reclaim_orphans()
-        assert [p.name for p in reclaimed] == ["v0003.dat"]
-        assert reopened.orphaned_files() == []
+        assert [p.name for p in reopened.orphaned_files()] == [
+            ".meta.tmp", "v0003.dat"
+        ]
         # named versions and their tags stay
         cellview = reopened.cellview("alu", "schematic")
         assert reopened.read_version(cellview, 1) == b"v1 data"
         assert cellview.version(1).properties.get("jcf_oid")
 
-    def test_reclaim_keeps_versions_waiting_for_their_flush(
+    def test_versions_waiting_for_their_flush_are_not_orphans(
         self, tmp_path, clock
     ):
         library = self.make_flushed_library(tmp_path, clock)
         cellview = library.cellview("alu", "schematic")
         library.write_version(cellview, b"not flushed yet", "alice")
-        assert library.reclaim_orphans() == []
+        assert library.orphaned_files() == []
         assert library.read_version(cellview) == b"not flushed yet"
 
     def test_open_recovers_cells_without_versions(self, tmp_path, clock):

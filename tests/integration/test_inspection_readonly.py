@@ -66,7 +66,7 @@ def stale_temp(meta):
         (None, 0),
         (torn_tail, 1),
         (flipped_property_line, 1),
-        (stale_temp, 0),
+        (stale_temp, 1),
     ],
 )
 def test_audit_and_scrub_write_nothing(

@@ -283,8 +283,13 @@ class TestProcessDeathInAWave:
         assert library.read_version(cellview) == b"fresh bytes"
         library.drop_version(cellview, 1)
 
+        # the audit lists each file before recovery reclaims it
+        audit = hybrid.audit()
+        assert list(audit.by_category()) == ["fmcad-orphan"]
+        listed = [finding.detail.split()[-1] for finding in audit.findings]
+        assert len(listed) == 7
         report = hybrid.recover()
-        assert len(report.reclaimed_fmcad_files) == 7
+        assert report.reclaimed_fmcad_files == listed
         assert library.orphaned_files() == []
         assert hybrid.audit().clean
 
@@ -293,6 +298,27 @@ class TestProcessDeathInAWave:
             schematic_wave(project, library, ["cell0", "cell1"])
         )
         assert all(o.ok for o in result.outcomes)
+        assert_no_wave_leftovers(hybrid)
+
+    def test_reopened_dead_wave_audits_what_recovery_reclaims(
+        self, tmp_path
+    ):
+        """A wave dead before its ``.meta``: the audit is not clean."""
+        root = tmp_path / "env"
+        hybrid, project, library, cells = build_wave_environment(root, 2)
+        with inject(FaultPlan.crash("wave.before_meta")):
+            with pytest.raises(CrashFault):
+                hybrid.run_many(schematic_wave(project, library, cells))
+        hybrid = HybridFramework.reopen(root)
+        audit = hybrid.audit()
+        assert list(audit.by_category()) == ["fmcad-orphan"]
+        listed = [finding.detail.split()[-1] for finding in audit.findings]
+        assert listed == [
+            f"chiplib/{cell}/{view}/v0001.dat"
+            for cell in cells for view in ("schematic", "symbol")
+        ]
+        report = hybrid.recover()
+        assert report.reclaimed_fmcad_files == listed
         assert_no_wave_leftovers(hybrid)
 
     def test_exit_between_wave_meta_and_wal_record(self, tmp_path):

@@ -400,7 +400,6 @@ class TestAdoptExisting:
         second = StagingArea(db, tmp_path / "staging")
         assert second.adopt_existing() == []
         assert second.orphan_files() == [staged.path]
-        assert second.reclaim_orphans() == [staged.path]
 
     def test_unknown_file_stays_orphaned(self, db, tmp_path):
         area = StagingArea(db, tmp_path / "staging")
@@ -511,7 +510,7 @@ class TestHardLinkFastPath:
         staging.forget(a.oid)
         assert forgotten.path.exists()  # forget leaves disk alone
         second = staging.export_object(b.oid, writable=False)
-        # linking to an untracked orphan would let reclaim_orphans rip
+        # linking to an untracked orphan would let recovery's reclaim rip
         # bytes out from under a live staged copy
         assert second.path.stat().st_nlink == 1
         assert staging.accounting()["export_links"] == 0
@@ -571,7 +570,8 @@ class TestConcurrentRecordMutation:
         # no phantom claims: every oid stages again without collision
         for oid in oids:
             staging.forget(oid)
-        staging.reclaim_orphans()
+        for path in staging.orphan_files():
+            path.unlink()
         for oid in oids:
             assert staging.export_object(oid).path.exists()
 
